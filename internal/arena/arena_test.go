@@ -141,9 +141,13 @@ func TestLRUFastPathMatchesSimulator(t *testing.T) {
 	if lruRow == nil {
 		t.Fatal("no LRU row")
 	}
-	if lruRow.Misses != st.Misses || lruRow.Compulsory != st.Compulsory {
-		t.Errorf("fast path diverges from simulator: row %+v, sim misses=%d compulsory=%d",
-			lruRow, st.Misses, st.Compulsory)
+	c3, err := cache.Classify3C(cfg, cache.NewLRU(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lruRow.Misses != st.Misses || lruRow.Compulsory != c3.Compulsory || lruRow.Capacity != c3.Capacity {
+		t.Errorf("fast path diverges from simulator: row %+v, sim misses=%d, 3C %+v",
+			lruRow, st.Misses, c3)
 	}
 	if lruRow.Conflict != 0 {
 		t.Errorf("fully-associative LRU reported %d conflict misses", lruRow.Conflict)

@@ -115,7 +115,6 @@ type Stats struct {
 	Misses      int64
 	ReadMisses  int64
 	WriteMisses int64
-	Compulsory  int64 // first-touch misses
 	Writebacks  int64
 	Bypasses    int64
 	Fills       int64
@@ -145,7 +144,6 @@ func (s Stats) Publish(r *stats.Registry, prefix string) {
 	r.Counter(prefix + ".misses").Store(s.Misses)
 	r.Counter(prefix + ".readMisses").Store(s.ReadMisses)
 	r.Counter(prefix + ".writeMisses").Store(s.WriteMisses)
-	r.Counter(prefix + ".compulsory").Store(s.Compulsory)
 	r.Counter(prefix + ".writebacks").Store(s.Writebacks)
 	r.Counter(prefix + ".bypasses").Store(s.Bypasses)
 	r.Counter(prefix + ".fills").Store(s.Fills)
@@ -174,12 +172,6 @@ func RegisterStatsInvariants(r *stats.Registry, prefix string) {
 		}
 		return nil
 	})
-	r.RegisterInvariant(prefix+".compulsory<=misses", func(s stats.Snapshot) error {
-		if c, m := s.Get(prefix+".compulsory"), s.Get(prefix+".misses"); c > m {
-			return fmt.Errorf("%d compulsory misses exceed %d total misses", c, m)
-		}
-		return nil
-	})
 }
 
 // Cache is a set-associative cache with a replacement policy.
@@ -189,7 +181,6 @@ type Cache struct {
 	policy Policy
 	stats  Stats
 	clock  int64
-	seen   map[trace.Key]struct{} // for compulsory-miss classification
 	// whereIs accelerates lookup for fully-associative configurations where
 	// a linear scan of the single huge set would dominate runtime.
 	whereIs map[trace.Key]int
@@ -214,7 +205,6 @@ func New(cfg Config, policy Policy) (*Cache, error) {
 		cfg:    cfg,
 		sets:   sets,
 		policy: policy,
-		seen:   make(map[trace.Key]struct{}, cfg.Lines*4),
 	}
 	if numSets == 1 {
 		c.whereIs = make(map[trace.Key]int, cfg.Ways*2)
@@ -296,10 +286,6 @@ func (c *Cache) Access(acc trace.Access) AccessResult {
 	} else {
 		c.stats.ReadMisses++
 	}
-	if _, touched := c.seen[acc.Key]; !touched {
-		c.stats.Compulsory++
-		c.seen[acc.Key] = struct{}{}
-	}
 	if acc.Write && !c.cfg.WriteAllocate {
 		c.stats.Bypasses++
 		return AccessResult{Bypassed: true}
@@ -363,7 +349,7 @@ func (c *Cache) Invalidate(key trace.Key) (present, dirty bool) {
 }
 
 // FlushAll invalidates every line, returning the dirty keys that would be
-// written back. The seen-set (compulsory classification) is preserved.
+// written back. The statistics keep accumulating across the flush.
 func (c *Cache) FlushAll() []trace.Key {
 	var dirty []trace.Key
 	for s := range c.sets {

@@ -151,8 +151,13 @@ func TestLRUBasics(t *testing.T) {
 	if hits != 1 || s.Misses != 4 {
 		t.Errorf("hits=%d misses=%d, want 1/4", hits, s.Misses)
 	}
-	if s.Compulsory != 3 {
-		t.Errorf("compulsory=%d, want 3", s.Compulsory)
+	// Compulsory misses are the first touches of 1, 2 and 3.
+	b, err := Classify3C(c.Config(), NewLRU(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Compulsory != 3 || b.Total != s.Misses {
+		t.Errorf("3C = %+v, want 3 compulsory of %d misses", b, s.Misses)
 	}
 }
 

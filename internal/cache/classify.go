@@ -33,36 +33,36 @@ func Classify3C(cfg Config, policy Policy, tr trace.Trace) (Breakdown3C, error) 
 	if err != nil {
 		return out, err
 	}
-	return Classify3CFromCounts(real, faStats.Misses, faStats.Compulsory), nil
+	return Classify3CFromCounts(real, faStats.Misses, distinctKeys(tr)), nil
+}
+
+// distinctKeys counts the keys tr touches: its compulsory misses, since a
+// key's first access misses in every configuration, write-allocate or not.
+func distinctKeys(tr trace.Trace) int64 {
+	seen := make(map[trace.Key]struct{})
+	for _, a := range tr {
+		seen[a.Key] = struct{}{}
+	}
+	return int64(len(seen))
 }
 
 // Classify3CFromCounts is the normalization core of Classify3C, decomposing
 // already-measured miss counts: real is the configuration under study,
-// faMisses/faCompulsory the fully-associative LRU reference at the same
-// line count. Callers that already hold a Mattson stack profile (the arena:
-// faMisses = StackProfile.MissesAt(lines), faCompulsory = Cold) decompose
-// without re-running either simulation — the profile and the event-driven
-// simulator agree exactly, as the stackdist tests prove.
+// faMisses the fully-associative LRU reference at the same line count and
+// faCompulsory its first touches, which are the compulsory misses of every
+// configuration. Callers that already hold a Mattson stack profile (the
+// arena: faMisses = StackProfile.MissesAt(lines), faCompulsory = Cold)
+// decompose without re-running either simulation — the profile and the
+// event-driven simulator agree exactly, as the stackdist tests prove.
 func Classify3CFromCounts(real Stats, faMisses, faCompulsory int64) Breakdown3C {
 	var out Breakdown3C
 	out.Total = real.Misses
-	out.Compulsory = real.Compulsory
-	out.Capacity = faMisses - faCompulsory
-	if out.Capacity < 0 {
-		out.Capacity = 0
-	}
-	out.Conflict = real.Misses - faMisses
-	if out.Conflict < 0 {
-		// Bélády anomalies can make the set-associative cache *beat* the
-		// fully associative one on some traces; report zero conflicts
-		// rather than a negative count and fold the difference into
-		// capacity so the components still sum to the total.
-		out.Conflict = 0
-		out.Capacity = out.Total - out.Compulsory
-	}
-	// Normalize so components sum to Total even when the FA run's
-	// compulsory count differs (it cannot — first touches are
-	// configuration-independent — but keep the invariant explicit).
+	out.Compulsory = faCompulsory
+	// Bélády anomalies can make the set-associative cache *beat* the fully
+	// associative one on some traces; report zero conflicts rather than a
+	// negative count, so the difference folds into capacity and the
+	// components still sum to the total.
+	out.Conflict = max(real.Misses-faMisses, 0)
 	out.Capacity = out.Total - out.Compulsory - out.Conflict
 	if out.Capacity < 0 {
 		out.Capacity = 0

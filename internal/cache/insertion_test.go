@@ -177,6 +177,22 @@ func TestClassify3CCapacityDominated(t *testing.T) {
 	}
 }
 
+func TestClassify3CWriteNoAllocate(t *testing.T) {
+	// Write misses bypass, so key 1 misses three times and keys 2 and 3
+	// never fill; compulsory misses are still the three distinct keys.
+	tr := trace.Trace{
+		{Key: 1, Write: true}, {Key: 2, Write: true}, {Key: 1, Write: true},
+		{Key: 1}, {Key: 1}, {Key: 3, Write: true},
+	}
+	b, err := Classify3C(Config{Lines: 4, WriteAllocate: false}, NewLRU(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Compulsory != 3 || b.Total != 5 || b.Conflict != 0 || b.Capacity != 2 {
+		t.Errorf("3C = %+v, want 3 compulsory + 2 capacity = 5 misses", b)
+	}
+}
+
 func TestClassify3CInvariantOnRandomTraces(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {

@@ -70,8 +70,12 @@ func PointInTriangle(p, a, b, c Vec2) bool {
 	return !(hasNeg && hasPos)
 }
 
+// sign is the edge function of p against edge (a, b). The conversions round
+// each product to float32, which rules out a fused multiply-add, so the
+// result is the same on every architecture (and matches the raster
+// planner's hoisted copy of this expression).
 func sign(p, a, b Vec2) float32 {
-	return (p.X-b.X)*(a.Y-b.Y) - (a.X-b.X)*(p.Y-b.Y)
+	return float32((p.X-b.X)*(a.Y-b.Y)) - float32((a.X-b.X)*(p.Y-b.Y))
 }
 
 func min3(a, b, c float32) float32 {

@@ -67,14 +67,35 @@ func (p *Pipeline) PlanTile(tile geom.TileID, frame int, work []TileWork, sc *Pl
 	for i := range sc.depth {
 		sc.depth[i] = math.MaxFloat32
 	}
+	route := p.tileRoute(tile)
 	for _, w := range work {
 		plan.Prims++
-		plan.QuadsShaded += p.planPrim(w.Prim, rect, frame, sc, plan)
+		plan.QuadsShaded += p.planPrim(w.Prim, rect, route, frame, sc, plan)
 	}
 
 	pixels := int64(rect.Width()) * int64(rect.Height())
 	plan.FBBlocks = (pixels*4 + memmap.BlockBytes - 1) / memmap.BlockBytes
 	plan.FBBase = memmap.FrameBufferBase + uint64(tile)*uint64(p.cfg.Screen.TileSize*p.cfg.Screen.TileSize*4)
+}
+
+// texRoute is a tile's texture-cache routing. The caches interleave across
+// screen tiles: a quad's taps go to cache (column + row) % NumTexCaches of
+// the tile holding the quad's center. With an even TileSize that is the
+// tile itself for every quad. With an odd one the last quad column and row
+// are centered one pixel past the tile edge, in the next tile column or
+// row, so they route one cache further on (two for the corner quad).
+type texRoute struct {
+	cache    [3]uint8 // by the number of straddled edges, 0-2
+	straddle int      // first quad index centered past the tile edge
+}
+
+func (p *Pipeline) tileRoute(tile geom.TileID) texRoute {
+	tx, ty := p.cfg.Screen.TileCoord(tile)
+	r := texRoute{straddle: p.cfg.Screen.TileSize / 2}
+	for i := range r.cache {
+		r.cache[i] = uint8((tx + ty + i) % p.cfg.NumTexCaches)
+	}
+	return r
 }
 
 // CommitPlan replays the plan's access streams into the shared texture
@@ -120,7 +141,13 @@ func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
 // primitive's bbox inside the tile, testing coverage and Early-Z against
 // the scratch Z-buffer, and records the texture taps of surviving quads
 // into the plan instead of issuing them.
-func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, frame int, sc *PlanScratch, plan *TilePlan) int64 {
+//
+// The coverage test is geom.PointInTriangle at each quad center with its
+// per-primitive and per-row terms hoisted: the bbox, the edge deltas and
+// each row's y offsets. Every float32 expression keeps its operands and
+// order, and the explicit float32 conversions forbid fused multiply-adds
+// exactly as in PointInTriangle, so coverage is bit-identical to calling it.
+func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, frame int, sc *PlanScratch, plan *TilePlan) int64 {
 	bb := pr.BBox()
 	x0 := maxF(bb.Min.X, tile.Min.X)
 	y0 := maxF(bb.Min.Y, tile.Min.Y)
@@ -150,12 +177,39 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, frame int, sc *P
 	// translucent layers; they blend over whatever is resident.
 	translucent := p.cfg.TranslucentFraction > 0 &&
 		float64(pr.ID*40503%1000) < p.cfg.TranslucentFraction*1000
+	a, b, c := pr.Pos[0], pr.Pos[1], pr.Pos[2]
+	// Edge deltas of geom.PointInTriangle's sign(p, a, b), sign(p, b, c)
+	// and sign(p, c, a).
+	abY, abX := a.Y-b.Y, a.X-b.X
+	bcY, bcX := b.Y-c.Y, b.X-c.X
+	caY, caX := c.Y-a.Y, c.X-a.X
+	taps := p.tapsFor(pr, frame)
 	var survived int64
 	for qy := qy0; qy <= qy1; qy++ {
+		cy := tile.Min.Y + float32(qy*QuadSize) + QuadSize/2
+		if cy < bb.Min.Y || cy > bb.Max.Y {
+			continue
+		}
+		// The y terms of the three edge functions.
+		yAB := float32(abX * (cy - b.Y))
+		yBC := float32(bcX * (cy - c.Y))
+		yCA := float32(caX * (cy - a.Y))
+		rowEdges := 0
+		if qy >= route.straddle {
+			rowEdges = 1
+		}
+		v := taps.v(cy)
 		for qx := qx0; qx <= qx1; qx++ {
 			cx := tile.Min.X + float32(qx*QuadSize) + QuadSize/2
-			cy := tile.Min.Y + float32(qy*QuadSize) + QuadSize/2
-			if !geom.PointInTriangle(geom.Vec2{X: cx, Y: cy}, pr.Pos[0], pr.Pos[1], pr.Pos[2]) {
+			if cx < bb.Min.X || cx > bb.Max.X {
+				continue
+			}
+			d1 := float32((cx-b.X)*abY) - yAB
+			d2 := float32((cx-c.X)*bcY) - yBC
+			d3 := float32((cx-a.X)*caY) - yCA
+			hasNeg := d1 < 0 || d2 < 0 || d3 < 0
+			hasPos := d1 > 0 || d2 > 0 || d3 > 0
+			if hasNeg && hasPos {
 				continue
 			}
 			plan.Quads++
@@ -167,44 +221,51 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, frame int, sc *P
 					continue
 				}
 				plan.BlendedQuads++
-				survived++
-				p.planTaps(pr, cx, cy, frame, plan)
-				continue
-			}
-			if !lateZ {
+			} else if !lateZ {
 				// Early-Z: opaque geometry in submission order.
 				if z >= sc.depth[di] {
 					continue
 				}
 				sc.depth[di] = z
-				survived++
-				p.planTaps(pr, cx, cy, frame, plan)
-				continue
+			} else {
+				// Late-Z: shade unconditionally, then depth-test the result.
+				plan.LateZQuads++
+				if z < sc.depth[di] {
+					sc.depth[di] = z
+				}
 			}
-			// Late-Z: shade unconditionally, then depth-test the result.
-			plan.LateZQuads++
 			survived++
-			p.planTaps(pr, cx, cy, frame, plan)
-			if z < sc.depth[di] {
-				sc.depth[di] = z
+			edges := rowEdges
+			if qx >= route.straddle {
+				edges++
 			}
+			taps.plan(cx, v, route.cache[edges], plan)
 		}
 	}
 	return survived
 }
 
-// planTaps records the texel accesses of a shaded quad into the plan's tap
-// stream: the same address arithmetic as the inline textureFetch, minus the
-// cache simulation (which CommitPlan performs during the ordered replay).
-func (p *Pipeline) planTaps(pr *geom.Primitive, x, y float32, frame int, plan *TilePlan) {
-	if p.cfg.TextureBytes <= 0 {
-		return
+// quadTaps holds one primitive's texel address terms: the same arithmetic
+// as the inline textureFetch, minus the cache simulation (which CommitPlan
+// performs during the ordered replay).
+type quadTaps struct {
+	enabled  bool   // the workload has textures
+	bilinear bool   // four taps per quad instead of one
+	off      uint64 // per-primitive offset spreading objects across the atlas
+	vOff     uint64 // the offset's row share plus the per-frame scroll
+	texW     uint64 // texels per row at the selected mip level
+	mipBase  uint64 // byte offset of the selected mip level
+}
+
+func (p *Pipeline) tapsFor(pr *geom.Primitive, frame int) quadTaps {
+	t := quadTaps{
+		enabled:  p.cfg.TextureBytes > 0,
+		bilinear: p.cfg.Bilinear,
+		off:      uint64(pr.ID) * 2654435761,
+		texW:     p.texW,
 	}
-	// Per-primitive deterministic offset spreads objects across the atlas.
-	off := uint64(pr.ID) * 2654435761
-	texW := p.texW
-	var mipBase uint64
-	if p.cfg.Bilinear {
+	t.vOff = t.off>>16 + uint64(frame)*7
+	if t.enabled && t.bilinear {
 		// LOD from screen area: primitives smaller than ~1 tile use mip 1+,
 		// tiny ones coarser still. Mip i halves the resolution and lives
 		// after the previous levels.
@@ -214,26 +275,34 @@ func (p *Pipeline) planTaps(pr *geom.Primitive, x, y float32, frame int, plan *T
 			lod++
 		}
 		for i := 0; i < lod; i++ {
-			mipBase += texW * texW * 4
-			texW /= 2
-			if texW < 8 {
-				texW = 8
+			t.mipBase += t.texW * t.texW * 4
+			t.texW /= 2
+			if t.texW < 8 {
+				t.texW = 8
 			}
 		}
 	}
-	u := (uint64(x) + off) % texW
-	v := (uint64(y) + off>>16 + uint64(frame)*7) % texW
-	cacheIdx := uint8((int(x)/p.cfg.Screen.TileSize + int(y)/p.cfg.Screen.TileSize) % p.cfg.NumTexCaches)
-	plan.TapAddrs = append(plan.TapAddrs, memmap.TexturesBase+mipBase+(v*texW+u)*4)
+	return t
+}
+
+// v returns the texel row sampled by quads centered at y.
+func (t *quadTaps) v(y float32) uint64 {
+	return (uint64(y) + t.vOff) % t.texW
+}
+
+// plan records the texel accesses of the shaded quad centered at x in row
+// v into the plan's tap stream, all routed to texture cache cacheIdx.
+func (t *quadTaps) plan(x float32, v uint64, cacheIdx uint8, plan *TilePlan) {
+	if !t.enabled {
+		return
+	}
+	u := (uint64(x) + t.off) % t.texW
+	base := memmap.TexturesBase + t.mipBase
+	plan.TapAddrs = append(plan.TapAddrs, base+(v*t.texW+u)*4)
 	plan.TapCache = append(plan.TapCache, cacheIdx)
-	if p.cfg.Bilinear {
-		for _, tp := range [3][2]uint64{
-			{(u + 1) % texW, v},
-			{u, (v + 1) % texW},
-			{(u + 1) % texW, (v + 1) % texW},
-		} {
-			plan.TapAddrs = append(plan.TapAddrs, memmap.TexturesBase+mipBase+(tp[1]*texW+tp[0])*4)
-			plan.TapCache = append(plan.TapCache, cacheIdx)
-		}
+	if t.bilinear {
+		u1, v1 := (u+1)%t.texW, (v+1)%t.texW
+		plan.TapAddrs = append(plan.TapAddrs, base+(v*t.texW+u1)*4, base+(v1*t.texW+u)*4, base+(v1*t.texW+u1)*4)
+		plan.TapCache = append(plan.TapCache, cacheIdx, cacheIdx, cacheIdx)
 	}
 }
