@@ -45,8 +45,9 @@ func (s *sim) computeEnergy(r *Result) {
 	}
 
 	// Texture caches (per-cache sizing).
+	rc := s.rasterPipe.Config()
 	tex := s.rasterPipe.TexCacheStats()
-	t.Add("texture-caches", tex.Accesses, m.SRAMRead(64*1024, 4))
+	t.Add("texture-caches", tex.Accesses, m.SRAMRead(rc.TexCacheBytes, rc.TexCacheWays))
 
 	// Instruction caches: fetches happen once per 4 instructions (64-bit
 	// fetch groups of 16-byte instructions are amortized by the fetch
@@ -79,7 +80,7 @@ func (s *sim) computeEnergy(r *Result) {
 	if cfg.IncludeLeakage {
 		cycles := r.FrameCycles + r.GeomCycles + r.PLBCycles // finish() adds these later; here FrameCycles holds the tile phase
 		sramBytes := cfg.VertexCacheBytes + cfg.TileCacheBytes +
-			4*64*1024 /* texture caches */ + 16*1024 /* icaches */ +
+			rc.NumTexCaches*rc.TexCacheBytes + 16*1024 /* icaches */ +
 			cfg.L2.SizeBytes
 		t.Add("leakage", 0, 0)
 		t.AddEnergy("leakage", m.Leakage(sramBytes, cycles))

@@ -106,9 +106,11 @@ func TestParallelDifferential_TableII(t *testing.T) {
 
 // TestParallelDifferential_RandomConfigs drives the harness with seeded
 // random configurations — screen and tile geometry, traversal order, cache
-// kind and sizes, raster knobs — so the ordered merge is exercised on shapes
-// the curated suite never hits (tiny screens, huge tiles, Hilbert order,
-// bilinear filtering, translucency).
+// kind and sizes, eviction tracing, leakage — so the ordered merge is
+// exercised on shapes the curated suite never hits (small screens, huge
+// tiles, Hilbert order, and translucency on the 3D titles). gpu.Config
+// cannot enable bilinear filtering; internal/raster's differential tests
+// cover it.
 func TestParallelDifferential_RandomConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7c02))
 	trials := 6
@@ -169,4 +171,3 @@ func TestTileParallelValidate(t *testing.T) {
 		t.Fatal("TileParallel leaks into the config JSON fingerprint")
 	}
 }
-

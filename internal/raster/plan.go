@@ -11,7 +11,7 @@ import (
 
 // TilePlan is the deterministic record of one tile's raster work: the quad
 // tallies from coverage and depth testing plus the tile's entire memory
-// access stream, laid out struct-of-arrays so planning appends to two flat
+// access stream, laid out struct-of-arrays so planning appends to flat
 // slices instead of allocating per-access records. A plan is a pure
 // function of (tile, frame, primitive list, config) — it never reads cache
 // or DRAM state — which is what lets per-tile planning run on a worker
@@ -26,10 +26,13 @@ type TilePlan struct {
 	LateZQuads   int64
 	BlendedQuads int64
 
-	// Texture tap stream in issue order (struct of arrays): the byte
-	// address of each tap and the texture cache it routes to.
+	// Texture tap stream in issue order, run-length coded (struct of
+	// arrays): the block address of each run, the texture cache it routes
+	// to and the number of consecutive taps it stands for. Consecutive taps
+	// to the same block and cache share one entry.
 	TapAddrs []uint64
 	TapCache []uint8
+	TapRuns  []uint32
 
 	// Color Buffer flush: FBBlocks block writes starting at FBBase.
 	FBBase   uint64
@@ -42,6 +45,7 @@ func (p *TilePlan) Reset() {
 	p.Prims, p.Quads, p.QuadsShaded, p.LateZQuads, p.BlendedQuads = 0, 0, 0, 0, 0
 	p.TapAddrs = p.TapAddrs[:0]
 	p.TapCache = p.TapCache[:0]
+	p.TapRuns = p.TapRuns[:0]
 	p.FBBase, p.FBBlocks = 0, 0
 }
 
@@ -109,12 +113,15 @@ func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
 	p.stats.LateZQuads += plan.LateZQuads
 	p.stats.BlendedQuads += plan.BlendedQuads
 
+	// One cache access per run; the run's repeats are hits (see
+	// TilePlan.tap) counted in texRepeats.
 	for i, addr := range plan.TapAddrs {
-		p.stats.TexAccesses++
-		res := p.tex[plan.TapCache[i]].Access(trace.Access{Key: trace.Key(memmap.Block(addr))})
-		if !res.Hit {
+		n := int64(plan.TapRuns[i])
+		p.stats.TexAccesses += n
+		p.texRepeats += n - 1
+		if !p.tex[plan.TapCache[i]].Access(trace.Access{Key: trace.Key(memmap.Block(addr))}).Hit {
 			p.stats.TexMisses++
-			p.l2.Access(mem.Request{Addr: addr &^ (memmap.BlockBytes - 1)})
+			p.l2.Access(mem.Request{Addr: addr})
 		}
 	}
 
@@ -199,7 +206,8 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 			rowEdges = 1
 		}
 		v := taps.v(cy)
-		for qx := qx0; qx <= qx1; qx++ {
+		u := taps.u(tile.Min.X + float32(qx0*QuadSize) + QuadSize/2)
+		for qx := qx0; qx <= qx1; qx, u = qx+1, taps.next(u) {
 			cx := tile.Min.X + float32(qx*QuadSize) + QuadSize/2
 			if cx < bb.Min.X || cx > bb.Max.X {
 				continue
@@ -210,6 +218,16 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 			hasNeg := d1 < 0 || d2 < 0 || d3 < 0
 			hasPos := d1 > 0 || d2 > 0 || d3 > 0
 			if hasNeg && hasPos {
+				// Each edge function is monotone in cx along the row, in
+				// the direction of its dY: float32 subtraction and
+				// multiplication round monotonically. A negative edge
+				// with dY <= 0 stays negative to the right and a positive
+				// edge with dY >= 0 stays positive, so once a rejected
+				// quad has both, the rest of the row is rejected too.
+				if (d1 < 0 && abY <= 0 || d2 < 0 && bcY <= 0 || d3 < 0 && caY <= 0) &&
+					(d1 > 0 && abY >= 0 || d2 > 0 && bcY >= 0 || d3 > 0 && caY >= 0) {
+					break
+				}
 				continue
 			}
 			plan.Quads++
@@ -239,7 +257,7 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 			if qx >= route.straddle {
 				edges++
 			}
-			taps.plan(cx, v, route.cache[edges], plan)
+			taps.plan(u, v, route.cache[edges], plan)
 		}
 	}
 	return survived
@@ -290,19 +308,54 @@ func (t *quadTaps) v(y float32) uint64 {
 	return (uint64(y) + t.vOff) % t.texW
 }
 
-// plan records the texel accesses of the shaded quad centered at x in row
-// v into the plan's tap stream, all routed to texture cache cacheIdx.
-func (t *quadTaps) plan(x float32, v uint64, cacheIdx uint8, plan *TilePlan) {
+// u returns the texel column sampled by quads centered at x.
+func (t *quadTaps) u(x float32) uint64 {
+	return (uint64(x) + t.off) % t.texW
+}
+
+// next returns the texel column of the next quad in the row, given this
+// quad's column u < texW. Quad centers are integers QuadSize apart, so
+// uint64(x) steps exactly by QuadSize, and texW >= 8 > QuadSize needs at
+// most one wrap.
+func (t *quadTaps) next(u uint64) uint64 {
+	u += QuadSize
+	if u >= t.texW {
+		u -= t.texW
+	}
+	return u
+}
+
+// plan records the texel accesses of a shaded quad at texel (u, v) into
+// the plan's tap stream, all routed to texture cache cacheIdx.
+func (t *quadTaps) plan(u, v uint64, cacheIdx uint8, plan *TilePlan) {
 	if !t.enabled {
 		return
 	}
-	u := (uint64(x) + t.off) % t.texW
 	base := memmap.TexturesBase + t.mipBase
-	plan.TapAddrs = append(plan.TapAddrs, base+(v*t.texW+u)*4)
-	plan.TapCache = append(plan.TapCache, cacheIdx)
+	plan.tap(base+(v*t.texW+u)*4, cacheIdx)
 	if t.bilinear {
 		u1, v1 := (u+1)%t.texW, (v+1)%t.texW
-		plan.TapAddrs = append(plan.TapAddrs, base+(v*t.texW+u1)*4, base+(v1*t.texW+u)*4, base+(v1*t.texW+u1)*4)
-		plan.TapCache = append(plan.TapCache, cacheIdx, cacheIdx, cacheIdx)
+		plan.tap(base+(v*t.texW+u1)*4, cacheIdx)
+		plan.tap(base+(v1*t.texW+u)*4, cacheIdx)
+		plan.tap(base+(v1*t.texW+u1)*4, cacheIdx)
 	}
+}
+
+// tap appends one texture tap at byte address addr, routed to texture
+// cache c, to the run-length coded stream: a tap reading the same block of
+// the same cache as the previous entry extends that entry's run. This is
+// exact because the texture caches are LRU, read-only and write-allocate
+// (New): a repeat is a read hit on the line its cache touched last, which
+// already holds that cache's newest timestamp, so it changes no victim
+// choice and issues no L2 request. CommitPlan replays each run as one
+// access plus run-1 hits. A full run starts a new entry rather than wrap.
+func (p *TilePlan) tap(addr uint64, c uint8) {
+	block := addr &^ (memmap.BlockBytes - 1)
+	if n := len(p.TapAddrs) - 1; n >= 0 && p.TapAddrs[n] == block && p.TapCache[n] == c && p.TapRuns[n] < math.MaxUint32 {
+		p.TapRuns[n]++
+		return
+	}
+	p.TapAddrs = append(p.TapAddrs, block)
+	p.TapCache = append(p.TapCache, c)
+	p.TapRuns = append(p.TapRuns, 1)
 }

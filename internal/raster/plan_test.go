@@ -12,8 +12,10 @@ import (
 )
 
 // refPlanTile is the unhoisted planner: geom.PointInTriangle at every quad
-// center, and every tap's texture cache derived from the tile holding the
-// quad center. PlanTile must reproduce its plans exactly.
+// center, every tap's texel derived from its quad center and its texture
+// cache from the tile holding that center, and one stream entry per tap
+// (byte addresses, no TapRuns). PlanTile must reproduce its plans exactly
+// once the stream is run-length coded (coalesce).
 func refPlanTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) TilePlan {
 	var plan TilePlan
 	rect := p.cfg.Screen.TileRect(tile)
@@ -95,9 +97,27 @@ func refPlanTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) Tile
 	return plan
 }
 
+// coalesce run-length codes an expanded tap stream by the rule PlanTile
+// follows: a tap extends the previous run when it reads the same block of
+// the same texture cache.
+func coalesce(addrs []uint64, caches []uint8) (blocks []uint64, routes []uint8, runs []uint32) {
+	for i, addr := range addrs {
+		block := addr / memmap.BlockBytes * memmap.BlockBytes
+		if n := len(blocks); n > 0 && blocks[n-1] == block && routes[n-1] == caches[i] {
+			runs[n-1]++
+			continue
+		}
+		blocks = append(blocks, block)
+		routes = append(routes, caches[i])
+		runs = append(runs, 1)
+	}
+	return blocks, routes, runs
+}
+
 // randomPrims scatters triangles of every size over the screen, snapping
 // some vertices to the pixel or quad-center grid so that quad centers land
-// exactly on edges and bbox borders, and including degenerate ones.
+// exactly on edges and bbox borders, and including axis-aligned and
+// degenerate ones.
 func randomPrims(rng *rand.Rand, n int, w, h float32) []geom.Primitive {
 	coord := func(limit float32) float32 {
 		x := rng.Float32()*(limit+40) - 20
@@ -121,8 +141,18 @@ func randomPrims(rng *rand.Rand, n int, w, h float32) []geom.Primitive {
 				Y: pr.Pos[0].Y + (rng.Float32()*2-1)*spread,
 			}
 		}
-		if rng.Intn(10) == 0 {
-			pr.Pos[2] = pr.Pos[1] // degenerate
+		// Edges with a zero dY or dX: a shared Y, a shared X, both (an
+		// axis-aligned right triangle) and a degenerate triangle.
+		switch rng.Intn(10) {
+		case 0:
+			pr.Pos[1].Y = pr.Pos[0].Y
+		case 1:
+			pr.Pos[2].X = pr.Pos[0].X
+		case 2:
+			pr.Pos[1].Y = pr.Pos[0].Y
+			pr.Pos[2].X = pr.Pos[0].X
+		case 3:
+			pr.Pos[2] = pr.Pos[1]
 		}
 		for v := range pr.Depth {
 			pr.Depth[v] = rng.Float32()
@@ -131,19 +161,39 @@ func randomPrims(rng *rand.Rand, n int, w, h float32) []geom.Primitive {
 	return prims
 }
 
+// testConfig is the differential tests' raster configuration at tile size
+// ts: an odd number of texture caches and every material path.
+func testConfig(ts int, bilinear bool) Config {
+	screen := geom.Screen{Width: 5*ts - 7, Height: 3*ts + 5, TileSize: ts}
+	cfg := DefaultConfig(screen, 3<<20, 8)
+	cfg.NumTexCaches = 3
+	cfg.LateZFraction = 0.2
+	cfg.TranslucentFraction = 0.2
+	cfg.Bilinear = bilinear
+	return cfg
+}
+
+// tileWork lists the primitives overlapping a tile, in order.
+func tileWork(prims []geom.Primitive, screen geom.Screen, tile geom.TileID) []TileWork {
+	var work []TileWork
+	for i := range prims {
+		if geom.TriangleRectOverlap(prims[i].Pos[0], prims[i].Pos[1], prims[i].Pos[2], screen.TileRect(tile)) {
+			work = append(work, TileWork{Prim: &prims[i]})
+		}
+	}
+	return work
+}
+
 // TestPlanTileMatchesReference is the differential test of the hoisted
 // planner: at even and odd tile sizes (where the last quad column and row
 // route to the next tile's cache), with every material path and both
-// filtering modes, PlanTile's tallies and tap streams equal the reference.
+// filtering modes, PlanTile's tallies equal the reference's, and its tap
+// stream equals the reference's run-length coded.
 func TestPlanTileMatchesReference(t *testing.T) {
 	for _, ts := range []int{24, 31, 32, 33, 64} {
 		for _, bilinear := range []bool{false, true} {
-			screen := geom.Screen{Width: 5*ts - 7, Height: 3*ts + 5, TileSize: ts}
-			cfg := DefaultConfig(screen, 3<<20, 8)
-			cfg.NumTexCaches = 3
-			cfg.LateZFraction = 0.2
-			cfg.TranslucentFraction = 0.2
-			cfg.Bilinear = bilinear
+			cfg := testConfig(ts, bilinear)
+			screen := cfg.Screen
 			p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
 			if err != nil {
 				t.Fatal(err)
@@ -152,14 +202,9 @@ func TestPlanTileMatchesReference(t *testing.T) {
 			prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
 			sc := p.NewScratch()
 			var plan TilePlan
-			var taps int
+			var taps, coalesced int
 			for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
-				var work []TileWork
-				for i := range prims {
-					if geom.TriangleRectOverlap(prims[i].Pos[0], prims[i].Pos[1], prims[i].Pos[2], screen.TileRect(tile)) {
-						work = append(work, TileWork{Prim: &prims[i]})
-					}
-				}
+				work := tileWork(prims, screen, tile)
 				frame := int(tile) % 3
 				p.PlanTile(tile, frame, work, sc, &plan)
 				want := refPlanTile(p, tile, frame, work)
@@ -168,13 +213,93 @@ func TestPlanTileMatchesReference(t *testing.T) {
 				if got != exp {
 					t.Fatalf("ts=%d bilinear=%v tile %d: tallies %v, want %v", ts, bilinear, tile, got, exp)
 				}
-				if !slices.Equal(plan.TapAddrs, want.TapAddrs) || !slices.Equal(plan.TapCache, want.TapCache) {
-					t.Fatalf("ts=%d bilinear=%v tile %d: tap streams differ (%d vs %d taps)", ts, bilinear, tile, len(plan.TapAddrs), len(want.TapAddrs))
+				blocks, routes, runs := coalesce(want.TapAddrs, want.TapCache)
+				if !slices.Equal(plan.TapAddrs, blocks) || !slices.Equal(plan.TapCache, routes) || !slices.Equal(plan.TapRuns, runs) {
+					t.Fatalf("ts=%d bilinear=%v tile %d: tap streams differ (%d vs %d runs)", ts, bilinear, tile, len(plan.TapAddrs), len(blocks))
 				}
-				taps += len(plan.TapAddrs)
+				var sum int
+				for _, n := range plan.TapRuns {
+					sum += int(n)
+				}
+				if sum != len(want.TapAddrs) {
+					t.Fatalf("ts=%d bilinear=%v tile %d: runs sum to %d taps, want %d", ts, bilinear, tile, sum, len(want.TapAddrs))
+				}
+				taps += sum
+				coalesced += sum - len(runs)
 			}
-			if taps == 0 {
-				t.Fatalf("ts=%d: no taps planned; the test exercises nothing", ts)
+			if taps == 0 || coalesced == 0 {
+				t.Fatalf("ts=%d: %d taps planned, %d coalesced; the test exercises too little", ts, taps, coalesced)
+			}
+		}
+	}
+}
+
+// recorder is a mem.Sink that keeps every request in order.
+type recorder struct{ reqs []mem.Request }
+
+func (r *recorder) Access(req mem.Request)          { r.reqs = append(r.reqs, req) }
+func (r *recorder) TileRetired(uint16, geom.TileID) {}
+func (r *recorder) EndFrame()                       {}
+
+// TestCommitPlanMatchesExpandedReplay is the differential test of tap
+// coalescing: committing the run-length coded plans on one pipeline and
+// replaying every tap of the reference planner's expanded streams as its
+// own cache access on another leave equal statistics, equal L2 and Frame
+// Buffer request sequences and equal texture-cache contents. Small texture
+// caches make the replay evict constantly.
+func TestCommitPlanMatchesExpandedReplay(t *testing.T) {
+	for _, ts := range []int{24, 31, 32, 33, 64} {
+		for _, bilinear := range []bool{false, true} {
+			cfg := testConfig(ts, bilinear)
+			cfg.TexCacheBytes = 2 * 1024
+			screen := cfg.Screen
+			var l2, fb, refL2, refFB recorder
+			p, err := New(cfg, &l2, &fb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(cfg, &refL2, &refFB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(ts)))
+			prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
+			sc := p.NewScratch()
+			var plan TilePlan
+			for frame := 0; frame < 2; frame++ {
+				for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
+					work := tileWork(prims, screen, tile)
+					p.PlanTile(tile, frame, work, sc, &plan)
+					gotCycles := p.CommitPlan(&plan)
+
+					expanded := refPlanTile(ref, tile, frame, work)
+					expanded.FBBase, expanded.FBBlocks = plan.FBBase, plan.FBBlocks
+					for i := range expanded.TapAddrs {
+						expanded.TapAddrs[i] &^= memmap.BlockBytes - 1
+						expanded.TapRuns = append(expanded.TapRuns, 1)
+					}
+					if wantCycles := ref.CommitPlan(&expanded); gotCycles != wantCycles {
+						t.Fatalf("ts=%d bilinear=%v tile %d: %d cycles, want %d", ts, bilinear, tile, gotCycles, wantCycles)
+					}
+				}
+			}
+			if p.Stats() != ref.Stats() {
+				t.Errorf("ts=%d bilinear=%v: stats %+v, want %+v", ts, bilinear, p.Stats(), ref.Stats())
+			}
+			got, want := p.TexCacheStats(), ref.TexCacheStats()
+			if got != want {
+				t.Errorf("ts=%d bilinear=%v: texture-cache stats %+v, want %+v", ts, bilinear, got, want)
+			}
+			if p.texRepeats == 0 || want.Misses == 0 || want.Hits == 0 {
+				t.Fatalf("ts=%d bilinear=%v: %d repeats, %+v; the test exercises too little", ts, bilinear, p.texRepeats, want)
+			}
+			if !slices.Equal(l2.reqs, refL2.reqs) || !slices.Equal(fb.reqs, refFB.reqs) {
+				t.Errorf("ts=%d bilinear=%v: L2 %d/FB %d requests, want %d/%d or a different order", ts, bilinear, len(l2.reqs), len(fb.reqs), len(refL2.reqs), len(refFB.reqs))
+			}
+			for i := range p.tex {
+				if !slices.Equal(p.tex[i].ResidentKeys(), ref.tex[i].ResidentKeys()) {
+					t.Errorf("ts=%d bilinear=%v: texture cache %d contents differ", ts, bilinear, i)
+				}
 			}
 		}
 	}

@@ -128,6 +128,9 @@ type Pipeline struct {
 	l2    mem.Sink
 	fb    mem.Sink // Color Buffer flush target (main memory, bypassing L2, Fig. 5)
 	stats Stats
+	// texRepeats counts the texture taps CommitPlan coalesced into the
+	// access before them: hits the texture caches did not simulate.
+	texRepeats int64
 
 	texW      uint64 // texture width in texels (square working set, 4 B/texel)
 	tileQuads int    // quads per full tile edge
@@ -155,6 +158,8 @@ func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 		return nil, fmt.Errorf("raster: nil sink")
 	}
 	p := &Pipeline{cfg: cfg, l2: l2Sink, fb: fbSink}
+	// Tap coalescing (TilePlan.tap) is exact only for LRU caches that are
+	// only read.
 	for i := 0; i < cfg.NumTexCaches; i++ {
 		c, err := cache.New(cache.Config{
 			Lines:         cache.LinesFor(cfg.TexCacheBytes, memmap.BlockBytes),
@@ -180,9 +185,13 @@ func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 // Stats returns a copy of the counters.
 func (p *Pipeline) Stats() Stats { return p.stats }
 
-// TexCacheStats returns the aggregate texture-cache statistics.
+// Config returns the pipeline's configuration.
+func (p *Pipeline) Config() Config { return p.cfg }
+
+// TexCacheStats returns the aggregate texture-cache statistics, counting
+// every tap, coalesced repeats included, as an access.
 func (p *Pipeline) TexCacheStats() cache.Stats {
-	var agg cache.Stats
+	agg := cache.Stats{Accesses: p.texRepeats, Hits: p.texRepeats}
 	for _, c := range p.tex {
 		s := c.Stats()
 		agg.Accesses += s.Accesses

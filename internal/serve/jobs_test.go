@@ -255,6 +255,13 @@ func TestJobCancel(t *testing.T) {
 func TestJobTenantScoping(t *testing.T) {
 	s := NewServer(Options{JobsDir: t.TempDir(), Tenants: testTenants(t)})
 	s.simulate = fastSim
+	// The last job is still running when the test returns: stop its worker
+	// before the job directory is removed.
+	t.Cleanup(func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
 	h := s.Handler()
 
 	job := submitAsync(t, h, "/v1/sweep?async=1", sweepBody, "key-alpha", http.StatusAccepted)
