@@ -13,7 +13,6 @@ package tcor
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -364,43 +363,6 @@ func benchFullFrame(b *testing.B, cfg gpu.Config) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-}
-
-// BenchmarkFrameParallel measures the parallel frame core against serial on
-// the same scene: sub-benchmarks per TileParallel level, with frames/sec as
-// the headline custom metric. The differential harness proves every level
-// produces identical bytes; this benchmark tracks what that buys in time
-// and allocations (the CI bench gate watches its ns/op and allocs/op).
-func BenchmarkFrameParallel(b *testing.B) {
-	spec, err := workload.ByAlias("TRu")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.Frames = 1
-	scene, err := workload.Generate(spec, geom.DefaultScreen())
-	if err != nil {
-		b.Fatal(err)
-	}
-	levels := []int{1, 2, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, workers := range levels {
-		if seen[workers] {
-			continue
-		}
-		seen[workers] = true
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := gpu.TCOR(64 * 1024)
-			cfg.TileParallel = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := gpu.Simulate(scene, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
-	}
 }
 
 // --- Benches for the beyond-the-paper studies ---

@@ -1,8 +1,9 @@
 // Command benchcmp snapshots `go test -bench` output into a JSON baseline
 // and compares later runs against it, failing on regressions. It is the CI
-// bench gate for the parallel frame core (docs/MODEL.md §12):
+// bench gate for the whole-frame simulator and the figure harness
+// (docs/MODEL.md §12):
 //
-//	go test -run '^$' -bench 'Headline|TableII_Workloads|FrameParallel' \
+//	go test -run '^$' -bench 'Headline|TableII_Workloads|FullFrame' \
 //	    -benchmem -count 10 . | benchcmp -snapshot BENCH_baseline.json
 //
 //	go test -run '^$' -bench ... -benchmem -count 10 . | \
@@ -144,7 +145,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	snapshot := fs.String("snapshot", "", "write the parsed benchmarks as a JSON baseline to this file")
 	baselinePath := fs.String("baseline", "", "compare the input against this JSON baseline")
 	threshold := fs.Float64("threshold", 0.15, "fail when ns/op or allocs/op exceeds baseline by more than this fraction")
-	gateExpr := fs.String("gate", "Headline|TableII_Workloads|FrameParallel|PolicySimulate|TraceparentInjectExtract|TracePropagationDisabled", "regexp selecting the gated benchmarks")
+	gateExpr := fs.String("gate", "Headline|TableII_Workloads|FullFrame|PolicySimulate|TraceparentInjectExtract|TracePropagationDisabled", "regexp selecting the gated benchmarks")
 	commit := fs.String("commit", "", "git SHA to record in the snapshot")
 	input := fs.String("in", "", "read `go test -bench` output from this file instead of stdin")
 	if err := fs.Parse(args); err != nil {

@@ -99,18 +99,12 @@ func parseBenchmarks(csv string) ([]string, error) {
 
 // validateNumbers rejects out-of-range numeric flags with a clear error
 // instead of clamping or misbehaving downstream.
-func validateNumbers(frames, parallel, par, tilePar int, timeout time.Duration) error {
+func validateNumbers(frames, parallel int, timeout time.Duration) error {
 	if frames < 0 {
 		return fmt.Errorf("-frames must be non-negative, got %d", frames)
 	}
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be non-negative, got %d", parallel)
-	}
-	if tilePar < 0 {
-		return fmt.Errorf("-tile-parallel must be non-negative, got %d", tilePar)
-	}
-	if par < 0 {
-		return fmt.Errorf("-par must be non-negative, got %d", par)
 	}
 	if timeout < 0 {
 		return fmt.Errorf("-timeout must be non-negative, got %v", timeout)
@@ -141,8 +135,6 @@ func main() {
 	format := flag.String("format", "text", "output format: text or csv")
 	outDir := flag.String("out", "", "also write each artifact as CSV into this directory")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	tilePar := flag.Int("tile-parallel", 0, "per-tile raster planning workers within each simulation; results are identical at every level (0 or 1 = serial)")
-	par := flag.Int("par", 0, "deprecated alias for -parallel")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	plot := flag.Bool("plot", false, "render policy figures (1, 11, 13) as terminal charts")
 	report := flag.String("report", "", "write a full markdown results report to this file")
@@ -164,7 +156,7 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected arguments: %s", strings.Join(flag.Args(), " ")))
 	}
-	if err := validateNumbers(*frames, *parallel, *par, *tilePar, *timeout); err != nil {
+	if err := validateNumbers(*frames, *parallel, *timeout); err != nil {
 		fail(err)
 	}
 	var m modes
@@ -226,10 +218,6 @@ func main() {
 		}
 	}
 
-	workers := *parallel
-	if workers == 0 {
-		workers = *par
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -244,12 +232,11 @@ func main() {
 		tracer = stats.NewTracer(1 << 16)
 		ctx = stats.ContextWithTracer(ctx, tracer)
 	}
-	prewarmPar = workers
+	prewarmPar = *parallel
 
 	r := experiments.NewRunner()
 	r.Frames = *frames
-	r.Parallel = workers
-	r.TileParallel = *tilePar
+	r.Parallel = *parallel
 	r.Ctx = ctx
 	r.Benchmarks = aliases
 	if *checkpoint != "" {

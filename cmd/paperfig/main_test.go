@@ -61,25 +61,23 @@ func TestParsePolicies(t *testing.T) {
 }
 
 func TestValidateNumbers(t *testing.T) {
-	if err := validateNumbers(0, 0, 0, 0, 0); err != nil {
+	if err := validateNumbers(0, 0, 0); err != nil {
 		t.Errorf("defaults: %v", err)
 	}
-	if err := validateNumbers(2, 4, 0, 8, time.Minute); err != nil {
+	if err := validateNumbers(2, 4, time.Minute); err != nil {
 		t.Errorf("valid values: %v", err)
 	}
 	cases := []struct {
-		frames, parallel, par, tilePar int
-		timeout                        time.Duration
-		wantIn                         string
+		frames, parallel int
+		timeout          time.Duration
+		wantIn           string
 	}{
-		{-1, 0, 0, 0, 0, "-frames"},
-		{0, -1, 0, 0, 0, "-parallel"},
-		{0, 0, -1, 0, 0, "-par"},
-		{0, 0, 0, -1, 0, "-tile-parallel"},
-		{0, 0, 0, 0, -time.Second, "-timeout"},
+		{-1, 0, 0, "-frames"},
+		{0, -1, 0, "-parallel"},
+		{0, 0, -time.Second, "-timeout"},
 	}
 	for _, tc := range cases {
-		err := validateNumbers(tc.frames, tc.parallel, tc.par, tc.tilePar, tc.timeout)
+		err := validateNumbers(tc.frames, tc.parallel, tc.timeout)
 		if err == nil {
 			t.Errorf("%+v must fail", tc)
 			continue

@@ -81,7 +81,6 @@ type options struct {
 	addr      string
 	debugAddr string
 	workers   int
-	tilePar   int
 	queue     int
 	cache     int
 	timeout   time.Duration
@@ -116,7 +115,6 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&o.addr, "addr", ":8344", "API listen address (host:port; :0 picks a free port)")
 	fs.StringVar(&o.debugAddr, "debug", "", "serve expvar and pprof on this address (e.g. :8345; empty = off)")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&o.tilePar, "tile-parallel", 0, "per-tile raster planning workers within each simulation; results and cache keys are identical at every level (0 or 1 = serial)")
 	fs.IntVar(&o.queue, "queue", 64, "max requests waiting for a worker before 429s (0 = reject when all workers busy)")
 	fs.IntVar(&o.cache, "cache", 256, "result cache capacity in entries, LRU-evicted (0 = unbounded)")
 	fs.DurationVar(&o.timeout, "timeout", time.Minute, "default per-request deadline")
@@ -143,9 +141,6 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	}
 	if o.workers < 0 {
 		return options{}, fmt.Errorf("-workers must be non-negative, got %d", o.workers)
-	}
-	if o.tilePar < 0 {
-		return options{}, fmt.Errorf("-tile-parallel must be non-negative, got %d", o.tilePar)
 	}
 	if o.queue < 0 {
 		return options{}, fmt.Errorf("-queue must be non-negative, got %d", o.queue)
@@ -241,7 +236,6 @@ func newLogger(format string) *slog.Logger {
 func serveOptions(o options) serve.Options {
 	so := serve.Options{
 		Workers:        o.workers,
-		TileParallel:   o.tilePar,
 		QueueDepth:     o.queue,
 		CacheEntries:   o.cache,
 		DefaultTimeout: o.timeout,

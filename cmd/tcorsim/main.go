@@ -104,7 +104,6 @@ type options struct {
 	policy    string
 	jsonOut   bool
 	parallel  int
-	tilePar   int
 	timeout   time.Duration
 	statsPath string
 	tracePath string
@@ -139,7 +138,6 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&o.policy, "policy", "", "race this replacement policy against LRU and OPT on the benchmark's PLB stream (registry name; see paperfig -arena)")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit a machine-readable JSON summary instead of text")
 	fs.IntVar(&o.parallel, "parallel", 0, "max concurrent -compare simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&o.tilePar, "tile-parallel", 0, "per-tile raster planning workers within each simulation; results are identical at every level (0 or 1 = serial)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
 	fs.StringVar(&o.statsPath, "stats", "", "write the full hierarchy counter dump as JSON to this file")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON span trace (chrome://tracing, Perfetto) to this file")
@@ -167,9 +165,6 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	if o.parallel < 0 {
 		return options{}, fmt.Errorf("-parallel must be non-negative, got %d", o.parallel)
 	}
-	if o.tilePar < 0 {
-		return options{}, fmt.Errorf("-tile-parallel must be non-negative, got %d", o.tilePar)
-	}
 	if o.evtrace < 0 {
 		return options{}, fmt.Errorf("-evtrace must be non-negative, got %d", o.evtrace)
 	}
@@ -192,7 +187,7 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 		o.policy = canonical
 		// The policy race runs the PLB-level cache model, not the full GPU
 		// pipeline: the flags below configure machinery it never builds.
-		for _, f := range []string{"compare", "config", "spec", "chaos", "evtrace", "check", "stats", "trace", "tile-parallel"} {
+		for _, f := range []string{"compare", "config", "spec", "chaos", "evtrace", "check", "stats", "trace"} {
 			if set[f] {
 				return options{}, fmt.Errorf("-policy races the PLB cache model; it conflicts with -%s", f)
 			}
@@ -415,7 +410,6 @@ func simulate(w io.Writer, scene *workload.Scene, config string, o options, col 
 		return err
 	}
 	cfg.L2TraceDepth = o.evtrace
-	cfg.TileParallel = o.tilePar
 	cfg.Tracer = tracer
 	cfg.TraceTiles = true // full per-tile resolution for single-run analysis
 	res, err := gpu.Simulate(scene, cfg)

@@ -35,11 +35,6 @@ type Runner struct {
 	// Parallel bounds the concurrent simulations in suite-wide sweeps
 	// (0 = GOMAXPROCS). Results do not depend on it.
 	Parallel int
-	// TileParallel, when >1, runs each simulation's per-tile raster
-	// planning on that many workers (gpu.Config.TileParallel); results are
-	// byte-identical at every level, so memoization and checkpoints ignore
-	// it.
-	TileParallel int
 	// Ctx, when non-nil, cancels in-flight suite sweeps (deadline or
 	// cancellation); nil means context.Background(). Configure it once
 	// before use, like the other fields.
@@ -162,9 +157,6 @@ func (r *Runner) Scene(alias string) (*workload.Scene, error) {
 // Run simulates a benchmark under a configuration, memoized under the given
 // configuration name.
 func (r *Runner) Run(alias, cfgName string, cfg gpu.Config) (*gpu.Result, error) {
-	if r.TileParallel > 0 {
-		cfg.TileParallel = r.TileParallel
-	}
 	hits, misses, evictions := r.meter("runs")
 	key := alias + "/" + cfgName
 	return r.runs.get(key, r.MemoCap, hits, misses, evictions, func() (*gpu.Result, error) {

@@ -19,9 +19,9 @@ type TileCode uint64
 // positions are uint16 throughout the repo (the screen is capped at 65536
 // tiles), so 16 bits each lose nothing; primitives get the remaining 32.
 const (
-	tileCodeTileBits = 16
-	tileCodePosBits  = 16
-	tileCodePosShift = tileCodeTileBits
+	tileCodeTileBits  = 16
+	tileCodePosBits   = 16
+	tileCodePosShift  = tileCodeTileBits
 	tileCodePrimShift = tileCodeTileBits + tileCodePosBits
 
 	tileCodeTileMask = 1<<tileCodeTileBits - 1

@@ -122,16 +122,6 @@ type Config struct {
 	// locked before the Rasterizer consumes them.
 	OutputQueueDepth int
 
-	// TileParallel bounds the worker goroutines that pre-compute per-tile
-	// raster plans within one frame (docs/MODEL.md §12). 0 or 1 runs the
-	// frame serially; higher values speed the simulator up without
-	// changing a single output byte — plans are pure and their access
-	// streams are committed to the shared hierarchy in traversal order.
-	// Excluded from JSON (like Tracer) so content-addressed result caches
-	// and checkpoint fingerprints treat all parallelism levels as the same
-	// simulation, which they are.
-	TileParallel int `json:"-"`
-
 	VertexCacheBytes int
 	VertexCacheWays  int
 
@@ -151,7 +141,6 @@ func Baseline(tileCacheBytes int) Config {
 		InterleavedLists: false,
 		L2Enhanced:       false,
 		OutputQueueDepth: 32,
-		TileParallel:     1,
 		VertexCacheBytes: 64 * 1024,
 		VertexCacheWays:  4,
 		L2:               l2.DefaultConfig(false),
@@ -195,9 +184,6 @@ func (c Config) Validate() error {
 	}
 	if c.Timing.MSHROverlap <= 0 {
 		return fmt.Errorf("gpu: MSHR overlap must be positive")
-	}
-	if c.TileParallel < 0 {
-		return fmt.Errorf("gpu: tile parallelism must be non-negative, got %d", c.TileParallel)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"tcor/internal/cache"
 	"tcor/internal/dram"
@@ -168,12 +167,9 @@ type sim struct {
 	framePrimReads int64
 
 	// Per-frame buffers reused across frames (arena-style: reset, never
-	// reallocated once warm) and the pools feeding the plan workers.
+	// reallocated once warm).
 	tileTF, tileRaster []int64
 	work               []raster.TileWork
-	plans              []*raster.TilePlan
-	planPool           sync.Pool // *raster.TilePlan
-	scratchPool        sync.Pool // *raster.PlanScratch
 
 	res Result
 }
@@ -247,8 +243,6 @@ func newSim(scene *workload.Scene, cfg Config) (*sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.planPool.New = func() any { return new(raster.TilePlan) }
-	s.scratchPool.New = func() any { return s.rasterPipe.NewScratch() }
 
 	if cfg.InterleavedLists {
 		s.listLayout = pbuffer.NewInterleavedListLayout(cfg.Screen.NumTiles())
@@ -321,16 +315,8 @@ func (s *sim) runFrame(f int) error {
 	tsp := fsp.Child("tiles", "gpu")
 	h := &frameHandler{sim: s, binning: binning, frame: f, prims: prims, tilesSpan: tsp}
 	h.tileTF, h.tileRaster = s.tileTF[:0], s.tileRaster[:0]
-	if workers := s.cfg.TileParallel; workers > 1 {
-		// Plan every tile's raster access stream on a worker pool while the
-		// replay below commits them in traversal order (docs/MODEL.md §12).
-		h.engine = s.startPlanEngine(binning, prims, f, workers)
-	}
 	tiling.Replay(binning, s.listLayout, s.attrLayout, h)
 	h.drainQueue()
-	if h.engine != nil {
-		h.engine.wait()
-	}
 	s.tileTF, s.tileRaster = h.tileTF, h.tileRaster
 	tsp.End()
 
@@ -423,11 +409,6 @@ type frameHandler struct {
 	tileTF     []int64
 	tileRaster []int64
 	curTF      int64
-
-	// engine, when non-nil, pre-computes raster plans on a worker pool;
-	// TileDone then commits them in traversal order instead of
-	// rasterizing inline.
-	engine *planEngine
 
 	// tilesSpan parents the per-tile spans; tileSpan is the span of the tile
 	// currently streaming through the Tile Fetcher (begun lazily at its first
@@ -559,22 +540,12 @@ func (h *frameHandler) PrimRead(prim uint32, numAttrs uint8, optNum, lastUse uin
 func (h *frameHandler) TileDone(tile geom.TileID, pos uint16) {
 	h.beginTileSpan() // an empty tile still gets a (zero-fetch) span
 	s := h.sim
-	var rc int64
-	if h.engine != nil {
-		// Ordered merge: block until the worker pool has planned this
-		// tile, then commit its access stream — the serial point through
-		// which all shared-hierarchy traffic flows in traversal order.
-		plan := h.engine.planFor(int(pos))
-		rc = s.rasterPipe.CommitPlan(plan)
-		h.engine.donePlan(int(pos), plan)
-	} else {
-		work := s.work[:0]
-		for _, e := range h.binning.Lists[tile] {
-			work = append(work, raster.TileWork{Prim: &h.prims[e.Prim]})
-		}
-		s.work = work
-		rc = s.rasterPipe.RasterTile(tile, h.frame, work)
+	work := s.work[:0]
+	for _, e := range h.binning.Lists[tile] {
+		work = append(work, raster.TileWork{Prim: &h.prims[e.Prim]})
 	}
+	s.work = work
+	rc := s.rasterPipe.RasterTile(tile, h.frame, work)
 	h.tileTF = append(h.tileTF, h.curTF)
 	h.tileRaster = append(h.tileRaster, rc)
 	s.res.TFCycles += h.curTF

@@ -1,10 +1,24 @@
 package gpu
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"tcor/internal/geom"
+	"tcor/internal/tiling"
+	"tcor/internal/workload"
 )
+
+// invariantCase is one full-system run the invariant test checks.
+type invariantCase struct {
+	name string
+	sc   *workload.Scene
+	cfg  Config
+}
 
 // TestCheckInvariantsAllConfigs runs every full-system configuration and
 // demands that all per-level and cross-level identities hold — the
@@ -12,22 +26,120 @@ import (
 // public stats surface that cmd/tcorsim's -check flag uses.
 func TestCheckInvariantsAllConfigs(t *testing.T) {
 	sc := smallScene(t, "CCS", 2)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"baseline64", Baseline(64 * 1024)},
-		{"tcor64", TCOR(64 * 1024)},
-		{"nol2-64", TCORNoL2(64 * 1024)},
-	} {
-		res, err := Simulate(sc, tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := res.CheckInvariants(); err != nil {
-			t.Errorf("%s: invariants violated:\n%v", tc.name, err)
-		}
+	checkCases(t, []invariantCase{
+		{"baseline64", sc, Baseline(64 * 1024)},
+		{"tcor64", sc, TCOR(64 * 1024)},
+		{"nol2-64", sc, TCORNoL2(64 * 1024)},
+	})
+}
+
+// TestRerunIdentity_TableII runs one frame of every Table II benchmark
+// through checkCases.
+func TestRerunIdentity_TableII(t *testing.T) {
+	checkCases(t, tableIICases(t))
+}
+
+// TestRerunIdentity_RandomConfigs runs seeded random configurations through
+// checkCases.
+func TestRerunIdentity_RandomConfigs(t *testing.T) {
+	checkCases(t, randomCases(t, 12))
+}
+
+// checkCases runs each case as a subtest: the run must pass CheckInvariants,
+// and a rerun must marshal to byte-identical JSON, including the bounded L2
+// eviction trace, whose entry order would expose any drift in the commit
+// order.
+func checkCases(t *testing.T, cases []invariantCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := checkedResultJSON(t, tc.sc, tc.cfg)
+			got := checkedResultJSON(t, tc.sc, tc.cfg)
+			if !bytes.Equal(got, want) {
+				i := 0
+				for i < len(got) && i < len(want) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("rerun drifts from the first run at byte %d:\nfirst: ...%s...\nrerun: ...%s...",
+					i, want[max(i-40, 0):min(i+40, len(want))], got[max(i-40, 0):min(i+40, len(got))])
+			}
+		})
 	}
+}
+
+// checkedResultJSON simulates one run, fails the test on any invariant
+// violation and returns the JSON-marshaled Result.
+func checkedResultJSON(t *testing.T, sc *workload.Scene, cfg Config) []byte {
+	t.Helper()
+	res, err := Simulate(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.CheckInvariants(); err != nil {
+		t.Fatalf("invariants violated:\n%v", err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// tableIICases builds a one-frame run of every Table II benchmark at the
+// default screen, rotating through the three paper configurations so
+// baseline, TCOR and the no-L2 ablation are all covered without tripling
+// the run time.
+func tableIICases(t *testing.T) []invariantCase {
+	var cases []invariantCase
+	for i, alias := range workload.Aliases() {
+		cfg := []Config{Baseline(64 * 1024), TCOR(64 * 1024), TCORNoL2(64 * 1024)}[i%3]
+		cfg.L2TraceDepth = 32
+		cases = append(cases, invariantCase{
+			name: fmt.Sprintf("%s/%s", alias, cfg.Kind),
+			sc:   smallScene(t, alias, 1),
+			cfg:  cfg,
+		})
+	}
+	return cases
+}
+
+// randomCases draws seeded random configurations — screen and tile
+// geometry, traversal order, cache kind, eviction tracing, leakage — so the
+// model runs on shapes the curated suite never hits (small and odd screens,
+// 16- and 64-pixel tiles, Hilbert and scanline order). gpu.Config cannot
+// enable bilinear filtering; internal/raster's differential tests cover it.
+func randomCases(t *testing.T, n int) []invariantCase {
+	rng := rand.New(rand.NewSource(0x7c02))
+	cases := make([]invariantCase, n)
+	for trial := range cases {
+		screen := geom.Screen{
+			Width:    256 + rng.Intn(8)*128,
+			Height:   256 + rng.Intn(6)*128,
+			TileSize: []int{16, 32, 64}[rng.Intn(3)],
+		}
+		spec := workload.Suite()[rng.Intn(len(workload.Suite()))]
+		spec.Frames = 1
+		spec.Seed = int64(1000 + trial)
+		sc, err := workload.Generate(spec, screen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfg Config
+		if rng.Intn(2) == 0 {
+			cfg = Baseline(32 * 1024)
+		} else {
+			cfg = TCOR(64 * 1024)
+		}
+		cfg.Screen = screen
+		cfg.Order = []tiling.Order{tiling.OrderScanline, tiling.OrderZ, tiling.OrderHilbert}[rng.Intn(3)]
+		cfg.L2TraceDepth = 1 + rng.Intn(64)
+		cfg.IncludeLeakage = rng.Intn(2) == 0
+		t.Logf("random%d: screen=%dx%d/%d order=%v kind=%v trace=%d leakage=%v workload=%s",
+			trial, screen.Width, screen.Height, screen.TileSize, cfg.Order, cfg.Kind,
+			cfg.L2TraceDepth, cfg.IncludeLeakage, spec.Alias)
+		cases[trial] = invariantCase{name: fmt.Sprintf("random%d", trial), sc: sc, cfg: cfg}
+	}
+	return cases
 }
 
 // TestCheckInvariantsDetectsCorruption proves the checks have teeth: a

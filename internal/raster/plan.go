@@ -14,9 +14,8 @@ import (
 // access stream, laid out struct-of-arrays so planning appends to flat
 // slices instead of allocating per-access records. A plan is a pure
 // function of (tile, frame, primitive list, config) — it never reads cache
-// or DRAM state — which is what lets per-tile planning run on a worker
-// pool while CommitPlan replays the streams into the shared hierarchy in
-// strict tile-position order.
+// or DRAM state — so planning and CommitPlan, which replays the stream into
+// the shared hierarchy, can be timed and tested apart.
 type TilePlan struct {
 	Code geom.TileCode // tile identity (tile ID + traversal position)
 
@@ -50,7 +49,7 @@ func (p *TilePlan) Reset() {
 }
 
 // PlanScratch is the worker-private state PlanTile needs: the on-chip
-// Z-buffer for one tile. Each concurrent planner owns one.
+// Z-buffer for one tile. Each caller of PlanTile owns one.
 type PlanScratch struct {
 	depth []float32
 }

@@ -135,8 +135,8 @@ type Pipeline struct {
 	texW      uint64 // texture width in texels (square working set, 4 B/texel)
 	tileQuads int    // quads per full tile edge
 
-	// scratch and plan serve the serial RasterTile path; concurrent
-	// planners bring their own via NewScratch + PlanTile.
+	// scratch and plan serve RasterTile; callers that drive PlanTile and
+	// CommitPlan directly bring their own via NewScratch.
 	scratch *PlanScratch
 	plan    TilePlan
 }

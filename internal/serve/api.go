@@ -193,19 +193,7 @@ type job struct {
 // resolve validates a request against the server limits and maps it onto
 // the library types. All failures are 400s with a precise message.
 func (s *Server) resolve(req SimulateRequest) (job, error) {
-	return resolveRequest(req, resolveLimits{
-		maxFrames:    s.opts.MaxFrames,
-		tileParallel: s.opts.TileParallel,
-	})
-}
-
-// resolveLimits are the server-specific knobs resolution depends on.
-// maxFrames <= 0 means unlimited; tileParallel is excluded from config JSON
-// (and therefore from the content key), so two servers with different
-// values still resolve a request to the same address.
-type resolveLimits struct {
-	maxFrames    int
-	tileParallel int
+	return resolveRequest(req, s.opts.MaxFrames)
 }
 
 // CanonicalKey resolves a request the way a server would and returns its
@@ -215,7 +203,7 @@ type resolveLimits struct {
 // it; because per-server limits never enter the hash, the gateway and
 // every shard agree on the address.
 func CanonicalKey(req SimulateRequest) (string, error) {
-	j, err := resolveRequest(req, resolveLimits{})
+	j, err := resolveRequest(req, 0)
 	if err != nil {
 		return "", err
 	}
@@ -223,8 +211,9 @@ func CanonicalKey(req SimulateRequest) (string, error) {
 }
 
 // resolveRequest validates a request and maps it onto the library types.
-// All failures are 400s with a precise message.
-func resolveRequest(req SimulateRequest, lim resolveLimits) (job, error) {
+// maxFrames is the server's frame limit (<= 0 means unlimited). All
+// failures are 400s with a precise message.
+func resolveRequest(req SimulateRequest, maxFrames int) (job, error) {
 	var j job
 	switch {
 	case req.Benchmark != "" && len(req.Spec) > 0:
@@ -251,8 +240,8 @@ func resolveRequest(req SimulateRequest, lim resolveLimits) (job, error) {
 	if req.Frames > 0 {
 		j.spec.Frames = req.Frames
 	}
-	if max := lim.maxFrames; max > 0 && j.spec.Frames > max {
-		return j, badRequest("frames %d exceeds the server limit %d", j.spec.Frames, max)
+	if maxFrames > 0 && j.spec.Frames > maxFrames {
+		return j, badRequest("frames %d exceeds the server limit %d", j.spec.Frames, maxFrames)
 	}
 	if req.TimeoutMs < 0 {
 		return j, badRequest("timeoutMs must be non-negative, got %d", req.TimeoutMs)
@@ -280,7 +269,6 @@ func resolveRequest(req SimulateRequest, lim resolveLimits) (job, error) {
 		return j, badRequest("unknown config %q (baseline, tcor, tcor-nol2)", name)
 	}
 	j.cfgName = name
-	j.cfg.TileParallel = lim.tileParallel
 	if err := j.cfg.Validate(); err != nil {
 		return j, badRequest("%v", err)
 	}

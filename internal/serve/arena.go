@@ -133,9 +133,8 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 
 // computeArena is the arena cache-miss leader's work: one admission-gate
 // slot for the whole race (the race parallelizes internally across the
-// worker count, the way TileParallel parallelizes one simulation), then the
-// canonical report encoding. Per-policy counters meter how many cells each
-// roster member raced.
+// worker count), then the canonical report encoding. Per-policy counters
+// meter how many cells each roster member raced.
 func (s *Server) computeArena(ctx context.Context, opts arena.Options) (cached, error) {
 	rel, err := s.gate.acquire(ctx)
 	if err != nil {

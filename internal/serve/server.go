@@ -86,12 +86,6 @@ type Options struct {
 	// Clock is the time source for cache expiry and breaker cooldowns
 	// (nil = wall clock). Tests pass a resilience.FakeClock.
 	Clock resilience.Clock
-	// TileParallel, when >1, runs each simulation's per-tile raster
-	// planning on that many workers (gpu.Config.TileParallel). Results are
-	// byte-identical at every level and the field is excluded from config
-	// JSON, so cache keys are unaffected: a daemon restarted with a
-	// different value keeps hitting the same entries.
-	TileParallel int
 	// Tenants is the multi-tenant roster (see ParseTenants). Nil means a
 	// single anonymous tenant owning the whole machine — the untenanted
 	// server's exact behavior.
