@@ -233,8 +233,9 @@ func BenchmarkTableII_Workloads(b *testing.B) {
 
 // --- Micro-benchmarks ---
 
-func benchPolicy(b *testing.B, p cache.Policy) {
-	b.Helper()
+// benchTrace is the synthetic annotated trace of the cache micro-benchmarks:
+// 64k xorshift keys over 4096 distinct lines.
+func benchTrace() trace.Trace {
 	tr := make(trace.Trace, 1<<16)
 	state := uint64(88172645463325252)
 	for i := range tr {
@@ -244,6 +245,12 @@ func benchPolicy(b *testing.B, p cache.Policy) {
 		tr[i].Key = trace.Key(state % 4096)
 	}
 	trace.AnnotateNextUse(tr)
+	return tr
+}
+
+func benchPolicy(b *testing.B, p cache.Policy) {
+	b.Helper()
+	tr := benchTrace()
 	c := cache.MustNew(cache.Config{Lines: 1024, Ways: 4, WriteAllocate: true}, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,6 +278,21 @@ func BenchmarkCacheAccessLRU(b *testing.B)   { benchPolicy(b, cache.NewLRU()) }
 func BenchmarkCacheAccessOPT(b *testing.B)   { benchPolicy(b, cache.NewOPT()) }
 func BenchmarkCacheAccessDRRIP(b *testing.B) { benchPolicy(b, cache.NewDRRIP(1)) }
 func BenchmarkCacheAccessPLRU(b *testing.B)  { benchPolicy(b, cache.NewPLRU()) }
+
+// BenchmarkCacheAccessFlatLRU runs BenchmarkCacheAccessLRU's trace and
+// geometry through the flat tag store that serves the texture caches and
+// the L2, so the two LRU engines' ns/access sit side by side.
+func BenchmarkCacheAccessFlatLRU(b *testing.B) {
+	tr := benchTrace()
+	c, err := cache.NewFlatLRU(cache.Config{Lines: 1024, Ways: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(uint64(tr[i%len(tr)].Key))
+	}
+}
 
 func BenchmarkAttributeCacheReadHit(b *testing.B) {
 	sink := mem.NewCounter()

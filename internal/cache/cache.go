@@ -12,6 +12,14 @@
 // a miss — fetching data, writing back a victim — is reported to the caller
 // through AccessResult so that multi-level hierarchies can propagate
 // traffic downward.
+//
+// Two engines share Config and Stats. Cache, driven through the Policy
+// interface, is the generic one: the policy library, the trace-driven
+// experiments, the arena, and the frame simulator's vertex cache, baseline
+// Tile Cache and Primitive List Cache run on it. FlatLRU is a packed LRU
+// tag store with no policy dispatch for the caches on the frame hot path:
+// the Raster Pipeline's texture caches use it directly, and the L2
+// (internal/l2) builds its §III-D replacement on it.
 package cache
 
 import (
@@ -67,7 +75,7 @@ func (c Config) Validate() (Config, error) {
 	if c.Lines%c.Ways != 0 {
 		return c, fmt.Errorf("cache: %d lines not divisible by %d ways", c.Lines, c.Ways)
 	}
-	if sets := c.Lines / c.Ways; isXORIndex(c.Index) && sets&(sets-1) != 0 {
+	if sets := c.Lines / c.Ways; sameIndex(c.Index, XORIndex) && sets&(sets-1) != 0 {
 		return c, fmt.Errorf("cache: XOR index needs a power-of-two set count, got %d sets (%d lines / %d ways)", sets, c.Lines, c.Ways)
 	}
 	if c.Index == nil {

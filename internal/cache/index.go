@@ -47,10 +47,11 @@ func XORIndex(key trace.Key, sets int) int {
 	return int(x)
 }
 
-// isXORIndex reports whether f is the package's XORIndex function, so
-// Config.Validate can reject geometries whose set count defeats the bit
-// folding. Function values are not comparable in Go; identity via the code
-// pointer is the standard workaround.
-func isXORIndex(f IndexFunc) bool {
-	return f != nil && reflect.ValueOf(f).Pointer() == reflect.ValueOf(XORIndex).Pointer()
+// sameIndex reports whether f and g are the same index function, so
+// Config.Validate can reject geometries whose set count defeats XORIndex's
+// bit folding and NewFlatLRU can insist on ModuloIndex. Function values are
+// not comparable in Go; identity via the code pointer is the standard
+// workaround.
+func sameIndex(f, g IndexFunc) bool {
+	return f != nil && reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
 }

@@ -6,11 +6,18 @@
 // the replacement policy evicts dead lines first — dropping their write-back
 // even when dirty — then non-PB lines, then live PB lines, with LRU inside
 // each priority class.
+//
+// Tags and LRU ages live in a cache.FlatLRU, the tag store the texture
+// caches use too; the region, last-use tile and dirty/tagged flags sit in
+// side columns indexed by the same slot, and the replacement priority is a
+// class function over those columns.
 package l2
 
 import (
 	"fmt"
+	"math"
 
+	"tcor/internal/cache"
 	"tcor/internal/geom"
 	"tcor/internal/mem"
 	"tcor/internal/memmap"
@@ -113,26 +120,23 @@ func RegisterStatsInvariants(r *stats.Registry, prefix string, enhanced bool) {
 	})
 }
 
-type line struct {
-	key     uint64 // block index
-	valid   bool
-	dirty   bool
-	lastUse int64
-	region  memmap.Region
-	// lastTile is the traversal position of the last tile using this line;
-	// tagged is whether it is known (PB lines in enhanced mode).
-	lastTile uint16
-	tagged   bool
-}
+// Per-slot flag bits of Cache.flags.
+const (
+	dirty  uint8 = 1 << iota
+	tagged       // lastTile is known (PB lines in enhanced mode)
+)
 
 // Cache is the shared L2.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	setMask uint64
-	clock   int64
-	stats   Stats
-	next    mem.Sink
+	cfg    Config
+	lru    *cache.FlatLRU
+	region []memmap.Region
+	// lastTile is the traversal position of the last tile using the line,
+	// valid when its tagged flag is set.
+	lastTile []uint16
+	flags    []uint8
+	stats    Stats
+	next     mem.Sink
 	// retired is the traversal position of the last tile the Tile Fetcher
 	// finished; -1 before any tile retires.
 	retired int
@@ -150,22 +154,22 @@ func New(cfg Config, next mem.Sink) (*Cache, error) {
 	if cfg.Ways <= 0 || lines <= 0 || lines%cfg.Ways != 0 {
 		return nil, fmt.Errorf("l2: bad geometry %d bytes %d ways", cfg.SizeBytes, cfg.Ways)
 	}
-	sets := lines / cfg.Ways
-	if sets&(sets-1) != 0 {
+	if sets := lines / cfg.Ways; sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("l2: %d sets is not a power of two", sets)
 	}
-	c := &Cache{
-		cfg:     cfg,
-		sets:    make([][]line, sets),
-		setMask: uint64(sets - 1),
-		next:    next,
-		retired: -1,
+	lru, err := cache.NewFlatLRU(cache.Config{Lines: lines, Ways: cfg.Ways})
+	if err != nil {
+		return nil, fmt.Errorf("l2: %w", err)
 	}
-	backing := make([]line, lines)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return c, nil
+	return &Cache{
+		cfg:      cfg,
+		lru:      lru,
+		region:   make([]memmap.Region, lines),
+		lastTile: make([]uint16, lines),
+		flags:    make([]uint8, lines),
+		next:     next,
+		retired:  -1,
+	}, nil
 }
 
 // Stats returns a copy of the statistics.
@@ -180,146 +184,111 @@ func (c *Cache) Config() Config { return c.cfg }
 // behaviour; it does not affect simulation results.
 func (c *Cache) SetEvictionTrace(r *stats.Ring) { c.trace = r }
 
-// className names a replacement priority class for the event trace.
-func className(cl int) string {
-	switch cl {
-	case 0:
-		return "dead"
-	case 1:
-		return "non-PB"
-	default:
-		return "live-PB"
-	}
-}
-
-// isDead reports whether a line's data can never be read again: it belongs
-// to the Parameter Buffer, its last-use tile is known, and that tile has
-// retired (§III-D1).
-func (c *Cache) isDead(l *line) bool {
-	return c.cfg.Enhanced && l.tagged && l.region.IsParameterBuffer() &&
-		c.retired >= 0 && int(l.lastTile) <= c.retired
-}
+// className names the replacement priority classes for the event trace.
+var className = [...]string{"dead", "non-PB", "live-PB"}
 
 // Access implements mem.Sink.
 func (c *Cache) Access(r mem.Request) {
-	c.clock++
 	if r.Write {
 		c.stats.Writes++
 	} else {
 		c.stats.Reads++
 	}
 	key := memmap.Block(r.Addr)
-	set := c.sets[key&c.setMask]
-	for w := range set {
-		if set[w].valid && set[w].key == key {
-			c.stats.Hits++
-			l := &set[w]
-			l.lastUse = c.clock
-			if r.Write {
-				l.dirty = true
-			}
-			if r.HasLastUse {
-				l.lastTile = r.LastUse
-				l.tagged = true
-			}
-			return
+	slot, base := c.lru.Lookup(key)
+	if slot >= 0 {
+		c.stats.Hits++
+	} else {
+		c.stats.Misses++
+		// Fill. Reads fetch the block from memory; writes from the L1s are
+		// full-block transfers (whole attribute blocks or full-line
+		// write-backs), so write misses allocate without a fetch.
+		if !r.Write {
+			c.stats.MemReads++
+			c.next.Access(mem.Request{Addr: memmap.BlockAddr(key)})
 		}
+		slot = c.victim(base)
+		if c.lru.Valid(slot) {
+			c.evict(slot)
+		}
+		c.lru.Fill(slot, key)
+		c.region[slot] = r.Region()
+		c.lastTile[slot] = r.LastUse
+		c.flags[slot] = 0
 	}
-	c.stats.Misses++
-	// Fill. Reads fetch the block from memory; writes from the L1s are
-	// full-block transfers (whole attribute blocks or full-line
-	// write-backs), so write misses allocate without a fetch.
-	if !r.Write {
-		c.stats.MemReads++
-		c.next.Access(mem.Request{Addr: memmap.BlockAddr(key)})
+	if r.Write {
+		c.flags[slot] |= dirty
 	}
-	w := c.victim(set)
-	if set[w].valid {
-		c.evict(int(key&c.setMask), &set[w])
-	}
-	set[w] = line{
-		key:      key,
-		valid:    true,
-		dirty:    r.Write,
-		lastUse:  c.clock,
-		region:   r.Region(),
-		lastTile: r.LastUse,
-		tagged:   r.HasLastUse,
+	if r.HasLastUse {
+		c.lastTile[slot] = r.LastUse
+		c.flags[slot] |= tagged
 	}
 }
 
-// victim selects a way: an invalid line if any; otherwise, in enhanced
-// mode, the best line by priority class (dead > non-PB > live PB) with LRU
-// inside the class (§III-D2); plain LRU otherwise.
-func (c *Cache) victim(set []line) int {
-	for w := range set {
-		if !set[w].valid {
-			return w
-		}
-	}
+// victim selects a slot of the set starting at base: an invalid slot if
+// any; otherwise, in enhanced mode, the best line by priority class (dead >
+// non-PB > live PB) with LRU inside the class (§III-D2), and plain LRU
+// without the enhancement.
+func (c *Cache) victim(base int) int {
 	if !c.cfg.Enhanced {
-		return lruVictim(set)
+		return c.lru.Victim(base)
 	}
-	best := 0
-	bestClass := c.class(&set[0])
-	for w := 1; w < len(set); w++ {
-		cl := c.class(&set[w])
-		if cl < bestClass || (cl == bestClass && set[w].lastUse < set[best].lastUse) {
-			best, bestClass = w, cl
+	// One comparison per way: the class above the age, which stays far
+	// below 2^56.
+	best, bestRank := base, uint64(math.MaxUint64)
+	for s := base; s < base+c.cfg.Ways; s++ {
+		if !c.lru.Valid(s) {
+			return s
+		}
+		if rank := uint64(c.class(s))<<56 | uint64(c.lru.Age(s)); rank < bestRank {
+			best, bestRank = s, rank
 		}
 	}
 	return best
 }
 
-// class returns the replacement priority class: 0 dead, 1 non-PB, 2 live
-// PB. Lower evicts first.
-func (c *Cache) class(l *line) int {
-	if c.isDead(l) {
-		return 0
-	}
-	if !l.region.IsParameterBuffer() {
+// class returns a valid slot's replacement priority class: 0 dead, 1
+// non-PB, 2 live PB. Lower evicts first. A line is dead when its data can
+// never be read again: it belongs to the Parameter Buffer, its last-use
+// tile is known, and that tile has retired (§III-D1).
+func (c *Cache) class(slot int) int {
+	if !c.region[slot].IsParameterBuffer() {
 		return 1
 	}
-	return 2
-}
-
-func lruVictim(set []line) int {
-	best := 0
-	for w := 1; w < len(set); w++ {
-		if set[w].lastUse < set[best].lastUse {
-			best = w
-		}
+	if c.cfg.Enhanced && c.flags[slot]&tagged != 0 && c.retired >= int(c.lastTile[slot]) {
+		return 0
 	}
-	return best
+	return 2
 }
 
 // evict writes a dirty victim back to memory — unless it is dead, in which
 // case the write-back is dropped (§III-D2: "it does not have to be written
 // back to Main Memory even if it is dirty").
-func (c *Cache) evict(set int, l *line) {
+func (c *Cache) evict(slot int) {
 	c.stats.Evictions++
-	dead := c.isDead(l)
+	key, cl, isDirty := c.lru.Key(slot), c.class(slot), c.flags[slot]&dirty != 0
+	dead := cl == 0
 	if c.trace != nil {
 		c.trace.Record(stats.Event{
 			Kind:    "evict",
-			Class:   className(c.class(l)),
-			Set:     set,
-			Key:     l.key,
-			Tile:    int(l.lastTile),
-			Dirty:   l.dirty,
-			Dropped: dead && l.dirty,
+			Class:   className[cl],
+			Set:     slot / c.cfg.Ways,
+			Key:     key,
+			Tile:    int(c.lastTile[slot]),
+			Dirty:   isDirty,
+			Dropped: dead && isDirty,
 		})
 	}
 	if dead {
 		c.stats.DeadEvictions++
-		if l.dirty {
+		if isDirty {
 			c.stats.DroppedWritebacks++
 		}
 		return
 	}
-	if l.dirty {
+	if isDirty {
 		c.stats.Writebacks++
-		c.next.Access(mem.Request{Addr: memmap.BlockAddr(l.key), Write: true})
+		c.next.Access(mem.Request{Addr: memmap.BlockAddr(key), Write: true})
 	}
 }
 
@@ -338,12 +307,9 @@ func (c *Cache) TileRetired(pos uint16, tile geom.TileID) {
 // reclaims the buffer; this is not part of the TCOR enhancement). The
 // retired-tile counter resets for the next frame.
 func (c *Cache) EndFrame() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && l.region.IsParameterBuffer() {
-				*l = line{}
-			}
+	for s, r := range c.region {
+		if c.lru.Valid(s) && r.IsParameterBuffer() {
+			c.lru.Invalidate(s)
 		}
 	}
 	c.retired = -1
@@ -354,11 +320,9 @@ func (c *Cache) EndFrame() {
 // region; for tests and reports.
 func (c *Cache) Occupancy() map[memmap.Region]int {
 	out := make(map[memmap.Region]int)
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				out[c.sets[s][w].region]++
-			}
+	for s, r := range c.region {
+		if c.lru.Valid(s) {
+			out[r]++
 		}
 	}
 	return out

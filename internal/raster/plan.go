@@ -6,7 +6,6 @@ import (
 	"tcor/internal/geom"
 	"tcor/internal/mem"
 	"tcor/internal/memmap"
-	"tcor/internal/trace"
 )
 
 // TilePlan is the deterministic record of one tile's raster work: the quad
@@ -118,7 +117,7 @@ func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
 		n := int64(plan.TapRuns[i])
 		p.stats.TexAccesses += n
 		p.texRepeats += n - 1
-		if !p.tex[plan.TapCache[i]].Access(trace.Access{Key: trace.Key(memmap.Block(addr))}).Hit {
+		if !p.tex[plan.TapCache[i]].Read(memmap.Block(addr)) {
 			p.stats.TexMisses++
 			p.l2.Access(mem.Request{Addr: addr})
 		}

@@ -124,7 +124,7 @@ func RegisterStatsInvariants(r *stats.Registry, prefix string) {
 // Pipeline is the Raster Pipeline model.
 type Pipeline struct {
 	cfg   Config
-	tex   []*cache.Cache
+	tex   []*cache.FlatLRU
 	l2    mem.Sink
 	fb    mem.Sink // Color Buffer flush target (main memory, bypassing L2, Fig. 5)
 	stats Stats
@@ -161,11 +161,10 @@ func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 	// Tap coalescing (TilePlan.tap) is exact only for LRU caches that are
 	// only read.
 	for i := 0; i < cfg.NumTexCaches; i++ {
-		c, err := cache.New(cache.Config{
-			Lines:         cache.LinesFor(cfg.TexCacheBytes, memmap.BlockBytes),
-			Ways:          cfg.TexCacheWays,
-			WriteAllocate: true,
-		}, cache.NewLRU())
+		c, err := cache.NewFlatLRU(cache.Config{
+			Lines: cache.LinesFor(cfg.TexCacheBytes, memmap.BlockBytes),
+			Ways:  cfg.TexCacheWays,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("raster: texture cache: %w", err)
 		}
@@ -189,7 +188,7 @@ func (p *Pipeline) Stats() Stats { return p.stats }
 func (p *Pipeline) Config() Config { return p.cfg }
 
 // TexCacheStats returns the aggregate texture-cache statistics, counting
-// every tap, coalesced repeats included, as an access.
+// every tap, coalesced repeats included, as an access (and a hit).
 func (p *Pipeline) TexCacheStats() cache.Stats {
 	agg := cache.Stats{Accesses: p.texRepeats, Hits: p.texRepeats}
 	for _, c := range p.tex {
@@ -197,7 +196,11 @@ func (p *Pipeline) TexCacheStats() cache.Stats {
 		agg.Accesses += s.Accesses
 		agg.Hits += s.Hits
 		agg.Misses += s.Misses
+		agg.ReadMisses += s.ReadMisses
+		agg.WriteMisses += s.WriteMisses
 		agg.Writebacks += s.Writebacks
+		agg.Bypasses += s.Bypasses
+		agg.Fills += s.Fills
 	}
 	return agg
 }

@@ -1,11 +1,14 @@
 package raster
 
 import (
+	"math/rand"
 	"testing"
 
+	"tcor/internal/cache"
 	"tcor/internal/geom"
 	"tcor/internal/mem"
 	"tcor/internal/memmap"
+	"tcor/internal/stats"
 )
 
 func newPipeline(t *testing.T) (*Pipeline, *mem.Counter, *mem.Counter) {
@@ -260,5 +263,31 @@ func TestTranslucentBlending(t *testing.T) {
 	p.RasterTile(0, 0, []TileWork{{Prim: c}})
 	if p.Stats().BlendedQuads != 768 {
 		t.Errorf("translucent layer occluded by translucent: %d", p.Stats().BlendedQuads)
+	}
+}
+
+// TestTexCacheStatsSatisfyCacheInvariants publishes the aggregate
+// texture-cache statistics and demands every identity a published cache
+// must satisfy: each miss is a read or write miss and fills or bypasses.
+func TestTexCacheStatsSatisfyCacheInvariants(t *testing.T) {
+	cfg := testConfig(32, false)
+	cfg.TexCacheBytes = 2 * 1024
+	p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prims := randomPrims(rand.New(rand.NewSource(7)), 200, float32(cfg.Screen.Width), float32(cfg.Screen.Height))
+	for tile := geom.TileID(0); int(tile) < cfg.Screen.NumTiles(); tile++ {
+		p.RasterTile(tile, 0, tileWork(prims, cfg.Screen, tile))
+	}
+	agg, st := p.TexCacheStats(), p.Stats()
+	if agg.Accesses != st.TexAccesses || agg.Misses != st.TexMisses || agg.Misses == 0 {
+		t.Fatalf("aggregate %+v disagrees with %d taps, %d misses", agg, st.TexAccesses, st.TexMisses)
+	}
+	reg := stats.NewRegistry()
+	agg.Publish(reg, "l1.tex")
+	cache.RegisterStatsInvariants(reg, "l1.tex")
+	if err := reg.Check(); err != nil {
+		t.Errorf("invariants violated: %v", err)
 	}
 }
