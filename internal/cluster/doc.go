@@ -3,6 +3,12 @@
 // (admission gate, result cache, circuit breaker, chaos sites), fronted
 // by a gateway that speaks the same public API.
 //
+// # One shell
+//
+// The gateway serves the public API through the same request shell as a
+// shard (serve.Shell), with its own hooks for tenant, readiness and
+// upstream errors, so a request it rejects gets a single daemon's answer.
+//
 // # Placement
 //
 // Every simulation reduces to a content address (serve.CanonicalKey): a

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -15,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tcor/internal/buildinfo"
 	"tcor/internal/resilience"
 	"tcor/internal/serve"
 	"tcor/internal/serve/client"
@@ -54,13 +51,6 @@ type Options struct {
 	// it must not exceed the shards' own MaxSweepItems (0 = 64, the
 	// shard default).
 	ShardSweepItems int
-	// MaxBodyBytes bounds request bodies; larger ones get 413 (0 = 1 MiB).
-	MaxBodyBytes int64
-	// DefaultTimeout is the per-request deadline when the request does
-	// not carry one (0 = 60s); MaxTimeout clamps request-supplied
-	// deadlines (0 = 10m). Both bound the whole hedged/failover chain.
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// Retry configures the per-shard client's retry policy (nil = 3
 	// attempts, 50ms base, 1s cap). Transient shard blips are absorbed
 	// here; sustained failure surfaces to the gateway, trips the shard's
@@ -113,15 +103,6 @@ func (o Options) withDefaults() Options {
 	if o.ShardSweepItems <= 0 {
 		o.ShardSweepItems = 64
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 60 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 10 * time.Minute
-	}
 	if o.Retry == nil {
 		o.Retry = &resilience.RetryPolicy{
 			MaxAttempts: 3,
@@ -173,6 +154,7 @@ type shard struct {
 // the same request.
 type Gateway struct {
 	opts   Options
+	shell  serve.Shell
 	ring   *Ring
 	shards []*shard
 	reg    *stats.Registry
@@ -184,10 +166,6 @@ type Gateway struct {
 	httpSrv  *http.Server
 	draining atomic.Bool
 
-	requests   *stats.Counter
-	responses  [6]*stats.Counter
-	panics     *stats.Counter
-	latency    *stats.Histogram
 	proxyDur   *stats.Histogram // successful proxied /v1/simulate calls, ns
 	hedges     *stats.Counter
 	hedgeWins  *stats.Counter
@@ -214,9 +192,6 @@ func NewGateway(opts Options) (*Gateway, error) {
 		logger:     opts.Logger,
 		chaos:      opts.Chaos,
 		tracer:     stats.NewTracer(opts.TraceCapacity),
-		requests:   reg.Counter("gw.requests"),
-		panics:     reg.Counter("gw.panics"),
-		latency:    reg.Histogram("gw.latency"),
 		proxyDur:   reg.Histogram("gw.proxy.duration"),
 		hedges:     reg.Counter("gw.hedges"),
 		hedgeWins:  reg.Counter("gw.hedge.wins"),
@@ -226,8 +201,30 @@ func NewGateway(opts Options) (*Gateway, error) {
 		jobSubmits: reg.Counter("gw.jobs.submits"),
 		jobProxied: reg.Counter("gw.jobs.proxied"),
 	}
+	g.shell = serve.Shell{
+		Service:   "cluster",
+		Tracer:    g.tracer,
+		Logger:    g.logger,
+		Registry:  reg,
+		Requests:  reg.Counter("gw.requests"),
+		Responses: make(map[int]*stats.Counter, 4),
+		Panics:    reg.Counter("gw.panics"),
+		Latency:   reg.Histogram("gw.latency"),
+		Draining:  &g.draining,
+		DrainErr: &serve.APIError{Status: http.StatusServiceUnavailable,
+			Code: "draining", Message: "gateway is draining; not accepting new simulations"},
+		// A shard's default limits, so a request the gateway rejects gets
+		// the shard's exact answer. The deadlines bound the whole
+		// hedged/failover chain.
+		MaxBodyBytes:   serve.DefaultMaxBodyBytes,
+		DefaultTimeout: serve.DefaultRequestTimeout,
+		MaxTimeout:     serve.DefaultMaxTimeout,
+		Before:         liftTenantKey,
+		Degraded:       g.degraded,
+		MapError:       mapUpstreamError,
+	}
 	for c := 2; c <= 5; c++ {
-		g.responses[c] = reg.Counter("gw.responses." + strconv.Itoa(c) + "xx")
+		g.shell.Responses[c] = reg.Counter("gw.responses." + strconv.Itoa(c) + "xx")
 	}
 	for i, name := range opts.Shards {
 		cfg := *opts.Breaker
@@ -243,23 +240,16 @@ func NewGateway(opts Options) (*Gateway, error) {
 	g.tracer.MeterDropped(reg.Counter("trace.dropped"))
 	g.registerInvariants()
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.HandleFunc("/readyz", g.handleReadyz)
-	mux.HandleFunc("/v1/version", g.handleVersion)
-	mux.HandleFunc("/v1/benchmarks", g.handleBenchmarks)
-	mux.HandleFunc("/v1/stats", g.handleStats)
-	mux.HandleFunc("/v1/ring", g.handleRing)
+	mux := g.shell.Mux()
+	mux.HandleFunc("/v1/ring", g.shell.GetJSON(g.ringInfo))
 	mux.HandleFunc("/v1/simulate", g.handleSimulate)
 	mux.HandleFunc("/v1/sweep", g.handleSweep)
 	mux.HandleFunc("/v1/arena", g.handleArena)
-	mux.HandleFunc("/v1/jobs", g.handleJobs)
+	mux.HandleFunc("/v1/jobs", g.shell.GetJSON(g.listJobs))
 	mux.HandleFunc("/v1/jobs/", g.handleJob)
 	mux.HandleFunc("/v1/cluster/trace/", g.handleClusterTrace)
 	mux.HandleFunc("/v1/cluster/metrics", g.handleClusterMetrics)
-	mux.HandleFunc("/v1/cluster/health", g.handleClusterHealth)
-	mux.Handle("/metrics", stats.MetricsHandler("tcord", reg))
-	mux.HandleFunc("/debug/trace", g.handleDebugTrace)
+	mux.HandleFunc("/v1/cluster/health", g.shell.GetJSON(g.clusterHealth))
 	g.mux = mux
 	return g, nil
 }
@@ -290,8 +280,8 @@ func (g *Gateway) Ring() *Ring { return g.ring }
 // CheckInvariants verifies the registry's registered invariants.
 func (g *Gateway) CheckInvariants() error { return g.reg.Check() }
 
-// Handler returns the gateway's HTTP handler with its middleware applied.
-func (g *Gateway) Handler() http.Handler { return g.middleware(g.mux) }
+// Handler returns the gateway's HTTP handler behind the request shell.
+func (g *Gateway) Handler() http.Handler { return g.shell.Wrap(g.mux) }
 
 // Start listens on addr (":0" picks a free port) and serves in the
 // background, returning the bound address. Pair with Shutdown.
@@ -316,285 +306,50 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return g.httpSrv.Shutdown(ctx)
 }
 
-// --- middleware and plumbing ---
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
+// liftTenantKey is the gateway's Before hook: it lifts the caller's tenant
+// credential into the context, where the per-shard client re-applies it on
+// every attempt, so quota and cache accounting follow the caller through
+// retries, hedges and failovers alike. The gateway never resolves the
+// credential itself — an unknown key is the owning shard's 401 to give,
+// passed through unchanged.
+func liftTenantKey(_ http.ResponseWriter, r *http.Request) (*http.Request, bool) {
+	return r.WithContext(serve.ContextWithTenantKey(r.Context(), serve.TenantKeyFromRequest(r))), true
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// middleware mints/echoes the request ID (proxied shard calls inherit it
-// through the context, so one ID is greppable across the gateway's and
-// the shard's access logs), recovers panics, and meters every response.
-func (g *Gateway) middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		g.requests.Inc()
-
-		id := r.Header.Get(serve.RequestIDHeader)
-		if id == "" || len(id) > 128 {
-			id = serve.MintRequestID()
-		}
-		w.Header().Set(serve.RequestIDHeader, id)
-
-		// Root the request's trace (joining a caller's when a valid
-		// traceparent arrived) and echo the trace context on the response:
-		// the caller of a hedged sweep learns the one ID under which
-		// /v1/cluster/trace/<id> stitches every process's spans.
-		var sp *stats.Span
-		if parent, ok := stats.ExtractTraceparent(r.Header); ok {
-			sp = g.tracer.BeginRemote("http.request", "cluster", parent)
-		} else {
-			sp = g.tracer.Begin("http.request", "cluster")
-		}
-		stats.InjectTraceparent(w.Header(), sp.Context())
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		sp.SetAttr("requestId", id)
-
-		ctx := serve.ContextWithRequestID(r.Context(), id)
-		// Lift the caller's tenant credential into the context: the per-shard
-		// client re-applies it on every attempt, so quota and cache accounting
-		// follow the caller through retries, hedges and failovers alike. The
-		// gateway never resolves the credential itself — an unknown key is the
-		// owning shard's 401 to give, passed through unchanged.
-		ctx = serve.ContextWithTenantKey(ctx, serve.TenantKeyFromRequest(r))
-		ctx = stats.ContextWithTracer(ctx, g.tracer)
-		ctx = stats.ContextWithSpan(ctx, sp)
-		r = r.WithContext(ctx)
-
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				g.panics.Inc()
-				g.logger.Error("panic", "id", id, "path", r.URL.Path, "panic", fmt.Sprint(p))
-				if rec.status == 0 {
-					g.writeError(rec, &gwError{status: http.StatusInternalServerError,
-						code: "internal_panic", msg: "internal error"})
-				}
-			}
-			if rec.status == 0 {
-				rec.status = http.StatusOK
-			}
-			if c := g.responses[rec.status/100]; c != nil {
-				c.Inc()
-			}
-			dur := time.Since(t0)
-			g.latency.Observe(int64(dur))
-			sp.SetAttr("status", strconv.Itoa(rec.status))
-			sp.End()
-			g.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Duration("dur", dur))
-		}()
-		next.ServeHTTP(rec, r)
-	})
-}
-
-// gwError is an error with an HTTP mapping, mirroring the shard daemon's
-// response shape so clients cannot tell a gateway rejection from a shard
-// one.
-type gwError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *gwError) Error() string { return e.msg }
-
-func (g *Gateway) writeError(w http.ResponseWriter, err error) {
-	var ge *gwError
-	var ae *client.APIError
-	switch {
-	case errors.As(err, &ge):
-	case errors.As(err, &ae):
-		// Pass an upstream rejection through unchanged: same status,
-		// code, message and Retry-After hint the shard produced.
-		ge = &gwError{status: ae.Status, code: ae.Code, msg: ae.Message}
-		if ae.HasRetryAfter {
-			ge.retryAfter = ae.RetryAfter
-		}
-	case errors.Is(err, resilience.ErrOpen):
-		ge = &gwError{status: http.StatusServiceUnavailable, code: "all_shards_unavailable",
-			msg: "no shard available (circuits open); retry later"}
-		var oe *resilience.OpenError
-		if errors.As(err, &oe) {
-			ge.retryAfter = oe.RetryIn
-		}
-	case errors.Is(err, context.DeadlineExceeded):
-		ge = &gwError{status: http.StatusGatewayTimeout, code: "deadline_exceeded",
-			msg: "request deadline exceeded"}
-	case errors.Is(err, context.Canceled):
-		ge = &gwError{status: 499, code: "canceled", msg: "request canceled"}
-	default:
-		ge = &gwError{status: http.StatusBadGateway, code: "upstream_error", msg: err.Error()}
-	}
-	if ge.retryAfter > 0 {
-		secs := int((ge.retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(ge.status)
-	json.NewEncoder(w).Encode(serve.ErrorBody{ //nolint:errcheck // best-effort error body
-		Error: serve.ErrorDetail{Code: ge.code, Message: ge.msg},
-	})
-}
-
-func (g *Gateway) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		g.logger.Error("encoding response", "err", err)
-	}
-}
-
-func badRequest(format string, args ...any) *gwError {
-	return &gwError{status: http.StatusBadRequest, code: "invalid_request",
-		msg: fmt.Sprintf(format, args...)}
-}
-
-// beginSim is the shared front door of the proxied simulation endpoints:
-// method check, drain check, bounded body read, strict decode. It returns
-// the raw body — the async job path forwards it to the owning shard
-// verbatim, so the shard's content-addressed JobID matches the gateway's
-// routing address — and false after writing the error response itself.
-func (g *Gateway) beginSim(w http.ResponseWriter, r *http.Request, into any) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use " + http.MethodPost})
-		return nil, false
-	}
-	if g.draining.Load() {
-		g.writeError(w, &gwError{status: http.StatusServiceUnavailable,
-			code: "draining", msg: "gateway is draining; not accepting new simulations"})
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			g.writeError(w, &gwError{status: http.StatusRequestEntityTooLarge,
-				code: "body_too_large",
-				msg:  fmt.Sprintf("request body exceeds %d bytes", g.opts.MaxBodyBytes)})
-		} else {
-			g.writeError(w, badRequest("reading request body: %v", err))
-		}
-		return nil, false
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		g.writeError(w, badRequest("decoding request: %v", err))
-		return nil, false
-	}
-	return body, true
-}
-
-func (g *Gateway) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := g.opts.DefaultTimeout
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > g.opts.MaxTimeout {
-		d = g.opts.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// --- passthrough endpoints ---
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if g.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
+// degraded is the gateway's readiness hook: it can route while any shard
+// circuit admits work.
+func (g *Gateway) degraded() string {
 	for _, sh := range g.shards {
 		if sh.brk.State() != resilience.Open {
-			io.WriteString(w, "ready\n")
-			return
+			return ""
 		}
 	}
-	w.WriteHeader(http.StatusServiceUnavailable)
-	io.WriteString(w, "degraded: all shard circuits open\n")
+	return "all shard circuits open"
 }
 
-func (g *Gateway) handleVersion(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	g.writeJSON(w, buildinfo.Get())
-}
-
-func (g *Gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	// serve.Benchmarks is shared with the shard handler, so the listing
-	// is byte-identical no matter which tier answers.
-	g.writeJSON(w, serve.Benchmarks())
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	g.writeJSON(w, g.reg.Snapshot())
-}
-
-// handleDebugTrace mirrors the shard daemons' /debug/trace on the gateway:
-// the whole buffer as Chrome trace_event JSON, or one trace's raw spans as
-// a stats.TraceSet with ?trace=<id>. The stitched cluster-wide view lives
-// at /v1/cluster/trace/<id>.
-func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	if q := r.URL.Query().Get("trace"); q != "" {
-		id, err := stats.ParseTraceID(q)
-		if err != nil {
-			g.writeError(w, badRequest("trace parameter: %v", err))
-			return
+// mapUpstreamError is the gateway's error hook. An upstream rejection
+// passes through unchanged (same status, code, message and Retry-After
+// hint the shard produced), no routable shard is all_shards_unavailable,
+// and anything else is a 502.
+func mapUpstreamError(err error) *serve.APIError {
+	var ae *client.APIError
+	switch {
+	case errors.As(err, &ae):
+		out := &serve.APIError{Status: ae.Status, Code: ae.Code, Message: ae.Message}
+		if ae.HasRetryAfter {
+			out.RetryAfter = ae.RetryAfter
 		}
-		g.writeJSON(w, g.tracer.TraceSet("", id))
-		return
+		return out
+	case errors.Is(err, resilience.ErrOpen):
+		out := &serve.APIError{Status: http.StatusServiceUnavailable, Code: "all_shards_unavailable",
+			Message: "no shard available (circuits open); retry later"}
+		var oe *resilience.OpenError
+		if errors.As(err, &oe) {
+			out.RetryAfter = oe.RetryIn
+		}
+		return out
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := g.tracer.WriteChromeTrace(w); err != nil {
-		g.logger.Error("trace export", "err", err)
-	}
+	return &serve.APIError{Status: http.StatusBadGateway, Code: "upstream_error", Message: err.Error()}
 }
 
 // RingInfo is the body of GET /v1/ring: the cluster topology as the
@@ -610,12 +365,7 @@ type ShardInfo struct {
 	Breaker string `json:"breaker"`
 }
 
-func (g *Gateway) handleRing(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
+func (g *Gateway) ringInfo(*http.Request) (any, error) {
 	info := RingInfo{VNodes: g.opts.VNodes}
 	for _, sh := range g.shards {
 		info.Shards = append(info.Shards, ShardInfo{
@@ -623,7 +373,7 @@ func (g *Gateway) handleRing(w http.ResponseWriter, r *http.Request) {
 			Breaker: sh.brk.State().String(),
 		})
 	}
-	g.writeJSON(w, info)
+	return info, nil
 }
 
 // --- simulate routing ---
@@ -638,15 +388,15 @@ type simResult struct {
 
 func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req serve.SimulateRequest
-	if _, ok := g.beginSim(w, r, &req); !ok {
+	if _, ok := g.shell.BeginSim(w, r, &req); !ok {
 		return
 	}
 	key, err := serve.CanonicalKey(req)
 	if err != nil {
-		g.writeError(w, badRequest("%v", err))
+		g.shell.WriteError(w, err)
 		return
 	}
-	ctx, cancel := g.requestContext(r, req.TimeoutMs)
+	ctx, cancel := g.shell.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	if r.Header.Get(serve.CacheOnlyHeader) != "" {
@@ -657,16 +407,11 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	res, err := g.fetchSim(ctx, req, key)
 	if err != nil {
-		g.writeError(w, err)
+		g.shell.WriteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tcord-Cache", string(res.outcome))
-	if res.outcome == "stale" {
-		w.Header().Set("Warning", `110 tcord "response is stale"`)
-	}
 	w.Header().Set(serve.ShardHeader, res.shard.name)
-	w.Write(res.body) //nolint:errcheck // client gone is its own problem
+	serve.WriteResult(w, res.body, string(res.outcome))
 }
 
 // routeProbe forwards a cache-only probe to the key's owner.
@@ -678,21 +423,15 @@ func (g *Gateway) routeProbe(ctx context.Context, w http.ResponseWriter, req ser
 	sp.SetAttr("hit", strconv.FormatBool(err == nil && ok))
 	sp.End()
 	if err != nil {
-		g.writeError(w, err)
+		g.shell.WriteError(w, err)
 		return
 	}
 	if !ok {
-		g.writeError(w, &gwError{status: http.StatusNotFound,
-			code: "cache_miss", msg: "result not cached"})
+		g.shell.WriteError(w, serve.ErrCacheMiss)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tcord-Cache", string(outcome))
-	if outcome == "stale" {
-		w.Header().Set("Warning", `110 tcord "response is stale"`)
-	}
 	w.Header().Set(serve.ShardHeader, owner.name)
-	w.Write(body) //nolint:errcheck
+	serve.WriteResult(w, body, string(outcome))
 }
 
 // fetchSim serves one simulation through the ring: the owner first,
@@ -897,20 +636,20 @@ func (g *Gateway) hedgeDelay() time.Duration {
 // deliberately is the wrong trade.
 func (g *Gateway) handleArena(w http.ResponseWriter, r *http.Request) {
 	var req serve.ArenaRequest
-	body, ok := g.beginSim(w, r, &req)
+	body, ok := g.shell.BeginSim(w, r, &req)
 	if !ok {
 		return
 	}
 	_, key, err := serve.ArenaKey(req)
 	if err != nil {
-		g.writeError(w, badRequest("%v", err))
+		g.shell.WriteError(w, err)
 		return
 	}
 	if serve.AsyncRequested(r) {
 		g.routeJobSubmit(w, r, serve.JobKindArena, body)
 		return
 	}
-	ctx, cancel := g.requestContext(r, req.TimeoutMs)
+	ctx, cancel := g.shell.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	var firstErr error
@@ -943,17 +682,15 @@ func (g *Gateway) handleArena(w http.ResponseWriter, r *http.Request) {
 		sp.SetAttr("outcome", attemptOutcome(ctx, err))
 		sp.End()
 		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Tcord-Cache", string(outcome))
 			w.Header().Set(serve.ShardHeader, sh.name)
-			w.Write(body) //nolint:errcheck // client gone is its own problem
+			serve.WriteResult(w, body, string(outcome))
 			return
 		}
 		// A 4xx is the shard rejecting the request itself — every shard
 		// would; pass it through instead of burning the ring.
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests {
-			g.writeError(w, err)
+			g.shell.WriteError(w, err)
 			return
 		}
 		if firstErr == nil {
@@ -964,55 +701,38 @@ func (g *Gateway) handleArena(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	g.writeError(w, firstErr)
+	g.shell.WriteError(w, firstErr)
 }
 
 // --- sweep fan-out ---
 
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req serve.SweepRequest
-	body, ok := g.beginSim(w, r, &req)
+	body, ok := g.shell.BeginSim(w, r, &req)
 	if !ok {
 		return
 	}
-	if len(req.Items) == 0 {
-		g.writeError(w, badRequest("sweep needs at least one item"))
+	keys, timeoutMs, err := serve.ResolveSweep(req, g.opts.MaxSweepItems, "gateway", serve.CanonicalKey)
+	if err != nil {
+		g.shell.WriteError(w, err)
 		return
-	}
-	if len(req.Items) > g.opts.MaxSweepItems {
-		g.writeError(w, badRequest("sweep has %d items; the gateway limit is %d",
-			len(req.Items), g.opts.MaxSweepItems))
-		return
-	}
-	keys := make([]string, len(req.Items))
-	var timeoutMs int
-	for i, item := range req.Items {
-		key, err := serve.CanonicalKey(item)
-		if err != nil {
-			g.writeError(w, badRequest("item %d: %v", i, err))
-			return
-		}
-		keys[i] = key
-		if item.TimeoutMs > timeoutMs {
-			timeoutMs = item.TimeoutMs
-		}
 	}
 	if serve.AsyncRequested(r) {
 		g.routeJobSubmit(w, r, serve.JobKindSweep, body)
 		return
 	}
-	ctx, cancel := g.requestContext(r, timeoutMs)
+	ctx, cancel := g.shell.RequestContext(r, timeoutMs)
 	defer cancel()
 
 	runs, anyStale, err := g.fanOutSweep(ctx, req.Items, keys)
 	if err != nil {
-		g.writeError(w, err)
+		g.shell.WriteError(w, err)
 		return
 	}
 	if anyStale {
 		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
 	}
-	g.writeJSON(w, serve.SweepResponse{Runs: runs})
+	g.shell.WriteJSON(w, serve.SweepResponse{Runs: runs})
 }
 
 // sweepChunk is one sub-sweep: a run of same-owner items, at most
@@ -1099,7 +819,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 	}
 	wg.Wait()
 	if firstErr != nil {
-		var ge *gwError
+		var ge *serve.APIError
 		var ae *client.APIError
 		if errors.As(firstErr, &ge) || errors.As(firstErr, &ae) {
 			return nil, false, firstErr

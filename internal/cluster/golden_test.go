@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,5 +282,132 @@ func TestGoldenGatewayArenaMatchesSingleNode(t *testing.T) {
 	}
 	if err := rc.gateway.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// send issues one raw request and returns its status, headers and body.
+func send(t *testing.T, method, url, body string) (int, http.Header, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, data
+}
+
+// TestGoldenGatewayRejectsLikeSingleNode: a malformed request gets the same
+// status, body and Allow header from the gateway as from a standalone
+// daemon — both tiers answer it through the one request shell.
+func TestGoldenGatewayRejectsLikeSingleNode(t *testing.T) {
+	single := httptest.NewServer(serve.NewServer(serve.Options{}).Handler())
+	defer single.Close()
+	rc := newRealCluster(t, 2, serve.Options{}, Options{})
+
+	endpoints := []struct{ path, body string }{
+		{"/v1/simulate", `{"benchmark":"CCS","frames":1}`},
+		{"/v1/sweep", `{"items":[{"benchmark":"CCS","frames":1}]}`},
+		{"/v1/arena", `{"policies":["LRU"],"benchmarks":["CCS"],"sizeKB":16}`},
+	}
+	tooBig := strings.Repeat("x", 1<<20+1) // one byte over the default MaxBodyBytes
+	for _, ep := range endpoints {
+		path, body := ep.path, ep.body
+		cases := []struct {
+			name, method, body string
+			status             int
+		}{
+			{"trailing content", http.MethodPost, body + `{"x":1}`, http.StatusBadRequest},
+			{"unknown field", http.MethodPost, `{"nope":1}`, http.StatusBadRequest},
+			{"empty body", http.MethodPost, "", http.StatusBadRequest},
+			{"body too large", http.MethodPost, tooBig, http.StatusRequestEntityTooLarge},
+			{"wrong method", http.MethodGet, "", http.StatusMethodNotAllowed},
+		}
+		for _, tc := range cases {
+			t.Run(strings.TrimPrefix(path, "/v1/")+"/"+tc.name, func(t *testing.T) {
+				wantStatus, wantHdr, want := send(t, tc.method, single.URL+path, tc.body)
+				gotStatus, gotHdr, got := send(t, tc.method, rc.gwURL+path, tc.body)
+				if wantStatus != tc.status {
+					t.Fatalf("single node answered %d, want %d: %s", wantStatus, tc.status, want)
+				}
+				if gotStatus != wantStatus || !bytes.Equal(got, want) {
+					t.Fatalf("gateway answered %d %s, single node %d %s", gotStatus, got, wantStatus, want)
+				}
+				if g, w := gotHdr.Get("Allow"), wantHdr.Get("Allow"); g != w {
+					t.Fatalf("gateway Allow = %q, single node Allow = %q", g, w)
+				}
+			})
+		}
+	}
+}
+
+// TestEveryRouteSetsAllowOn405 sends the wrong method to every route either
+// tier registers: a route that serves fixed methods answers 405 naming them
+// in Allow (RFC 9110 §15.5.6), and a route that serves any method never
+// answers 405.
+func TestEveryRouteSetsAllowOn405(t *testing.T) {
+	shardSrv := httptest.NewServer(serve.NewServer(serve.Options{JobsDir: t.TempDir()}).Handler())
+	defer shardSrv.Close()
+	g, err := NewGateway(Options{Shards: []string{shardSrv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwSrv := httptest.NewServer(g.Handler())
+	defer gwSrv.Close()
+
+	// path, wrong method, Allow ("" = the route serves every method).
+	type route struct{ path, method, allow string }
+	common := []route{
+		{"/healthz", http.MethodPost, ""},
+		{"/readyz", http.MethodPost, ""},
+		{"/metrics", http.MethodPost, ""},
+		{"/v1/version", http.MethodPost, "GET"},
+		{"/v1/benchmarks", http.MethodPost, "GET"},
+		{"/v1/stats", http.MethodPost, "GET"},
+		{"/debug/trace", http.MethodPost, "GET"},
+		{"/v1/simulate", http.MethodGet, "POST"},
+		{"/v1/sweep", http.MethodGet, "POST"},
+		{"/v1/arena", http.MethodGet, "POST"},
+		{"/v1/jobs", http.MethodPost, "GET"},
+		{"/v1/jobs/0123abcd", http.MethodPost, "GET, DELETE"},
+	}
+	tiers := []struct {
+		name   string
+		url    string
+		routes []route
+	}{
+		{"shard", shardSrv.URL, common},
+		{"gateway", gwSrv.URL, append(common[:len(common):len(common)],
+			route{"/v1/ring", http.MethodPost, "GET"},
+			route{"/v1/cluster/trace/0123456789abcdef0123456789abcdef", http.MethodPost, "GET"},
+			route{"/v1/cluster/metrics", http.MethodPost, "GET"},
+			route{"/v1/cluster/health", http.MethodPost, "GET"},
+		)},
+	}
+	for _, tier := range tiers {
+		for _, rt := range tier.routes {
+			t.Run(tier.name+rt.path, func(t *testing.T) {
+				status, hdr, body := send(t, rt.method, tier.url+rt.path, "")
+				if rt.allow == "" {
+					if status == http.StatusMethodNotAllowed {
+						t.Fatalf("%s %s answered 405: %s", rt.method, rt.path, body)
+					}
+					return
+				}
+				if status != http.StatusMethodNotAllowed {
+					t.Fatalf("%s %s answered %d, want 405: %s", rt.method, rt.path, status, body)
+				}
+				if got := hdr.Get("Allow"); got != rt.allow {
+					t.Fatalf("%s %s: Allow = %q, want %q", rt.method, rt.path, got, rt.allow)
+				}
+			})
+		}
 	}
 }

@@ -35,40 +35,23 @@ func (g *Gateway) routeJobSubmit(w http.ResponseWriter, r *http.Request, kind st
 	if kind == serve.JobKindArena {
 		path = "/v1/arena?async=1"
 	}
-	ctx, cancel := g.requestContext(r, 0)
-	defer cancel()
 	g.jobSubmits.Inc()
-	data, status, sh, err := g.jobAttempts(ctx, id, "gw.job.submit",
-		func(actx context.Context, sh *shard) ([]byte, int, error) {
-			return sh.client.SubmitJobRaw(actx, path, body)
-		})
-	if err != nil {
-		g.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(serve.ShardHeader, sh.name)
-	w.WriteHeader(status)
-	w.Write(data) //nolint:errcheck // client gone is its own problem
+	g.proxyJob(w, r, id, "gw.job.submit", func(actx context.Context, sh *shard) ([]byte, int, error) {
+		return sh.client.SubmitJobRaw(actx, path, body)
+	})
 }
 
-// handleJobs serves GET /v1/jobs at the gateway: the calling tenant's jobs
+// listJobs answers GET /v1/jobs at the gateway: the calling tenant's jobs
 // across every shard, merged oldest-first — the same ordering one shard's
 // own listing uses, extended cluster-wide.
-func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	ctx, cancel := g.requestContext(r, 0)
+func (g *Gateway) listJobs(r *http.Request) (any, error) {
+	ctx, cancel := g.shell.RequestContext(r, 0)
 	defer cancel()
 	jobs, err := g.fanOutJobList(ctx)
 	if err != nil {
-		g.writeError(w, err)
-		return
+		return nil, err
 	}
-	g.writeJSON(w, serve.JobsResponse{Jobs: jobs})
+	return serve.JobsResponse{Jobs: jobs}, nil
 }
 
 // fanOutJobList collects every shard's tenant-scoped job listing. Any shard
@@ -127,8 +110,7 @@ func (g *Gateway) fanOutJobList(ctx context.Context) ([]serve.JobRecord, error) 
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
 	if id == "" {
-		g.writeError(w, &gwError{status: http.StatusNotFound,
-			code: "job_not_found", msg: "no such job"})
+		g.shell.WriteError(w, serve.ErrJobNotFound)
 		return
 	}
 	var call func(context.Context, *shard) ([]byte, int, error)
@@ -149,16 +131,21 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 			return data, http.StatusOK, err
 		}
 	default:
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET or DELETE"})
+		g.shell.WriteError(w, serve.MethodNotAllowed(http.MethodGet, http.MethodDelete))
 		return
 	}
-	ctx, cancel := g.requestContext(r, 0)
-	defer cancel()
 	g.jobProxied.Inc()
-	data, status, sh, err := g.jobAttempts(ctx, id, "gw.job.proxy", call)
+	g.proxyJob(w, r, id, "gw.job.proxy", call)
+}
+
+// proxyJob runs one job operation through jobAttempts under the request's
+// deadline and relays the holding shard's answer verbatim.
+func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, key, op string, call func(context.Context, *shard) ([]byte, int, error)) {
+	ctx, cancel := g.shell.RequestContext(r, 0)
+	defer cancel()
+	data, status, sh, err := g.jobAttempts(ctx, key, op, call)
 	if err != nil {
-		g.writeError(w, err)
+		g.shell.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tcor/internal/resilience"
+	"tcor/internal/serve"
 	"tcor/internal/stats"
 )
 
@@ -211,8 +212,7 @@ func (g *Gateway) scrapeShards(ctx context.Context) []shardScrape {
 
 func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
+		g.shell.WriteError(w, serve.MethodNotAllowed(http.MethodGet))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), MetricsScrapeTimeout)
@@ -330,12 +330,7 @@ type ShardHealth struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-func (g *Gateway) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
+func (g *Gateway) clusterHealth(r *http.Request) (any, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), MetricsScrapeTimeout)
 	defer cancel()
 
@@ -381,5 +376,5 @@ func (g *Gateway) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 	default:
 		health.Status = "down"
 	}
-	g.writeJSON(w, health)
+	return health, nil
 }

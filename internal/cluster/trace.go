@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tcor/internal/resilience"
+	"tcor/internal/serve"
 	"tcor/internal/stats"
 )
 
@@ -69,14 +70,13 @@ type processSet struct {
 
 func (g *Gateway) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
+		g.shell.WriteError(w, serve.MethodNotAllowed(http.MethodGet))
 		return
 	}
 	raw := strings.TrimPrefix(r.URL.Path, "/v1/cluster/trace/")
 	id, err := stats.ParseTraceID(raw)
 	if err != nil {
-		g.writeError(w, badRequest("trace ID: %v", err))
+		g.shell.WriteError(w, serve.BadRequest("trace ID: %v", err))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), TraceCollectTimeout)
@@ -86,7 +86,7 @@ func (g *Gateway) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		w.Header().Set("Warning", `199 tcord "partial trace: some shards unreachable"`)
 	}
-	g.writeJSON(w, doc)
+	g.shell.WriteJSON(w, doc)
 }
 
 // stitchTrace collects every process's span set for id and merges them.

@@ -17,9 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"time"
 
 	"tcor/internal/gpu"
 	"tcor/internal/stats"
@@ -115,10 +113,9 @@ const CacheOnlyHeader = "X-Tcord-Cache-Only"
 // byte-identical no matter which shard answers).
 const ShardHeader = "X-Tcord-Shard"
 
-// Benchmarks returns the GET /v1/benchmarks rows for the built-in Table II
-// suite, in paper order. The server handler and the cluster gateway share
-// it so both serve byte-identical listings.
-func Benchmarks() []BenchmarkInfo {
+// benchmarkRows returns the GET /v1/benchmarks rows for the built-in Table
+// II suite, in paper order. The shell serves them on every tier.
+func benchmarkRows() []BenchmarkInfo {
 	suite := workload.Suite()
 	out := make([]BenchmarkInfo, len(suite))
 	for i, spec := range suite {
@@ -142,40 +139,25 @@ type ErrorDetail struct {
 	Message string `json:"message"`
 }
 
-// apiError is an error with an HTTP mapping. Handlers return it from the
-// resolve/run path; writeError renders anything else as a 500.
-type apiError struct {
-	status int
-	code   string
-	msg    string
-	// retryAfter, when positive, becomes the response's Retry-After header
-	// (rounded up to whole seconds). 429s without one get the server's
-	// load-derived estimate.
-	retryAfter time.Duration
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: "invalid_request",
-		msg: fmt.Sprintf(format, args...)}
-}
-
 // errQueueFull is returned by admission when the wait queue is saturated;
 // the handler maps it to 429 + Retry-After.
-var errQueueFull = &apiError{status: http.StatusTooManyRequests,
-	code: "queue_full", msg: "simulation queue is full; retry later"}
+var errQueueFull = &APIError{Status: http.StatusTooManyRequests,
+	Code: "queue_full", Message: "simulation queue is full; retry later"}
 
 // errDraining is returned while the server is shutting down.
-var errDraining = &apiError{status: http.StatusServiceUnavailable,
-	code: "draining", msg: "server is draining; not accepting new simulations"}
+var errDraining = &APIError{Status: http.StatusServiceUnavailable,
+	Code: "draining", Message: "server is draining; not accepting new simulations"}
+
+// ErrCacheMiss answers a CacheOnlyHeader probe the cache cannot serve.
+var ErrCacheMiss = &APIError{Status: http.StatusNotFound,
+	Code: "cache_miss", Message: "result not cached"}
 
 // errUnknownTenant is returned when a request presents a credential the
 // tenant roster does not know. Unknown keys never fall back to the
 // anonymous tenant: a typo'd key silently sharing the default quota is a
 // noisy-neighbor incident waiting to be misdiagnosed.
-var errUnknownTenant = &apiError{status: http.StatusUnauthorized,
-	code: "unknown_tenant", msg: "unknown tenant credential"}
+var errUnknownTenant = &APIError{Status: http.StatusUnauthorized,
+	Code: "unknown_tenant", Message: "unknown tenant credential"}
 
 // job is a fully resolved, validated simulation: the canonical form every
 // API request reduces to before touching the cache or the worker pool.
@@ -217,34 +199,34 @@ func resolveRequest(req SimulateRequest, maxFrames int) (job, error) {
 	var j job
 	switch {
 	case req.Benchmark != "" && len(req.Spec) > 0:
-		return j, badRequest("benchmark and spec are mutually exclusive")
+		return j, BadRequest("benchmark and spec are mutually exclusive")
 	case req.Benchmark != "":
 		spec, err := workload.ByAlias(req.Benchmark)
 		if err != nil {
-			return j, badRequest("%v", err)
+			return j, BadRequest("%v", err)
 		}
 		j.spec = spec
 	case len(req.Spec) > 0:
 		spec, err := workload.ParseSpec(req.Spec)
 		if err != nil {
-			return j, badRequest("%v", err)
+			return j, BadRequest("%v", err)
 		}
 		j.spec = spec
 	default:
-		return j, badRequest("one of benchmark or spec is required")
+		return j, BadRequest("one of benchmark or spec is required")
 	}
 
 	if req.Frames < 0 {
-		return j, badRequest("frames must be non-negative, got %d", req.Frames)
+		return j, BadRequest("frames must be non-negative, got %d", req.Frames)
 	}
 	if req.Frames > 0 {
 		j.spec.Frames = req.Frames
 	}
 	if maxFrames > 0 && j.spec.Frames > maxFrames {
-		return j, badRequest("frames %d exceeds the server limit %d", j.spec.Frames, maxFrames)
+		return j, BadRequest("frames %d exceeds the server limit %d", j.spec.Frames, maxFrames)
 	}
 	if req.TimeoutMs < 0 {
-		return j, badRequest("timeoutMs must be non-negative, got %d", req.TimeoutMs)
+		return j, BadRequest("timeoutMs must be non-negative, got %d", req.TimeoutMs)
 	}
 
 	sizeKB := req.TileCacheKB
@@ -252,7 +234,7 @@ func resolveRequest(req SimulateRequest, maxFrames int) (job, error) {
 		sizeKB = 64
 	}
 	if sizeKB < 0 {
-		return j, badRequest("tileCacheKB must be positive, got %d", req.TileCacheKB)
+		return j, BadRequest("tileCacheKB must be positive, got %d", req.TileCacheKB)
 	}
 	name := req.Config
 	if name == "" {
@@ -266,11 +248,11 @@ func resolveRequest(req SimulateRequest, maxFrames int) (job, error) {
 	case ConfigTCORNoL2:
 		j.cfg = gpu.TCORNoL2(sizeKB * 1024)
 	default:
-		return j, badRequest("unknown config %q (baseline, tcor, tcor-nol2)", name)
+		return j, BadRequest("unknown config %q (baseline, tcor, tcor-nol2)", name)
 	}
 	j.cfgName = name
 	if err := j.cfg.Validate(); err != nil {
-		return j, badRequest("%v", err)
+		return j, BadRequest("%v", err)
 	}
 	j.check = req.Check
 	j.key = contentKey(j.spec, j.cfgName, j.cfg)
@@ -325,10 +307,10 @@ func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return badRequest("decoding request: %v", err)
+		return BadRequest("decoding request: %v", err)
 	}
 	if dec.More() {
-		return badRequest("request body has trailing content")
+		return BadRequest("request body has trailing content")
 	}
 	return nil
 }

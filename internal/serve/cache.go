@@ -270,8 +270,8 @@ func (c *resultCache) get(ctx context.Context, key string, allowStale func() boo
 
 // errComputePanicked is what coalesced waiters observe when the leader's
 // simulation panicked out from under them.
-var errComputePanicked = &apiError{status: 500, code: "internal_panic",
-	msg: "simulation panicked"}
+var errComputePanicked = &APIError{Status: 500, Code: "internal_panic",
+	Message: "simulation panicked"}
 
 // complete publishes the leader's outcome: successes enter the LRU (evicting
 // the least recently used completed entries beyond capacity), failures are

@@ -46,11 +46,11 @@ type jobManager struct {
 	cellsSim   *stats.Counter // cell simulations started (outcome not yet known)
 }
 
-// jobNotFound answers lookups of unknown jobs and of other tenants' jobs
+// ErrJobNotFound answers lookups of unknown jobs and of other tenants' jobs
 // identically: a job ID must not leak across tenants even as an existence
 // bit.
-var jobNotFound = &apiError{status: http.StatusNotFound, code: "job_not_found",
-	msg: "no such job"}
+var ErrJobNotFound = &APIError{Status: http.StatusNotFound, Code: "job_not_found",
+	Message: "no such job"}
 
 // newJobManager builds the manager and loads the store; resumeLoaded (called
 // once the server's compute paths are wired) re-enqueues incomplete jobs.
@@ -160,7 +160,7 @@ func (m *jobManager) submit(kind, tenantKey string, t *TenantSpec, body []byte) 
 		if e.rec.Tenant != t.Name {
 			// Unreachable while IDs hash the credential; keep the tenant wall
 			// anyway in case a future ID scheme loosens that.
-			return JobRecord{}, false, jobNotFound
+			return JobRecord{}, false, ErrJobNotFound
 		}
 		return e.rec, false, nil
 	}
@@ -212,7 +212,7 @@ func (m *jobManager) countCells(kind string, body []byte) (int, error) {
 		}
 		return len(opts.Policies) * len(opts.Benchmarks) * (1 + len(opts.CurveSizesKB)), nil
 	}
-	return 0, badRequest("unknown job kind %q", kind)
+	return 0, BadRequest("unknown job kind %q", kind)
 }
 
 // start hands the entry to the executor pool.
@@ -347,7 +347,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 	for i, item := range req.Items {
 		j, err := m.s.resolve(item)
 		if err != nil {
-			return nil, badRequest("item %d: %v", i, err)
+			return nil, BadRequest("item %d: %v", i, err)
 		}
 		jobs[i] = j
 	}
@@ -463,11 +463,11 @@ func (m *jobManager) cancelJob(id, tenantName string) error {
 	defer m.mu.Unlock()
 	e, ok := m.jobs[id]
 	if !ok || e.rec.Tenant != tenantName {
-		return jobNotFound
+		return ErrJobNotFound
 	}
 	if e.rec.State.terminal() {
-		return &apiError{status: http.StatusConflict, code: "job_terminal",
-			msg: fmt.Sprintf("job is already %s", e.rec.State)}
+		return &APIError{Status: http.StatusConflict, Code: "job_terminal",
+			Message: fmt.Sprintf("job is already %s", e.rec.State)}
 	}
 	e.userCancel = true
 	if e.cancel != nil {
@@ -496,46 +496,45 @@ func (m *jobManager) result(id, tenantName string) ([]byte, error) {
 	}
 	m.mu.Unlock()
 	if !ok {
-		return nil, jobNotFound
+		return nil, ErrJobNotFound
 	}
 	switch state {
 	case JobDone:
 	case JobFailed:
-		return nil, &apiError{status: http.StatusConflict, code: "job_failed", msg: jobErr}
+		return nil, &APIError{Status: http.StatusConflict, Code: "job_failed", Message: jobErr}
 	default:
-		return nil, &apiError{status: http.StatusConflict, code: "job_not_done",
-			msg: fmt.Sprintf("job is %s", state)}
+		return nil, &APIError{Status: http.StatusConflict, Code: "job_not_done",
+			Message: fmt.Sprintf("job is %s", state)}
 	}
 	return os.ReadFile(e.resultPath())
 }
 
 // --- HTTP surface ---
 
-// jobsReady gates the job endpoints on a live store, answering the
-// appropriate error itself when there is none.
-func (s *Server) jobsReady(w http.ResponseWriter) bool {
+// jobsUnavailable is the error the job endpoints answer without a live
+// store, nil with one.
+func (s *Server) jobsUnavailable() error {
 	if s.jobsErr != nil {
-		s.writeError(w, &apiError{status: http.StatusServiceUnavailable,
-			code: "jobs_unavailable", msg: s.jobsErr.Error()})
-		return false
+		return &APIError{Status: http.StatusServiceUnavailable,
+			Code: "jobs_unavailable", Message: s.jobsErr.Error()}
 	}
 	if s.jobs == nil {
-		s.writeError(w, badRequest("async jobs need the daemon started with a jobs directory (-jobs-dir)"))
-		return false
+		return BadRequest("async jobs need the daemon started with a jobs directory (-jobs-dir)")
 	}
-	return true
+	return nil
 }
 
 // submitJob answers an ?async=1 submission: 202 with the new job record, or
 // 200 with the existing one when the identical submission already landed.
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, body []byte) {
-	if !s.jobsReady(w) {
+	if err := s.jobsUnavailable(); err != nil {
+		s.shell.WriteError(w, err)
 		return
 	}
 	t := s.tenantFrom(r.Context())
 	rec, created, err := s.jobs.submit(kind, TenantKeyFromRequest(r), t, body)
 	if err != nil {
-		s.writeError(w, err)
+		s.shell.WriteError(w, err)
 		return
 	}
 	status := http.StatusOK
@@ -547,17 +546,12 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, 
 	json.NewEncoder(w).Encode(JobResponse{Job: rec}) //nolint:errcheck // client gone is its own problem
 }
 
-// handleJobs serves GET /v1/jobs: the calling tenant's jobs.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, methodNotAllowed(http.MethodGet))
-		return
+// listJobs answers GET /v1/jobs: the calling tenant's jobs.
+func (s *Server) listJobs(r *http.Request) (any, error) {
+	if err := s.jobsUnavailable(); err != nil {
+		return nil, err
 	}
-	if !s.jobsReady(w) {
-		return
-	}
-	t := s.tenantFrom(r.Context())
-	s.writeJSON(w, JobsResponse{Jobs: s.jobs.list(t.Name)})
+	return JobsResponse{Jobs: s.jobs.list(s.tenantFrom(r.Context()).Name)}, nil
 }
 
 // handleJob serves GET /v1/jobs/{id}, GET /v1/jobs/{id}/result and
@@ -566,10 +560,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
 	if id == "" {
-		s.writeError(w, jobNotFound)
+		s.shell.WriteError(w, ErrJobNotFound)
 		return
 	}
-	if !s.jobsReady(w) {
+	if err := s.jobsUnavailable(); err != nil {
+		s.shell.WriteError(w, err)
 		return
 	}
 	t := s.tenantFrom(r.Context())
@@ -577,26 +572,26 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	case sub == "" && r.Method == http.MethodGet:
 		rec, ok := s.jobs.get(id, t.Name)
 		if !ok {
-			s.writeError(w, jobNotFound)
+			s.shell.WriteError(w, ErrJobNotFound)
 			return
 		}
-		s.writeJSON(w, JobResponse{Job: rec})
+		s.shell.WriteJSON(w, JobResponse{Job: rec})
 	case sub == "" && r.Method == http.MethodDelete:
 		if err := s.jobs.cancelJob(id, t.Name); err != nil {
-			s.writeError(w, err)
+			s.shell.WriteError(w, err)
 			return
 		}
 		rec, _ := s.jobs.get(id, t.Name)
-		s.writeJSON(w, JobResponse{Job: rec})
+		s.shell.WriteJSON(w, JobResponse{Job: rec})
 	case sub == "result" && r.Method == http.MethodGet:
 		body, err := s.jobs.result(id, t.Name)
 		if err != nil {
-			s.writeError(w, err)
+			s.shell.WriteError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body) //nolint:errcheck // client gone is its own problem
 	default:
-		s.writeError(w, methodNotAllowed("GET or DELETE"))
+		s.shell.WriteError(w, MethodNotAllowed(http.MethodGet, http.MethodDelete))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -40,37 +39,6 @@ func (s *syncBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
-}
-
-func TestRequestIDMintedAndEchoed(t *testing.T) {
-	s := NewServer(Options{})
-	h := s.Handler()
-
-	// No inbound ID: the server mints a 16-hex-char one.
-	rec := getPath(h, "/healthz")
-	minted := rec.Header().Get(RequestIDHeader)
-	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(minted) {
-		t.Errorf("minted ID %q is not 16 hex chars", minted)
-	}
-
-	// A client-supplied ID is honored and echoed verbatim.
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	req.Header.Set(RequestIDHeader, "my-correlation-id")
-	rec2 := httptest.NewRecorder()
-	h.ServeHTTP(rec2, req)
-	if got := rec2.Header().Get(RequestIDHeader); got != "my-correlation-id" {
-		t.Errorf("echoed ID = %q, want the inbound one", got)
-	}
-
-	// An oversized ID is replaced, not reflected.
-	req3 := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	long := strings.Repeat("x", maxRequestIDLen+1)
-	req3.Header.Set(RequestIDHeader, long)
-	rec3 := httptest.NewRecorder()
-	h.ServeHTTP(rec3, req3)
-	if got := rec3.Header().Get(RequestIDHeader); got == long || got == "" {
-		t.Errorf("oversized inbound ID must be replaced with a minted one, got %q", got)
-	}
 }
 
 func TestAccessLogCarriesTelemetry(t *testing.T) {
