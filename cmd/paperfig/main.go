@@ -10,7 +10,7 @@
 //	paperfig -all -parallel 8   # same, bounded to 8 concurrent simulations
 //	paperfig -frames 2 -benchmarks CCS,SoD -fig 20
 //	paperfig -all -timeout 10m  # abort if the full pass exceeds 10 minutes
-//	paperfig -all -http :0      # expvar + pprof while the sweep runs
+//	paperfig -all -http :0      # live /metrics + pprof while the sweep runs
 //	paperfig -fig 14 -stats m.json  # dump the runner's memo metrics
 //	paperfig -all -checkpoint runs.ckpt  # journal runs; resume after a crash
 //	paperfig -arena                     # race every replacement policy vs OPT
@@ -26,8 +26,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -140,7 +140,7 @@ func main() {
 	report := flag.String("report", "", "write a full markdown results report to this file")
 	statsPath := flag.String("stats", "", "write the runner's memoization/sweep metrics as JSON to this file")
 	tracePath := flag.String("trace", "", "write the sweep schedule as Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
-	httpAddr := flag.String("http", "", "serve expvar and pprof on this address while running (e.g. :0)")
+	httpAddr := flag.String("http", "", "serve live /metrics and pprof on this address while running (e.g. :0)")
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this file and resume from it after a crash")
 	version := flag.Bool("version", false, "print the build identity and exit")
 	flag.Parse()
@@ -251,15 +251,14 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		// The metrics registry is live: publishing before the work starts
-		// lets /debug/vars show memo hits/misses accumulate mid-sweep.
-		stats.PublishExpvar("paperfig", r.Metrics())
-		addr, stop, err := stats.ServeDebug(*httpAddr)
+		// The metrics registry is live: serving it before the work starts
+		// lets /metrics show memo hits/misses accumulate mid-sweep.
+		addr, stop, err := stats.ServeDebug(*httpAddr, "paperfig", r.Metrics())
 		if err != nil {
 			fail(err)
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "paperfig: debug server on http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "paperfig: debug server on http://%s/metrics\n", addr)
 	}
 
 	plotFigures = *plot
@@ -428,11 +427,11 @@ func runArena(r *experiments.Runner, o execOpts) error {
 // writeStats dumps the runner's live metrics registry (memo hits/misses per
 // table) as JSON.
 func writeStats(r *experiments.Runner, path string) error {
-	blob, err := json.MarshalIndent(r.Metrics().Snapshot(), "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := r.Metrics().Snapshot().WriteJSON(&buf); err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
 	fmt.Println("wrote stats to", path)

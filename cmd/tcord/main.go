@@ -7,7 +7,7 @@
 //
 //	tcord                                  # serve on :8344
 //	tcord -addr 127.0.0.1:9000 -workers 4 -queue 16
-//	tcord -debug :8345                     # expvar + pprof alongside the API
+//	tcord -debug :8345                     # /metrics + pprof on a side listener
 //	tcord -chaos "rate=0.1,lat=50ms,codes=500|503,seed=7"  # fault injection
 //	tcord -shards host:8344,host:8345      # gateway over shard daemons
 //	tcord -tenants tenants.json            # multi-tenant QoS roster
@@ -113,7 +113,7 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs := flag.NewFlagSet("tcord", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	fs.StringVar(&o.addr, "addr", ":8344", "API listen address (host:port; :0 picks a free port)")
-	fs.StringVar(&o.debugAddr, "debug", "", "serve expvar and pprof on this address (e.g. :8345; empty = off)")
+	fs.StringVar(&o.debugAddr, "debug", "", "serve /metrics and pprof on this address (e.g. :8345; empty = off)")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	fs.IntVar(&o.queue, "queue", 64, "max requests waiting for a worker before 429s (0 = reject when all workers busy)")
 	fs.IntVar(&o.cache, "cache", 256, "result cache capacity in entries, LRU-evicted (0 = unbounded)")
@@ -301,13 +301,12 @@ func runGateway(o options) error {
 		return err
 	}
 	if o.debugAddr != "" {
-		stats.PublishExpvar("tcord", gw.Registry())
-		addr, stop, err := stats.ServeDebug(o.debugAddr)
+		addr, stop, err := stats.ServeDebug(o.debugAddr, "tcord", gw.Registry())
 		if err != nil {
 			return err
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "tcord: debug server on http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "tcord: debug server on http://%s/metrics\n", addr)
 	}
 	addr, err := gw.Start(o.addr)
 	if err != nil {
@@ -348,14 +347,12 @@ func run(o options) error {
 	}
 
 	if o.debugAddr != "" {
-		stats.PublishExpvar("tcord", srv.Registry())
-		stats.PublishTrace("tcord", srv.Tracer())
-		addr, stop, err := stats.ServeDebug(o.debugAddr)
+		addr, stop, err := stats.ServeDebug(o.debugAddr, "tcord", srv.Registry())
 		if err != nil {
 			return err
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "tcord: debug server on http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "tcord: debug server on http://%s/metrics\n", addr)
 	}
 
 	addr, err := srv.Start(o.addr)

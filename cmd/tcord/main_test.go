@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,5 +190,45 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatalf("serving-layer invariants at shutdown: %v", err)
+	}
+}
+
+// TestReadmeExamplesParse keeps the README's `go run ./cmd/tcord` lines
+// runnable: each one's flags must parse. A `tenants.json` argument is the
+// roster the README prints with `$ cat tenants.json`, so that loads too.
+func TestReadmeExamplesParse(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, roster, _ := strings.Cut(string(data), "$ cat tenants.json\n")
+	roster, _, _ = strings.Cut(roster, "\n$ ")
+	tenants := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(tenants, []byte(roster), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(string(data), "\n") {
+		_, rest, ok := strings.Cut(line, "go run ./cmd/tcord ")
+		if !ok {
+			continue
+		}
+		rest, _, _ = strings.Cut(rest, "#")
+		lines = append(lines, strings.TrimSuffix(strings.TrimSpace(rest), "&"))
+	}
+	if len(lines) == 0 {
+		t.Fatal("README has no `go run ./cmd/tcord` lines")
+	}
+	for _, line := range lines {
+		args := strings.Fields(line)
+		for i, a := range args {
+			args[i] = strings.Trim(a, `"'`)
+			if args[i] == "tenants.json" {
+				args[i] = tenants
+			}
+		}
+		if _, err := parseOptions(args, io.Discard); err != nil {
+			t.Errorf("README: tcord %s: %v", line, err)
+		}
 	}
 }

@@ -13,7 +13,6 @@
 //	tcorsim -benchmark CCS -check          # verify cross-level invariants
 //	tcorsim -benchmark CCS -evtrace 32 -stats out.json  # last 32 L2 evictions
 //	tcorsim -benchmark CCS -trace out.json # span trace for chrome://tracing
-//	tcorsim -benchmark GoW -http :0        # expvar + pprof while running
 //	tcorsim -benchmark SoD -compare -chaos "rate=0.5,lat=100ms"  # fault drill
 //	tcorsim -benchmark CCS -policy ARC     # race one policy vs LRU and OPT
 //
@@ -77,16 +76,6 @@ func main() {
 		defer cancel()
 	}
 
-	if opts.httpAddr != "" {
-		addr, stop, err := stats.ServeDebug(opts.httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcorsim:", err)
-			os.Exit(1)
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "tcorsim: debug server on http://%s/debug/vars\n", addr)
-	}
-
 	if err := run(ctx, os.Stdout, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "tcorsim:", err)
 		os.Exit(1)
@@ -109,7 +98,6 @@ type options struct {
 	tracePath string
 	check     bool
 	evtrace   int
-	httpAddr  string
 	chaos     string
 	chaosPlan resilience.FaultPlan
 	chaosSeed int64
@@ -143,7 +131,6 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON span trace (chrome://tracing, Perfetto) to this file")
 	fs.BoolVar(&o.check, "check", false, "verify the cross-level stats invariants after each run (violations fail the command)")
 	fs.IntVar(&o.evtrace, "evtrace", 0, "record the last N L2 evictions into the -stats dump (0 = off)")
-	fs.StringVar(&o.httpAddr, "http", "", "serve expvar and pprof on this address while running (e.g. :0)")
 	fs.StringVar(&o.chaos, "chaos", "", `inject faults into -compare sweep jobs, e.g. "rate=0.5,lat=100ms,seed=3" (empty = off)`)
 	fs.BoolVar(&o.version, "version", false, "print the build identity and exit")
 	if err := fs.Parse(args); err != nil {
@@ -313,9 +300,6 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		// Sweep jobs (under -compare) pick the tracer up from the context
 		// and wrap each configuration in a sweep.job span.
 		ctx = stats.ContextWithTracer(ctx, tracer)
-		if o.httpAddr != "" {
-			stats.PublishTrace("tcorsim", tracer)
-		}
 	}
 
 	if o.chaos != "" {
@@ -422,7 +406,7 @@ func simulate(w io.Writer, scene *workload.Scene, config string, o options, col 
 			return fmt.Errorf("%s: invariant check failed:\n%w", config, err)
 		}
 	}
-	if o.statsPath != "" || o.httpAddr != "" {
+	if o.statsPath != "" {
 		sr := statsRun{
 			Benchmark: res.Benchmark, Config: config, TileCacheKB: o.sizeKB,
 			Counters: reg.Snapshot(),
@@ -431,13 +415,6 @@ func simulate(w io.Writer, scene *workload.Scene, config string, o options, col 
 			sr.L2Trace = res.L2Trace.Events()
 		}
 		col.add(sr)
-		if o.httpAddr != "" {
-			stats.PublishExpvar("tcorsim."+res.Benchmark+"."+config, reg)
-			if res.L2Trace != nil {
-				// Surfaces the eviction ring at GET /debug/events.
-				stats.PublishEvents("tcorsim."+res.Benchmark+"."+config, res.L2Trace)
-			}
-		}
 	}
 	if o.jsonOut {
 		pbL2, pbMem := res.L2In.PB(), res.DRAMIn.PB()

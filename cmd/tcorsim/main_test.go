@@ -247,3 +247,37 @@ func TestRunCompareStatsDeterministic(t *testing.T) {
 			len(doc.Runs[0].Counters), len(doc.Runs[1].Counters))
 	}
 }
+
+// TestReadmeExamplesParse keeps the README's `go run ./cmd/tcorsim` lines
+// runnable: each one's flags must parse and its -benchmark must resolve.
+func TestReadmeExamplesParse(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(string(data), "\n") {
+		_, rest, ok := strings.Cut(line, "go run ./cmd/tcorsim ")
+		if !ok {
+			continue
+		}
+		rest, _, _ = strings.Cut(rest, "#")
+		lines = append(lines, strings.TrimSuffix(strings.TrimSpace(rest), "&"))
+	}
+	if len(lines) == 0 {
+		t.Fatal("README has no `go run ./cmd/tcorsim` lines")
+	}
+	for _, line := range lines {
+		args := strings.Fields(line)
+		for i, a := range args {
+			args[i] = strings.Trim(a, `"'`)
+		}
+		o, err := parseOptions(args, io.Discard)
+		if err == nil {
+			_, err = workload.ByAlias(o.benchmark)
+		}
+		if err != nil {
+			t.Errorf("README: tcorsim %s: %v", line, err)
+		}
+	}
+}

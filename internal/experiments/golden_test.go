@@ -1,44 +1,52 @@
 package experiments
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"strings"
+	"testing"
+	"time"
+)
 
-// TestGoldenSuiteBands locks the full-suite headline numbers into tolerance
-// bands around the committed RESULTS.md values, so a change that silently
-// breaks the calibration (workload statistics, cache mechanics, the energy
-// model) fails loudly rather than drifting. Runs the whole ten-benchmark
-// suite at one frame; skipped under -short.
-func TestGoldenSuiteBands(t *testing.T) {
+// TestGoldenReportMatchesResults regenerates the results report the way
+// `paperfig -report` does (Prewarm, then WriteReport) and requires it to
+// match the committed RESULTS.md byte for byte, bar the Generated line. Any
+// drift in the calibration (workload statistics, cache mechanics, the
+// energy model) fails here and arrives as a reviewed RESULTS.md diff.
+// Runs the whole ten-benchmark suite; skipped under -short.
+func TestGoldenReportMatchesResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite golden check skipped in -short mode")
 	}
-	r := NewRunner()
-	r.Frames = 1
-	if err := r.Prewarm(4); err != nil {
-		t.Fatal(err)
-	}
-
-	h, err := r.Headline()
+	want, err := os.ReadFile("../../RESULTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	band := func(name string, got, lo, hi float64) {
-		if got < lo || got > hi {
-			t.Errorf("%s = %.3f outside the golden band [%.3f, %.3f] (paper-matching calibration broken?)",
-				name, got, lo, hi)
-		}
+	r := NewRunner()
+	if err := r.Prewarm(0); err != nil {
+		t.Fatal(err)
 	}
-	// Paper: 13.8% / 5.5% / 3.7% / ~5x. Bands are generous enough for
-	// workload tweaks but catch mechanism regressions.
-	band("memory hierarchy energy decrease", h.MemHierarchyDecrease, 0.08, 0.20)
-	band("total GPU energy decrease", h.GPUEnergyDecrease, 0.03, 0.09)
-	band("FPS increase", h.FPSIncrease, 0.01, 0.12)
-	band("tiling engine speedup", h.TilingSpeedup, 2.5, 7.0)
+	var got bytes.Buffer
+	if err := r.WriteReport(&got, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := withoutGenerated(got.String()), withoutGenerated(string(want)); g != w {
+		gl, wl := strings.Split(g, "\n"), strings.Split(w, "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("report drifts from RESULTS.md at line %d (Generated line removed):\n got: %s\nwant: %s\n(regenerate with `paperfig -report RESULTS.md` if the change is intended)",
+					i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("report has %d lines, RESULTS.md %d (Generated line removed)", len(gl), len(wl))
+	}
 
+	// RESULTS.md carries only the Fig. 16 average; the per-benchmark count
+	// of full PB->memory elimination is pinned here (paper: 7 of 10).
 	f16, err := r.Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}
-	band("PB->memory elimination (Fig. 16)", f16.Average, 0.85, 1.0)
 	fullElim := 0
 	for _, row := range f16.Rows {
 		if row.TCORReads+row.TCORWrites == 0 {
@@ -48,10 +56,17 @@ func TestGoldenSuiteBands(t *testing.T) {
 	if fullElim < 6 {
 		t.Errorf("only %d/10 benchmarks fully eliminate PB memory traffic (paper: 7)", fullElim)
 	}
+}
 
-	f14, err := r.Fig14()
-	if err != nil {
-		t.Fatal(err)
+// withoutGenerated drops the report's "Generated <time> ..." line, the only
+// line that differs between two runs.
+func withoutGenerated(report string) string {
+	lines := strings.Split(report, "\n")
+	kept := lines[:0]
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "Generated ") {
+			kept = append(kept, l)
+		}
 	}
-	band("PB->L2 decrease (Fig. 14)", f14.Average, 0.20, 0.45)
+	return strings.Join(kept, "\n")
 }

@@ -47,8 +47,8 @@ type Options struct {
 	// Registry receives every serving-layer metric (queue depth, in-flight
 	// gauge, cache hit/miss/eviction counts, rejections, panics, latency
 	// histograms); nil means a private registry, readable via
-	// Server.Registry. Pass it to stats.PublishExpvar to surface the daemon
-	// on the debug server; GET /metrics always serves it as Prometheus text.
+	// Server.Registry. GET /metrics serves it as Prometheus text; pass it to
+	// stats.ServeDebug to expose it on a side listener with pprof.
 	Registry *stats.Registry
 	// Logger receives the structured access log (one line per request with
 	// request ID, queue wait, cache disposition, status and duration) and
@@ -627,9 +627,6 @@ func (s *Server) serveChaos(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mux.ServeHTTP(w, r)
 }
-
-// Tracer returns the server's span tracer (nil when tracing is disabled).
-func (s *Server) Tracer() *stats.Tracer { return s.tracer }
 
 // --- simulation endpoints ---
 

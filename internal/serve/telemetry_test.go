@@ -192,7 +192,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	if echoed.TraceID == minted.TraceID {
 		t.Error("two unrelated requests shared a trace ID")
 	}
-	spans := s.Tracer().TraceSpans(parent.TraceID)
+	spans := s.tracer.TraceSpans(parent.TraceID)
 	if len(spans) != 1 {
 		t.Fatalf("joined trace has %d spans, want 1", len(spans))
 	}
@@ -272,7 +272,7 @@ func TestTracingDisabled(t *testing.T) {
 	s := NewServer(Options{TraceCapacity: -1})
 	s.simulate = fastSim
 	h := s.Handler()
-	if s.Tracer() != nil {
+	if s.tracer != nil {
 		t.Fatal("TraceCapacity<0 must disable the tracer")
 	}
 	if rec := postJSON(h, "/v1/simulate", `{"benchmark":"CCS","frames":1}`); rec.Code != http.StatusOK {

@@ -2,51 +2,42 @@ package stats
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"expvar"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"time"
 )
 
 // debugShutdownTimeout bounds the graceful drain of a debug server's stop
-// function: debug requests are short (a snapshot, a trace download), so a
+// function: debug requests are short (a scrape, a profile index), so a
 // couple of seconds covers them without stalling CLI exit.
 const debugShutdownTimeout = 2 * time.Second
 
 // ServeDebug starts an HTTP server on addr (host:port; ":0" picks a free
-// port) exposing the process's observability surface:
+// port) exposing reg and the process profiles:
 //
-//	/debug/vars     expvar JSON (every PublishExpvar registry)
+//	/metrics        Prometheus text exposition of reg under namespace
 //	/debug/pprof/   the usual pprof profiles
-//	/metrics        Prometheus text exposition of every published registry
-//	/debug/events   retained events of every PublishEvents ring (JSON)
-//	/debug/trace    Chrome trace_event JSON of a PublishTrace tracer
 //
 // It returns the bound address and a stop function. Stop drains gracefully
 // (in-flight debug requests finish, bounded by a short timeout) and falls
 // back to an immediate close; serve errors are logged instead of discarded.
-// Both CLIs use it behind their -http flag so a long sweep can be inspected
-// live.
-func ServeDebug(addr string) (string, func(), error) {
+// The registry is read at scrape time, so a live one (paperfig's memo
+// counters mid-sweep, a daemon's serving metrics) shows its current values.
+func ServeDebug(addr, namespace string, reg *Registry) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/metrics", MetricsHandler(namespace, reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", publishedMetricsHandler)
-	mux.HandleFunc("/debug/events", publishedEventsHandler)
-	mux.HandleFunc("/debug/trace", publishedTraceHandler)
 	srv := &http.Server{Handler: mux}
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -62,85 +53,4 @@ func ServeDebug(addr string) (string, func(), error) {
 		}
 	}
 	return ln.Addr().String(), stop, nil
-}
-
-// publishedMetricsHandler renders every PublishExpvar registry in Prometheus
-// text format, the publish name as the metric namespace. Registries emit in
-// sorted name order so the page is deterministic.
-func publishedMetricsHandler(w http.ResponseWriter, _ *http.Request) {
-	regs := publishedRegistries()
-	names := make([]string, 0, len(regs))
-	for n := range regs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, n := range names {
-		regs[n].WritePrometheus(w, n) //nolint:errcheck // best-effort over HTTP
-	}
-}
-
-// eventsPage is the JSON shape of /debug/events: one entry per published
-// ring with its retained (oldest-first) events and the ever-recorded total.
-type eventsPage struct {
-	Total  int64   `json:"total"`
-	Events []Event `json:"events"`
-}
-
-// publishedEventsHandler serves every PublishEvents ring as JSON, optionally
-// filtered to one ring with ?name=.
-func publishedEventsHandler(w http.ResponseWriter, r *http.Request) {
-	rings := publishedRingsView()
-	if want := r.URL.Query().Get("name"); want != "" {
-		ring, ok := rings[want]
-		if !ok {
-			http.Error(w, "unknown ring "+want, http.StatusNotFound)
-			return
-		}
-		rings = map[string]*Ring{want: ring}
-	}
-	out := make(map[string]eventsPage, len(rings))
-	for name, ring := range rings {
-		ev := ring.Events()
-		if ev == nil {
-			ev = []Event{}
-		}
-		out[name] = eventsPage{Total: ring.Total(), Events: ev}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out) //nolint:errcheck // best-effort over HTTP
-}
-
-// publishedTraceHandler serves one PublishTrace tracer as Chrome trace_event
-// JSON: the one named by ?name=, or the only published one. With several
-// tracers and no name it answers 400 listing the choices.
-func publishedTraceHandler(w http.ResponseWriter, r *http.Request) {
-	tracers := publishedTracersView()
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		if len(tracers) == 1 {
-			for n := range tracers {
-				name = n
-			}
-		} else {
-			names := make([]string, 0, len(tracers))
-			for n := range tracers {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			blob, _ := json.Marshal(names)
-			http.Error(w, "pass ?name= to pick a trace; published: "+string(blob),
-				http.StatusBadRequest)
-			return
-		}
-	}
-	t, ok := tracers[name]
-	if !ok {
-		http.Error(w, "unknown trace "+name, http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	t.WriteChromeTrace(w) //nolint:errcheck // best-effort over HTTP
 }

@@ -2,14 +2,14 @@
 // counter/gauge/histogram registry shared by every level of the memory
 // hierarchy, a named-invariant checker that cross-validates the counters, a
 // bounded event-trace ring for debugging replacement decisions, a bounded
-// span tracer with Chrome trace_event export, and JSON/expvar/Prometheus
-// export for long-running sweeps and the tcord daemon.
+// span tracer with Chrome trace_event export, and JSON/Prometheus export
+// for long-running sweeps and the tcord daemon.
 //
 // The registry is race-clean by construction — counters and gauges are
 // single atomic words, and the name table is mutex-protected — so
 // concurrent simulations driven by the experiments.Sweep worker pool can
 // publish into one registry without synchronizing with each other. All
-// exported views (Snapshot, JSON, expvar) are deterministic: names are
+// exported views (Snapshot, JSON, Prometheus) are deterministic: names are
 // emitted in sorted order.
 package stats
 
@@ -277,6 +277,3 @@ func (r *Registry) Check() error {
 	}
 	return errors.Join(errs...)
 }
-
-// WriteJSON writes the registry's current snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }

@@ -3,10 +3,10 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -75,7 +75,7 @@ func TestSnapshotJSONSchemaStable(t *testing.T) {
 	r.Counter("b.second").Store(2)
 	r.Counter("a.first").Store(1)
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -191,65 +191,49 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("x").Store(1)
-	PublishExpvar("tcor-test", r1)
-	v := expvar.Get("tcor-test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	if !strings.Contains(v.String(), `"x":1`) {
-		t.Errorf("expvar = %s", v.String())
-	}
-	// Republishing under the same name must swap, not panic.
-	r2 := NewRegistry()
-	r2.Counter("x").Store(2)
-	PublishExpvar("tcor-test", r2)
-	if !strings.Contains(expvar.Get("tcor-test").String(), `"x":2`) {
-		t.Errorf("expvar after swap = %s", expvar.Get("tcor-test").String())
-	}
-}
-
 func TestServeDebug(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("serve.test").Store(7)
-	PublishExpvar("serve-debug-test", r)
-	addr, stop, err := ServeDebug("127.0.0.1:0")
+	reg := NewRegistry()
+	reg.Counter("hits").Store(9)
+	reg.Histogram("lat").Observe(100)
+	addr, stop, err := ServeDebug("127.0.0.1:0", "dbg", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	get := func(path string) (int, string) {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+
+	// On a quiescent registry /metrics is exactly what MetricsHandler
+	// renders for the same namespace and registry.
+	rec := httptest.NewRecorder()
+	MetricsHandler("dbg", reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if code, body := get("/metrics"); code != http.StatusOK || body != rec.Body.String() {
+		t.Errorf("/metrics: code %d body %q, want %q", code, body, rec.Body.String())
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
+
+	// The registry is read per scrape: a counter bumped between two GETs
+	// shows up in the second.
+	reg.Counter("hits").Inc()
+	if _, body := get("/metrics"); !strings.Contains(body, "dbg_hits 10\n") {
+		t.Errorf("/metrics after bump: %q", body)
 	}
-	blob, ok := vars["serve-debug-test"]
-	if !ok {
-		t.Fatal("published registry missing from /debug/vars")
+
+	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("pprof index status %d", code)
 	}
-	var snap map[string]int64
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap["serve.test"] != 7 {
-		t.Errorf("serve.test = %d, want 7", snap["serve.test"])
-	}
-	resp2, err := http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("pprof index status %d", resp2.StatusCode)
+	for _, path := range []string{"/debug/vars", "/debug/events", "/debug/trace"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s answered %d, want 404", path, code)
+		}
 	}
 }

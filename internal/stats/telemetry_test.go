@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -374,86 +373,5 @@ func TestStartSpanContext(t *testing.T) {
 	}
 	if inner.Parent == 0 {
 		t.Error("inner span must be parented under outer via the context")
-	}
-}
-
-// --- debug HTTP surface ---
-
-func TestDebugEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("hits").Store(9)
-	reg.Histogram("lat").Observe(100)
-	PublishExpvar("dbgtest", reg)
-	defer PublishExpvar("dbgtest", nil)
-
-	ring := NewRing(4)
-	ring.Record(Event{Kind: "evict", Class: "dead", Set: 3, Key: 0xabc})
-	PublishEvents("dbgtest.ring", ring)
-	defer PublishEvents("dbgtest.ring", nil)
-
-	tr := NewTracer(8)
-	tr.Begin("op", "test").End()
-	PublishTrace("dbgtest.trace", tr)
-	defer PublishTrace("dbgtest.trace", nil)
-
-	addr, stop, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	// /metrics renders every published registry, publish name as namespace.
-	if code, body := get("/metrics"); code != http.StatusOK ||
-		!strings.Contains(body, "dbgtest_hits 9") ||
-		!strings.Contains(body, "dbgtest_lat_count 1") {
-		t.Errorf("/metrics: code %d body %q", code, body)
-	}
-
-	// /debug/events serves each published ring's retained events.
-	code, body := get("/debug/events?name=dbgtest.ring")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/events code %d", code)
-	}
-	var pages map[string]struct {
-		Total  int64   `json:"total"`
-		Events []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &pages); err != nil {
-		t.Fatalf("/debug/events not JSON: %v", err)
-	}
-	pg, ok := pages["dbgtest.ring"]
-	if !ok || pg.Total != 1 || len(pg.Events) != 1 || pg.Events[0].Kind != "evict" {
-		t.Errorf("/debug/events page = %+v", pages)
-	}
-	if code, _ := get("/debug/events?name=no.such.ring"); code != http.StatusNotFound {
-		t.Errorf("unknown ring answered %d, want 404", code)
-	}
-
-	// /debug/trace serves the published tracer as a Chrome trace.
-	code, body = get("/debug/trace?name=dbgtest.trace")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/trace code %d", code)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil || len(doc.TraceEvents) != 1 {
-		t.Errorf("/debug/trace body %q err %v", body, err)
-	}
-	if code, _ := get("/debug/trace?name=no.such.trace"); code != http.StatusNotFound {
-		t.Errorf("unknown trace answered %d, want 404", code)
 	}
 }
