@@ -191,6 +191,22 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
+// debugGet fetches path from the debug server at addr and returns the
+// status code and body.
+func debugGet(t *testing.T, addr, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
 func TestServeDebug(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits").Store(9)
@@ -200,39 +216,50 @@ func TestServeDebug(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
 
 	// On a quiescent registry /metrics is exactly what MetricsHandler
 	// renders for the same namespace and registry.
 	rec := httptest.NewRecorder()
 	MetricsHandler("dbg", reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if code, body := get("/metrics"); code != http.StatusOK || body != rec.Body.String() {
+	if code, body := debugGet(t, addr, "/metrics"); code != http.StatusOK || body != rec.Body.String() {
 		t.Errorf("/metrics: code %d body %q, want %q", code, body, rec.Body.String())
 	}
 
 	// The registry is read per scrape: a counter bumped between two GETs
 	// shows up in the second.
 	reg.Counter("hits").Inc()
-	if _, body := get("/metrics"); !strings.Contains(body, "dbg_hits 10\n") {
+	if _, body := debugGet(t, addr, "/metrics"); !strings.Contains(body, "dbg_hits 10\n") {
 		t.Errorf("/metrics after bump: %q", body)
 	}
+}
 
-	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+// TestDebugEndpoints pins the debug listener's route table: /metrics
+// renders the served registry under its namespace, /debug/pprof/ answers,
+// and the deleted expvar and publish-table pages stay gone.
+func TestDebugEndpoints(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("hits").Store(9)
+	reg.Histogram("lat").Observe(100)
+	addr, stop, err := ServeDebug("127.0.0.1:0", "dbgtest", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	if code, body := debugGet(t, addr, "/metrics"); code != http.StatusOK ||
+		!strings.Contains(body, "dbgtest_hits 9\n") ||
+		!strings.Contains(body, "dbgtest_lat_count 1\n") {
+		t.Errorf("/metrics: code %d body %q", code, body)
+	}
+	if code, _ := debugGet(t, addr, "/debug/pprof/"); code != http.StatusOK {
 		t.Errorf("pprof index status %d", code)
 	}
-	for _, path := range []string{"/debug/vars", "/debug/events", "/debug/trace"} {
-		if code, _ := get(path); code != http.StatusNotFound {
+	for _, path := range []string{
+		"/debug/vars",
+		"/debug/events", "/debug/events?name=dbgtest.ring",
+		"/debug/trace", "/debug/trace?name=dbgtest.trace",
+	} {
+		if code, _ := debugGet(t, addr, path); code != http.StatusNotFound {
 			t.Errorf("%s answered %d, want 404", path, code)
 		}
 	}
