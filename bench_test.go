@@ -358,6 +358,58 @@ func BenchmarkRasterTile(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanTile times the raster planner alone: one CCS frame, binned
+// once, planned tile by tile in Z-order traversal with the raster
+// configuration gpu.Simulate builds for it. No cache, L2 or DRAM is
+// touched. quads/op is the number of covered quads one pass plans.
+func BenchmarkPlanTile(b *testing.B) {
+	spec, err := workload.ByAlias("CCS")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Frames = 1
+	screen := geom.DefaultScreen()
+	scene, err := workload.Generate(spec, screen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trav, err := tiling.NewTraversal(screen, tiling.OrderZ)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prims := scene.Frame(0).Prims
+	bins, err := tiling.Bin(screen, trav, prims)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := raster.DefaultConfig(screen, int64(spec.TextureMiB*1024*1024), spec.ShaderInstrPerPixel)
+	if spec.ThreeD {
+		cfg.TranslucentFraction = 0.05
+	}
+	p, err := raster.New(cfg, mem.NewCounter(), mem.NewCounter())
+	if err != nil {
+		b.Fatal(err)
+	}
+	work := make([][]raster.TileWork, screen.NumTiles())
+	for tile, list := range bins.Lists {
+		for _, e := range list {
+			work[tile] = append(work[tile], raster.TileWork{Prim: &prims[e.Prim]})
+		}
+	}
+	sc := p.NewScratch()
+	var plan raster.TilePlan
+	var quads int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quads = 0
+		for _, tile := range trav.Seq {
+			p.PlanTile(tile, 0, work[tile], sc, &plan)
+			quads += plan.Quads
+		}
+	}
+	b.ReportMetric(float64(quads), "quads/op")
+}
+
 func BenchmarkFullFrameBaseline(b *testing.B) {
 	benchFullFrame(b, gpu.Baseline(64*1024))
 }

@@ -142,16 +142,28 @@ func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
 	return cycles
 }
 
-// planPrim is the pure half of rasterPrim: it walks the quads of the
-// primitive's bbox inside the tile, testing coverage and Early-Z against
-// the scratch Z-buffer, and records the texture taps of surviving quads
-// into the plan instead of issuing them.
+// planPrim plans one primitive in one tile: it finds the quads of the
+// tile whose centers geom.PointInTriangle accepts, tests them against the
+// scratch Z-buffer in row-major order, and records the texture taps of
+// surviving quads into the plan.
 //
-// The coverage test is geom.PointInTriangle at each quad center with its
-// per-primitive and per-row terms hoisted: the bbox, the edge deltas and
-// each row's y offsets. Every float32 expression keeps its operands and
-// order, and the explicit float32 conversions forbid fused multiply-adds
-// exactly as in PointInTriangle, so coverage is bit-identical to calling it.
+// Coverage comes from exact row spans, with no per-quad test. The bbox
+// test is a clip of the quad rows and columns, once per primitive.
+// PointInTriangle then accepts a center when none of its three edge
+// functions is positive, or none is negative. Along a quad row each edge
+// function float32((cx−P.X)·dY) − yT is monotone in cx, in the direction
+// of dY's sign: the centers cx are exact integers, and float32 subtraction
+// and multiplication round monotonically. So each edge's negative, zero
+// and positive quads form three consecutive runs, and each of the two
+// acceptance conditions holds on one interval of the row: the
+// intersection of one run-bounded interval per edge. edge.crossing finds
+// the run boundaries. The covered quads are the union of the two
+// intervals, visited left to right, so Early-Z and the taps see them in
+// the order a per-quad test would. Every float32 expression keeps
+// PointInTriangle's operands and order, and the explicit float32
+// conversions forbid fused multiply-adds, so coverage is bit-identical to
+// calling it while the edge products are finite (vertex coordinates within
+// about ±1e18).
 func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, frame int, sc *PlanScratch, plan *TilePlan) int64 {
 	bb := pr.BBox()
 	x0 := maxF(bb.Min.X, tile.Min.X)
@@ -161,16 +173,19 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 	if x0 >= x1 || y0 >= y1 {
 		return 0
 	}
-	// Snap to the tile's quad grid.
+	// Snap to the tile's quad grid, then clip to the quads whose centers
+	// lie inside the bbox (PointInTriangle's first test).
 	qx0 := int(x0-tile.Min.X) / QuadSize
 	qy0 := int(y0-tile.Min.Y) / QuadSize
-	qx1 := int(x1-tile.Min.X-0.0001) / QuadSize
-	qy1 := int(y1-tile.Min.Y-0.0001) / QuadSize
-	if qx1 >= p.tileQuads {
-		qx1 = p.tileQuads - 1
+	qx1 := min(int(x1-tile.Min.X-0.0001)/QuadSize, p.tileQuads-1)
+	qy1 := min(int(y1-tile.Min.Y-0.0001)/QuadSize, p.tileQuads-1)
+	for ; qx0 <= qx1 && quadCenter(tile.Min.X, qx0) < bb.Min.X; qx0++ {
 	}
-	if qy1 >= p.tileQuads {
-		qy1 = p.tileQuads - 1
+	for ; qx1 >= qx0 && quadCenter(tile.Min.X, qx1) > bb.Max.X; qx1-- {
+	}
+	for ; qy0 <= qy1 && quadCenter(tile.Min.Y, qy0) < bb.Min.Y; qy0++ {
+	}
+	for ; qy1 >= qy0 && quadCenter(tile.Min.Y, qy1) > bb.Max.Y; qy1-- {
 	}
 	z := (pr.Depth[0] + pr.Depth[1] + pr.Depth[2]) / 3
 	// Depth-writing materials disable the Early Z-Test (§II-A); the choice
@@ -183,82 +198,174 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 	translucent := p.cfg.TranslucentFraction > 0 &&
 		float64(pr.ID*40503%1000) < p.cfg.TranslucentFraction*1000
 	a, b, c := pr.Pos[0], pr.Pos[1], pr.Pos[2]
-	// Edge deltas of geom.PointInTriangle's sign(p, a, b), sign(p, b, c)
-	// and sign(p, c, a).
-	abY, abX := a.Y-b.Y, a.X-b.X
-	bcY, bcX := b.Y-c.Y, b.X-c.X
-	caY, caX := c.Y-a.Y, c.X-a.X
+	// geom.PointInTriangle's sign(p, a, b), sign(p, b, c), sign(p, c, a).
+	edges := [3]edge{
+		newEdge(b, a.X-b.X, a.Y-b.Y, tile.Min.X),
+		newEdge(c, b.X-c.X, b.Y-c.Y, tile.Min.X),
+		newEdge(a, c.X-a.X, c.Y-a.Y, tile.Min.X),
+	}
+	lo, hi := qx0, qx1+1 // half-open
 	taps := p.tapsFor(pr, frame)
 	var survived int64
+rows:
 	for qy := qy0; qy <= qy1; qy++ {
-		cy := tile.Min.Y + float32(qy*QuadSize) + QuadSize/2
-		if cy < bb.Min.Y || cy > bb.Max.Y {
-			continue
+		cy := quadCenter(tile.Min.Y, qy)
+		// [ls, le) has no positive edge, [rs, re) no negative one.
+		ls, le, rs, re := lo, hi, lo, hi
+		for i := range edges {
+			e := &edges[i]
+			yT := float32(e.dX * (cy - e.o.Y))
+			nonNeg, pos := e.crossing(yT, tile.Min.X, lo, hi)
+			if e.flip {
+				ls, re = max(ls, nonNeg), min(re, pos)
+			} else {
+				rs, le = max(rs, nonNeg), min(le, pos)
+			}
+			if ls >= le && rs >= re {
+				continue rows
+			}
 		}
-		// The y terms of the three edge functions.
-		yAB := float32(abX * (cy - b.Y))
-		yBC := float32(bcX * (cy - c.Y))
-		yCA := float32(caX * (cy - a.Y))
+		// Order the two spans by start and merge them if they overlap or
+		// touch.
+		if rs < ls {
+			ls, le, rs, re = rs, re, ls, le
+		}
+		if le >= rs {
+			le, rs = max(le, re), re
+		}
 		rowEdges := 0
 		if qy >= route.straddle {
 			rowEdges = 1
 		}
 		v := taps.v(cy)
-		u := taps.u(tile.Min.X + float32(qx0*QuadSize) + QuadSize/2)
-		for qx := qx0; qx <= qx1; qx, u = qx+1, taps.next(u) {
-			cx := tile.Min.X + float32(qx*QuadSize) + QuadSize/2
-			if cx < bb.Min.X || cx > bb.Max.X {
+		for span := 0; span < 2; span++ {
+			from, to := ls, le
+			if span == 1 {
+				from, to = rs, re
+			}
+			if from >= to {
 				continue
 			}
-			d1 := float32((cx-b.X)*abY) - yAB
-			d2 := float32((cx-c.X)*bcY) - yBC
-			d3 := float32((cx-a.X)*caY) - yCA
-			hasNeg := d1 < 0 || d2 < 0 || d3 < 0
-			hasPos := d1 > 0 || d2 > 0 || d3 > 0
-			if hasNeg && hasPos {
-				// Each edge function is monotone in cx along the row, in
-				// the direction of its dY: float32 subtraction and
-				// multiplication round monotonically. A negative edge
-				// with dY <= 0 stays negative to the right and a positive
-				// edge with dY >= 0 stays positive, so once a rejected
-				// quad has both, the rest of the row is rejected too.
-				if (d1 < 0 && abY <= 0 || d2 < 0 && bcY <= 0 || d3 < 0 && caY <= 0) &&
-					(d1 > 0 && abY >= 0 || d2 > 0 && bcY >= 0 || d3 > 0 && caY >= 0) {
-					break
-				}
-				continue
-			}
-			plan.Quads++
-			di := qy*p.tileQuads + qx
-			if translucent {
-				// Blend: depth-tested against opaque geometry but never
-				// written; the Color Buffer is read and re-written.
-				if z >= sc.depth[di] {
-					continue
-				}
-				plan.BlendedQuads++
-			} else if !lateZ {
-				// Early-Z: opaque geometry in submission order.
-				if z >= sc.depth[di] {
-					continue
-				}
-				sc.depth[di] = z
-			} else {
-				// Late-Z: shade unconditionally, then depth-test the result.
-				plan.LateZQuads++
-				if z < sc.depth[di] {
+			u := taps.u(quadCenter(tile.Min.X, from))
+			for qx := from; qx < to; qx, u = qx+1, taps.next(u) {
+				plan.Quads++
+				di := qy*p.tileQuads + qx
+				if translucent {
+					// Blend: depth-tested against opaque geometry but
+					// never written; the Color Buffer is read and
+					// re-written.
+					if z >= sc.depth[di] {
+						continue
+					}
+					plan.BlendedQuads++
+				} else if !lateZ {
+					// Early-Z: opaque geometry in submission order.
+					if z >= sc.depth[di] {
+						continue
+					}
 					sc.depth[di] = z
+				} else {
+					// Late-Z: shade unconditionally, then depth-test the
+					// result.
+					plan.LateZQuads++
+					if z < sc.depth[di] {
+						sc.depth[di] = z
+					}
 				}
+				survived++
+				edges := rowEdges
+				if qx >= route.straddle {
+					edges++
+				}
+				taps.plan(u, v, route.cache[edges], plan)
 			}
-			survived++
-			edges := rowEdges
-			if qx >= route.straddle {
-				edges++
-			}
-			taps.plan(u, v, route.cache[edges], plan)
 		}
 	}
 	return survived
+}
+
+// quadCenter returns the coordinate of the center of quad q of a tile
+// whose edge is at origin: an exact integer, as every tile edge is one.
+func quadCenter(origin float32, q int) float32 {
+	return origin + float32(q*QuadSize) + QuadSize/2
+}
+
+// edge is one edge function of geom.PointInTriangle, f(cx, cy) =
+// float32((cx−o.X)·dY) − float32(dX·(cy−o.Y)), oriented so that dY ≥ 0
+// and f never falls along a quad row. flip records that orienting it
+// negated dX and dY, which negates f exactly (round-to-nearest is
+// symmetric), so the original function's sign is the opposite one.
+type edge struct {
+	o      geom.Vec2
+	dX, dY float32
+	flip   bool
+	// f's zero along the row at cy lies near quad q0 + yT·qPerYT in real
+	// arithmetic, where yT is the row's y term.
+	q0, qPerYT float64
+}
+
+func newEdge(o geom.Vec2, dX, dY, tileMinX float32) edge {
+	e := edge{o: o, dX: dX, dY: dY}
+	if dY < 0 {
+		e.dX, e.dY, e.flip = -dX, -dY, true
+	}
+	if e.dY > 0 {
+		// cx(q) = tileMinX + QuadSize·q + QuadSize/2 and f = 0 at
+		// cx = o.X + yT/dY.
+		e.q0 = (float64(o.X) - float64(tileMinX) - QuadSize/2) / QuadSize
+		e.qPerYT = 1 / (QuadSize * float64(e.dY))
+	}
+	return e
+}
+
+// at evaluates the edge function at quad column q of a row with y term yT.
+func (e *edge) at(q int, yT, tileMinX float32) float32 {
+	return float32((quadCenter(tileMinX, q)-e.o.X)*e.dY) - yT
+}
+
+// crossing returns, among the quad columns [lo, hi) of a row with y term
+// yT, the first at which f ≥ 0 and the first at which f > 0 (hi when there
+// is none). With dY == 0, f is ±0 − yT all along the row. Otherwise it
+// starts from the estimated zero rounded up and steps to where f's sign
+// changes: left while the previous quad still has f ≥ 0, right while this
+// one has f < 0, then right over the quads with f == 0. Since f never
+// falls along the row, the steps end exactly there from any start.
+func (e *edge) crossing(yT, tileMinX float32, lo, hi int) (nonNeg, pos int) {
+	if e.dY == 0 {
+		nonNeg, pos = lo, lo
+		if yT > 0 {
+			nonNeg = hi
+		}
+		if yT >= 0 {
+			pos = hi
+		}
+		return nonNeg, pos
+	}
+	k := hi
+	if t := e.q0 + float64(yT)*e.qPerYT + 1; t < float64(hi) {
+		k = lo
+		if t > float64(lo) {
+			k = int(t)
+		}
+	}
+	for k > lo && e.at(k-1, yT, tileMinX) >= 0 {
+		k--
+	}
+	f := float32(1) // f at k; k == hi stands for +∞
+	for ; k < hi; k++ {
+		if f = e.at(k, yT, tileMinX); f >= 0 {
+			break
+		}
+	}
+	nonNeg = k
+	for f == 0 {
+		if k++; k < hi {
+			f = e.at(k, yT, tileMinX)
+		} else {
+			f = 1
+		}
+	}
+	return nonNeg, k
 }
 
 // quadTaps holds one primitive's texel address terms: the same arithmetic

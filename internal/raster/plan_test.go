@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -184,51 +185,168 @@ func tileWork(prims []geom.Primitive, screen geom.Screen, tile geom.TileID) []Ti
 	return work
 }
 
-// TestPlanTileMatchesReference is the differential test of the hoisted
-// planner: at even and odd tile sizes (where the last quad column and row
-// route to the next tile's cache), with every material path and both
-// filtering modes, PlanTile's tallies equal the reference's, and its tap
-// stream equals the reference's run-length coded.
+// checkPlans plans every tile of p's screen for prims, the frame cycling
+// with the tile, and fails t unless PlanTile's tallies equal refPlanTile's
+// and its tap stream equals the reference's run-length coded. It returns
+// the covered quads, the taps planned and how many of them coalesced.
+func checkPlans(t *testing.T, p *Pipeline, prims []geom.Primitive) (quads int64, taps, coalesced int) {
+	t.Helper()
+	screen := p.cfg.Screen
+	sc := p.NewScratch()
+	var plan TilePlan
+	for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
+		work := tileWork(prims, screen, tile)
+		frame := int(tile) % 3
+		p.PlanTile(tile, frame, work, sc, &plan)
+		want := refPlanTile(p, tile, frame, work)
+		got := [5]int64{plan.Prims, plan.Quads, plan.QuadsShaded, plan.LateZQuads, plan.BlendedQuads}
+		exp := [5]int64{want.Prims, want.Quads, want.QuadsShaded, want.LateZQuads, want.BlendedQuads}
+		if got != exp {
+			t.Fatalf("tile %d: tallies %v, want %v", tile, got, exp)
+		}
+		blocks, routes, runs := coalesce(want.TapAddrs, want.TapCache)
+		if !slices.Equal(plan.TapAddrs, blocks) || !slices.Equal(plan.TapCache, routes) || !slices.Equal(plan.TapRuns, runs) {
+			t.Fatalf("tile %d: tap streams differ (%d vs %d runs)", tile, len(plan.TapAddrs), len(blocks))
+		}
+		var sum int
+		for _, n := range plan.TapRuns {
+			sum += int(n)
+		}
+		if sum != len(want.TapAddrs) {
+			t.Fatalf("tile %d: runs sum to %d taps, want %d", tile, sum, len(want.TapAddrs))
+		}
+		quads += plan.Quads
+		taps += sum
+		coalesced += sum - len(runs)
+	}
+	return quads, taps, coalesced
+}
+
+// adversarialFamilies are the corner cases of planPrim's exact row spans,
+// each a generator of one triangle on a w×h screen. The test draws each
+// triangle in either winding, so every edge meets both signs of dY.
+var adversarialFamilies = []struct {
+	name string
+	tri  func(rng *rand.Rand, w, h float32) [3]geom.Vec2
+}{
+	// Slivers narrower than a quad at any angle: most rows cover zero or
+	// one quad, and the three crossings of a row fall within a quad of
+	// each other.
+	{"sliver", func(rng *rand.Rand, w, h float32) [3]geom.Vec2 {
+		a := geom.Vec2{X: rng.Float32() * w, Y: rng.Float32() * h}
+		sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
+		dx, dy := float32(cos), float32(sin)
+		l := 20 + rng.Float32()*300
+		width := 0.01 + rng.Float32()*1.9
+		m := rng.Float32() * l
+		return [3]geom.Vec2{a, {X: a.X + l*dx, Y: a.Y + l*dy}, {X: a.X + m*dx - width*dy, Y: a.Y + m*dy + width*dx}}
+	}},
+	// Collinear triangles with three distinct vertices: on a line through
+	// quad centers, where every edge value is exactly zero, with vertices
+	// a quarter pixel off the grid so that the line runs on past the bbox
+	// through quad centers the bbox test alone rejects; or on a float line,
+	// where rounding decides every sign.
+	{"collinear", func(rng *rand.Rand, w, h float32) [3]geom.Vec2 {
+		a := geom.Vec2{X: float32(rng.Intn(int(w))), Y: float32(rng.Intn(int(h)))}
+		d := geom.Vec2{X: float32(rng.Intn(9) - 4), Y: float32(rng.Intn(9) - 4)}
+		s, u := float32(1+rng.Intn(160))/4, -float32(1+rng.Intn(160))/4
+		if rng.Intn(2) == 0 {
+			a.X, a.Y = a.X+rng.Float32(), a.Y+rng.Float32()
+			d = geom.Vec2{X: rng.Float32()*8 - 4, Y: rng.Float32()*8 - 4}
+			s, u = s*rng.Float32(), u*rng.Float32()
+		}
+		if d.X == 0 && d.Y == 0 {
+			d.X = 1
+		}
+		return [3]geom.Vec2{a, {X: a.X + s*d.X, Y: a.Y + s*d.Y}, {X: a.X + u*d.X, Y: a.Y + u*d.Y}}
+	}},
+	// Vertices far off-screen: long edges with a large y term, steep or
+	// nearly horizontal, whose float32 crossings sit quads away from the
+	// real ones.
+	{"far-vertex", func(rng *rand.Rand, w, h float32) [3]geom.Vec2 {
+		far := func() float32 { return float32(2*rng.Intn(2)-1) * 1e5 * (0.5 + rng.Float32()) }
+		on := func() geom.Vec2 { return geom.Vec2{X: rng.Float32() * w, Y: rng.Float32() * h} }
+		a, b, c := on(), on(), on()
+		switch rng.Intn(3) {
+		case 0:
+			b = geom.Vec2{X: far(), Y: rng.Float32() * h}
+		case 1:
+			b = geom.Vec2{X: rng.Float32() * w, Y: far()}
+		default:
+			a = geom.Vec2{X: -1e5, Y: c.Y + rng.Float32()*8 - 4}
+			b = geom.Vec2{X: 1e5, Y: c.Y + rng.Float32()*8 - 4}
+			c = geom.Vec2{X: far(), Y: far()}
+		}
+		return [3]geom.Vec2{a, b, c}
+	}},
+	// 45° edges through quad centers: integer vertices an even distance
+	// apart, so every edge value on the diagonal is exactly zero.
+	{"diagonal", func(rng *rand.Rand, w, h float32) [3]geom.Vec2 {
+		a := geom.Vec2{X: float32(rng.Intn(int(w))), Y: float32(rng.Intn(int(h)))}
+		k := float32(2 + 2*rng.Intn(40))
+		sx, sy := float32(2*rng.Intn(2)-1), float32(2*rng.Intn(2)-1)
+		b := geom.Vec2{X: a.X + sx*k, Y: a.Y + sy*k}
+		c := geom.Vec2{X: a.X + sx*k, Y: a.Y - sy*k}
+		if rng.Intn(2) == 0 {
+			c = geom.Vec2{X: a.X + 2*sx*k, Y: a.Y} // one horizontal edge
+		}
+		return [3]geom.Vec2{a, b, c}
+	}},
+	// Bboxes one quad row or one quad column wide, their borders on or
+	// near quad centers.
+	{"one-row-or-column", func(rng *rand.Rand, w, h float32) [3]geom.Vec2 {
+		off := func() float32 { return []float32{0, 1, 2, rng.Float32() * 1.9}[rng.Intn(4)] }
+		spread := func(v float32) float32 { return v + rng.Float32()*200 - 100 }
+		if rng.Intn(2) == 0 {
+			x, y := rng.Float32()*w, float32(rng.Intn(int(h)))
+			return [3]geom.Vec2{{X: x, Y: y + off()}, {X: spread(x), Y: y + off()}, {X: spread(x), Y: y + off()}}
+		}
+		x, y := float32(rng.Intn(int(w))), rng.Float32()*h
+		return [3]geom.Vec2{{X: x + off(), Y: y}, {X: x + off(), Y: spread(y)}, {X: x + off(), Y: spread(y)}}
+	}},
+}
+
+// TestPlanTileMatchesReference is the differential test of the planner:
+// at even and odd tile sizes (where the last quad column and row route to
+// the next tile's cache), with every material path and both filtering
+// modes, PlanTile's tallies equal the reference's, and its tap stream
+// equals the reference's run-length coded. The inputs are randomPrims'
+// triangles and then each adversarial family's.
 func TestPlanTileMatchesReference(t *testing.T) {
 	for _, ts := range []int{24, 31, 32, 33, 64} {
 		for _, bilinear := range []bool{false, true} {
 			cfg := testConfig(ts, bilinear)
-			screen := cfg.Screen
 			p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(int64(ts)))
-			prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
-			sc := p.NewScratch()
-			var plan TilePlan
-			var taps, coalesced int
-			for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
-				work := tileWork(prims, screen, tile)
-				frame := int(tile) % 3
-				p.PlanTile(tile, frame, work, sc, &plan)
-				want := refPlanTile(p, tile, frame, work)
-				got := [5]int64{plan.Prims, plan.Quads, plan.QuadsShaded, plan.LateZQuads, plan.BlendedQuads}
-				exp := [5]int64{want.Prims, want.Quads, want.QuadsShaded, want.LateZQuads, want.BlendedQuads}
-				if got != exp {
-					t.Fatalf("ts=%d bilinear=%v tile %d: tallies %v, want %v", ts, bilinear, tile, got, exp)
+			w, h := float32(cfg.Screen.Width), float32(cfg.Screen.Height)
+			name := fmt.Sprintf("ts=%d/bilinear=%v", ts, bilinear)
+			t.Run(name+"/random", func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(ts)))
+				if _, taps, coalesced := checkPlans(t, p, randomPrims(rng, 300, w, h)); taps == 0 || coalesced == 0 {
+					t.Fatalf("%d taps planned, %d coalesced; the test exercises too little", taps, coalesced)
 				}
-				blocks, routes, runs := coalesce(want.TapAddrs, want.TapCache)
-				if !slices.Equal(plan.TapAddrs, blocks) || !slices.Equal(plan.TapCache, routes) || !slices.Equal(plan.TapRuns, runs) {
-					t.Fatalf("ts=%d bilinear=%v tile %d: tap streams differ (%d vs %d runs)", ts, bilinear, tile, len(plan.TapAddrs), len(blocks))
-				}
-				var sum int
-				for _, n := range plan.TapRuns {
-					sum += int(n)
-				}
-				if sum != len(want.TapAddrs) {
-					t.Fatalf("ts=%d bilinear=%v tile %d: runs sum to %d taps, want %d", ts, bilinear, tile, sum, len(want.TapAddrs))
-				}
-				taps += sum
-				coalesced += sum - len(runs)
-			}
-			if taps == 0 || coalesced == 0 {
-				t.Fatalf("ts=%d: %d taps planned, %d coalesced; the test exercises too little", ts, taps, coalesced)
+			})
+			for _, fam := range adversarialFamilies {
+				t.Run(name+"/"+fam.name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(ts)))
+					prims := make([]geom.Primitive, 200)
+					for i := range prims {
+						pr := &prims[i]
+						pr.Pos = fam.tri(rng, w, h)
+						if rng.Intn(2) == 0 {
+							pr.Pos[1], pr.Pos[2] = pr.Pos[2], pr.Pos[1]
+						}
+						pr.ID = rng.Uint32()
+						for v := range pr.Depth {
+							pr.Depth[v] = rng.Float32()
+						}
+					}
+					if quads, _, _ := checkPlans(t, p, prims); quads == 0 {
+						t.Fatal("no quad covered; the family exercises too little")
+					}
+				})
 			}
 		}
 	}

@@ -212,7 +212,8 @@ type TileWork struct {
 
 // RasterTile rasterizes one tile's primitive list (in order) and returns the
 // cycles the Raster Pipeline spent on the tile. It models:
-//   - quad coverage by exact point-in-triangle tests at quad centers,
+//   - quad coverage: the quads whose centers geom.PointInTriangle accepts,
+//     found per quad row from exact edge-function spans (planPrim),
 //   - Early-Z rejection against the on-chip Z-buffer (opaque geometry,
 //     painter's order),
 //   - one texture access per surviving quad through the screen-interleaved
