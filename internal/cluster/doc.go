@@ -24,36 +24,48 @@
 //
 // # Routing
 //
-// /v1/simulate goes to the key's owner. Two mechanisms bound tail
-// latency and ride over shard failure:
+// Every upstream call is one attempt: a child span of the request's root
+// (its identity travels to the shard in the traceparent header), then the
+// resilience.SiteProxy chaos site, then the call, whose outcome is filed
+// with the shard's circuit breaker. An open breaker takes its shard out of
+// the candidate order entirely, so a dead shard costs one failed round
+// before traffic routes around it; the typed client under each shard adds
+// bounded retries for transient blips. Attempts reach the shards three
+// ways:
 //
-//   - Hedging: when the owner has not answered within the hedge delay
-//     (adaptive: the observed p99 of proxied simulate latency, floored
-//     at MinHedge), the gateway issues a second copy of the request to
-//     the next shard on the ring and serves whichever answers first.
-//     Simulations are deterministic and content-addressed, so duplicated
-//     work is wasted cycles at worst, never divergent answers.
-//
-//   - Failover: when an attempt errors (transport failure, 5xx), the
-//     gateway walks the ring successors. Before a non-owner shard is
+//   - /v1/simulate races attempts on the key's ring candidates, owner
+//     first. Hedging: when the owner has not answered within the hedge
+//     delay (adaptive: the observed p99 of proxied simulate latency,
+//     floored at 50ms), a second copy goes to the next shard on the ring
+//     and whichever answers first is served. Simulations are
+//     deterministic and content-addressed, so duplicated work is wasted
+//     cycles at worst, never divergent answers. Failover: when an attempt
+//     errors, the next candidate gets one. Before a non-owner shard is
 //     allowed to simulate, the owner's cache is probed with a cache-only
 //     request (serve.CacheOnlyHeader): a shard whose compute path is
-//     broken can still answer from cache — bounded-stale included — and
-//     a dead one fails the probe fast.
+//     broken can still answer from cache — bounded-stale included — and a
+//     dead one fails the probe fast.
 //
-// Each shard sits behind its own circuit breaker in the gateway; an open
-// breaker takes the shard out of the candidate order entirely, so a dead
-// shard costs one failed round before traffic routes around it. The
-// typed client under each shard adds bounded retries for transient
-// blips.
+//   - /v1/arena and the job routes (async submit, get, cancel, result)
+//     walk the ring owner-first, one attempt at a time. A 404 walks on
+//     without counting a failover: a job submitted while its owner was
+//     down lives on a successor. Any other 4xx except 429 is the request's
+//     own fault and passes through; 5xx, transport errors and injected
+//     faults fail over.
 //
-// /v1/sweep fans out as per-owner sub-sweeps (chunked to the shards'
-// sweep limit) and reassembles the runs in global item order. Run bodies
-// travel as raw bytes end to end, so the merged response is
-// byte-identical to a single node serving the whole sweep. A sub-sweep
-// that fails mid-flight — a shard killed at the worst moment — degrades
-// to item-by-item routing with full hedging and failover; callers see
-// nothing but latency.
+//   - /v1/sweep fans out as per-owner sub-sweeps, one attempt each,
+//     chunked to the shards' sweep limit (serve.MaxSweepItems), and
+//     reassembles the runs in global item order. Run bodies travel as raw
+//     bytes end to end, so the merged response is byte-identical to a
+//     single node serving the whole sweep. A sub-sweep that fails
+//     mid-flight — a shard killed at the worst moment — degrades to
+//     item-by-item simulate routing with full hedging and failover;
+//     callers see nothing but latency.
+//
+// gw.failovers counts the attempts launched because the previous attempt
+// failed, on every route. The cluster-wide reads — the job listing, the
+// metrics rollup, cluster health and the stitched trace — ask every shard
+// at once through one fan-out and wait for all of them.
 //
 // # Observability
 //

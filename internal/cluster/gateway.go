@@ -34,23 +34,9 @@ type Options struct {
 	// fixed delay after which the gateway issues a second copy of the
 	// request to the next shard on the ring; zero (the default) adapts
 	// the delay to the observed p99 of proxied simulate latency (the
-	// gw.proxy.duration histogram), floored at MinHedge and disabled
+	// gw.proxy.duration histogram), floored at minHedge and disabled
 	// until HedgeWarmup samples exist; negative disables hedging.
 	HedgeAfter time.Duration
-	// MinHedge floors the adaptive hedge delay so a burst of cache hits
-	// cannot drive it toward zero and double every request (0 = 50ms).
-	MinHedge time.Duration
-	// ProbeTimeout bounds the peer cache probe issued to a key's owner
-	// before a failover shard is allowed to simulate it (0 = 1s).
-	ProbeTimeout time.Duration
-	// MaxSweepItems bounds one /v1/sweep at the gateway (0 = 1024). The
-	// gateway chunks sweeps into sub-sweeps, so its bound is naturally
-	// larger than a single shard's.
-	MaxSweepItems int
-	// ShardSweepItems caps the items of one sub-sweep sent to a shard;
-	// it must not exceed the shards' own MaxSweepItems (0 = 64, the
-	// shard default).
-	ShardSweepItems int
 	// Retry configures the per-shard client's retry policy (nil = 3
 	// attempts, 50ms base, 1s cap). Transient shard blips are absorbed
 	// here; sustained failure surfaces to the gateway, trips the shard's
@@ -87,21 +73,22 @@ type Options struct {
 // wants before it starts hedging: quantiles over fewer samples whipsaw.
 const HedgeWarmup = 16
 
+const (
+	// minHedge floors the adaptive hedge delay so a burst of cache hits
+	// cannot drive it toward zero and double every request.
+	minHedge = 50 * time.Millisecond
+	// probeTimeout bounds the peer cache probe issued to a key's owner
+	// before a failover shard is allowed to simulate it.
+	probeTimeout = time.Second
+	// maxSweepItems bounds one /v1/sweep at the gateway. The gateway
+	// chunks sweeps into sub-sweeps of at most serve.MaxSweepItems, so its
+	// bound is larger than a single shard's.
+	maxSweepItems = 1024
+)
+
 func (o Options) withDefaults() Options {
 	if o.VNodes <= 0 {
 		o.VNodes = DefaultVNodes
-	}
-	if o.MinHedge <= 0 {
-		o.MinHedge = 50 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	if o.MaxSweepItems <= 0 {
-		o.MaxSweepItems = 1024
-	}
-	if o.ShardSweepItems <= 0 {
-		o.ShardSweepItems = 64
 	}
 	if o.Retry == nil {
 		o.Retry = &resilience.RetryPolicy{
@@ -213,12 +200,10 @@ func NewGateway(opts Options) (*Gateway, error) {
 		Draining:  &g.draining,
 		DrainErr: &serve.APIError{Status: http.StatusServiceUnavailable,
 			Code: "draining", Message: "gateway is draining; not accepting new simulations"},
-		// A shard's default limits, so a request the gateway rejects gets
-		// the shard's exact answer. The deadlines bound the whole
+		// A shard's default deadline, so a request the gateway times out
+		// gets the shard's exact answer. It bounds the whole
 		// hedged/failover chain.
-		MaxBodyBytes:   serve.DefaultMaxBodyBytes,
 		DefaultTimeout: serve.DefaultRequestTimeout,
-		MaxTimeout:     serve.DefaultMaxTimeout,
 		Before:         liftTenantKey,
 		Degraded:       g.degraded,
 		MapError:       mapUpstreamError,
@@ -376,6 +361,156 @@ func (g *Gateway) ringInfo(*http.Request) (any, error) {
 	return info, nil
 }
 
+// --- upstream attempts ---
+
+// try names one upstream attempt: the span that records it, the shard it
+// goes to and the marks the span carries.
+type try struct {
+	span     string // gw.attempt, gw.subsweep, gw.job.proxy or gw.job.submit
+	sh       *shard
+	n        int  // the attempt's index among the request's attempts
+	failover bool // a predecessor attempt did not serve the request
+	hedged   bool // a latency hedge
+	items    int  // a sub-sweep's size, recorded in place of n
+}
+
+// attempt runs one upstream try as a child span of the request's root —
+// the span whose identity call carries to the shard in its traceparent
+// header, so the shard's own spans stitch under it. SiteProxy chaos runs
+// first: an injected fault aborts the try before it reaches the wire. done
+// is the callback the shard's breaker returned from Allow; an injected
+// fault is released with Ignore, and call's error is filed through
+// shardOutcome. The span's outcome is judged against ctx, so a try the
+// caller abandoned reads "cancelled".
+func (g *Gateway) attempt(ctx context.Context, t try, done func(error), call func(context.Context) error) error {
+	sp, sctx := stats.StartSpan(ctx, t.span, "cluster")
+	sp.SetAttr("shard", "shard-"+strconv.Itoa(t.sh.idx))
+	if t.items > 0 {
+		sp.SetAttr("items", strconv.Itoa(t.items))
+	} else {
+		sp.SetAttr("attempt", strconv.Itoa(t.n))
+	}
+	if t.failover {
+		sp.SetAttr("failover", "true")
+	}
+	if t.hedged {
+		sp.SetAttr("hedged", "true")
+	}
+	err := g.chaos.Inject(sctx, resilience.SiteProxy)
+	if err != nil {
+		done(resilience.Ignore) // injected at the gateway, not the shard's fault
+	} else {
+		err = call(sctx)
+		done(shardOutcome(err))
+	}
+	sp.SetAttr("outcome", attemptOutcome(ctx, err))
+	sp.End()
+	return err
+}
+
+// attemptOutcome labels an attempt span's result. A hedge loser — its
+// sibling won and fetchSim canceled the race context — is "cancelled", the
+// shape the stitched export shows for work the gateway deliberately
+// abandoned; everything else is "ok", "deadline" or "error".
+func attemptOutcome(ctx context.Context, err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, context.Canceled), errors.Is(ctx.Err(), context.Canceled):
+		return "cancelled"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "deadline"
+	default:
+		return "error"
+	}
+}
+
+// shardOutcome classifies an upstream error for the shard's breaker: only
+// path failures (transport errors, 5xx) count against it. Rejections the
+// shard meant (4xx, including queue-full 429s) and cancellations say
+// nothing about its health.
+func shardOutcome(err error) error {
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return resilience.Ignore
+	}
+	var ae *client.APIError
+	if errors.As(err, &ae) && ae.Status < 500 {
+		return resilience.Ignore
+	}
+	return err
+}
+
+// walk runs call against key's ring candidates owner-first, one attempt
+// per candidate whose breaker admits it, and returns the shard that
+// answered. A 404 walks on without counting a failover: the shard is
+// healthy, just not the holder of a job that landed on a successor while
+// its owner was down. Any other 4xx except 429 is the shard rejecting the
+// request itself — every shard would — so it passes through. 5xx,
+// transport errors and injected faults fail over. With every candidate
+// spent, a 404 is the answer when a shard gave one, else the first error.
+func (g *Gateway) walk(ctx context.Context, key, span string, call func(context.Context, *shard) error) (*shard, error) {
+	var firstErr, notFound error
+	n, failed := 0, false
+	for _, idx := range g.ring.Successors(key) {
+		sh := g.shards[idx]
+		done, err := sh.brk.Allow()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if failed {
+			g.failovers.Inc()
+		}
+		err = g.attempt(ctx, try{span: span, sh: sh, n: n, failover: n > 0}, done, func(actx context.Context) error {
+			return call(actx, sh)
+		})
+		n++
+		var ae *client.APIError
+		switch {
+		case err == nil:
+			return sh, nil
+		case errors.As(err, &ae) && ae.Status == http.StatusNotFound:
+			if notFound == nil {
+				notFound = err
+			}
+			failed = false
+			continue
+		case errors.As(err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests:
+			return nil, err
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+		failed = true
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	if notFound != nil {
+		return nil, notFound
+	}
+	return nil, firstErr
+}
+
+// fanOut runs fn(i) for every i < n, each on its own goroutine, and
+// returns once all have returned.
+func fanOut(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // --- simulate routing ---
 
 // simResult is one successfully proxied simulation: the shard's exact
@@ -401,7 +536,17 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	if r.Header.Get(serve.CacheOnlyHeader) != "" {
 		// A probe stays a probe: ask only the owner, never compute.
-		g.routeProbe(ctx, w, req, key)
+		owner := g.shards[g.ring.Owner(key)]
+		body, outcome, ok, err := probeCache(ctx, owner, req)
+		if err == nil && !ok {
+			err = serve.ErrCacheMiss
+		}
+		if err != nil {
+			g.shell.WriteError(w, err)
+			return
+		}
+		w.Header().Set(serve.ShardHeader, owner.name)
+		serve.WriteResult(w, body, string(outcome))
 		return
 	}
 
@@ -414,24 +559,15 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	serve.WriteResult(w, res.body, string(res.outcome))
 }
 
-// routeProbe forwards a cache-only probe to the key's owner.
-func (g *Gateway) routeProbe(ctx context.Context, w http.ResponseWriter, req serve.SimulateRequest, key string) {
-	owner := g.shards[g.ring.Owner(key)]
+// probeCache asks owner's cache for req with a cache-only request, recorded
+// as a gw.probe span.
+func probeCache(ctx context.Context, owner *shard, req serve.SimulateRequest) ([]byte, client.CacheOutcome, bool, error) {
 	sp, ctx := stats.StartSpan(ctx, "gw.probe", "cluster")
 	sp.SetAttr("shard", "shard-"+strconv.Itoa(owner.idx))
 	body, outcome, ok, err := owner.client.CacheProbe(ctx, req)
 	sp.SetAttr("hit", strconv.FormatBool(err == nil && ok))
 	sp.End()
-	if err != nil {
-		g.shell.WriteError(w, err)
-		return
-	}
-	if !ok {
-		g.shell.WriteError(w, serve.ErrCacheMiss)
-		return
-	}
-	w.Header().Set(serve.ShardHeader, owner.name)
-	serve.WriteResult(w, body, string(outcome))
+	return body, outcome, ok, err
 }
 
 // fetchSim serves one simulation through the ring: the owner first,
@@ -466,11 +602,11 @@ func (g *Gateway) fetchSim(ctx context.Context, req serve.SimulateRequest, key s
 				lastOpen = err
 				continue
 			}
-			n := attempt
+			t := try{span: "gw.attempt", sh: sh, n: attempt, failover: failover, hedged: hedged}
 			attempt++
 			pending++
 			go func() {
-				res, err := g.attemptSim(ctx, sh, owner, req, n, failover, hedged, done)
+				res, err := g.attemptSim(ctx, t, owner, req, done)
 				results <- attemptOut{res: res, err: err, hedged: hedged}
 			}()
 			return true
@@ -516,97 +652,44 @@ func (g *Gateway) fetchSim(ctx context.Context, req serve.SimulateRequest, key s
 	}
 }
 
-// attemptSim is one upstream try, recorded as a gw.attempt child span of
-// the request's root — the span whose identity the shard call carries in
-// its traceparent header, so the shard's own spans stitch under it. On a
-// failover attempt to a non-owner, the owner's cache is probed first: a
-// shard whose compute path is broken (breaker open, serving bounded-stale)
-// still answers probes, and a dead one fails them fast — either way a
-// failover shard never recomputes a result the cluster already holds.
-func (g *Gateway) attemptSim(ctx context.Context, sh, owner *shard, req serve.SimulateRequest, attempt int, failover, hedged bool, done func(error)) (simResult, error) {
-	sp, sctx := stats.StartSpan(ctx, "gw.attempt", "cluster")
-	sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-	sp.SetAttr("attempt", strconv.Itoa(attempt))
-	if failover {
-		sp.SetAttr("failover", "true")
-	}
-	if hedged {
-		sp.SetAttr("hedged", "true")
-	}
-	res, err := g.attemptSimSpanned(sctx, sh, owner, req, failover, sp, done)
-	sp.SetAttr("outcome", attemptOutcome(ctx, err))
-	sp.End()
-	return res, err
-}
-
-// attemptOutcome labels an attempt span's result. A hedge loser — its
-// sibling won and fetchSim canceled the race context — is "cancelled", the
-// shape the stitched export shows for work the gateway deliberately
-// abandoned; everything else is "ok", "deadline" or "error".
-func attemptOutcome(ctx context.Context, err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, context.Canceled), errors.Is(ctx.Err(), context.Canceled):
-		return "cancelled"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	default:
-		return "error"
-	}
-}
-
-func (g *Gateway) attemptSimSpanned(ctx context.Context, sh, owner *shard, req serve.SimulateRequest, failover bool, sp *stats.Span, done func(error)) (simResult, error) {
-	if err := g.chaos.Inject(ctx, resilience.SiteProxy); err != nil {
-		done(resilience.Ignore) // injected at the gateway, not the shard's fault
-		return simResult{}, err
-	}
-	if failover && sh != owner {
-		psp, pctx := stats.StartSpan(ctx, "gw.probe", "cluster")
-		psp.SetAttr("shard", "shard-"+strconv.Itoa(owner.idx))
-		pctx, pcancel := context.WithTimeout(pctx, g.opts.ProbeTimeout)
-		body, outcome, ok, err := owner.client.CacheProbe(pctx, req)
-		pcancel()
-		psp.SetAttr("hit", strconv.FormatBool(err == nil && ok))
-		psp.End()
-		if err == nil && ok {
-			g.probeHits.Inc()
-			sp.SetAttr("probeHit", "true")
-			done(resilience.Ignore) // sh itself was never called
-			return simResult{body: body, outcome: outcome, shard: owner}, nil
+// attemptSim is one simulate attempt. On a failover attempt to a
+// non-owner, the owner's cache is probed first: a shard whose compute path
+// is broken (breaker open, serving bounded-stale) still answers probes, and
+// a dead one fails them fast — either way a failover shard never
+// recomputes a result the cluster already holds.
+func (g *Gateway) attemptSim(ctx context.Context, t try, owner *shard, req serve.SimulateRequest, done func(error)) (simResult, error) {
+	var res simResult
+	err := g.attempt(ctx, t, done, func(ctx context.Context) error {
+		if t.failover && t.sh != owner {
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+			body, outcome, ok, err := probeCache(pctx, owner, req)
+			cancel()
+			if err == nil && ok {
+				g.probeHits.Inc()
+				stats.SpanFrom(ctx).SetAttr("probeHit", "true")
+				// t.sh itself was never called, so its breaker slot is
+				// released unjudged; attempt's own done call is then a
+				// no-op.
+				done(resilience.Ignore)
+				res = simResult{body: body, outcome: outcome, shard: owner}
+				return nil
+			}
 		}
-	}
-	t0 := time.Now()
-	body, outcome, err := sh.client.SimulateRaw(ctx, req)
-	done(shardOutcome(err))
-	if err != nil {
-		return simResult{}, err
-	}
-	g.proxyDur.Observe(int64(time.Since(t0)))
-	return simResult{body: body, outcome: outcome, shard: sh}, nil
-}
-
-// shardOutcome classifies an upstream error for the shard's breaker: only
-// path failures (transport errors, 5xx) count against it. Rejections the
-// shard meant (4xx, including queue-full 429s) and cancellations say
-// nothing about its health.
-func shardOutcome(err error) error {
-	if err == nil {
+		t0 := time.Now()
+		body, outcome, err := t.sh.client.SimulateRaw(ctx, req)
+		if err != nil {
+			return err
+		}
+		g.proxyDur.Observe(int64(time.Since(t0)))
+		res = simResult{body: body, outcome: outcome, shard: t.sh}
 		return nil
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return resilience.Ignore
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) && ae.Status < 500 {
-		return resilience.Ignore
-	}
-	return err
+	})
+	return res, err
 }
 
 // hedgeDelay resolves the current hedge delay: fixed when configured,
 // adaptive (observed p99 of proxied simulate latency, floored at
-// MinHedge) by default, zero = hedging off for this request.
+// minHedge) by default, zero = hedging off for this request.
 func (g *Gateway) hedgeDelay() time.Duration {
 	switch {
 	case g.opts.HedgeAfter < 0:
@@ -618,18 +701,14 @@ func (g *Gateway) hedgeDelay() time.Duration {
 	if snap.Count < HedgeWarmup {
 		return 0
 	}
-	d := time.Duration(snap.Quantile(0.99))
-	if d < g.opts.MinHedge {
-		d = g.opts.MinHedge
-	}
-	return d
+	return max(time.Duration(snap.Quantile(0.99)), minHedge)
 }
 
 // --- arena routing ---
 
 // handleArena proxies a replacement-policy race to the shard owning its
-// content address, failing over along the ring when a shard errors. Reports
-// are byte-identical on every shard (the race is deterministic and every
+// content address, walking the ring when a shard errors. Reports are
+// byte-identical on every shard (the race is deterministic and every
 // daemon pins the same single-frame geometry), so failover never changes a
 // number — only which shard's arena cache warms up. No hedging: a race is
 // orders of magnitude heavier than a simulate call, and doubling one
@@ -652,56 +731,18 @@ func (g *Gateway) handleArena(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := g.shell.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	var firstErr error
-	for attempt, idx := range g.ring.Successors(key) {
-		sh := g.shards[idx]
-		done, allowErr := sh.brk.Allow()
-		if allowErr != nil {
-			if firstErr == nil {
-				firstErr = allowErr
-			}
-			continue
-		}
-		sp, actx := stats.StartSpan(ctx, "gw.attempt", "cluster")
-		sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-		sp.SetAttr("attempt", strconv.Itoa(attempt))
-		if attempt > 0 {
-			sp.SetAttr("failover", "true")
-		}
-		if err := g.chaos.Inject(actx, resilience.SiteProxy); err != nil {
-			done(resilience.Ignore) // injected at the gateway, not the shard's fault
-			sp.SetAttr("outcome", attemptOutcome(ctx, err))
-			sp.End()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		body, outcome, err := sh.client.ArenaRaw(actx, req)
-		done(shardOutcome(err))
-		sp.SetAttr("outcome", attemptOutcome(ctx, err))
-		sp.End()
-		if err == nil {
-			w.Header().Set(serve.ShardHeader, sh.name)
-			serve.WriteResult(w, body, string(outcome))
-			return
-		}
-		// A 4xx is the shard rejecting the request itself — every shard
-		// would; pass it through instead of burning the ring.
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests {
-			g.shell.WriteError(w, err)
-			return
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		g.failovers.Inc()
-		if ctx.Err() != nil {
-			break
-		}
+	var report []byte
+	var outcome client.CacheOutcome
+	sh, err := g.walk(ctx, key, "gw.attempt", func(ctx context.Context, sh *shard) (err error) {
+		report, outcome, err = sh.client.ArenaRaw(ctx, req)
+		return err
+	})
+	if err != nil {
+		g.shell.WriteError(w, err)
+		return
 	}
-	g.shell.WriteError(w, firstErr)
+	w.Header().Set(serve.ShardHeader, sh.name)
+	serve.WriteResult(w, report, string(outcome))
 }
 
 // --- sweep fan-out ---
@@ -712,7 +753,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	keys, timeoutMs, err := serve.ResolveSweep(req, g.opts.MaxSweepItems, "gateway", serve.CanonicalKey)
+	keys, timeoutMs, err := serve.ResolveSweep(req, maxSweepItems, "gateway", serve.CanonicalKey)
 	if err != nil {
 		g.shell.WriteError(w, err)
 		return
@@ -736,7 +777,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepChunk is one sub-sweep: a run of same-owner items, at most
-// ShardSweepItems long, remembering each item's global index.
+// serve.MaxSweepItems long, remembering each item's global index.
 type sweepChunk struct {
 	ownerIdx int
 	global   []int
@@ -757,10 +798,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 	var chunks []sweepChunk
 	for o, globals := range byOwner {
 		for len(globals) > 0 {
-			n := len(globals)
-			if n > g.opts.ShardSweepItems {
-				n = g.opts.ShardSweepItems
-			}
+			n := min(len(globals), serve.MaxSweepItems)
 			chunks = append(chunks, sweepChunk{ownerIdx: o, global: globals[:n]})
 			globals = globals[n:]
 		}
@@ -768,90 +806,71 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 
 	runs := make([]json.RawMessage, len(items))
 	var anyStale atomic.Bool
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(ch sweepChunk) {
-			defer wg.Done()
-			sub := make([]serve.SimulateRequest, len(ch.global))
+	errs := make([]error, len(chunks))
+	fanOut(len(chunks), func(c int) {
+		ch := chunks[c]
+		sub := make([]serve.SimulateRequest, len(ch.global))
+		for i, gi := range ch.global {
+			sub[i] = items[gi]
+		}
+		got, hdr, err := g.subSweep(ctx, g.shards[ch.ownerIdx], sub)
+		if err == nil && len(got) != len(sub) {
+			err = fmt.Errorf("cluster: shard %s returned %d runs for %d items",
+				g.shards[ch.ownerIdx].name, len(got), len(sub))
+		}
+		if err == nil {
 			for i, gi := range ch.global {
-				sub[i] = items[gi]
+				runs[gi] = got[i]
 			}
-			got, hdr, err := g.trySubSweep(ctx, g.shards[ch.ownerIdx], sub)
-			if err == nil && len(got) != len(sub) {
-				err = fmt.Errorf("cluster: shard %s returned %d runs for %d items",
-					g.shards[ch.ownerIdx].name, len(got), len(sub))
+			if hdr.Get("Warning") != "" {
+				anyStale.Store(true)
 			}
-			if err == nil {
-				for i, gi := range ch.global {
-					runs[gi] = got[i]
-				}
-				if hdr.Get("Warning") != "" {
-					anyStale.Store(true)
-				}
+			return
+		}
+		// The sub-sweep died (shard killed mid-sweep, breaker open,
+		// chaos fault). Recover item by item through the full
+		// hedge/failover path.
+		for i, gi := range ch.global {
+			g.fallback.Inc()
+			res, err := g.fetchSim(ctx, sub[i], keys[gi])
+			if err != nil {
+				errs[c] = fmt.Errorf("item %d: %w", gi, err)
 				return
 			}
-			// The sub-sweep died (shard killed mid-sweep, breaker open,
-			// chaos fault). Recover item by item through the full
-			// hedge/failover path.
-			for i, gi := range ch.global {
-				g.fallback.Inc()
-				res, err := g.fetchSim(ctx, sub[i], keys[gi])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("item %d: %w", gi, err)
-					}
-					mu.Unlock()
-					return
-				}
-				// Simulate bodies end in the canonical newline; runs
-				// embed without it, exactly as the shard's own sweep
-				// handler trims.
-				runs[gi] = json.RawMessage(string(res.body[:len(res.body)-1]))
-				if res.outcome == "stale" {
-					anyStale.Store(true)
-				}
+			// Simulate bodies end in the canonical newline; runs
+			// embed without it, exactly as the shard's own sweep
+			// handler trims.
+			runs[gi] = json.RawMessage(string(res.body[:len(res.body)-1]))
+			if res.outcome == "stale" {
+				anyStale.Store(true)
 			}
-		}(ch)
-	}
-	wg.Wait()
-	if firstErr != nil {
+		}
+	})
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
 		var ge *serve.APIError
 		var ae *client.APIError
-		if errors.As(firstErr, &ge) || errors.As(firstErr, &ae) {
-			return nil, false, firstErr
+		if errors.As(err, &ge) || errors.As(err, &ae) {
+			return nil, false, err
 		}
-		return nil, false, fmt.Errorf("cluster: sweep failed: %w", firstErr)
+		return nil, false, fmt.Errorf("cluster: sweep failed: %w", err)
 	}
 	return runs, anyStale.Load(), nil
 }
 
-// trySubSweep sends one sub-sweep to its owner under the shard's breaker,
-// as a gw.subsweep child span carrying the chunk size — the span whose
+// subSweep sends one sub-sweep to its owner under the shard's breaker, as
+// a gw.subsweep attempt carrying the chunk size — the span whose
 // traceparent the shard's own sweep spans stitch under.
-func (g *Gateway) trySubSweep(ctx context.Context, sh *shard, items []serve.SimulateRequest) ([]json.RawMessage, http.Header, error) {
-	sp, sctx := stats.StartSpan(ctx, "gw.subsweep", "cluster")
-	sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-	sp.SetAttr("items", strconv.Itoa(len(items)))
-	got, hdr, err := g.trySubSweepSpanned(sctx, sh, items)
-	sp.SetAttr("outcome", attemptOutcome(ctx, err))
-	sp.End()
-	return got, hdr, err
-}
-
-func (g *Gateway) trySubSweepSpanned(ctx context.Context, sh *shard, items []serve.SimulateRequest) ([]json.RawMessage, http.Header, error) {
+func (g *Gateway) subSweep(ctx context.Context, sh *shard, items []serve.SimulateRequest) (runs []json.RawMessage, hdr http.Header, err error) {
 	done, err := sh.brk.Allow()
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := g.chaos.Inject(ctx, resilience.SiteProxy); err != nil {
-		done(resilience.Ignore)
-		return nil, nil, err
-	}
-	got, hdr, err := sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
-	done(shardOutcome(err))
-	return got, hdr, err
+	err = g.attempt(ctx, try{span: "gw.subsweep", sh: sh, items: len(items)}, done, func(ctx context.Context) (err error) {
+		runs, hdr, err = sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
+		return err
+	})
+	return runs, hdr, err
 }

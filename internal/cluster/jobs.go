@@ -2,17 +2,11 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 
-	"tcor/internal/resilience"
 	"tcor/internal/serve"
-	"tcor/internal/serve/client"
-	"tcor/internal/stats"
 )
 
 // --- durable job routing ---
@@ -59,29 +53,17 @@ func (g *Gateway) listJobs(r *http.Request) (any, error) {
 // jobs are gone". Duplicated IDs — the same body resubmitted while ring
 // candidates disagreed on a down owner — collapse to one row.
 func (g *Gateway) fanOutJobList(ctx context.Context) ([]serve.JobRecord, error) {
-	var mu sync.Mutex
-	var firstErr error
+	lists := make([][]serve.JobRecord, len(g.shards))
+	errs := make([]error, len(g.shards))
+	fanOut(len(g.shards), func(i int) {
+		lists[i], errs[i] = g.shards[i].client.Jobs(ctx)
+	})
 	var all []serve.JobRecord
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			jobs, err := sh.client.Jobs(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			all = append(all, jobs...)
-		}(sh)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, lists[i]...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].CreatedAtMs != all[j].CreatedAtMs {
@@ -138,12 +120,17 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	g.proxyJob(w, r, id, "gw.job.proxy", call)
 }
 
-// proxyJob runs one job operation through jobAttempts under the request's
-// deadline and relays the holding shard's answer verbatim.
-func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, key, op string, call func(context.Context, *shard) ([]byte, int, error)) {
+// proxyJob walks the ring for key with one job operation under the
+// request's deadline and relays the holding shard's answer verbatim.
+func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, key, span string, call func(context.Context, *shard) ([]byte, int, error)) {
 	ctx, cancel := g.shell.RequestContext(r, 0)
 	defer cancel()
-	data, status, sh, err := g.jobAttempts(ctx, key, op, call)
+	var data []byte
+	var status int
+	sh, err := g.walk(ctx, key, span, func(ctx context.Context, sh *shard) (err error) {
+		data, status, err = call(ctx, sh)
+		return err
+	})
 	if err != nil {
 		g.shell.WriteError(w, err)
 		return
@@ -152,70 +139,4 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, key, op strin
 	w.Header().Set(serve.ShardHeader, sh.name)
 	w.WriteHeader(status)
 	w.Write(data) //nolint:errcheck // client gone is its own problem
-}
-
-// jobAttempts runs one job operation against the ring candidates for key in
-// owner-first order under each shard's breaker and the chaos injector. A
-// 404 walks to the next candidate — the job may live on a successor that
-// absorbed its submission while the owner was down — and only becomes the
-// caller's answer when no candidate knows the ID. Other 4xx answers (401
-// unknown tenant, 409 not-done) pass through from the first shard that
-// holds the job; 5xx and transport errors fail over.
-func (g *Gateway) jobAttempts(ctx context.Context, key, op string, call func(context.Context, *shard) ([]byte, int, error)) ([]byte, int, *shard, error) {
-	var firstErr, notFound error
-	for attempt, idx := range g.ring.Successors(key) {
-		sh := g.shards[idx]
-		done, allowErr := sh.brk.Allow()
-		if allowErr != nil {
-			if firstErr == nil {
-				firstErr = allowErr
-			}
-			continue
-		}
-		sp, actx := stats.StartSpan(ctx, op, "cluster")
-		sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-		sp.SetAttr("attempt", strconv.Itoa(attempt))
-		if attempt > 0 {
-			sp.SetAttr("failover", "true")
-		}
-		if err := g.chaos.Inject(actx, resilience.SiteProxy); err != nil {
-			done(resilience.Ignore) // injected at the gateway, not the shard's fault
-			sp.SetAttr("outcome", attemptOutcome(ctx, err))
-			sp.End()
-			if firstErr == nil {
-				firstErr = err
-			}
-			g.failovers.Inc()
-			continue
-		}
-		data, status, err := call(actx, sh)
-		done(shardOutcome(err))
-		sp.SetAttr("outcome", attemptOutcome(ctx, err))
-		sp.End()
-		if err == nil {
-			return data, status, sh, nil
-		}
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests {
-			if ae.Status == http.StatusNotFound {
-				if notFound == nil {
-					notFound = err
-				}
-				continue // not a failover: the shard is healthy, just not the holder
-			}
-			// The shard rejected the request itself — every shard would.
-			return nil, 0, nil, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		g.failovers.Inc()
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if notFound != nil {
-		return nil, 0, nil, notFound
-	}
-	return nil, 0, nil, firstErr
 }

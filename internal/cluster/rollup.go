@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"tcor/internal/resilience"
@@ -19,7 +18,7 @@ import (
 // Gateway telemetry rollup. A cluster's observability otherwise stops at
 // the process boundary: three shards and a gateway are four unrelated
 // /metrics pages. GET /v1/cluster/metrics scrapes every shard's Prometheus
-// endpoint concurrently (bounded, breaker-aware) and re-emits the union as
+// endpoint concurrently (breaker-aware) and re-emits the union as
 // one page where every shard series carries a `shard="shard-<i>"` label,
 // followed by gateway-computed fleet aggregates under `shard="fleet"`:
 // counters and gauges summed, histograms merged bucket-by-bucket through
@@ -29,12 +28,8 @@ import (
 // response — instead of failing it. GET /v1/cluster/health is the JSON
 // companion: per-shard readyz/breaker state plus the ring's shape.
 
-// MetricsScrapeTimeout bounds the whole shard scrape fan-out, and
-// metricsScrapeParallel bounds how many shards are scraped at once.
-const (
-	MetricsScrapeTimeout  = 5 * time.Second
-	metricsScrapeParallel = 4
-)
+// MetricsScrapeTimeout bounds the whole shard scrape fan-out.
+const MetricsScrapeTimeout = 5 * time.Second
 
 // promSample is one exposition line: the full sample name (family name
 // plus any _bucket/_sum/_count suffix), the label pairs inside the braces
@@ -175,38 +170,24 @@ type shardScrape struct {
 	err  error
 }
 
-// scrapeShards pulls every shard's /metrics page, at most
-// metricsScrapeParallel at a time. A shard whose breaker is open is not
-// scraped (it is already considered down, and a scrape must never pollute
-// the breaker window routing decisions read).
+// scrapeShards pulls every shard's /metrics page concurrently. A shard
+// whose breaker is open is not scraped (it is already considered down, and
+// a scrape must never pollute the breaker window routing decisions read).
 func (g *Gateway) scrapeShards(ctx context.Context) []shardScrape {
 	out := make([]shardScrape, len(g.shards))
-	sem := make(chan struct{}, metricsScrapeParallel)
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
+	fanOut(len(g.shards), func(i int) {
+		sh := g.shards[i]
 		if sh.brk.State() == resilience.Open {
-			out[sh.idx].err = fmt.Errorf("skipped: breaker open")
-			continue
+			out[i].err = fmt.Errorf("skipped: breaker open")
+			return
 		}
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			text, err := sh.client.MetricsText(ctx)
-			if err != nil {
-				out[sh.idx].err = err
-				return
-			}
-			fams, err := parsePromText(string(text))
-			if err != nil {
-				out[sh.idx].err = err
-				return
-			}
-			out[sh.idx].fams = fams
-		}(sh)
-	}
-	wg.Wait()
+		text, err := sh.client.MetricsText(ctx)
+		if err != nil {
+			out[i].err = err
+			return
+		}
+		out[i].fams, out[i].err = parsePromText(string(text))
+	})
 	return out
 }
 
@@ -339,28 +320,19 @@ func (g *Gateway) clusterHealth(r *http.Request) (any, error) {
 		VNodes:   g.opts.VNodes,
 		Shards:   make([]ShardHealth, len(g.shards)),
 	}
-	sem := make(chan struct{}, metricsScrapeParallel)
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
-		row := &health.Shards[sh.idx]
+	fanOut(len(g.shards), func(i int) {
+		sh, row := g.shards[i], &health.Shards[i]
 		row.Name, row.Index, row.Breaker = sh.name, sh.idx, sh.brk.State().String()
 		if sh.brk.State() == resilience.Open {
 			row.Detail = "breaker open"
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(sh *shard, row *ShardHealth) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := sh.client.Ready(ctx); err != nil {
-				row.Detail = err.Error()
-				return
-			}
-			row.Ready = true
-		}(sh, row)
-	}
-	wg.Wait()
+		if err := sh.client.Ready(ctx); err != nil {
+			row.Detail = err.Error()
+			return
+		}
+		row.Ready = true
+	})
 
 	ready := 0
 	for _, row := range health.Shards {

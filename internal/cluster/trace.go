@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"tcor/internal/resilience"
@@ -96,29 +95,24 @@ func (g *Gateway) stitchTrace(ctx context.Context, id stats.TraceID) (clusterTra
 	sets[0] = processSet{pid: 0, name: "gateway", spans: g.tracer.TraceSpans(id)}
 
 	status := make([]string, len(g.shards))
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
-		sets[sh.idx+1] = processSet{pid: sh.idx + 1, name: "shard-" + strconv.Itoa(sh.idx)}
+	fanOut(len(g.shards), func(i int) {
+		sh := g.shards[i]
+		sets[i+1] = processSet{pid: i + 1, name: "shard-" + strconv.Itoa(i)}
 		// Breaker-aware: a shard the router already considers down is not
 		// worth a fetch timeout, and a trace pull must never count against
 		// the breaker window that routing decisions read.
 		if sh.brk.State() == resilience.Open {
-			status[sh.idx] = "skipped: breaker open"
-			continue
+			status[i] = "skipped: breaker open"
+			return
 		}
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			ts, err := sh.client.TraceSpans(ctx, id)
-			if err != nil {
-				status[sh.idx] = "error: " + err.Error()
-				return
-			}
-			status[sh.idx] = "ok"
-			sets[sh.idx+1].spans = ts.Spans
-		}(sh)
-	}
-	wg.Wait()
+		ts, err := sh.client.TraceSpans(ctx, id)
+		if err != nil {
+			status[i] = "error: " + err.Error()
+			return
+		}
+		status[i] = "ok"
+		sets[i+1].spans = ts.Spans
+	})
 
 	applySkewOffsets(sets)
 

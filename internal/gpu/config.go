@@ -185,5 +185,11 @@ func (c Config) Validate() error {
 	if c.Timing.MSHROverlap <= 0 {
 		return fmt.Errorf("gpu: MSHR overlap must be positive")
 	}
+	if c.L2Enhanced != c.L2.Enhanced {
+		// The list cache tags last-use for the L2 by L2Enhanced, the L2
+		// replaces by L2.Enhanced, and the stats invariants pick the L2
+		// identity set by L2Enhanced: one decision, so one value.
+		return fmt.Errorf("gpu: L2Enhanced %v disagrees with L2.Enhanced %v", c.L2Enhanced, c.L2.Enhanced)
+	}
 	return nil
 }

@@ -49,6 +49,14 @@ func TestConfigConstructors(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero tile cache must fail validation")
 	}
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	split := TCOR(64 << 10)
+	split.L2.Enhanced = false
+	if err := split.Validate(); err == nil {
+		t.Error("L2Enhanced disagreeing with L2.Enhanced must fail validation")
+	}
 }
 
 func TestSimulateBaselineRuns(t *testing.T) {

@@ -175,7 +175,7 @@ type job struct {
 // resolve validates a request against the server limits and maps it onto
 // the library types. All failures are 400s with a precise message.
 func (s *Server) resolve(req SimulateRequest) (job, error) {
-	return resolveRequest(req, s.opts.MaxFrames)
+	return resolveRequest(req, maxFrames)
 }
 
 // CanonicalKey resolves a request the way a server would and returns its

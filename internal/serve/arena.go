@@ -120,34 +120,15 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	val, how, err := s.arenaCache.get(ctx, key, nil, func() (cached, error) {
-		return s.computeArena(ctx, opts)
+		// One admission slot for the whole race: it parallelizes
+		// internally across the worker count.
+		return s.admitted(ctx, func() (cached, error) { return s.raceArena(ctx, s.arenaRunner(), opts) })
 	})
 	if err != nil {
 		s.shell.WriteError(w, err)
 		return
 	}
 	WriteResult(w, val.body, string(how))
-}
-
-// computeArena is the arena cache-miss leader's work: one admission-gate
-// slot for the whole race (the race parallelizes internally across the
-// worker count), then the canonical report encoding. Per-policy counters
-// meter how many cells each roster member raced.
-func (s *Server) computeArena(ctx context.Context, opts arena.Options) (cached, error) {
-	rel, err := s.gate.acquire(ctx)
-	if err != nil {
-		if err == errQueueFull {
-			qe := *errQueueFull
-			qe.RetryAfter = s.tenantRetryAfter(s.tenantFrom(ctx))
-			return cached{}, &qe
-		}
-		return cached{}, err
-	}
-	defer rel()
-	if err := ctx.Err(); err != nil {
-		return cached{}, err
-	}
-	return s.raceArena(ctx, s.arenaRunner(), opts)
 }
 
 // raceArena runs one arena race on the given runner and encodes the

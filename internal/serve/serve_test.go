@@ -81,9 +81,9 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestRequestSizeLimit(t *testing.T) {
-	s := NewServer(Options{MaxBodyBytes: 64})
+	s := NewServer(Options{})
 	rec := postJSON(s.Handler(), "/v1/simulate",
-		`{"benchmark":"CCS","spec":`+strings.Repeat(" ", 100)+`}`)
+		`{"benchmark":"CCS","spec":`+strings.Repeat(" ", DefaultMaxBodyBytes+1)+`}`)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", rec.Code)
 	}

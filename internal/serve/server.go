@@ -36,14 +36,6 @@ type Options struct {
 	// DefaultTimeout is the per-request deadline when the request does not
 	// carry one (0 = 60s).
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps request-supplied deadlines (0 = 10m).
-	MaxTimeout time.Duration
-	// MaxBodyBytes bounds request bodies; larger ones get 413 (0 = 1 MiB).
-	MaxBodyBytes int64
-	// MaxFrames bounds the frames one simulation may run (0 = 32).
-	MaxFrames int
-	// MaxSweepItems bounds the items of one /v1/sweep (0 = 64).
-	MaxSweepItems int
 	// Registry receives every serving-layer metric (queue depth, in-flight
 	// gauge, cache hit/miss/eviction counts, rejections, panics, latency
 	// histograms); nil means a private registry, readable via
@@ -97,12 +89,22 @@ type Options struct {
 	JobWorkers int
 }
 
-// The request limits a Server applies when Options leaves them zero. The
-// cluster gateway always applies them.
+// The request limits of both serving tiers. The cluster gateway applies
+// the same body and deadline limits, so a request either tier rejects gets
+// the same answer.
 const (
-	DefaultMaxBodyBytes   = 1 << 20
+	// DefaultMaxBodyBytes bounds request bodies; larger ones get 413.
+	DefaultMaxBodyBytes = 1 << 20
+	// DefaultRequestTimeout is the deadline of a request that carries none
+	// when Options.DefaultTimeout is zero.
 	DefaultRequestTimeout = 60 * time.Second
-	DefaultMaxTimeout     = 10 * time.Minute
+	// DefaultMaxTimeout clamps request-supplied deadlines.
+	DefaultMaxTimeout = 10 * time.Minute
+	// MaxSweepItems bounds the items of one /v1/sweep; the gateway's
+	// sub-sweeps are at most this long.
+	MaxSweepItems = 64
+	// maxFrames bounds the frames one simulation may run.
+	maxFrames = 32
 )
 
 // withDefaults resolves the zero values.
@@ -124,18 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DefaultTimeout == 0 {
 		o.DefaultTimeout = DefaultRequestTimeout
-	}
-	if o.MaxTimeout == 0 {
-		o.MaxTimeout = DefaultMaxTimeout
-	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if o.MaxFrames == 0 {
-		o.MaxFrames = 32
-	}
-	if o.MaxSweepItems == 0 {
-		o.MaxSweepItems = 64
 	}
 	if o.Registry == nil {
 		o.Registry = stats.NewRegistry()
@@ -262,9 +252,7 @@ func NewServer(opts Options) *Server {
 		Latency:        reg.Histogram("serve.http.latency"),
 		Draining:       &s.draining,
 		DrainErr:       errDraining,
-		MaxBodyBytes:   opts.MaxBodyBytes,
 		DefaultTimeout: opts.DefaultTimeout,
-		MaxTimeout:     opts.MaxTimeout,
 		Before:         s.admitTenant,
 		Degraded:       s.degraded,
 		MapError:       mapError,
@@ -678,7 +666,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	jobs, timeoutMs, err := ResolveSweep(req, s.opts.MaxSweepItems, "server", s.resolve)
+	jobs, timeoutMs, err := ResolveSweep(req, MaxSweepItems, "server", s.resolve)
 	if err != nil {
 		s.shell.WriteError(w, err)
 		return
@@ -768,7 +756,7 @@ func (s *Server) runJob(ctx context.Context, j job) (cached, outcome, error) {
 				done(errComputePanicked)
 			}
 		}()
-		val, err := s.computeJob(ctx, j)
+		val, err := s.admitted(ctx, func() (cached, error) { return s.computeCell(ctx, j) })
 		committed = true
 		done(breakerOutcome(err))
 		return val, err
@@ -801,11 +789,12 @@ func breakerOutcome(err error) error {
 	return err
 }
 
-// computeJob is the cache-miss leader's work: admission through the
-// fair-share gate, then the ungated cell compute. A queue-full rejection is
-// decorated with the caller tenant's own Retry-After — sized from that
-// tenant's backlog, not the whole machine's.
-func (s *Server) computeJob(ctx context.Context, j job) (cached, error) {
+// admitted runs a sync cache-miss leader's work behind admission: a slot
+// from the fair-share gate, held until compute returns. A queue-full
+// rejection is decorated with the caller tenant's own Retry-After — sized
+// from that tenant's backlog, not the whole machine's — and a request whose
+// deadline or client beat the queue does not start.
+func (s *Server) admitted(ctx context.Context, compute func() (cached, error)) (cached, error) {
 	rel, err := s.gate.acquire(ctx)
 	if err != nil {
 		if err == errQueueFull {
@@ -817,16 +806,15 @@ func (s *Server) computeJob(ctx context.Context, j job) (cached, error) {
 	}
 	defer rel()
 	if err := ctx.Err(); err != nil {
-		// The deadline or the client beat the queue; don't start.
 		return cached{}, err
 	}
-	return s.computeCell(ctx, j)
+	return compute()
 }
 
 // computeCell is the admission-free compute core: workload generation, the
 // simulation itself and the canonical encoding, split into sim and encode
 // spans feeding the serve.sim.duration and serve.encode.duration
-// histograms. Sync requests reach it through computeJob's gate; background
+// histograms. Sync requests reach it through the admission gate; background
 // jobs call it directly — their concurrency is bounded by the job pool, off
 // the sync admission path. With SiteSimulate armed, the chaos injector runs
 // first — injected errors surface like simulator failures and are never

@@ -44,11 +44,9 @@ type Shell struct {
 	// DrainErr and /readyz answers 503.
 	Draining *atomic.Bool
 	DrainErr error
-	// MaxBodyBytes bounds the bodies BeginSim reads; DefaultTimeout and
-	// MaxTimeout bound RequestContext's deadline.
-	MaxBodyBytes   int64
+	// DefaultTimeout is RequestContext's deadline for a request that
+	// carries none; DefaultMaxTimeout clamps the deadline either way.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 
 	// Before runs ahead of the handler, with the request ID, tracer and
 	// root span already in the request context. It returns the request
@@ -281,9 +279,10 @@ func (sh *Shell) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // BeginSim is the front door of the simulation endpoints: method check,
-// drain check, bounded body read, strict decode into into. It returns the
-// raw body (the async job path content-addresses it, and the gateway
-// forwards it verbatim) and false after writing the error response itself.
+// drain check, body read bounded by DefaultMaxBodyBytes, strict decode
+// into into. It returns the raw body (the async job path content-addresses
+// it, and the gateway forwards it verbatim) and false after writing the
+// error response itself.
 func (sh *Shell) BeginSim(w http.ResponseWriter, r *http.Request, into any) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		sh.WriteError(w, MethodNotAllowed(http.MethodPost))
@@ -293,13 +292,13 @@ func (sh *Shell) BeginSim(w http.ResponseWriter, r *http.Request, into any) ([]b
 		sh.WriteError(w, sh.DrainErr)
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, sh.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			sh.WriteError(w, &APIError{Status: http.StatusRequestEntityTooLarge,
 				Code:    "body_too_large",
-				Message: fmt.Sprintf("request body exceeds %d bytes", sh.MaxBodyBytes)})
+				Message: fmt.Sprintf("request body exceeds %d bytes", DefaultMaxBodyBytes)})
 		} else {
 			sh.WriteError(w, BadRequest("reading request body: %v", err))
 		}
@@ -337,16 +336,13 @@ func ResolveSweep[T any](req SweepRequest, limit int, tier string, resolve func(
 }
 
 // RequestContext derives the per-request deadline: the request-supplied
-// timeout clamped to MaxTimeout, falling back to DefaultTimeout.
+// timeout clamped to DefaultMaxTimeout, falling back to DefaultTimeout.
 func (sh *Shell) RequestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := sh.DefaultTimeout
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
 	}
-	if d > sh.MaxTimeout {
-		d = sh.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), d)
+	return context.WithTimeout(r.Context(), min(d, DefaultMaxTimeout))
 }
 
 // WriteError renders any error as the JSON error envelope. Context errors

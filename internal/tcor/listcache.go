@@ -156,35 +156,3 @@ func (p *PrimitiveListCache) EndFrame() {
 	}
 	clear(p.lastUse)
 }
-
-// TileCache bundles the two split L1 caches plus plumbing so the Tiling
-// Engine can drive them through the tiling.Handler interface.
-type TileCache struct {
-	Lists *PrimitiveListCache
-	Attrs *AttributeCache
-}
-
-// NewTileCache builds the split Tile Cache of Fig. 7 from a total byte
-// budget, using the paper's partition: 16 KiB Primitive List Cache and the
-// remainder for the Attribute Cache (48 KiB of 64 KiB; 112 KiB of 128 KiB).
-func NewTileCache(totalBytes int, next mem.Sink) (*TileCache, error) {
-	lcfg := DefaultListCacheConfig()
-	if lcfg.SizeBytes >= totalBytes {
-		return nil, fmt.Errorf("tcor: total tile cache %d bytes below the %d-byte list cache", totalBytes, lcfg.SizeBytes)
-	}
-	lists, err := NewPrimitiveListCache(lcfg, next)
-	if err != nil {
-		return nil, err
-	}
-	attrs, err := NewAttributeCache(DefaultAttrCacheConfig(totalBytes-lcfg.SizeBytes), next)
-	if err != nil {
-		return nil, err
-	}
-	return &TileCache{Lists: lists, Attrs: attrs}, nil
-}
-
-// EndFrame recycles both caches.
-func (t *TileCache) EndFrame() {
-	t.Lists.EndFrame()
-	t.Attrs.EndFrame()
-}

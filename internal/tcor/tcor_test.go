@@ -393,22 +393,3 @@ func TestPrimitiveListCacheWritebackOnEviction(t *testing.T) {
 		t.Error("EndFrame must not write back")
 	}
 }
-
-func TestNewTileCache(t *testing.T) {
-	sink := mem.NewCounter()
-	tc, err := NewTileCache(64*1024, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Attrs.Config().AttrEntries != SizeToAttrEntries(48*1024) {
-		t.Errorf("attr entries = %d", tc.Attrs.Config().AttrEntries)
-	}
-	if _, err := NewTileCache(8*1024, sink); err == nil {
-		t.Error("expected error for budget below list cache size")
-	}
-	tc.Attrs.Write(0, 1, 1, 1, attrBlocks(0, 1))
-	tc.EndFrame()
-	if tc.Attrs.Contains(0) {
-		t.Error("EndFrame should clear the attribute cache")
-	}
-}
