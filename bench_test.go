@@ -341,6 +341,8 @@ func BenchmarkZOrderTraversal(b *testing.B) {
 	}
 }
 
+// BenchmarkRasterTile times one tile rasterized the way the simulator
+// does it: PlanTile, then CommitPlan into the texture caches.
 func BenchmarkRasterTile(b *testing.B) {
 	screen := geom.DefaultScreen()
 	p, err := raster.New(raster.DefaultConfig(screen, 4<<20, 12), mem.NewCounter(), mem.NewCounter())
@@ -352,9 +354,12 @@ func BenchmarkRasterTile(b *testing.B) {
 		Attrs: []geom.Attribute{{}},
 	}
 	work := []raster.TileWork{{Prim: tri}, {Prim: tri}, {Prim: tri}}
+	sc := p.NewScratch()
+	var plan raster.TilePlan
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.RasterTile(0, i, work)
+		p.PlanTile(0, i, work, sc, &plan)
+		p.CommitPlan(&plan)
 	}
 }
 

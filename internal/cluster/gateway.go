@@ -787,10 +787,12 @@ type sweepChunk struct {
 // and reassembles the runs in global item order. A failed sub-sweep —
 // shard death mid-sweep included — degrades to item-by-item routing with
 // full failover, so a sweep only fails when an item is unservable by
-// every shard (or genuinely invalid).
+// every shard (or genuinely invalid). When items fail, the error is the
+// one of the lowest failing item, whatever order the chunks ran in.
 func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest, keys []string) ([]json.RawMessage, bool, error) {
-	// Group by owner, preserving item order within each owner.
-	byOwner := make(map[int][]int)
+	// Group by owner in shard-index order, preserving item order within
+	// each owner.
+	byOwner := make([][]int, len(g.shards))
 	for i, key := range keys {
 		o := g.ring.Owner(key)
 		byOwner[o] = append(byOwner[o], i)
@@ -807,6 +809,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 	runs := make([]json.RawMessage, len(items))
 	var anyStale atomic.Bool
 	errs := make([]error, len(chunks))
+	failed := make([]int, len(chunks)) // global index of the chunk's failing item
 	fanOut(len(chunks), func(c int) {
 		ch := chunks[c]
 		sub := make([]serve.SimulateRequest, len(ch.global))
@@ -834,7 +837,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 			g.fallback.Inc()
 			res, err := g.fetchSim(ctx, sub[i], keys[gi])
 			if err != nil {
-				errs[c] = fmt.Errorf("item %d: %w", gi, err)
+				errs[c], failed[c] = fmt.Errorf("item %d: %w", gi, err), gi
 				return
 			}
 			// Simulate bodies end in the canonical newline; runs
@@ -846,10 +849,18 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 			}
 		}
 	})
-	for _, err := range errs {
-		if err == nil {
-			continue
+	// A chunk falls back item by item in order and stops at its first
+	// failure, so every item below a chunk's failing index succeeded: the
+	// lowest failing index over all chunks is the sweep's lowest failing
+	// item.
+	first := -1
+	for c, err := range errs {
+		if err != nil && (first < 0 || failed[c] < failed[first]) {
+			first = c
 		}
+	}
+	if first >= 0 {
+		err := errs[first]
 		var ge *serve.APIError
 		var ae *client.APIError
 		if errors.As(err, &ge) || errors.As(err, &ae) {

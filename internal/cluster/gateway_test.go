@@ -316,21 +316,28 @@ func TestGatewayBreakerRoutesAroundDeadShard(t *testing.T) {
 
 // TestGatewayChaosProxyAbsorbed: faults injected at resilience.SiteProxy
 // (aborting upstream attempts inside the gateway) are fully absorbed by
-// failover — callers never see one.
+// failover — callers never see one. The script alternates an error fault
+// and a clean evaluation, so every request fails over exactly once.
 func TestGatewayChaosProxyAbsorbed(t *testing.T) {
 	fc := newFakeCluster(t, 3)
 	for _, u := range fc.urls {
 		fc.setRole(u, answer(fmt.Sprintf("{\"from\":%q}\n", u), "miss"))
 	}
+	const requests = 40
+	seq := make([]resilience.FaultKind, 0, 2*requests)
+	for i := 0; i < requests; i++ {
+		seq = append(seq, resilience.KindError, resilience.KindNone)
+	}
 	reg := stats.NewRegistry()
 	inj := resilience.NewInjector(42).Meter(reg)
-	inj.Arm(resilience.SiteProxy, resilience.FaultPlan{Rate: 0.5})
+	inj.Arm(resilience.SiteProxy, resilience.FaultPlan{Seq: seq})
 	opts := singleAttempt()
 	opts.Registry = reg
 	opts.Chaos = inj
+	opts.HedgeAfter = -1 // a hedge would take a scripted evaluation
 	_, srv := newTestGateway(t, fc, opts)
 
-	for i := 0; i < 40; i++ {
+	for i := 0; i < requests; i++ {
 		req := testSim
 		req.TileCacheKB = 16 + i
 		resp := postSim(t, srv.URL, req)
@@ -339,8 +346,13 @@ func TestGatewayChaosProxyAbsorbed(t *testing.T) {
 			t.Fatalf("request %d: status %d %q under SiteProxy chaos", i, resp.StatusCode, body)
 		}
 	}
-	if got := reg.Snapshot().Get("chaos.gw.proxy.injected"); got == 0 {
-		t.Fatal("the injector never fired; the chaos plan is not exercising the proxy path")
+	snap := reg.Snapshot()
+	injected, failovers := snap.Get("chaos.gw.proxy.injected"), snap.Get("gw.failovers")
+	if injected != requests {
+		t.Fatalf("chaos.gw.proxy.injected = %d, want %d (one error fault per request)", injected, requests)
+	}
+	if failovers != injected {
+		t.Fatalf("gw.failovers = %d, want one per injected fault (%d)", failovers, injected)
 	}
 }
 
@@ -426,6 +438,72 @@ func TestGatewaySweepFallsBackItemByItem(t *testing.T) {
 	}
 	if got := g.Registry().Snapshot().Get("gw.sweep.fallbackItems"); got != int64(brokenOwned) {
 		t.Fatalf("gw.sweep.fallbackItems = %d, want %d", got, brokenOwned)
+	}
+}
+
+// TestGatewaySweepErrorIsLowestFailingItem: when both shards' sweep
+// endpoints are broken and the item-by-item fallback fails on each of
+// them, with a different error per item, the sweep answers with the error
+// of its lowest failing item, every time.
+func TestGatewaySweepErrorIsLowestFailingItem(t *testing.T) {
+	fc := newFakeCluster(t, 2)
+	g, srv := newTestGateway(t, fc, singleAttempt())
+	for _, u := range fc.urls {
+		fc.setRole(u, func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep" {
+				fail(http.StatusInternalServerError, "internal")(w, r)
+				return
+			}
+			var req serve.SimulateRequest
+			json.NewDecoder(r.Body).Decode(&req)
+			if req.TileCacheKB == 16 {
+				fmt.Fprintf(w, "{\"kb\":%d}\n", req.TileCacheKB)
+				return
+			}
+			fail(http.StatusBadRequest, fmt.Sprintf("item_kb_%d", req.TileCacheKB))(w, r)
+		})
+	}
+
+	// Item 0 succeeds and every later item fails with its own code. Add
+	// items until each shard owns a failing one, so both sub-sweeps fall
+	// back and fail.
+	var items []serve.SimulateRequest
+	owners := map[int]bool{}
+	for kb := 16; len(owners) < 2 || len(items) < 4; kb++ {
+		it := testSim
+		it.TileCacheKB = kb
+		items = append(items, it)
+		if kb == 16 {
+			continue
+		}
+		key, err := serve.CanonicalKey(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners[g.Ring().Owner(key)] = true
+	}
+	body, err := json.Marshal(serve.SweepRequest{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		resp, err := http.Post(srv.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("sweep %d: status %d %s, want the failing item's 400", i, resp.StatusCode, raw)
+		}
+		if i == 0 {
+			first = raw
+			if !strings.Contains(raw, "item_kb_17") {
+				t.Fatalf("sweep error %s does not name the lowest failing item (kb 17)", raw)
+			}
+		} else if raw != first {
+			t.Fatalf("sweep %d answered %s, sweep 0 answered %s", i, raw, first)
+		}
 	}
 }
 

@@ -28,9 +28,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// killResumeBenchmarks is the grid of TestCheckpointKillAndResume: prewarm
+// runs one sweep job per benchmark, journaling its six cells together, so a
+// kill between jobs needs at least two benchmarks.
+var killResumeBenchmarks = []string{"CCS", "GTr"}
+
 // checkpointChild is the victim process of TestCheckpointKillAndResume: a
-// prewarm sweep journaling into path, with injected per-job latency so the
-// parent has a wide window to SIGKILL it mid-run.
+// prewarm sweep journaling into path, one benchmark at a time, with
+// injected per-job latency so the parent has a wide window to SIGKILL it
+// between the two benchmarks.
 func checkpointChild(path string) {
 	inj := resilience.NewInjector(1)
 	inj.Arm(resilience.SiteSweep, resilience.FaultPlan{Rate: 1, Latency: 500 * time.Millisecond})
@@ -38,7 +44,7 @@ func checkpointChild(path string) {
 
 	r := NewRunner()
 	r.Frames = 1
-	r.Benchmarks = []string{"CCS"}
+	r.Benchmarks = killResumeBenchmarks
 	if _, err := r.OpenCheckpoint(path); err != nil {
 		fmt.Fprintln(os.Stderr, "child:", err)
 		os.Exit(1)
@@ -268,7 +274,9 @@ func TestCheckpointCfgChangeDefeatsRestore(t *testing.T) {
 // child process sweeps the prewarm grid journaling each cell, the parent
 // SIGKILLs it mid-run, and a resumed runner completes the grid — restoring
 // the journaled cells, re-executing only the missing ones, with final
-// results byte-identical to an uninterrupted run.
+// results byte-identical to an uninterrupted run. Prewarm journals a
+// benchmark's six cells together, so the kill lands between the child's
+// two benchmarks.
 func TestCheckpointKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs the test binary and runs a multi-simulation sweep")
@@ -285,17 +293,19 @@ func TestCheckpointKillAndResume(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill as soon as two cells are journaled (header + 2 record lines).
-	// The injected 500ms per-job latency guarantees the third cell is at
-	// least half a second away, so the kill lands mid-grid.
+	// Kill as soon as the first benchmark's six cells are journaled
+	// (header + 6 record lines). The injected 500ms per-job latency
+	// guarantees the second benchmark's cells are at least half a second
+	// away, so the kill lands mid-grid.
+	const group = 6 // cells per benchmark: the six prewarm configurations
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
-			t.Fatal("child never journaled two cells within 2m")
+			t.Fatalf("child never journaled %d cells within 2m", group)
 		}
 		data, _ := os.ReadFile(path)
-		if bytes.Count(data, []byte("\n")) >= 3 {
+		if bytes.Count(data, []byte("\n")) >= 1+group {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -305,14 +315,15 @@ func TestCheckpointKillAndResume(t *testing.T) {
 	}
 	cmd.Wait() // reaps the SIGKILLed child; its error is the point
 
-	const cells = 6 // one benchmark x the six prewarm configurations
+	cells := group * len(killResumeBenchmarks)
 	resumed := checkpointRunner()
+	resumed.Benchmarks = killResumeBenchmarks
 	restored, err := resumed.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored < 2 || restored >= cells {
-		t.Fatalf("restored %d cells, want at least the 2 observed and fewer than all %d (the kill must land mid-run)", restored, cells)
+	if restored < group || restored >= cells {
+		t.Fatalf("restored %d cells, want at least the %d observed and fewer than all %d (the kill must land mid-run)", restored, group, cells)
 	}
 	if err := resumed.Prewarm(2); err != nil {
 		t.Fatal(err)
@@ -327,7 +338,64 @@ func TestCheckpointKillAndResume(t *testing.T) {
 
 	// Byte-identity against an uninterrupted run, cell by cell.
 	clean := checkpointRunner()
-	for _, j := range prewarmConfigs("CCS") {
+	for _, alias := range killResumeBenchmarks {
+		for _, j := range prewarmConfigs(alias) {
+			want, err := clean.Run(j.alias, j.name, j.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := resumed.Run(j.alias, j.name, j.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, _ := json.Marshal(want)
+			gb, _ := json.Marshal(got)
+			if !bytes.Equal(wb, gb) {
+				t.Fatalf("cell %s/%s differs between the resumed and the uninterrupted run", j.alias, j.name)
+			}
+		}
+	}
+}
+
+// TestCheckpointGroupRestoresPartialScene checks checkpointing at group
+// granularity: with two of a benchmark's six prewarm cells journaled,
+// prewarm restores those two and simulates only the other four, and every
+// cell is byte-identical to an uninterrupted run.
+func TestCheckpointGroupRestoresPartialScene(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	cells := prewarmConfigs("CCS")
+	first := checkpointRunner()
+	if _, err := first.OpenCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []runCell{cells[0], cells[4]} {
+		if _, err := first.Run(j.alias, j.name, j.cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first.Checkpoint.Close()
+
+	resumed := checkpointRunner()
+	if n, err := resumed.OpenCheckpoint(path); err != nil || n != 2 {
+		t.Fatalf("reopening = (%d, %v), want (2, nil)", n, err)
+	}
+	if err := resumed.Prewarm(1); err != nil {
+		t.Fatal(err)
+	}
+	resumed.Checkpoint.Close()
+	snap := resumed.Metrics().Snapshot()
+	if got := snap.Get("checkpoint.restored"); got != 2 {
+		t.Errorf("checkpoint.restored = %d, want 2", got)
+	}
+	if got := snap.Get("checkpoint.journaled"); got != 4 {
+		t.Errorf("checkpoint.journaled = %d, want only the 4 missing cells simulated", got)
+	}
+
+	clean := checkpointRunner()
+	if err := clean.Prewarm(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range cells {
 		want, err := clean.Run(j.alias, j.name, j.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +407,7 @@ func TestCheckpointKillAndResume(t *testing.T) {
 		wb, _ := json.Marshal(want)
 		gb, _ := json.Marshal(got)
 		if !bytes.Equal(wb, gb) {
-			t.Fatalf("cell %s/%s differs between the resumed and the uninterrupted run", j.alias, j.name)
+			t.Errorf("cell %s/%s differs between the resumed and the uninterrupted run", j.alias, j.name)
 		}
 	}
 }

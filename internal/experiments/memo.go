@@ -58,6 +58,20 @@ func (c *memoCell[V]) completed() bool {
 // one call that computes; coalesced waiters count as hits (they reuse the
 // result); evictions count capacity-displaced and purged entries.
 func (m *memo[V]) get(key string, capacity int, hits, misses, evictions *stats.Counter, compute func() (V, error)) (V, error) {
+	c, leader := m.claim(key, capacity, hits, misses, evictions)
+	if leader {
+		c.resolve(compute())
+	}
+	return c.wait()
+}
+
+// claim returns key's cell. leader reports that the call created it: the
+// caller then owns the computation and must resolve the cell, and the call
+// is metered as a miss. Otherwise the cell belongs to an earlier caller
+// (completed or in flight) and the call is metered as a hit. Claiming
+// several keys before computing them together is how one computation fills
+// several keys while concurrent get calls of those keys wait for it.
+func (m *memo[V]) claim(key string, capacity int, hits, misses, evictions *stats.Counter) (c *memoCell[V], leader bool) {
 	m.mu.Lock()
 	if m.m == nil {
 		m.m = make(map[string]*memoCell[V])
@@ -67,10 +81,9 @@ func (m *memo[V]) get(key string, capacity int, hits, misses, evictions *stats.C
 		c.lastUse = m.clock
 		m.mu.Unlock()
 		hits.Inc()
-		<-c.done
-		return c.val, c.err
+		return c, false
 	}
-	c := &memoCell[V]{done: make(chan struct{}), lastUse: m.clock}
+	c = &memoCell[V]{done: make(chan struct{}), lastUse: m.clock}
 	if capacity > 0 {
 		for len(m.m) >= capacity {
 			if !m.evictLRULocked(c) {
@@ -82,9 +95,18 @@ func (m *memo[V]) get(key string, capacity int, hits, misses, evictions *stats.C
 	m.m[key] = c
 	m.mu.Unlock()
 	misses.Inc()
+	return c, true
+}
 
-	c.val, c.err = compute()
+// resolve publishes the leader's result and releases the cell's waiters.
+func (c *memoCell[V]) resolve(val V, err error) {
+	c.val, c.err = val, err
 	close(c.done)
+}
+
+// wait blocks until the cell is resolved and returns its result.
+func (c *memoCell[V]) wait() (V, error) {
+	<-c.done
 	return c.val, c.err
 }
 

@@ -157,74 +157,113 @@ func (r *Runner) Scene(alias string) (*workload.Scene, error) {
 // Run simulates a benchmark under a configuration, memoized under the given
 // configuration name.
 func (r *Runner) Run(alias, cfgName string, cfg gpu.Config) (*gpu.Result, error) {
-	hits, misses, evictions := r.meter("runs")
-	key := alias + "/" + cfgName
-	return r.runs.get(key, r.MemoCap, hits, misses, evictions, func() (*gpu.Result, error) {
-		cp := r.Checkpoint
-		var fp string
-		if cp != nil {
-			fp = cfgFingerprint(cfg)
-			if res, ok := cp.lookup(key, fp); ok {
-				return res, nil
-			}
-		}
-		sc, err := r.Scene(alias)
-		if err != nil {
-			return nil, err
-		}
-		res, err := gpu.Simulate(sc, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s under %s: %w", alias, cfgName, err)
-		}
-		if err := cp.journal(key, fp, res); err != nil {
-			return nil, fmt.Errorf("experiments: journaling %s: %w", key, err)
-		}
-		return res, nil
-	})
+	return r.runScene([]runCell{{alias, cfgName, cfg}})[0].wait()
 }
 
-// prewarmJob is one (benchmark, configuration) cell of the Figs. 14-24 grid.
-type prewarmJob struct {
+// runCell is one (benchmark, configuration) cell of the full-system grid,
+// memoized as "alias/name".
+type runCell struct {
 	alias, name string
 	cfg         gpu.Config
 }
 
+// runScene fills the memo cells of one benchmark's configurations and
+// returns the cells in order. The cells must share the benchmark, the
+// screen and the traversal order. A cell another caller already claimed is
+// returned as it is, possibly still in flight. The others are all claimed
+// before any work starts, so a concurrent Run of one of their keys waits
+// for this call instead of simulating again. Each claimed cell is restored
+// from the checkpoint when it is journaled there; the rest simulate
+// together in one gpu.SimulateGroup, are journaled and are resolved.
+func (r *Runner) runScene(cells []runCell) []*memoCell[*gpu.Result] {
+	hits, misses, evictions := r.meter("runs")
+	cp := r.Checkpoint
+	out := make([]*memoCell[*gpu.Result], len(cells))
+	var todo []int
+	var fps []string
+	for i, c := range cells {
+		key := c.alias + "/" + c.name
+		cell, leader := r.runs.claim(key, r.MemoCap, hits, misses, evictions)
+		out[i] = cell
+		if !leader {
+			continue
+		}
+		var fp string
+		if cp != nil {
+			fp = cfgFingerprint(c.cfg)
+			if res, ok := cp.lookup(key, fp); ok {
+				cell.resolve(res, nil)
+				continue
+			}
+		}
+		todo = append(todo, i)
+		fps = append(fps, fp)
+	}
+	if len(todo) == 0 {
+		return out
+	}
+
+	sc, err := r.Scene(cells[0].alias)
+	if err != nil {
+		for _, i := range todo {
+			out[i].resolve(nil, err)
+		}
+		return out
+	}
+	cfgs := make([]gpu.Config, len(todo))
+	for k, i := range todo {
+		cfgs[k] = cells[i].cfg
+	}
+	results, err := gpu.SimulateGroup(sc, cfgs)
+	for k, i := range todo {
+		c := cells[i]
+		key := c.alias + "/" + c.name
+		if err != nil {
+			out[i].resolve(nil, fmt.Errorf("experiments: %s under %s: %w", c.alias, c.name, err))
+		} else if jerr := cp.journal(key, fps[k], results[k]); jerr != nil {
+			out[i].resolve(nil, fmt.Errorf("experiments: journaling %s: %w", key, jerr))
+		} else {
+			out[i].resolve(results[k], nil)
+		}
+	}
+	return out
+}
+
 // prewarmConfigs returns the six full-system configurations behind
 // Figs. 14-24 for one benchmark.
-func prewarmConfigs(alias string) []prewarmJob {
-	var jobs []prewarmJob
+func prewarmConfigs(alias string) []runCell {
+	var cells []runCell
 	for _, sizeKB := range []int{64, 128} {
-		jobs = append(jobs,
-			prewarmJob{alias, fmt.Sprintf("base%d", sizeKB), gpu.Baseline(sizeKB * 1024)},
-			prewarmJob{alias, fmt.Sprintf("tcor%d", sizeKB), gpu.TCOR(sizeKB * 1024)},
-			prewarmJob{alias, fmt.Sprintf("nol2-%d", sizeKB), gpu.TCORNoL2(sizeKB * 1024)})
+		cells = append(cells,
+			runCell{alias, fmt.Sprintf("base%d", sizeKB), gpu.Baseline(sizeKB * 1024)},
+			runCell{alias, fmt.Sprintf("tcor%d", sizeKB), gpu.TCOR(sizeKB * 1024)},
+			runCell{alias, fmt.Sprintf("nol2-%d", sizeKB), gpu.TCORNoL2(sizeKB * 1024)})
 	}
-	return jobs
+	return cells
 }
 
 // Prewarm runs the six full-system configurations behind Figs. 14-24 for
-// every benchmark of the suite concurrently, bounded by par workers, so a
-// subsequent figure pass is all cache hits. Results are identical to the
-// sequential path (runs are independent and memoized per key).
+// every benchmark of the suite, so a subsequent figure pass is all cache
+// hits. Each benchmark is one sweep job simulating its configurations
+// together (see runScene); par bounds the concurrent jobs. Results are
+// identical to the sequential path.
 func (r *Runner) Prewarm(par int) error {
 	return r.PrewarmContext(r.baseCtx(), par)
 }
 
 // PrewarmContext is Prewarm with explicit cancellation: the context aborts
-// simulations between jobs (a started simulation runs to completion, but no
-// new work begins once ctx is done). par <= 0 means GOMAXPROCS.
+// the sweep between benchmarks (a started benchmark's group runs to
+// completion, but no new one begins once ctx is done). par <= 0 means
+// GOMAXPROCS.
 func (r *Runner) PrewarmContext(ctx context.Context, par int) error {
-	var jobs []func(context.Context) (struct{}, error)
-	for _, spec := range r.Suite() {
-		for _, j := range prewarmConfigs(spec.Alias) {
-			j := j
-			jobs = append(jobs, func(context.Context) (struct{}, error) {
-				_, err := r.Run(j.alias, j.name, j.cfg)
+	_, err := SweepSlice(ctx, par, r.Suite(), func(_ context.Context, spec workload.Spec) (struct{}, error) {
+		for _, c := range r.runScene(prewarmConfigs(spec.Alias)) {
+			if _, err := c.wait(); err != nil {
 				return struct{}{}, err
-			})
+			}
 		}
-	}
-	_, err := Sweep(ctx, par, jobs)
+		return struct{}{}, nil
+	})
 	return err
 }
 

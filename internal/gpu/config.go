@@ -7,6 +7,14 @@
 // metrics the paper evaluates: Parameter Buffer traffic at each level,
 // total main-memory accesses, memory-hierarchy and total GPU energy, Tile
 // Fetcher throughput and frames per second.
+//
+// One frame loop runs every simulation. SimulateGroup steps several
+// configurations of one scene (same screen and traversal order) through
+// it in lockstep: each frame is binned once and each tile's raster plan
+// is computed once and committed into every configuration, while
+// geometry, the Tiling Engine replays, the caches, the L2 and DRAM stay
+// per configuration, so each result is byte-identical to the
+// configuration run alone. Simulate is the one-configuration case.
 package gpu
 
 import (

@@ -53,7 +53,7 @@ func (s *sim) computeEnergy(r *Result) {
 	// fetch groups of 16-byte instructions are amortized by the fetch
 	// width), hitting essentially always; modeled arithmetically.
 	instrFetches := (r.RasterStats.InstrExecuted + 3) / 4
-	vertexInstr := int64(len(s.scene.Frame(0).Prims)) * 3 * int64(cfg.Timing.VertexInstr) * int64(r.Frames)
+	vertexInstr := int64(len(s.group.scene.Frame(0).Prims)) * 3 * int64(cfg.Timing.VertexInstr) * int64(r.Frames)
 	t.Add("instr-caches", instrFetches+(vertexInstr+3)/4, m.SRAMRead(16*1024, 2))
 
 	// On-chip Color and Z buffers (tile-sized SRAMs, Fig. 2): every shaded

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -100,21 +101,140 @@ func (r *Result) FPS(clockHz float64) float64 {
 	return clockHz / (float64(r.FrameCycles) / float64(r.Frames))
 }
 
-// Simulate runs every frame of the scene through the configured GPU.
+// Simulate runs every frame of the scene through the configured GPU. It is
+// SimulateGroup's one-configuration case.
 func Simulate(scene *workload.Scene, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	res, err := SimulateGroup(scene, []Config{cfg})
+	if err != nil {
 		return nil, err
 	}
-	s, err := newSim(scene, cfg)
+	return res[0], nil
+}
+
+// SimulateGroup runs every frame of the scene through each configuration
+// and returns the results in configuration order. The configurations step
+// through the scene in lockstep, frame by frame and tile by tile, and share
+// the work that depends only on the scene, the screen, the traversal order,
+// the frame and the tile: each frame is binned once, and each tile is
+// planned once (raster.PlanTile) and the plan committed into every
+// configuration's own Raster Pipeline. Geometry, the PLB and Tile Fetcher
+// replays, the L1s, the L2 and DRAM stay per configuration. Each
+// configuration sees exactly the event order it sees alone, so results[i]
+// is byte-identical to Simulate(scene, cfgs[i]).
+//
+// All configurations must share Screen and Order. Grouping is the caller's
+// job: a group that mixes screens or orders is an error.
+func SimulateGroup(scene *workload.Scene, cfgs []Config) ([]*Result, error) {
+	if len(cfgs) == 0 {
+		return nil, errors.New("gpu: empty configuration group")
+	}
+	for i := range cfgs {
+		if err := cfgs[i].Validate(); err != nil {
+			if len(cfgs) > 1 {
+				err = fmt.Errorf("gpu: group configuration %d: %w", i, err)
+			}
+			return nil, err
+		}
+		if a, b := cfgs[i], cfgs[0]; a.Screen != b.Screen || a.Order != b.Order {
+			return nil, fmt.Errorf("gpu: group configuration %d (screen %+v, %s order) differs from configuration 0 (screen %+v, %s order); a group needs one screen and traversal order",
+				i, a.Screen, a.Order, b.Screen, b.Order)
+		}
+	}
+	g, err := newGroup(scene, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	for f := 0; f < scene.NumFrames(); f++ {
-		if err := s.runFrame(f); err != nil {
+		if err := g.runFrame(f); err != nil {
 			return nil, err
 		}
 	}
-	return s.finish()
+	out := make([]*Result, len(g.sims))
+	for i, s := range g.sims {
+		out[i] = s.finish()
+	}
+	return out, nil
+}
+
+// group steps its configurations through a scene in lockstep: one sim per
+// configuration, plus the tile plan they share.
+type group struct {
+	scene *workload.Scene
+	sims  []*sim
+
+	// The current tile's raster plan: the first sim's TileDone plans it,
+	// every sim's TileDone commits it.
+	work    []raster.TileWork
+	scratch *raster.PlanScratch
+	plan    raster.TilePlan
+}
+
+func newGroup(scene *workload.Scene, cfgs []Config) (*group, error) {
+	trav, err := tiling.NewTraversal(cfgs[0].Screen, cfgs[0].Order)
+	if err != nil {
+		return nil, err
+	}
+	g := &group{scene: scene, sims: make([]*sim, len(cfgs))}
+	for i, cfg := range cfgs {
+		if g.sims[i], err = newSim(scene, cfg, trav, g); err != nil {
+			return nil, err
+		}
+	}
+	g.scratch = g.sims[0].rasterPipe.NewScratch()
+	return g, nil
+}
+
+// runFrame pushes one frame through every sim, stage by stage: each sim's
+// geometry, one binning, each sim's PLB replay, then the
+// tiles in traversal order (every sim's Tile Fetcher replay and raster of a
+// tile before the next tile), then each sim's frame end.
+//
+// When a tracer is configured, each sim's frame emits a span tree — frame >
+// {geometry, binning, tiles > tile...} — whose wall-clock durations
+// attribute simulator time to pipeline phases (the trace never feeds back
+// into simulated cycles). The shared work, binning and each tile's plan, is
+// recorded once, in the first sim's binning and tile spans.
+func (g *group) runFrame(f int) error {
+	prims := g.scene.Frame(f).Prims
+	for _, s := range g.sims {
+		s.beginFrame(f, prims)
+	}
+	lead := g.sims[0]
+	bsp := lead.frameSpan.Child("binning", "gpu")
+	binning, err := tiling.Bin(lead.cfg.Screen, lead.trav, prims)
+	bsp.End()
+	if err != nil {
+		for _, s := range g.sims {
+			s.frameSpan.End()
+		}
+		return err
+	}
+	for _, s := range g.sims {
+		s.replayPLB(binning)
+	}
+	for pos := range binning.Traversal.Seq {
+		for _, s := range g.sims {
+			tiling.ReplayTile(binning, s.listLayout, s.attrLayout, pos, s)
+		}
+	}
+	for _, s := range g.sims {
+		s.endFrame()
+	}
+	return nil
+}
+
+// planTile plans the first sim's current tile into the shared plan. A plan
+// depends only on the scene, the screen, the frame and the tile, and every
+// sim's Raster Pipeline is built from the same raster.Config (newSim
+// derives it from the scene and the screen alone), so one plan serves all.
+func (g *group) planTile(tile geom.TileID) {
+	s := g.sims[0]
+	work := g.work[:0]
+	for _, e := range s.binning.Lists[tile] {
+		work = append(work, raster.TileWork{Prim: &s.prims[e.Prim]})
+	}
+	g.work = work
+	s.rasterPipe.PlanTile(tile, s.frame, work, g.scratch, &g.plan)
 }
 
 // teeSink counts requests by region and forwards them.
@@ -135,12 +255,14 @@ func (t *teeSink) Access(r mem.Request) {
 func (t *teeSink) TileRetired(pos uint16, tile geom.TileID) { t.next.TileRetired(pos, tile) }
 func (t *teeSink) EndFrame()                                { t.next.EndFrame() }
 
-// sim is the wired-up machine.
+// sim is one configuration's wired-up machine. It is also the
+// tiling.Handler that adapts the Tiling Engine event stream onto the
+// configured cache organization and accumulates the timing.
 type sim struct {
 	cfg    Config
-	scene  *workload.Scene
-	trav   *tiling.Traversal
-	tracer *stats.Tracer // nil when span tracing is off
+	group  *group
+	trav   *tiling.Traversal // shared by the group
+	tracer *stats.Tracer     // nil when span tracing is off
 
 	dramDev *dram.DRAM
 	l2c     *l2.Cache
@@ -166,21 +288,33 @@ type sim struct {
 	// framePrimReads is the per-frame bookkeeping cursor for PerFrame.
 	framePrimReads int64
 
-	// Per-frame buffers reused across frames (arena-style: reset, never
-	// reallocated once warm).
+	// The current frame (set by beginFrame and replayPLB).
+	frame      int
+	prims      []geom.Primitive
+	binning    *tiling.Binning
+	dramBefore dram.Stats
+	plbCycles  int64
+	// Per-traversal-position Tile Fetcher and Raster cycles, reused across
+	// frames (reset, never reallocated once warm).
 	tileTF, tileRaster []int64
-	work               []raster.TileWork
+	curTF              int64
+
+	// frameSpan and tilesSpan are the current frame's spans; tileSpan is
+	// the span of the tile currently streaming through the Tile Fetcher
+	// (begun lazily at its first fetch event, ended in TileDone). All nil
+	// when tracing is off.
+	frameSpan, tilesSpan, tileSpan *stats.Span
+
+	// TCOR output queue: primitives locked until the Rasterizer consumes
+	// them.
+	queue []uint32
 
 	res Result
 }
 
-func newSim(scene *workload.Scene, cfg Config) (*sim, error) {
-	s := &sim{cfg: cfg, scene: scene, tracer: cfg.Tracer}
+func newSim(scene *workload.Scene, cfg Config, trav *tiling.Traversal, g *group) (*sim, error) {
+	s := &sim{cfg: cfg, group: g, trav: trav, tracer: cfg.Tracer}
 	var err error
-	s.trav, err = tiling.NewTraversal(cfg.Screen, cfg.Order)
-	if err != nil {
-		return nil, err
-	}
 	s.dramDev, err = dram.New(cfg.DRAM)
 	if err != nil {
 		return nil, err
@@ -286,46 +420,43 @@ func (s *sim) beginFrameSpan() *stats.Span {
 	return s.tracer.Begin("frame", "gpu")
 }
 
-// runFrame pushes one frame through the whole pipeline. When a tracer is
-// configured the frame emits a span tree — frame > {geometry, binning,
-// tiles > tile...} — whose wall-clock durations attribute simulator time to
-// pipeline phases (the trace never feeds back into simulated cycles).
-func (s *sim) runFrame(f int) error {
-	fsp := s.beginFrameSpan()
-	fsp.SetAttr("frame", strconv.Itoa(f))
-	defer fsp.End()
+// beginFrame opens frame f and runs its Geometry Pipeline: vertex fetch and
+// vertex shading.
+func (s *sim) beginFrame(f int, prims []geom.Primitive) {
+	s.frame, s.prims = f, prims
+	s.frameSpan = s.beginFrameSpan()
+	s.frameSpan.SetAttr("frame", strconv.Itoa(f))
+	s.dramBefore = s.dramDev.Stats()
 
-	dramBefore := s.dramDev.Stats()
-	frame := s.scene.Frame(f)
-	prims := frame.Prims
-
-	// --- Geometry Pipeline: vertex fetch + vertex shading. ---
-	gsp := fsp.Child("geometry", "gpu")
+	gsp := s.frameSpan.Child("geometry", "gpu")
 	s.res.GeomCycles += s.geometry(prims)
 	gsp.SetAttr("prims", strconv.Itoa(len(prims)))
 	gsp.End()
+}
 
-	// --- Tiling Engine, phase 1: Polygon List Builder. ---
-	bsp := fsp.Child("binning", "gpu")
-	binning, err := tiling.Bin(s.cfg.Screen, s.trav, prims)
-	bsp.End()
-	if err != nil {
-		return err
-	}
-	tsp := fsp.Child("tiles", "gpu")
-	h := &frameHandler{sim: s, binning: binning, frame: f, prims: prims, tilesSpan: tsp}
-	h.tileTF, h.tileRaster = s.tileTF[:0], s.tileRaster[:0]
-	tiling.Replay(binning, s.listLayout, s.attrLayout, h)
-	h.drainQueue()
-	s.tileTF, s.tileRaster = h.tileTF, h.tileRaster
-	tsp.End()
+// replayPLB opens the frame's tile phase on the binned frame and replays
+// the Tiling Engine's phase 1, the PLB.
+func (s *sim) replayPLB(b *tiling.Binning) {
+	s.binning = b
+	s.plbCycles = 0
+	s.tileTF, s.tileRaster = s.tileTF[:0], s.tileRaster[:0]
+	s.tilesSpan = s.frameSpan.Child("tiles", "gpu")
+	tiling.ReplayPLB(b, s.listLayout, s.attrLayout, s)
+}
+
+// endFrame closes the frame once every tile is done: the per-tile timing
+// overlap, the shader program fills, the Parameter Buffer recycle and the
+// frame's statistics.
+func (s *sim) endFrame() {
+	s.drainQueue()
+	s.tilesSpan.End()
 
 	// Per-tile overlap of Tile Fetcher and Raster Pipeline: the stages are
 	// decoupled by the output queue, so the frame pays the slower of the
 	// two per tile.
-	fs := FrameStats{Frame: f}
-	for i := range h.tileTF {
-		tf, rs := h.tileTF[i], h.tileRaster[i]
+	fs := FrameStats{Frame: s.frame}
+	for i := range s.tileTF {
+		tf, rs := s.tileTF[i], s.tileRaster[i]
 		if tf > rs {
 			fs.TileCycles += tf
 		} else {
@@ -353,11 +484,12 @@ func (s *sim) runFrame(f int) error {
 	dramAfter := s.dramDev.Stats()
 	fs.PrimReads = s.res.PrimReads - s.framePrimReads
 	s.framePrimReads = s.res.PrimReads
-	fs.DRAMReads = dramAfter.Reads - dramBefore.Reads
-	fs.DRAMWrites = dramAfter.Writes - dramBefore.Writes
+	fs.DRAMReads = dramAfter.Reads - s.dramBefore.Reads
+	fs.DRAMWrites = dramAfter.Writes - s.dramBefore.Writes
 	s.res.PerFrame = append(s.res.PerFrame, fs)
 	s.res.Frames++
-	return nil
+	s.frameSpan.End()
+	s.binning = nil // garbage before the next frame is binned
 }
 
 // geometry models the Vertex Fetcher and Vertex Stage: each primitive
@@ -395,36 +527,9 @@ func (s *sim) instrFills() {
 	}
 }
 
-// frameHandler adapts the Tiling Engine event stream onto the configured
-// cache organization and accumulates the timing.
-type frameHandler struct {
-	sim     *sim
-	binning *tiling.Binning
-	frame   int
-	prims   []geom.Primitive
-
-	plbCycles int64
-	// Per-traversal-position Tile Fetcher and Raster cycles (backed by the
-	// sim's frame-to-frame buffers).
-	tileTF     []int64
-	tileRaster []int64
-	curTF      int64
-
-	// tilesSpan parents the per-tile spans; tileSpan is the span of the tile
-	// currently streaming through the Tile Fetcher (begun lazily at its first
-	// fetch event, ended in TileDone). Both nil when tracing is off.
-	tilesSpan *stats.Span
-	tileSpan  *stats.Span
-
-	// TCOR output queue: primitives locked until the Rasterizer consumes
-	// them.
-	queue []uint32
-}
-
 // tileAccess routes one block-granularity Tiling Engine access to the
 // correct L1 and returns the stall penalty.
-func (h *frameHandler) tileAccess(addr uint64, write bool, tilePos uint16) int64 {
-	s := h.sim
+func (s *sim) tileAccess(addr uint64, write bool, tilePos uint16) int64 {
 	p := s.snap()
 	switch s.cfg.Kind {
 	case KindBaseline:
@@ -458,125 +563,120 @@ func (h *frameHandler) tileAccess(addr uint64, write bool, tilePos uint16) int64
 }
 
 // ListWrite implements tiling.Handler.
-func (h *frameHandler) ListWrite(addr uint64, tile geom.TileID) {
-	pos := h.binning.Traversal.Pos[tile]
+func (s *sim) ListWrite(addr uint64, tile geom.TileID) {
+	pos := s.trav.Pos[tile]
 	// Binning work: overlap test + append (~2 cycles per PMD) plus the L1
 	// write. Writes drain through a write buffer, so miss handling is
 	// off the critical path; only write-buffer pressure (an eighth of the
 	// miss penalty) throttles the builder.
-	penalty := h.tileAccess(addr, true, pos)
-	h.plbCycles += 2 + int64(h.sim.cfg.Timing.L1Cycles) + (penalty-int64(h.sim.cfg.Timing.L1Cycles))/8
+	penalty := s.tileAccess(addr, true, pos)
+	s.plbCycles += 2 + int64(s.cfg.Timing.L1Cycles) + (penalty-int64(s.cfg.Timing.L1Cycles))/8
 }
 
 // AttrWrite implements tiling.Handler.
-func (h *frameHandler) AttrWrite(prim uint32, numAttrs uint8, firstUse, lastUse uint16, blocks []uint64) {
-	s := h.sim
+func (s *sim) AttrWrite(prim uint32, numAttrs uint8, firstUse, lastUse uint16, blocks []uint64) {
 	switch s.cfg.Kind {
 	case KindBaseline:
 		for _, b := range blocks {
-			penalty := h.tileAccess(b, true, lastUse)
-			h.plbCycles += int64(s.cfg.Timing.L1Cycles) + (penalty-int64(s.cfg.Timing.L1Cycles))/8
+			penalty := s.tileAccess(b, true, lastUse)
+			s.plbCycles += int64(s.cfg.Timing.L1Cycles) + (penalty-int64(s.cfg.Timing.L1Cycles))/8
 		}
 	case KindTCOR:
 		p := s.snap()
 		s.attrs.Write(prim, numAttrs, firstUse, lastUse, blocks)
-		h.plbCycles += int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)/8
+		s.plbCycles += int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)/8
 	}
 }
 
 // beginTileSpan lazily opens the current tile's span at its first Tile
 // Fetcher event. Per-tile spans are gated on cfg.TraceTiles (see the knob's
 // doc for why); the tracer-nil check keeps the disabled path to one branch.
-func (h *frameHandler) beginTileSpan() {
-	if h.sim.tracer != nil && h.sim.cfg.TraceTiles && h.tileSpan == nil {
-		h.tileSpan = h.tilesSpan.Child("tile", "gpu")
+func (s *sim) beginTileSpan() {
+	if s.tracer != nil && s.cfg.TraceTiles && s.tileSpan == nil {
+		s.tileSpan = s.tilesSpan.Child("tile", "gpu")
 	}
 }
 
 // ListRead implements tiling.Handler.
-func (h *frameHandler) ListRead(addr uint64, tile geom.TileID) {
-	h.beginTileSpan()
-	pos := h.binning.Traversal.Pos[tile]
-	h.curTF += h.tileAccess(addr, false, pos)
+func (s *sim) ListRead(addr uint64, tile geom.TileID) {
+	s.beginTileSpan()
+	s.curTF += s.tileAccess(addr, false, s.trav.Pos[tile])
 }
 
 // PrimRead implements tiling.Handler.
-func (h *frameHandler) PrimRead(prim uint32, numAttrs uint8, optNum, lastUse uint16, blocks []uint64, tile geom.TileID) {
-	h.beginTileSpan()
-	s := h.sim
+func (s *sim) PrimRead(prim uint32, numAttrs uint8, optNum, lastUse uint16, blocks []uint64, tile geom.TileID) {
+	s.beginTileSpan()
 	s.res.PrimReads++
-	pos := h.binning.Traversal.Pos[tile]
+	pos := s.trav.Pos[tile]
 	switch s.cfg.Kind {
 	case KindBaseline:
 		// The baseline Tile Fetcher reads each attribute block through the
 		// Tile Cache and copies the attributes out.
 		for _, b := range blocks {
-			h.curTF += h.tileAccess(b, false, pos)
+			s.curTF += s.tileAccess(b, false, pos)
 		}
 	case KindTCOR:
 		p := s.snap()
 		res := s.attrs.Read(prim, numAttrs, optNum, lastUse, blocks)
 		for res.Stalled {
-			if len(h.queue) == 0 {
+			if len(s.queue) == 0 {
 				return // cannot happen: queue empty means nothing locked
 			}
 			// Rasterizer consumes the oldest in-flight primitive.
-			s.attrs.Unlock(h.queue[0])
-			h.queue = h.queue[1:]
-			h.curTF++ // one-cycle drain step
+			s.attrs.Unlock(s.queue[0])
+			s.queue = s.queue[1:]
+			s.curTF++ // one-cycle drain step
 			res = s.attrs.Read(prim, numAttrs, optNum, lastUse, blocks)
 		}
-		h.queue = append(h.queue, prim)
-		if len(h.queue) > s.cfg.OutputQueueDepth {
-			s.attrs.Unlock(h.queue[0])
-			h.queue = h.queue[1:]
+		s.queue = append(s.queue, prim)
+		if len(s.queue) > s.cfg.OutputQueueDepth {
+			s.attrs.Unlock(s.queue[0])
+			s.queue = s.queue[1:]
 		}
-		h.curTF += int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)
+		s.curTF += int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)
 	}
 }
 
 // TileDone implements tiling.Handler: close out the tile's Tile Fetcher
-// cycle count, rasterize the tile, and signal retirement to the L2.
-func (h *frameHandler) TileDone(tile geom.TileID, pos uint16) {
-	h.beginTileSpan() // an empty tile still gets a (zero-fetch) span
-	s := h.sim
-	work := s.work[:0]
-	for _, e := range h.binning.Lists[tile] {
-		work = append(work, raster.TileWork{Prim: &h.prims[e.Prim]})
+// cycle count, rasterize the tile, and signal retirement to the L2. The
+// group's first sim plans the tile; every sim commits that one plan.
+func (s *sim) TileDone(tile geom.TileID, pos uint16) {
+	s.beginTileSpan() // an empty tile still gets a (zero-fetch) span
+	g := s.group
+	if s == g.sims[0] {
+		g.planTile(tile)
 	}
-	s.work = work
-	rc := s.rasterPipe.RasterTile(tile, h.frame, work)
-	h.tileTF = append(h.tileTF, h.curTF)
-	h.tileRaster = append(h.tileRaster, rc)
-	s.res.TFCycles += h.curTF
-	if sp := h.tileSpan; sp != nil {
+	rc := s.rasterPipe.CommitPlan(&g.plan)
+	s.tileTF = append(s.tileTF, s.curTF)
+	s.tileRaster = append(s.tileRaster, rc)
+	s.res.TFCycles += s.curTF
+	if sp := s.tileSpan; sp != nil {
 		sp.SetAttr("tile", strconv.Itoa(int(tile)))
-		sp.SetAttr("prims", strconv.Itoa(len(h.binning.Lists[tile])))
-		sp.SetAttr("tfCycles", strconv.FormatInt(h.curTF, 10))
+		sp.SetAttr("prims", strconv.Itoa(len(s.binning.Lists[tile])))
+		sp.SetAttr("tfCycles", strconv.FormatInt(s.curTF, 10))
 		sp.SetAttr("rasterCycles", strconv.FormatInt(rc, 10))
 		sp.End()
-		h.tileSpan = nil
+		s.tileSpan = nil
 	}
-	h.curTF = 0
+	s.curTF = 0
 	s.l2in.TileRetired(pos, tile)
 }
 
-// drainQueue unlocks any primitives still in the output queue at frame end.
-func (h *frameHandler) drainQueue() {
-	if h.sim.cfg.Kind != KindTCOR {
-		h.sim.res.PLBCycles += h.plbCycles
-		return
+// drainQueue books the frame's PLB cycles and unlocks any primitives still
+// in the TCOR output queue at frame end.
+func (s *sim) drainQueue() {
+	s.res.PLBCycles += s.plbCycles
+	for _, p := range s.queue {
+		s.attrs.Unlock(p)
 	}
-	for _, p := range h.queue {
-		h.sim.attrs.Unlock(p)
-	}
-	h.queue = h.queue[:0]
-	h.sim.res.PLBCycles += h.plbCycles
+	s.queue = s.queue[:0]
 }
 
-// finish collects stats and computes energy.
-func (s *sim) finish() (*Result, error) {
-	r := &s.res
+// finish collects stats and computes energy. The Result is a copy, so it
+// keeps none of the machine alive once the run is over.
+func (s *sim) finish() *Result {
+	r := new(Result)
+	*r = s.res
 	r.L2In = s.l2in.Counter
 	r.L2Stats = s.l2c.Stats()
 	r.L2Enhanced = s.cfg.L2Enhanced
@@ -601,5 +701,5 @@ func (s *sim) finish() (*Result, error) {
 		r.FrameCycles = busy
 	}
 	s.computeEnergy(r)
-	return r, nil
+	return r
 }

@@ -58,10 +58,21 @@ func (p *Pipeline) NewScratch() *PlanScratch {
 	return &PlanScratch{depth: make([]float32, p.tileQuads*p.tileQuads)}
 }
 
-// PlanTile computes the tile's raster plan into plan (which it resets
-// first). It reads only immutable pipeline configuration, so distinct
-// (scratch, plan) pairs may plan distinct tiles concurrently. The plan,
-// committed in order, reproduces RasterTile's effects exactly.
+// PlanTile computes the raster plan of one tile's primitive list (in order)
+// into plan, which it resets first. Rasterizing a tile is PlanTile then
+// CommitPlan; the plan models:
+//   - quad coverage: the quads whose centers geom.PointInTriangle accepts,
+//     found per quad row from exact edge-function spans (planPrim),
+//   - Early-Z rejection against the on-chip Z-buffer (opaque geometry,
+//     painter's order),
+//   - the texture taps of each surviving quad, routed to the
+//     screen-interleaved texture caches,
+//   - the shaded quads that fix the fragment shading cost,
+//   - the Color Buffer flush of the finished tile to the Frame Buffer.
+//
+// PlanTile reads only immutable pipeline configuration, so distinct
+// (scratch, plan) pairs may plan distinct tiles concurrently, and one plan
+// may be committed into every pipeline built from the same Config.
 func (p *Pipeline) PlanTile(tile geom.TileID, frame int, work []TileWork, sc *PlanScratch, plan *TilePlan) {
 	plan.Reset()
 	plan.Code = geom.PackTileCode(tile, 0, 0)
@@ -103,8 +114,7 @@ func (p *Pipeline) tileRoute(tile geom.TileID) texRoute {
 // CommitPlan replays the plan's access streams into the shared texture
 // caches, L2 and Frame Buffer and folds its tallies into the pipeline
 // statistics, returning the tile's raster cycles. Commit order across tiles
-// must match the serial traversal order; the replay itself is identical to
-// what RasterTile would have issued inline.
+// must match the traversal order. CommitPlan does not modify the plan.
 func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
 	p.stats.Primitives += plan.Prims
 	p.stats.Quads += plan.Quads

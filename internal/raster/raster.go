@@ -134,11 +134,6 @@ type Pipeline struct {
 
 	texW      uint64 // texture width in texels (square working set, 4 B/texel)
 	tileQuads int    // quads per full tile edge
-
-	// scratch and plan serve RasterTile; callers that drive PlanTile and
-	// CommitPlan directly bring their own via NewScratch.
-	scratch *PlanScratch
-	plan    TilePlan
 }
 
 // New builds the pipeline. l2 receives texture-cache misses; fb receives
@@ -177,7 +172,6 @@ func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 	p.texW = uint64(math.Sqrt(float64(texels)))
 	ts := cfg.Screen.TileSize
 	p.tileQuads = (ts + QuadSize - 1) / QuadSize
-	p.scratch = p.NewScratch()
 	return p, nil
 }
 
@@ -208,22 +202,6 @@ func (p *Pipeline) TexCacheStats() cache.Stats {
 // TileWork is one primitive scheduled into a tile, in list order.
 type TileWork struct {
 	Prim *geom.Primitive
-}
-
-// RasterTile rasterizes one tile's primitive list (in order) and returns the
-// cycles the Raster Pipeline spent on the tile. It models:
-//   - quad coverage: the quads whose centers geom.PointInTriangle accepts,
-//     found per quad row from exact edge-function spans (planPrim),
-//   - Early-Z rejection against the on-chip Z-buffer (opaque geometry,
-//     painter's order),
-//   - one texture access per surviving quad through the screen-interleaved
-//     texture caches (misses go to the L2),
-//   - fragment shading cost (instructions/pixel over the fragment
-//     processors),
-//   - the Color Buffer flush of the finished tile to the Frame Buffer.
-func (p *Pipeline) RasterTile(tile geom.TileID, frame int, work []TileWork) int64 {
-	p.PlanTile(tile, frame, work, p.scratch, &p.plan)
-	return p.CommitPlan(&p.plan)
 }
 
 // InstrFootprintBlocks returns the number of instruction blocks the fragment

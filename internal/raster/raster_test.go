@@ -32,6 +32,14 @@ func tri(id uint32, a, b, c geom.Vec2, z float32) *geom.Primitive {
 	}
 }
 
+// rasterTile rasterizes one tile the way the simulator does, PlanTile then
+// CommitPlan, and returns the tile's raster cycles.
+func rasterTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) int64 {
+	var plan TilePlan
+	p.PlanTile(tile, frame, work, p.NewScratch(), &plan)
+	return p.CommitPlan(&plan)
+}
+
 func TestNewValidates(t *testing.T) {
 	screen := geom.Screen{Width: 96, Height: 96, TileSize: 32}
 	if _, err := New(DefaultConfig(geom.Screen{}, 0, 1), mem.NewCounter(), mem.NewCounter()); err == nil {
@@ -51,7 +59,7 @@ func TestRasterTileCoverageAndFlush(t *testing.T) {
 	p, _, fb := newPipeline(t)
 	// A triangle covering the whole of tile 0 (tile rect [0,32)x[0,32)).
 	full := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.5)
-	cycles := p.RasterTile(0, 0, []TileWork{{Prim: full}})
+	cycles := rasterTile(p, 0, 0, []TileWork{{Prim: full}})
 	st := p.Stats()
 	// 16x16 quads fully covered.
 	if st.QuadsShaded != 256 {
@@ -76,7 +84,7 @@ func TestEarlyZKillsOccludedQuads(t *testing.T) {
 	p, _, _ := newPipeline(t)
 	near := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.1)
 	far := tri(1, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.9)
-	p.RasterTile(0, 0, []TileWork{{Prim: near}, {Prim: far}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: near}, {Prim: far}})
 	st := p.Stats()
 	if st.QuadsShaded != 256 {
 		t.Errorf("occluded primitive shaded: %d quads", st.QuadsShaded)
@@ -91,7 +99,7 @@ func TestPainterOrderOverdraw(t *testing.T) {
 	// Far first, then near: both shade (no reverse-order rejection).
 	far := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.9)
 	near := tri(1, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.1)
-	p.RasterTile(0, 0, []TileWork{{Prim: far}, {Prim: near}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: far}, {Prim: near}})
 	if p.Stats().QuadsShaded != 512 {
 		t.Errorf("quads shaded = %d, want 512 (overdraw)", p.Stats().QuadsShaded)
 	}
@@ -100,7 +108,7 @@ func TestPainterOrderOverdraw(t *testing.T) {
 func TestTextureLocality(t *testing.T) {
 	p, l2, _ := newPipeline(t)
 	full := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.5)
-	p.RasterTile(0, 0, []TileWork{{Prim: full}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: full}})
 	st := p.Stats()
 	if st.TexAccesses != 256 {
 		t.Fatalf("tex accesses = %d", st.TexAccesses)
@@ -114,7 +122,7 @@ func TestTextureLocality(t *testing.T) {
 	}
 	// Re-rendering the same tile in the same frame hits the texture cache.
 	before := p.Stats().TexMisses
-	p.RasterTile(0, 0, []TileWork{{Prim: full}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: full}})
 	if p.Stats().TexMisses != before {
 		t.Error("warm texture cache should not miss")
 	}
@@ -127,7 +135,7 @@ func TestPartialTileClipsFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.RasterTile(3, 0, nil)
+	rasterTile(p, 3, 0, nil)
 	// 8*8*4 = 256 bytes = 4 blocks.
 	if p.Stats().FBBlocksFlushed != 4 {
 		t.Errorf("partial tile flushed %d blocks, want 4", p.Stats().FBBlocksFlushed)
@@ -141,7 +149,7 @@ func TestZeroTextureWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.5)
-	p.RasterTile(0, 0, []TileWork{{Prim: full}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: full}})
 	if p.Stats().TexAccesses != 0 {
 		t.Error("no texture accesses expected for zero footprint")
 	}
@@ -165,7 +173,7 @@ func TestLateZShadesOccludedQuads(t *testing.T) {
 	}
 	near := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.1)
 	far := tri(1, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.9)
-	p.RasterTile(0, 0, []TileWork{{Prim: near}, {Prim: far}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: near}, {Prim: far}})
 	st := p.Stats()
 	// With Late-Z both layers shade (256 quads each) even though the far
 	// one is fully occluded; with Early-Z (see TestEarlyZKillsOccludedQuads)
@@ -186,7 +194,7 @@ func TestLateZFractionZeroIsEarlyZ(t *testing.T) {
 	}
 	near := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.1)
 	far := tri(1, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.9)
-	p.RasterTile(0, 0, []TileWork{{Prim: near}, {Prim: far}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: near}, {Prim: far}})
 	if p.Stats().LateZQuads != 0 {
 		t.Error("late-z path taken with fraction 0")
 	}
@@ -201,7 +209,7 @@ func TestBilinearSamplesFourTaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.5)
-	p.RasterTile(0, 0, []TileWork{{Prim: full}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: full}})
 	st := p.Stats()
 	if st.TexAccesses != 4*st.QuadsShaded {
 		t.Errorf("tex accesses = %d, want 4 per shaded quad (%d)", st.TexAccesses, st.QuadsShaded)
@@ -227,7 +235,7 @@ func TestBilinearMipSelection(t *testing.T) {
 		x := float32((i * 7) % 28)
 		y := float32((i * 11) % 28)
 		tiny := tri(uint32(i), geom.Vec2{X: x, Y: y}, geom.Vec2{X: x + 2, Y: y}, geom.Vec2{X: x, Y: y + 2}, 0.5)
-		p.RasterTile(0, 0, []TileWork{{Prim: tiny}})
+		rasterTile(p, 0, 0, []TileWork{{Prim: tiny}})
 	}
 	st := p.Stats()
 	if st.TexAccesses == 0 {
@@ -250,7 +258,7 @@ func TestTranslucentBlending(t *testing.T) {
 	// Two full layers: both blend (translucents never occlude each other).
 	a := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.3)
 	b := tri(1, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.6)
-	p.RasterTile(0, 0, []TileWork{{Prim: a}, {Prim: b}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: a}, {Prim: b}})
 	st := p.Stats()
 	if st.BlendedQuads != 512 || st.QuadsShaded != 512 {
 		t.Errorf("blended/shaded = %d/%d, want 512/512", st.BlendedQuads, st.QuadsShaded)
@@ -260,7 +268,7 @@ func TestTranslucentBlending(t *testing.T) {
 	// no opaque geometry in this test; verified indirectly by the depth
 	// buffer remaining untouched (a third farther layer still shades).
 	c := tri(2, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.9)
-	p.RasterTile(0, 0, []TileWork{{Prim: c}})
+	rasterTile(p, 0, 0, []TileWork{{Prim: c}})
 	if p.Stats().BlendedQuads != 768 {
 		t.Errorf("translucent layer occluded by translucent: %d", p.Stats().BlendedQuads)
 	}
@@ -278,7 +286,7 @@ func TestTexCacheStatsSatisfyCacheInvariants(t *testing.T) {
 	}
 	prims := randomPrims(rand.New(rand.NewSource(7)), 200, float32(cfg.Screen.Width), float32(cfg.Screen.Height))
 	for tile := geom.TileID(0); int(tile) < cfg.Screen.NumTiles(); tile++ {
-		p.RasterTile(tile, 0, tileWork(prims, cfg.Screen, tile))
+		rasterTile(p, tile, 0, tileWork(prims, cfg.Screen, tile))
 	}
 	agg, st := p.TexCacheStats(), p.Stats()
 	if agg.Accesses != st.TexAccesses || agg.Misses != st.TexMisses || agg.Misses == 0 {

@@ -50,8 +50,10 @@ const (
 // FaultPlan says what one armed site injects. Probabilities draw from the
 // site's seeded stream; an explicit Seq overrides them until exhausted.
 type FaultPlan struct {
-	// Rate is the probability of injecting a fault per evaluation: an
-	// error fault when Codes or Err is set, a latency-only fault otherwise.
+	// Rate is the probability of injecting a fault per evaluation: a
+	// latency-only fault when Latency is set and neither Codes nor Err is,
+	// an error fault otherwise (the default *InjectedError unless Err is
+	// set). A plan with only Rate therefore injects errors.
 	Rate float64
 	// PanicRate is the probability of injecting a panic (evaluated before
 	// Rate; the two must sum to at most 1).
@@ -192,10 +194,10 @@ func (in *Injector) Evaluate(site string) Fault {
 		case u < st.plan.PanicRate:
 			kind = KindPanic
 		case u < st.plan.PanicRate+st.plan.Rate:
-			if len(st.plan.Codes) > 0 || st.plan.Err != nil {
-				kind = KindError
-			} else {
+			if st.plan.Latency > 0 && len(st.plan.Codes) == 0 && st.plan.Err == nil {
 				kind = KindLatency
+			} else {
+				kind = KindError
 			}
 		}
 	}
@@ -268,7 +270,8 @@ func InjectorFrom(ctx context.Context) *Injector {
 // ParsePlan parses the -chaos flag grammar: comma-separated key=value
 // pairs, e.g. "rate=0.2,lat=50ms,codes=500|503,panic=0.01,seed=42".
 //
-//	rate=F    probability of an error fault per evaluation (0..1)
+//	rate=F    probability of an injected fault per evaluation (0..1): an
+//	          error fault, or a latency-only one when lat is set without codes
 //	panic=F   probability of an injected panic per evaluation (0..1)
 //	lat=D     latency added to every injected fault (Go duration)
 //	codes=C|C HTTP status codes error faults pick from (100..599)

@@ -112,6 +112,38 @@ func TestInjectorInject(t *testing.T) {
 	}
 }
 
+// TestRateOnlyPlanInjectsErrors: a plan that sets only Rate injects error
+// faults with the default *InjectedError, as ParsePlan's "rate" promises;
+// Rate with Latency and no Codes or Err stays latency-only.
+func TestRateOnlyPlanInjectsErrors(t *testing.T) {
+	clk := fakeClock()
+	in := NewInjector(1).WithClock(clk)
+	in.Arm("errors", FaultPlan{Rate: 1})
+	in.Arm("latency", FaultPlan{Rate: 1, Latency: 20 * time.Millisecond})
+
+	if got := schedule(in, "errors", 4); got != "EEEE" {
+		t.Fatalf("rate-only schedule = %q, want EEEE", got)
+	}
+	err := in.Inject(context.Background(), "errors")
+	var ie *InjectedError
+	if !errors.As(err, &ie) || ie.Site != "errors" || ie.Code != 0 {
+		t.Fatalf("rate-only fault = %v, want the default InjectedError at site errors", err)
+	}
+	if clk.Slept() != 0 {
+		t.Fatalf("rate-only fault slept %v, want no latency", clk.Slept())
+	}
+
+	if got := schedule(in, "latency", 4); got != "LLLL" {
+		t.Fatalf("rate+latency schedule = %q, want LLLL", got)
+	}
+	if err := in.Inject(context.Background(), "latency"); err != nil {
+		t.Fatalf("rate+latency fault returned error %v, want latency only", err)
+	}
+	if clk.Slept() != 20*time.Millisecond {
+		t.Fatalf("rate+latency fault slept %v, want 20ms", clk.Slept())
+	}
+}
+
 func TestInjectorMetrics(t *testing.T) {
 	in := NewInjector(1).WithClock(fakeClock())
 	in.Arm("s", FaultPlan{Seq: []FaultKind{KindError, KindNone}, Codes: []int{500}})

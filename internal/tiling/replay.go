@@ -42,23 +42,30 @@ type Handler interface {
 }
 
 // Replay drives a handler with the full Tiling Engine access stream of a
-// binned frame under the given PB-Lists layout.
+// binned frame under the given PB-Lists layout: ReplayPLB, then ReplayTile
+// at every traversal position in order.
 func Replay(b *Binning, lists pbuffer.ListLayout, attrs pbuffer.AttrLayout, h Handler) {
-	replayPLB(b, lists, attrs, h)
-	replayTF(b, lists, attrs, h)
+	ReplayPLB(b, lists, attrs, h)
+	for pos := range b.Traversal.Seq {
+		ReplayTile(b, lists, attrs, pos, h)
+	}
 }
 
-// cursorPool recycles replayPLB's per-tile append cursors across frames:
-// with ~1500 tiles per default screen and one Replay per frame per
-// configuration, the cursor slice is the replay path's only recurring
-// allocation. Replay may run concurrently across simulations, hence a pool
-// rather than a package-level buffer.
-var cursorPool = sync.Pool{New: func() any { return new([]int) }}
+// cursorPool recycles ReplayPLB's per-tile append cursors and blocksPool
+// the attribute-block buffer both replay steps hand to the handler: with
+// ~1500 tiles per default screen and one replay per frame per
+// configuration, they are the replay path's only recurring allocations.
+// Replays may run concurrently across simulations, hence pools rather than
+// package-level buffers.
+var (
+	cursorPool = sync.Pool{New: func() any { return new([]int) }}
+	blocksPool = sync.Pool{New: func() any { s := make([]uint64, 0, 8); return &s }}
+)
 
-// replayPLB generates the Polygon List Builder phase: for each primitive in
+// ReplayPLB generates the Polygon List Builder phase: for each primitive in
 // program order, append its PMD to every overlapped tile's list, then write
 // its attributes.
-func replayPLB(b *Binning, lists pbuffer.ListLayout, attrs pbuffer.AttrLayout, h Handler) {
+func ReplayPLB(b *Binning, lists pbuffer.ListLayout, attrs pbuffer.AttrLayout, h Handler) {
 	// Per-tile append cursors, pooled and zeroed on reuse.
 	cp := cursorPool.Get().(*[]int)
 	defer cursorPool.Put(cp)
@@ -69,9 +76,10 @@ func replayPLB(b *Binning, lists pbuffer.ListLayout, attrs pbuffer.AttrLayout, h
 	for i := range cursor {
 		cursor[i] = 0
 	}
+	bp := blocksPool.Get().(*[]uint64)
+	defer blocksPool.Put(bp)
 	// The per-primitive PMD appends must be replayed in primitive order;
 	// Lists stores them per tile, so walk primitives via PrimTiles.
-	blocksBuf := make([]uint64, 0, 8)
 	for prim := range b.PrimTiles {
 		for _, pos := range b.PrimTiles[prim] {
 			tile := b.Traversal.Seq[pos]
@@ -82,33 +90,35 @@ func replayPLB(b *Binning, lists pbuffer.ListLayout, attrs pbuffer.AttrLayout, h
 			cursor[tile]++
 			h.ListWrite(lists.PMDAddr(tile, slot), tile)
 		}
-		blocksBuf = blocksBuf[:0]
-		for a := 0; a < int(b.NumAttrs[prim]); a++ {
-			blocksBuf = append(blocksBuf, attrs.AttrAddr(b.AttrBase[prim], a))
-		}
-		h.AttrWrite(uint32(prim), b.NumAttrs[prim], b.FirstUse[prim], b.LastUse[prim], blocksBuf)
+		*bp = b.attrBlocks(attrs, uint32(prim), (*bp)[:0])
+		h.AttrWrite(uint32(prim), b.NumAttrs[prim], b.FirstUse[prim], b.LastUse[prim], *bp)
 	}
 }
 
-// replayTF generates the Tile Fetcher phase: walk tiles in traversal order;
-// for each tile read its list blocks and, per PMD, request the primitive's
-// attributes.
-func replayTF(b *Binning, lists pbuffer.ListLayout, attrs pbuffer.AttrLayout, h Handler) {
-	blocksBuf := make([]uint64, 0, 8)
-	for pos, tile := range b.Traversal.Seq {
-		list := b.Lists[tile]
-		for slot, e := range list {
-			if slot%pbuffer.PMDsPerBlock == 0 {
-				h.ListRead(lists.PMDAddr(tile, slot), tile)
-			}
-			blocksBuf = blocksBuf[:0]
-			for a := 0; a < int(b.NumAttrs[e.Prim]); a++ {
-				blocksBuf = append(blocksBuf, attrs.AttrAddr(b.AttrBase[e.Prim], a))
-			}
-			h.PrimRead(e.Prim, b.NumAttrs[e.Prim], e.OPTNum, b.LastUse[e.Prim], blocksBuf, tile)
+// ReplayTile generates the Tile Fetcher's work on the tile at traversal
+// position pos: read the tile's list blocks and, per PMD, request the
+// primitive's attributes, then report the tile done. Calling it for every
+// position in order after ReplayPLB is Replay.
+func ReplayTile(b *Binning, lists pbuffer.ListLayout, attrs pbuffer.AttrLayout, pos int, h Handler) {
+	bp := blocksPool.Get().(*[]uint64)
+	defer blocksPool.Put(bp)
+	tile := b.Traversal.Seq[pos]
+	for slot, e := range b.Lists[tile] {
+		if slot%pbuffer.PMDsPerBlock == 0 {
+			h.ListRead(lists.PMDAddr(tile, slot), tile)
 		}
-		h.TileDone(tile, uint16(pos))
+		*bp = b.attrBlocks(attrs, e.Prim, (*bp)[:0])
+		h.PrimRead(e.Prim, b.NumAttrs[e.Prim], e.OPTNum, b.LastUse[e.Prim], *bp, tile)
 	}
+	h.TileDone(tile, uint16(pos))
+}
+
+// attrBlocks appends the block addresses of prim's attributes to dst.
+func (b *Binning) attrBlocks(attrs pbuffer.AttrLayout, prim uint32, dst []uint64) []uint64 {
+	for a := 0; a < int(b.NumAttrs[prim]); a++ {
+		dst = append(dst, attrs.AttrAddr(b.AttrBase[prim], a))
+	}
+	return dst
 }
 
 // CountingHandler tallies the event stream; useful as a base for tests and
