@@ -332,6 +332,48 @@ func BenchmarkBinning(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlappedTiles bins frame 0 of DDS (many small primitives) and
+// of CCS (fewer, larger ones) with the exact triangle-tile overlap test.
+// Not gated: ns/op is compared across commits only on one machine.
+func BenchmarkOverlappedTiles(b *testing.B) {
+	screen := geom.DefaultScreen()
+	for _, alias := range []string{"DDS", "CCS"} {
+		spec, err := workload.ByAlias(alias)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec.Frames = 1
+		scene, err := workload.Generate(spec, screen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prims := scene.Frame(0).Prims
+		b.Run(alias, func(b *testing.B) {
+			var buf []geom.TileID
+			for i := 0; i < b.N; i++ {
+				for j := range prims {
+					buf = screen.OverlappedTiles(&prims[j], buf[:0])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGenerate generates and calibrates the ten Table II scenes, the
+// scene set-up of every paper-report run. Not gated, like
+// BenchmarkOverlappedTiles.
+func BenchmarkGenerate(b *testing.B) {
+	screen := geom.DefaultScreen()
+	suite := workload.Suite()
+	for i := 0; i < b.N; i++ {
+		for _, spec := range suite {
+			if _, err := workload.Generate(spec, screen); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkZOrderTraversal(b *testing.B) {
 	screen := geom.DefaultScreen()
 	for i := 0; i < b.N; i++ {

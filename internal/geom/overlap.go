@@ -9,47 +9,76 @@ package geom
 // needs so that primitives are only binned into tiles they truly touch
 // (cf. Antochi et al., cited as [2] in the paper).
 func TriangleRectOverlap(a, b, c Vec2, r Rect) bool {
-	// Fast reject: bounding boxes.
-	minX, maxX := min3(a.X, b.X, c.X), max3(a.X, b.X, c.X)
-	if maxX < r.Min.X || minX > r.Max.X {
-		return false
-	}
-	minY, maxY := min3(a.Y, b.Y, c.Y), max3(a.Y, b.Y, c.Y)
-	if maxY < r.Min.Y || minY > r.Max.Y {
-		return false
-	}
+	t := newSATTriangle(a, b, c)
+	return t.overlaps(r)
+}
 
-	// Degenerate (zero-area) triangles: the bbox test above is exact enough
-	// for binning purposes; treat as overlapping if bboxes intersect.
+// satTriangle is the per-triangle half of TriangleRectOverlap: the bounding
+// box, the zero-area test and the three edge normals, computed once so that
+// one triangle can be tested against many rectangles with the same float32
+// expressions.
+type satTriangle struct {
+	minX, maxX, minY, maxY float32
+	// degenerate marks a zero-area triangle: the bbox test is exact enough
+	// for binning purposes, so it overlaps whatever its bbox does.
+	degenerate bool
+	origin     [3]Vec2 // first vertex of each edge
+	normal     [3]Vec2 // inward normal of each edge
+}
+
+func newSATTriangle(a, b, c Vec2) satTriangle {
 	area := b.Sub(a).Cross(c.Sub(a))
-	if area == 0 {
+	// Edges (a, b), (b, c), (c, a), each with the normal
+	// (e0.Y − e1.Y, e1.X − e0.X), turned inward by the winding.
+	t := satTriangle{
+		minX: min3(a.X, b.X, c.X), maxX: max3(a.X, b.X, c.X),
+		minY: min3(a.Y, b.Y, c.Y), maxY: max3(a.Y, b.Y, c.Y),
+		degenerate: area == 0,
+		origin:     [3]Vec2{a, b, c},
+		normal:     [3]Vec2{{a.Y - b.Y, b.X - a.X}, {b.Y - c.Y, c.X - b.X}, {c.Y - a.Y, a.X - c.X}},
+	}
+	if area < 0 {
+		for i := range t.normal {
+			t.normal[i] = t.normal[i].Scale(-1)
+		}
+	}
+	return t
+}
+
+// overlaps is TriangleRectOverlap against one rectangle.
+func (t *satTriangle) overlaps(r Rect) bool {
+	// Fast reject: bounding boxes.
+	if t.maxX < r.Min.X || t.minX > r.Max.X {
+		return false
+	}
+	if t.maxY < r.Min.Y || t.minY > r.Max.Y {
+		return false
+	}
+	if t.degenerate {
 		return true
 	}
-
-	// Triangle edge normals as separating axes. All three triangle vertices
-	// are on one side by construction; check whether the whole rectangle is
-	// strictly on the other side.
-	edges := [3][2]Vec2{{a, b}, {b, c}, {c, a}}
-	for _, e := range edges {
-		// Inward normal depends on winding; orient with the triangle area.
-		n := Vec2{e[0].Y - e[1].Y, e[1].X - e[0].X}
-		if area < 0 {
-			n = n.Scale(-1)
-		}
-		// Rectangle corner most aligned with n. If even that corner is
-		// outside (negative half-plane), the edge separates.
-		corner := Vec2{r.Min.X, r.Min.Y}
-		if n.X > 0 {
-			corner.X = r.Max.X
-		}
-		if n.Y > 0 {
-			corner.Y = r.Max.Y
-		}
-		if n.Dot(corner.Sub(e[0])) < 0 {
+	for i := range t.normal {
+		if t.separates(i, r) {
 			return false
 		}
 	}
 	return true
+}
+
+// separates reports whether edge i's normal is a separating axis: all
+// three triangle vertices are on one side by construction, so the edge
+// separates when even the rectangle corner most aligned with the normal
+// lies strictly in the negative half-plane.
+func (t *satTriangle) separates(i int, r Rect) bool {
+	n := t.normal[i]
+	corner := Vec2{r.Min.X, r.Min.Y}
+	if n.X > 0 {
+		corner.X = r.Max.X
+	}
+	if n.Y > 0 {
+		corner.Y = r.Max.Y
+	}
+	return n.Dot(corner.Sub(t.origin[i])) < 0
 }
 
 // PointInTriangle reports whether point p lies inside (or on the border of)

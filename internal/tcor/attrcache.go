@@ -181,7 +181,6 @@ func RegisterAttrStatsInvariants(r *stats.Registry, prefix string) {
 type AttributeCache struct {
 	cfg   AttrCacheConfig
 	sets  [][]primLine
-	where map[uint32]int32 // prim -> set*ways+way, the tag lookup
 	attrs []attrEntry
 	free  int32 // head of the free list
 	nfree int
@@ -203,7 +202,6 @@ func NewAttributeCache(cfg AttrCacheConfig, next mem.Sink) (*AttributeCache, err
 	c := &AttributeCache{
 		cfg:   cfg,
 		sets:  make([][]primLine, sets),
-		where: make(map[uint32]int32, cfg.PrimEntries),
 		attrs: make([]attrEntry, cfg.AttrEntries),
 		next:  next,
 	}
@@ -236,7 +234,7 @@ func (c *AttributeCache) FreeAttrEntries() int { return c.nfree }
 
 // Contains reports whether a primitive is resident.
 func (c *AttributeCache) Contains(prim uint32) bool {
-	_, ok := c.where[prim]
+	_, _, ok := c.lookup(prim)
 	return ok
 }
 
@@ -247,12 +245,16 @@ func (c *AttributeCache) setIndex(prim uint32) int {
 	return cache.ModuloIndex(trace.Key(prim), len(c.sets))
 }
 
+// lookup is the Primitive Buffer tag probe: a primitive can only live in
+// set setIndex(prim), so it compares the tags of that set's ways.
 func (c *AttributeCache) lookup(prim uint32) (set, way int, ok bool) {
-	loc, ok := c.where[prim]
-	if !ok {
-		return c.setIndex(prim), -1, false
+	set = c.setIndex(prim)
+	for w := range c.sets[set] {
+		if l := &c.sets[set][w]; l.valid && l.prim == prim {
+			return set, w, true
+		}
 	}
-	return int(loc) / c.cfg.Ways, int(loc) % c.cfg.Ways, true
+	return set, -1, false
 }
 
 // allocAttrs takes n entries off the free list and links them; returns the
@@ -305,7 +307,6 @@ func (c *AttributeCache) evictLine(set, way int) {
 		}
 	}
 	c.releaseAttrs(l.abp)
-	delete(c.where, l.prim)
 	*l = primLine{}
 }
 
@@ -388,15 +389,15 @@ func (c *AttributeCache) Write(prim uint32, numAttrs uint8, firstUse, lastUse ui
 	// Re-write of a resident primitive (cannot happen in a well-formed
 	// frame, where the PLB writes each primitive exactly once, but keep the
 	// structure consistent): refresh the metadata in place.
-	if s, w, ok := c.lookup(prim); ok {
-		l := &c.sets[s][w]
+	set, w, ok := c.lookup(prim)
+	if ok {
+		l := &c.sets[set][w]
 		l.optNum = firstUse
 		l.lastUse = lastUse
 		l.dirty = true
 		l.stamp = c.clock
 		return
 	}
-	set := c.setIndex(prim)
 
 	insert := func(way int) {
 		if !c.ensureAttrSpace(len(blocks), set, way) {
@@ -410,7 +411,6 @@ func (c *AttributeCache) Write(prim uint32, numAttrs uint8, firstUse, lastUse ui
 			prim: prim, optNum: firstUse, lastUse: lastUse,
 			numAttrs: numAttrs, abp: abp, stamp: c.clock,
 		}
-		c.where[prim] = int32(set*c.cfg.Ways + way)
 		c.stats.WriteInserts++
 	}
 
@@ -437,7 +437,7 @@ func (c *AttributeCache) Write(prim uint32, numAttrs uint8, firstUse, lastUse ui
 	// §III-C4: compare the max OPT Number in the set with the request's.
 	// If the resident max is greater (that primitive is read later than
 	// this one), evict it; otherwise (including ties) bypass to the L2.
-	w := c.victim(set)
+	w = c.victim(set)
 	if w >= 0 && c.sets[set][w].valid && c.sets[set][w].optNum > firstUse {
 		c.evictLine(set, w)
 		insert(w)
@@ -512,11 +512,9 @@ func (c *AttributeCache) Read(prim uint32, numAttrs uint8, optNum, lastUse uint1
 		prim: prim, optNum: optNum, lastUse: lastUse,
 		numAttrs: numAttrs, stamp: c.clock, abp: -1,
 	}
-	c.where[prim] = int32(set*c.cfg.Ways + w)
 
 	if !c.ensureAttrSpace(len(blocks), set, w) {
 		// Roll the reservation back and stall.
-		delete(c.where, prim)
 		c.sets[set][w] = primLine{}
 		c.stats.Reads--
 		c.stats.ReadMisses--
@@ -558,12 +556,13 @@ func (c *AttributeCache) EndFrame() {
 			c.sets[s][w] = primLine{}
 		}
 	}
-	clear(c.where)
 	c.initFreeList()
 }
 
 // CheckInvariants validates internal consistency (free-list accounting,
-// where-map agreement). Tests call it; it returns an error rather than
+// tag placement: every valid line sits in its primitive's set, and no
+// primitive is valid in two ways, so the set scan in lookup finds exactly
+// one line). Tests call it; it returns an error rather than
 // panicking so property tests can report failures.
 func (c *AttributeCache) CheckInvariants() error {
 	// Count free entries by walking the list.
@@ -587,8 +586,13 @@ func (c *AttributeCache) CheckInvariants() error {
 			if !l.valid {
 				continue
 			}
-			if loc, ok := c.where[l.prim]; !ok || int(loc) != s*c.cfg.Ways+w {
-				return fmt.Errorf("tcor: where-map inconsistent for prim %d", l.prim)
+			if want := c.setIndex(l.prim); s != want {
+				return fmt.Errorf("tcor: prim %d sits in set %d, maps to set %d", l.prim, s, want)
+			}
+			for w2 := w + 1; w2 < len(c.sets[s]); w2++ {
+				if o := &c.sets[s][w2]; o.valid && o.prim == l.prim {
+					return fmt.Errorf("tcor: prim %d valid in ways %d and %d of set %d", l.prim, w, w2, s)
+				}
 			}
 			cnt := 0
 			for e := l.abp; e >= 0; e = c.attrs[e].next {

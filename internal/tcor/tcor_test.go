@@ -87,6 +87,38 @@ func TestAttrCacheWriteInsertAndReadHit(t *testing.T) {
 	}
 }
 
+// TestAttrCacheCheckInvariantsCatchesMisplacedTags corrupts the Primitive
+// Buffer the two ways the set-scan lookup cannot tolerate: a valid line
+// outside its primitive's set, and one primitive valid in two ways.
+func TestAttrCacheCheckInvariantsCatchesMisplacedTags(t *testing.T) {
+	c, _ := newTestAttrCache(t, 16, 8, 4) // two sets
+	c.Write(1, 1, 5, 9, attrBlocks(0, 1))
+	set, way, ok := c.lookup(1)
+	if !ok {
+		t.Fatal("prim 1 not resident after write")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	other := 1 - set
+	c.sets[other][0], c.sets[set][way] = c.sets[set][way], primLine{}
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("a line outside its primitive's set passed CheckInvariants")
+	}
+	c.sets[set][way], c.sets[other][0] = c.sets[other][0], primLine{}
+
+	dup := way + 1
+	if dup == len(c.sets[set]) {
+		dup = 0
+	}
+	c.sets[set][dup] = c.sets[set][way]
+	c.sets[set][dup].abp = -1
+	if err := c.CheckInvariants(); err == nil {
+		t.Error("a primitive valid in two ways passed CheckInvariants")
+	}
+}
+
 func TestAttrCacheReadMissFetchesFromL2(t *testing.T) {
 	c, sink := newTestAttrCache(t, 16, 4, 4)
 	res := c.Read(42, 3, 7, 9, attrBlocks(10, 3))

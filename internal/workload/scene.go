@@ -106,8 +106,9 @@ func Generate(spec Spec, screen geom.Screen) (*Scene, error) {
 	var frame Frame
 	var st Stats
 	for iter := 0; iter < 8; iter++ {
-		frame = synthesizeFrame(spec, screen, numPrims, sizeScale, 0)
-		st = measure(screen, &frame)
+		var overlaps int
+		frame, overlaps = synthesizeFrame(spec, screen, numPrims, sizeScale, 0)
+		st = frameStats(screen, &frame, overlaps)
 		reuseErr := st.AvgPrimReuse / spec.AvgPrimReuse
 		footErr := float64(st.PBFootprint) / targetBytes
 		if math.Abs(reuseErr-1) < 0.03 && math.Abs(footErr-1) < 0.03 {
@@ -131,7 +132,7 @@ func Generate(spec Spec, screen geom.Screen) (*Scene, error) {
 	sc.frames = make([]Frame, spec.Frames)
 	sc.frames[0] = frame
 	for f := 1; f < spec.Frames; f++ {
-		sc.frames[f] = synthesizeFrame(spec, screen, numPrims, sizeScale, f)
+		sc.frames[f], _ = synthesizeFrame(spec, screen, numPrims, sizeScale, f)
 	}
 	return sc, nil
 }
@@ -141,11 +142,20 @@ func Generate(spec Spec, screen geom.Screen) (*Scene, error) {
 // games' large-coverage geometry) with many smaller foreground triangles
 // whose size follows a lognormal distribution. Frame index shifts object
 // positions slightly (animation), so consecutive frames have similar but not
-// identical binning.
-func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale float64, frameIdx int) Frame {
+// identical binning. It also returns the frame's total tile overlap count,
+// the sum of len(OverlappedTiles) over the kept primitives.
+func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale float64, frameIdx int) (Frame, int) {
 	rng := rand.New(rand.NewSource(spec.Seed*1_000_003 + int64(frameIdx)))
 	w, h := float64(screen.Width), float64(screen.Height)
 	prims := make([]geom.Primitive, 0, numPrims)
+	// One OverlappedTiles pass per candidate serves both the off-screen
+	// cull and the frame's overlap count.
+	var buf []geom.TileID
+	var overlaps int
+	tiles := func(p *geom.Primitive) int {
+		buf = screen.OverlappedTiles(p, buf[:0])
+		return len(buf)
+	}
 
 	// Background layer, drawn first (painter's order): a full-screen quad
 	// (two triangles) at maximum depth — most games paint a backdrop or
@@ -163,6 +173,7 @@ func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale floa
 			p := triangleAt(rng, w/2, h/2, 1, 1, spec, uint32(len(prims)))
 			p.Pos = pos
 			p.Depth = [3]float32{0.999, 0.999, 0.999} // behind everything
+			overlaps += tiles(&p)
 			prims = append(prims, p)
 		}
 	}
@@ -175,6 +186,7 @@ func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale floa
 			for v := range p.Depth {
 				p.Depth[v] = 0.9 + rng.Float32()*0.05
 			}
+			overlaps += tiles(&p)
 			prims = append(prims, p)
 		}
 	}
@@ -187,7 +199,6 @@ func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale floa
 	// mesh bin into the same tiles).
 	sigma := 0.8
 	drift := float32(frameIdx) * 7 // animation between frames
-	var buf []geom.TileID
 	var meshLeft int
 	var mx, my float64
 	for len(prims) < numPrims {
@@ -225,12 +236,14 @@ func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale floa
 		default:
 			p = triangleAt(rng, cx, cy, size, size, spec, uint32(len(prims)))
 		}
-		if buf = screen.OverlappedTiles(&p, buf[:0]); len(buf) == 0 {
+		n := tiles(&p)
+		if n == 0 {
 			continue // fully off-screen; the Tiling Engine would cull it
 		}
+		overlaps += n
 		prims = append(prims, p)
 	}
-	return Frame{Prims: prims}
+	return Frame{Prims: prims}, overlaps
 }
 
 // sliverAt builds a long thin triangle of the given length and width,
@@ -293,15 +306,22 @@ func triangleAt(rng *rand.Rand, cx, cy, sx, sy float64, spec Spec, id uint32) ge
 
 // measure bins the frame and computes its realized statistics.
 func measure(screen geom.Screen, f *Frame) Stats {
-	var st Stats
-	st.Primitives = len(f.Prims)
-	var attrSum int
+	var overlaps int
 	var buf []geom.TileID
 	for i := range f.Prims {
-		p := &f.Prims[i]
-		buf = screen.OverlappedTiles(p, buf[:0])
-		st.TotalOverlaps += len(buf)
-		attrSum += len(p.Attrs)
+		buf = screen.OverlappedTiles(&f.Prims[i], buf[:0])
+		overlaps += len(buf)
+	}
+	return frameStats(screen, f, overlaps)
+}
+
+// frameStats computes the realized statistics of a frame whose primitives
+// overlap overlaps tiles in total.
+func frameStats(screen geom.Screen, f *Frame, overlaps int) Stats {
+	st := Stats{Primitives: len(f.Prims), TotalOverlaps: overlaps}
+	var attrSum int
+	for i := range f.Prims {
+		attrSum += len(f.Prims[i].Attrs)
 	}
 	if st.Primitives > 0 {
 		st.AvgPrimReuse = float64(st.TotalOverlaps) / float64(st.Primitives)

@@ -172,6 +172,23 @@ func TestPrimitivesAreValidAndOnScreenish(t *testing.T) {
 	}
 }
 
+// TestGenerateStatsMatchMeasure pins the overlap count Generate carries out
+// of scene synthesis: for every suite scene, the statistics it realized
+// while calibrating equal a fresh Measure of its first frame.
+func TestGenerateStatsMatchMeasure(t *testing.T) {
+	screen := geom.DefaultScreen()
+	for _, spec := range Suite() {
+		spec.Frames = 1
+		sc, err := Generate(spec, screen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sc.Stats(), Measure(screen, sc.Frame(0)); got != want {
+			t.Errorf("%s: Generate's stats %+v, Measure %+v", spec.Alias, got, want)
+		}
+	}
+}
+
 func TestParseSpecJSON(t *testing.T) {
 	data := []byte(`{
 		"name": "My Game", "alias": "MyG", "genre": "Racing", "threeD": true,
