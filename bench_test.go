@@ -467,6 +467,43 @@ func BenchmarkFullFrameTCOR(b *testing.B) {
 
 func benchFullFrame(b *testing.B, cfg gpu.Config) {
 	b.Helper()
+	scene := benchScene(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gpu.Simulate(scene, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkSimulateGroupPrewarm times the six full-system configurations
+// behind Figs. 14-24 (baseline, TCOR and TCOR without L2 enhancements at 64
+// and 128 KiB) simulated as one gpu.SimulateGroup over one CCS frame, as
+// the experiments' prewarm runs each benchmark. Next to
+// BenchmarkFullFrame* it shows what the group's shared binning, planning
+// and texture filtering save over six single runs. Not gated.
+func BenchmarkSimulateGroupPrewarm(b *testing.B) {
+	scene := benchScene(b)
+	var cfgs []gpu.Config
+	for _, kb := range []int{64, 128} {
+		cfgs = append(cfgs, gpu.Baseline(kb<<10), gpu.TCOR(kb<<10), gpu.TCORNoL2(kb<<10))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gpu.SimulateGroup(scene, cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "groups/s")
+}
+
+// benchScene generates the one-frame CCS scene the whole-frame benchmarks
+// simulate.
+func benchScene(b *testing.B) *workload.Scene {
+	b.Helper()
 	spec, err := workload.ByAlias("CCS")
 	if err != nil {
 		b.Fatal(err)
@@ -476,14 +513,7 @@ func benchFullFrame(b *testing.B, cfg gpu.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gpu.Simulate(scene, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+	return scene
 }
 
 // --- Benches for the beyond-the-paper studies ---

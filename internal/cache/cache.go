@@ -15,11 +15,13 @@
 //
 // Two engines share Config and Stats. Cache, driven through the Policy
 // interface, is the generic one: the policy library, the trace-driven
-// experiments, the arena, and the frame simulator's vertex cache, baseline
-// Tile Cache and Primitive List Cache run on it. FlatLRU is a packed LRU
-// tag store with no policy dispatch for the caches on the frame hot path:
-// the Raster Pipeline's texture caches use it directly, and the L2
-// (internal/l2) builds its §III-D replacement on it.
+// experiments and the arena run on it. FlatLRU is a packed LRU tag store
+// with no policy dispatch, and every cache on the frame hot path runs on
+// it: the Raster Pipeline's texture caches and the Vertex Cache read it
+// directly, the baseline Tile Cache and the TCOR Primitive List Cache use
+// WriteBackLRU (FlatLRU plus a dirty column), and the L2 (internal/l2)
+// builds its §III-D replacement on it. Both flat engines are pinned to
+// Cache with NewLRU by differential tests.
 package cache
 
 import (

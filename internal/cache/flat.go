@@ -8,10 +8,11 @@ import (
 
 // FlatLRU is a packed set-associative LRU tag store: one tag column and one
 // age column indexed by slot (set*ways + way), a modulo set index and no
-// Policy dispatch. It is the engine of the caches on the simulator's hot
-// path — the Raster Pipeline's texture caches use it whole through Read,
-// and the L2 builds its dead-line replacement on Lookup, Victim, Fill and
-// the columns, keeping its own per-slot metadata beside them.
+// Policy dispatch. It is the engine of every cache on the simulator's hot
+// path: the read-only texture and vertex caches use it whole through Read,
+// WriteBackLRU adds a dirty column for the caches that are written, and
+// the L2 builds its dead-line replacement on Lookup, Victim, Fill and the
+// columns, keeping its own per-slot metadata beside them.
 //
 // A tag holds key+1, so the zero tag marks an invalid slot (keys are block
 // indices, far below the one key this excludes). An age is the access
@@ -20,7 +21,7 @@ import (
 // invalid one when it has any. Replacement therefore matches
 // Cache with NewLRU exactly: hits, victims, contents in set/way order and
 // Stats for a read-only stream. The store keeps no dirty state; callers
-// with writes keep their own.
+// with writes keep their own, as WriteBackLRU does.
 type FlatLRU struct {
 	tags  []uint64
 	ages  []int64
@@ -139,4 +140,81 @@ func (c *FlatLRU) ResidentKeys() []trace.Key {
 		}
 	}
 	return keys
+}
+
+// WriteBackLRU is a write-allocate, write-back LRU cache on a FlatLRU: the
+// flat tag store plus a dirty column indexed by the same slot, as the L2
+// keeps its flags. It matches Cache with NewLRU and WriteAllocate exactly:
+// hits, evicted victims and their dirtiness, contents in set/way order and
+// Stats, FlushAll included. The frame simulator's baseline Tile Cache and
+// the TCOR Primitive List Cache run on it.
+type WriteBackLRU struct {
+	lru   *FlatLRU
+	dirty []bool
+	stats Stats
+}
+
+// NewWriteBackLRU builds a cache with cfg's geometry. cfg must pass
+// Validate, use the modulo index and set WriteAllocate.
+func NewWriteBackLRU(cfg Config) (*WriteBackLRU, error) {
+	if !cfg.WriteAllocate {
+		return nil, fmt.Errorf("cache: WriteBackLRU is write-allocate only")
+	}
+	lru, err := NewFlatLRU(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &WriteBackLRU{lru: lru, dirty: make([]bool, len(lru.tags))}, nil
+}
+
+// Stats returns the counters Access and FlushAll accumulated.
+func (c *WriteBackLRU) Stats() Stats { return c.stats }
+
+// Access performs one access of key, a write when write is set, and
+// returns the slot that now holds key with what the access did. A miss
+// fills the set's least-recently-used slot; res reports the valid line it
+// displaced, if any, and whether that line was dirty. The victim's slot is
+// the returned slot, so per-slot metadata a caller keeps beside the cache
+// still describes the victim until the caller overwrites it.
+func (c *WriteBackLRU) Access(key uint64, write bool) (slot int, res AccessResult) {
+	c.stats.Accesses++
+	slot, base := c.lru.Lookup(key)
+	if slot >= 0 {
+		c.stats.Hits++
+		if write {
+			c.dirty[slot] = true
+		}
+		return slot, AccessResult{Hit: true}
+	}
+	c.stats.Misses++
+	if write {
+		c.stats.WriteMisses++
+	} else {
+		c.stats.ReadMisses++
+	}
+	c.stats.Fills++
+	slot = c.lru.Victim(base)
+	res.Fill = true
+	if c.lru.Valid(slot) {
+		res.Evicted, res.Victim, res.VictimDirty = true, trace.Key(c.lru.Key(slot)), c.dirty[slot]
+		if res.VictimDirty {
+			c.stats.Writebacks++
+		}
+	}
+	c.lru.Fill(slot, key)
+	c.dirty[slot] = write
+	return slot, res
+}
+
+// FlushAll invalidates every line. Like Cache.FlushAll it counts each
+// dirty line it drops in Writebacks, whether or not the caller writes it
+// anywhere.
+func (c *WriteBackLRU) FlushAll() {
+	for s, d := range c.dirty {
+		if d {
+			c.stats.Writebacks++
+		}
+		c.dirty[s] = false
+		c.lru.Invalidate(s)
+	}
 }

@@ -6,6 +6,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tcor/internal/geom"
 	"tcor/internal/mem"
@@ -15,6 +16,8 @@ import (
 
 // Config describes the DRAM geometry and timing.
 type Config struct {
+	// Banks and RowBytes must be powers of two: an address splits into
+	// row, bank and column by shifts and masks.
 	Banks         int
 	RowBytes      int
 	RowHitCycles  int // latency when the row buffer already holds the row
@@ -78,10 +81,16 @@ func RegisterStatsInvariants(r *stats.Registry, prefix string) {
 // hierarchy and embeds a per-region access counter for the figures that
 // report main-memory traffic by data type.
 type DRAM struct {
-	cfg     Config
-	rows    []int64 // open row per bank; -1 = closed
-	stats   Stats
-	Counter *mem.Counter
+	cfg  Config
+	rows []int64 // open row per bank; -1 = closed
+	// Address split and bus cost, fixed by cfg: a row index is
+	// addr >> rowShift, its bank the low bits under bankMask, and each
+	// access occupies the bus for busCycles.
+	rowShift, bankShift uint
+	bankMask            int64
+	busCycles           int64
+	stats               Stats
+	Counter             *mem.Counter
 }
 
 // New builds the DRAM model.
@@ -89,13 +98,24 @@ func New(cfg Config) (*DRAM, error) {
 	if cfg.Banks <= 0 || cfg.RowBytes <= 0 {
 		return nil, fmt.Errorf("dram: bad geometry %+v", cfg)
 	}
+	if cfg.Banks&(cfg.Banks-1) != 0 || cfg.RowBytes&(cfg.RowBytes-1) != 0 {
+		return nil, fmt.Errorf("dram: %d banks and %d-byte rows must both be powers of two", cfg.Banks, cfg.RowBytes)
+	}
 	if cfg.RowHitCycles <= 0 || cfg.RowMissCycles < cfg.RowHitCycles {
 		return nil, fmt.Errorf("dram: bad timing %+v", cfg)
 	}
 	if cfg.BytesPerCycle <= 0 {
 		cfg.BytesPerCycle = 16
 	}
-	d := &DRAM{cfg: cfg, rows: make([]int64, cfg.Banks), Counter: mem.NewCounter()}
+	d := &DRAM{
+		cfg:       cfg,
+		rows:      make([]int64, cfg.Banks),
+		rowShift:  uint(bits.TrailingZeros(uint(cfg.RowBytes))),
+		bankShift: uint(bits.TrailingZeros(uint(cfg.Banks))),
+		bankMask:  int64(cfg.Banks - 1),
+		busCycles: int64(float64(64)/cfg.BytesPerCycle + 0.5),
+		Counter:   mem.NewCounter(),
+	}
 	for i := range d.rows {
 		d.rows[i] = -1
 	}
@@ -108,8 +128,8 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // bankAndRow splits an address into its bank and row. Banks interleave at
 // row granularity.
 func (d *DRAM) bankAndRow(addr uint64) (int, int64) {
-	row := int64(addr / uint64(d.cfg.RowBytes))
-	return int(row % int64(d.cfg.Banks)), row / int64(d.cfg.Banks)
+	row := int64(addr >> d.rowShift)
+	return int(row & d.bankMask), row >> d.bankShift
 }
 
 // Latency returns the access latency for addr and updates the row-buffer
@@ -136,7 +156,7 @@ func (d *DRAM) Access(r mem.Request) {
 		d.stats.Reads++
 		d.stats.ReadCycles += int64(lat)
 	}
-	d.stats.BusyCycles += int64(float64(64)/d.cfg.BytesPerCycle + 0.5)
+	d.stats.BusyCycles += d.busCycles
 	d.Counter.Access(r)
 }
 

@@ -17,6 +17,39 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(DefaultConfig()); err != nil {
 		t.Error(err)
 	}
+	// The address split is by shifts and masks.
+	for _, geo := range [][2]int{{6, 2048}, {8, 1536}, {3, 100}} {
+		cfg := DefaultConfig()
+		cfg.Banks, cfg.RowBytes = geo[0], geo[1]
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%d banks, %d-byte rows: want a power-of-two error", geo[0], geo[1])
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Banks, cfg.RowBytes = 1, 64
+	if _, err := New(cfg); err != nil {
+		t.Errorf("1 bank, 64-byte rows: %v", err)
+	}
+}
+
+// TestBankAndRowMatchesDivision checks the shift-and-mask address split
+// against the division it replaces on power-of-two geometries.
+func TestBankAndRowMatchesDivision(t *testing.T) {
+	for _, geo := range [][2]int{{8, 2048}, {1, 64}, {16, 1024}, {4, 8192}} {
+		cfg := DefaultConfig()
+		cfg.Banks, cfg.RowBytes = geo[0], geo[1]
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, addr := range []uint64{0, 63, 2047, 2048, 12345, memmap.TexturesBase + 99999, 1<<63 + 7, 1<<64 - 1} {
+			row := int64(addr / uint64(cfg.RowBytes))
+			wantBank, wantRow := int(row%int64(cfg.Banks)), row/int64(cfg.Banks)
+			if bank, r := d.bankAndRow(addr); bank != wantBank || r != wantRow {
+				t.Errorf("%v addr %#x: bank %d row %d, want %d %d", geo, addr, bank, r, wantBank, wantRow)
+			}
+		}
+	}
 }
 
 func TestRowBufferHitsAndMisses(t *testing.T) {

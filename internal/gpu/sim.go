@@ -17,7 +17,6 @@ import (
 	"tcor/internal/stats"
 	"tcor/internal/tcor"
 	"tcor/internal/tiling"
-	"tcor/internal/trace"
 	"tcor/internal/workload"
 )
 
@@ -37,7 +36,11 @@ type Result struct {
 	L2Stats   l2.Stats
 	AttrStats tcor.AttrStats
 	ListStats tcor.ListStats
-	TileStats cache.Stats // baseline tile cache
+	// TileStats are the baseline tile cache's counters. Its Writebacks
+	// include the dirty lines the frame-end flush drops with the recycled
+	// Parameter Buffer, which never reach the L2; TileL2Writes counts the
+	// write-backs the L2 receives.
+	TileStats cache.Stats
 	// TileL2Reads/Writes are the L2 requests the baseline tile cache
 	// issued (fetches and write-backs).
 	TileL2Reads, TileL2Writes int64
@@ -116,11 +119,16 @@ func Simulate(scene *workload.Scene, cfg Config) (*Result, error) {
 // through the scene in lockstep, frame by frame and tile by tile, and share
 // the work that depends only on the scene, the screen, the traversal order,
 // the frame and the tile: each frame is binned once, and each tile is
-// planned once (raster.PlanTile) and the plan committed into every
-// configuration's own Raster Pipeline. Geometry, the PLB and Tile Fetcher
-// replays, the L1s, the L2 and DRAM stay per configuration. Each
-// configuration sees exactly the event order it sees alone, so results[i]
-// is byte-identical to Simulate(scene, cfgs[i]).
+// planned once (raster.PlanTile) and its texture taps filtered once, through
+// the first configuration's texture caches (raster.FilterTextures); the
+// filtered plan is then committed into every configuration's own Raster
+// Pipeline, L2 and DRAM (raster.CommitFiltered). The texture caches read no
+// L2 state and every configuration's raster.Config is the same, so each
+// configuration's texture caches would filter the same tap stream the same
+// way. Geometry, the PLB and Tile Fetcher replays, the other L1s, the L2
+// and DRAM stay per configuration. Each configuration sees exactly the
+// event order it sees alone, so results[i] is byte-identical to
+// Simulate(scene, cfgs[i]).
 //
 // All configurations must share Screen and Order. Grouping is the caller's
 // job: a group that mixes screens or orders is an error.
@@ -162,8 +170,8 @@ type group struct {
 	scene *workload.Scene
 	sims  []*sim
 
-	// The current tile's raster plan: the first sim's TileDone plans it,
-	// every sim's TileDone commits it.
+	// The current tile's raster plan: the first sim's TileDone plans and
+	// filters it, every sim's TileDone commits it.
 	work    []raster.TileWork
 	scratch *raster.PlanScratch
 	plan    raster.TilePlan
@@ -223,10 +231,15 @@ func (g *group) runFrame(f int) error {
 	return nil
 }
 
-// planTile plans the first sim's current tile into the shared plan. A plan
+// planTile plans the first sim's current tile into the shared plan and
+// filters its texture taps through the first sim's texture caches. A plan
 // depends only on the scene, the screen, the frame and the tile, and every
 // sim's Raster Pipeline is built from the same raster.Config (newSim
 // derives it from the scene and the screen alone), so one plan serves all.
+// For the same reason every sim's texture caches would see the same tap
+// stream from the same state, so one filter serves all too: the other
+// sims' texture caches are never touched, and their texture statistics
+// come from the filtered plans they commit.
 func (g *group) planTile(tile geom.TileID) {
 	s := g.sims[0]
 	work := g.work[:0]
@@ -235,6 +248,7 @@ func (g *group) planTile(tile geom.TileID) {
 	}
 	g.work = work
 	s.rasterPipe.PlanTile(tile, s.frame, work, g.scratch, &g.plan)
+	s.rasterPipe.FilterTextures(&g.plan)
 }
 
 // teeSink counts requests by region and forwards them.
@@ -270,14 +284,14 @@ type sim struct {
 	l2trace *stats.Ring // bounded L2 eviction trace (nil when off)
 
 	// Tiling Engine L1s: exactly one of (tile) or (lists, attrs) is set.
-	tile      *cache.Cache // baseline unified Tile Cache
+	tile      *cache.WriteBackLRU // baseline unified Tile Cache
 	tileStats struct {
 		reads, writes, l2Reads, l2Writes int64
 	}
 	lists *tcor.PrimitiveListCache
 	attrs *tcor.AttributeCache
 
-	vertex        *cache.Cache
+	vertex        *cache.FlatLRU
 	vertexL2Reads int64
 
 	rasterPipe *raster.Pipeline
@@ -331,11 +345,11 @@ func newSim(scene *workload.Scene, cfg Config, trav *tiling.Traversal, g *group)
 
 	switch cfg.Kind {
 	case KindBaseline:
-		s.tile, err = cache.New(cache.Config{
+		s.tile, err = cache.NewWriteBackLRU(cache.Config{
 			Lines:         cache.LinesFor(cfg.TileCacheBytes, memmap.BlockBytes),
 			Ways:          cfg.TileCacheWays,
 			WriteAllocate: true,
-		}, cache.NewLRU())
+		})
 		if err != nil {
 			return nil, fmt.Errorf("gpu: tile cache: %w", err)
 		}
@@ -357,11 +371,11 @@ func newSim(scene *workload.Scene, cfg Config, trav *tiling.Traversal, g *group)
 		return nil, fmt.Errorf("gpu: unknown tile cache kind %d", cfg.Kind)
 	}
 
-	s.vertex, err = cache.New(cache.Config{
-		Lines:         cache.LinesFor(cfg.VertexCacheBytes, memmap.BlockBytes),
-		Ways:          cfg.VertexCacheWays,
-		WriteAllocate: true,
-	}, cache.NewLRU())
+	// The Vertex Cache is only read.
+	s.vertex, err = cache.NewFlatLRU(cache.Config{
+		Lines: cache.LinesFor(cfg.VertexCacheBytes, memmap.BlockBytes),
+		Ways:  cfg.VertexCacheWays,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("gpu: vertex cache: %w", err)
 	}
@@ -501,8 +515,7 @@ func (s *sim) geometry(prims []geom.Primitive) int64 {
 		for v := 0; v < 3; v++ {
 			addr := memmap.InputGeometryBase + uint64(i*3+v)*16
 			p := s.snap()
-			res := s.vertex.Access(trace.Access{Key: trace.Key(memmap.Block(addr))})
-			if !res.Hit {
+			if !s.vertex.Read(memmap.Block(addr)) {
 				s.vertexL2Reads++
 				s.l2in.Access(mem.Request{Addr: addr &^ (memmap.BlockBytes - 1)})
 			}
@@ -538,7 +551,7 @@ func (s *sim) tileAccess(addr uint64, write bool, tilePos uint16) int64 {
 		} else {
 			s.tileStats.reads++
 		}
-		res := s.tile.Access(trace.Access{Key: trace.Key(memmap.Block(addr)), Write: write})
+		_, res := s.tile.Access(memmap.Block(addr), write)
 		if res.Evicted && res.VictimDirty {
 			s.tileStats.l2Writes++
 			s.l2in.Access(mem.Request{Addr: memmap.BlockAddr(uint64(res.Victim)), Write: true})
@@ -639,14 +652,15 @@ func (s *sim) PrimRead(prim uint32, numAttrs uint8, optNum, lastUse uint16, bloc
 
 // TileDone implements tiling.Handler: close out the tile's Tile Fetcher
 // cycle count, rasterize the tile, and signal retirement to the L2. The
-// group's first sim plans the tile; every sim commits that one plan.
+// group's first sim plans the tile and filters its texture taps; every sim
+// commits that one filtered plan.
 func (s *sim) TileDone(tile geom.TileID, pos uint16) {
 	s.beginTileSpan() // an empty tile still gets a (zero-fetch) span
 	g := s.group
 	if s == g.sims[0] {
 		g.planTile(tile)
 	}
-	rc := s.rasterPipe.CommitPlan(&g.plan)
+	rc := s.rasterPipe.CommitFiltered(&g.plan)
 	s.tileTF = append(s.tileTF, s.curTF)
 	s.tileRaster = append(s.tileRaster, rc)
 	s.res.TFCycles += s.curTF

@@ -7,10 +7,10 @@
 // even when dirty — then non-PB lines, then live PB lines, with LRU inside
 // each priority class.
 //
-// Tags and LRU ages live in a cache.FlatLRU, the tag store the texture
-// caches use too; the region, last-use tile and dirty/tagged flags sit in
-// side columns indexed by the same slot, and the replacement priority is a
-// class function over those columns.
+// Tags and LRU ages live in a cache.FlatLRU, the tag store the L1s use
+// too; the last-use tile and a flag byte (dirty, tagged, Parameter Buffer)
+// sit in side columns indexed by the same slot, and the replacement
+// priority is a class function over those columns.
 package l2
 
 import (
@@ -124,13 +124,13 @@ func RegisterStatsInvariants(r *stats.Registry, prefix string, enhanced bool) {
 const (
 	dirty  uint8 = 1 << iota
 	tagged       // lastTile is known (PB lines in enhanced mode)
+	pb           // the line holds Parameter Buffer data (set at fill)
 )
 
 // Cache is the shared L2.
 type Cache struct {
-	cfg    Config
-	lru    *cache.FlatLRU
-	region []memmap.Region
+	cfg Config
+	lru *cache.FlatLRU
 	// lastTile is the traversal position of the last tile using the line,
 	// valid when its tagged flag is set.
 	lastTile []uint16
@@ -164,7 +164,6 @@ func New(cfg Config, next mem.Sink) (*Cache, error) {
 	return &Cache{
 		cfg:      cfg,
 		lru:      lru,
-		region:   make([]memmap.Region, lines),
 		lastTile: make([]uint16, lines),
 		flags:    make([]uint8, lines),
 		next:     next,
@@ -212,9 +211,11 @@ func (c *Cache) Access(r mem.Request) {
 			c.evict(slot)
 		}
 		c.lru.Fill(slot, key)
-		c.region[slot] = r.Region()
 		c.lastTile[slot] = r.LastUse
 		c.flags[slot] = 0
+		if r.Region().IsParameterBuffer() {
+			c.flags[slot] = pb
+		}
 	}
 	if r.Write {
 		c.flags[slot] |= dirty
@@ -252,7 +253,7 @@ func (c *Cache) victim(base int) int {
 // never be read again: it belongs to the Parameter Buffer, its last-use
 // tile is known, and that tile has retired (§III-D1).
 func (c *Cache) class(slot int) int {
-	if !c.region[slot].IsParameterBuffer() {
+	if c.flags[slot]&pb == 0 {
 		return 1
 	}
 	if c.cfg.Enhanced && c.flags[slot]&tagged != 0 && c.retired >= int(c.lastTile[slot]) {
@@ -307,8 +308,8 @@ func (c *Cache) TileRetired(pos uint16, tile geom.TileID) {
 // reclaims the buffer; this is not part of the TCOR enhancement). The
 // retired-tile counter resets for the next frame.
 func (c *Cache) EndFrame() {
-	for s, r := range c.region {
-		if c.lru.Valid(s) && r.IsParameterBuffer() {
+	for s, f := range c.flags {
+		if f&pb != 0 && c.lru.Valid(s) {
 			c.lru.Invalidate(s)
 		}
 	}
@@ -320,9 +321,9 @@ func (c *Cache) EndFrame() {
 // region; for tests and reports.
 func (c *Cache) Occupancy() map[memmap.Region]int {
 	out := make(map[memmap.Region]int)
-	for s, r := range c.region {
+	for s := range c.flags {
 		if c.lru.Valid(s) {
-			out[r]++
+			out[memmap.RegionOf(memmap.BlockAddr(c.lru.Key(s)))]++
 		}
 	}
 	return out

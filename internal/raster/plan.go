@@ -11,10 +11,12 @@ import (
 // TilePlan is the deterministic record of one tile's raster work: the quad
 // tallies from coverage and depth testing plus the tile's entire memory
 // access stream, laid out struct-of-arrays so planning appends to flat
-// slices instead of allocating per-access records. A plan is a pure
-// function of (tile, frame, primitive list, config) — it never reads cache
-// or DRAM state — so planning and CommitPlan, which replays the stream into
-// the shared hierarchy, can be timed and tested apart.
+// slices instead of allocating per-access records. PlanTile fills it as a
+// pure function of (tile, frame, primitive list, config): it never reads
+// cache or DRAM state. FilterTextures then runs the tap stream through one
+// pipeline's texture caches and records the misses in the plan, and
+// CommitFiltered replays the filtered plan into the shared hierarchy; so
+// planning, filtering and committing can be timed and tested apart.
 type TilePlan struct {
 	Code geom.TileCode // tile identity (tile ID + traversal position)
 
@@ -35,6 +37,12 @@ type TilePlan struct {
 	// Color Buffer flush: FBBlocks block writes starting at FBBase.
 	FBBase   uint64
 	FBBlocks int64
+
+	// Texture filter output (FilterTextures): the number of taps the
+	// stream stands for and the block addresses of the tap runs that
+	// missed their texture cache, in issue order.
+	TexTaps   int64
+	TexMisses []uint64
 }
 
 // Reset clears the plan for reuse, keeping the tap capacity.
@@ -45,6 +53,8 @@ func (p *TilePlan) Reset() {
 	p.TapCache = p.TapCache[:0]
 	p.TapRuns = p.TapRuns[:0]
 	p.FBBase, p.FBBlocks = 0, 0
+	p.TexTaps = 0
+	p.TexMisses = p.TexMisses[:0]
 }
 
 // PlanScratch is the worker-private state PlanTile needs: the on-chip
@@ -111,26 +121,50 @@ func (p *Pipeline) tileRoute(tile geom.TileID) texRoute {
 	return r
 }
 
-// CommitPlan replays the plan's access streams into the shared texture
-// caches, L2 and Frame Buffer and folds its tallies into the pipeline
-// statistics, returning the tile's raster cycles. Commit order across tiles
-// must match the traversal order. CommitPlan does not modify the plan.
+// CommitPlan rasterizes a planned tile into this pipeline: FilterTextures
+// then CommitFiltered. It returns the tile's raster cycles. Commit order
+// across tiles must match the traversal order.
 func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
+	p.FilterTextures(plan)
+	return p.CommitFiltered(plan)
+}
+
+// FilterTextures runs the plan's tap runs through this pipeline's texture
+// caches, one read per run (the run's repeats are hits; see TilePlan.tap),
+// and records the outcome in the plan: TexTaps counts the taps and
+// TexMisses lists the blocks that missed, in issue order. It is the half
+// of CommitPlan that touches the texture caches, and the texture caches
+// read nothing else: every pipeline built from one Config that is fed the
+// same plans in the same order would filter them identically. So one
+// pipeline may filter each plan and every such pipeline commit it.
+func (p *Pipeline) FilterTextures(plan *TilePlan) {
+	misses := plan.TexMisses[:0]
+	var taps int64
+	for i, addr := range plan.TapAddrs {
+		taps += int64(plan.TapRuns[i])
+		if !p.tex[plan.TapCache[i]].Read(memmap.Block(addr)) {
+			misses = append(misses, addr)
+		}
+	}
+	plan.TexTaps, plan.TexMisses = taps, misses
+}
+
+// CommitFiltered commits a plan FilterTextures has filtered: it replays
+// the texture misses into the L2, flushes the Color Buffer to the Frame
+// Buffer and folds the plan's tallies into the pipeline statistics,
+// returning the tile's raster cycles. Commit order across tiles must match
+// the traversal order. CommitFiltered does not touch the texture caches
+// and does not modify the plan.
+func (p *Pipeline) CommitFiltered(plan *TilePlan) int64 {
 	p.stats.Primitives += plan.Prims
 	p.stats.Quads += plan.Quads
 	p.stats.LateZQuads += plan.LateZQuads
 	p.stats.BlendedQuads += plan.BlendedQuads
 
-	// One cache access per run; the run's repeats are hits (see
-	// TilePlan.tap) counted in texRepeats.
-	for i, addr := range plan.TapAddrs {
-		n := int64(plan.TapRuns[i])
-		p.stats.TexAccesses += n
-		p.texRepeats += n - 1
-		if !p.tex[plan.TapCache[i]].Read(memmap.Block(addr)) {
-			p.stats.TexMisses++
-			p.l2.Access(mem.Request{Addr: addr})
-		}
+	p.stats.TexAccesses += plan.TexTaps
+	p.stats.TexMisses += int64(len(plan.TexMisses))
+	for _, addr := range plan.TexMisses {
+		p.l2.Access(mem.Request{Addr: addr})
 	}
 
 	fragments := plan.QuadsShaded * QuadSize * QuadSize
@@ -379,8 +413,8 @@ func (e *edge) crossing(yT, tileMinX float32, lo, hi int) (nonNeg, pos int) {
 }
 
 // quadTaps holds one primitive's texel address terms: the same arithmetic
-// as the inline textureFetch, minus the cache simulation (which CommitPlan
-// performs during the ordered replay).
+// as the inline textureFetch, minus the cache simulation (which
+// FilterTextures performs during the ordered replay).
 type quadTaps struct {
 	enabled  bool   // the workload has textures
 	bilinear bool   // four taps per quad instead of one
@@ -462,7 +496,7 @@ func (t *quadTaps) plan(u, v uint64, cacheIdx uint8, plan *TilePlan) {
 // exact because the texture caches are LRU, read-only and write-allocate
 // (New): a repeat is a read hit on the line its cache touched last, which
 // already holds that cache's newest timestamp, so it changes no victim
-// choice and issues no L2 request. CommitPlan replays each run as one
+// choice and issues no L2 request. FilterTextures replays each run as one
 // access plus run-1 hits. A full run starts a new entry rather than wrap.
 func (p *TilePlan) tap(addr uint64, c uint8) {
 	block := addr &^ (memmap.BlockBytes - 1)

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"tcor/internal/cache"
 	"tcor/internal/geom"
 	"tcor/internal/mem"
 	"tcor/internal/memmap"
@@ -363,8 +364,10 @@ func (r *recorder) EndFrame()                       {}
 // coalescing: committing the run-length coded plans on one pipeline and
 // replaying every tap of the reference planner's expanded streams as its
 // own cache access on another leave equal statistics, equal L2 and Frame
-// Buffer request sequences and equal texture-cache contents. Small texture
-// caches make the replay evict constantly.
+// Buffer request sequences and equal texture-cache contents. The texture
+// caches' own counters, plus the repeats the plans coalesced, must equal
+// the reference caches' counters, and so must the derived TexCacheStats.
+// Small texture caches make the replay evict constantly.
 func TestCommitPlanMatchesExpandedReplay(t *testing.T) {
 	for _, ts := range []int{24, 31, 32, 33, 64} {
 		for _, bilinear := range []bool{false, true} {
@@ -384,10 +387,14 @@ func TestCommitPlanMatchesExpandedReplay(t *testing.T) {
 			prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
 			sc := p.NewScratch()
 			var plan TilePlan
+			var repeats int64
 			for frame := 0; frame < 2; frame++ {
 				for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
 					work := tileWork(prims, screen, tile)
 					p.PlanTile(tile, frame, work, sc, &plan)
+					for _, n := range plan.TapRuns {
+						repeats += int64(n) - 1
+					}
 					gotCycles := p.CommitPlan(&plan)
 
 					expanded := refPlanTile(ref, tile, frame, work)
@@ -404,12 +411,20 @@ func TestCommitPlanMatchesExpandedReplay(t *testing.T) {
 			if p.Stats() != ref.Stats() {
 				t.Errorf("ts=%d bilinear=%v: stats %+v, want %+v", ts, bilinear, p.Stats(), ref.Stats())
 			}
-			got, want := p.TexCacheStats(), ref.TexCacheStats()
-			if got != want {
-				t.Errorf("ts=%d bilinear=%v: texture-cache stats %+v, want %+v", ts, bilinear, got, want)
+			got := cache.Stats{Accesses: repeats, Hits: repeats}
+			var want cache.Stats
+			for i := range p.tex {
+				got = addStats(got, p.tex[i].Stats())
+				want = addStats(want, ref.tex[i].Stats())
 			}
-			if p.texRepeats == 0 || want.Misses == 0 || want.Hits == 0 {
-				t.Fatalf("ts=%d bilinear=%v: %d repeats, %+v; the test exercises too little", ts, bilinear, p.texRepeats, want)
+			if got != want {
+				t.Errorf("ts=%d bilinear=%v: texture caches %+v with repeats, want %+v", ts, bilinear, got, want)
+			}
+			if derived := p.TexCacheStats(); derived != want {
+				t.Errorf("ts=%d bilinear=%v: TexCacheStats %+v, want %+v", ts, bilinear, derived, want)
+			}
+			if repeats == 0 || want.Misses == 0 || want.Hits == 0 {
+				t.Fatalf("ts=%d bilinear=%v: %d repeats, %+v; the test exercises too little", ts, bilinear, repeats, want)
 			}
 			if !slices.Equal(l2.reqs, refL2.reqs) || !slices.Equal(fb.reqs, refFB.reqs) {
 				t.Errorf("ts=%d bilinear=%v: L2 %d/FB %d requests, want %d/%d or a different order", ts, bilinear, len(l2.reqs), len(fb.reqs), len(refL2.reqs), len(refFB.reqs))
@@ -420,5 +435,19 @@ func TestCommitPlanMatchesExpandedReplay(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// addStats returns the field-wise sum of two cache counter sets.
+func addStats(a, b cache.Stats) cache.Stats {
+	return cache.Stats{
+		Accesses:    a.Accesses + b.Accesses,
+		Hits:        a.Hits + b.Hits,
+		Misses:      a.Misses + b.Misses,
+		ReadMisses:  a.ReadMisses + b.ReadMisses,
+		WriteMisses: a.WriteMisses + b.WriteMisses,
+		Writebacks:  a.Writebacks + b.Writebacks,
+		Bypasses:    a.Bypasses + b.Bypasses,
+		Fills:       a.Fills + b.Fills,
 	}
 }

@@ -128,9 +128,6 @@ type Pipeline struct {
 	l2    mem.Sink
 	fb    mem.Sink // Color Buffer flush target (main memory, bypassing L2, Fig. 5)
 	stats Stats
-	// texRepeats counts the texture taps CommitPlan coalesced into the
-	// access before them: hits the texture caches did not simulate.
-	texRepeats int64
 
 	texW      uint64 // texture width in texels (square working set, 4 B/texel)
 	tileQuads int    // quads per full tile edge
@@ -181,22 +178,20 @@ func (p *Pipeline) Stats() Stats { return p.stats }
 // Config returns the pipeline's configuration.
 func (p *Pipeline) Config() Config { return p.cfg }
 
-// TexCacheStats returns the aggregate texture-cache statistics, counting
-// every tap, coalesced repeats included, as an access (and a hit).
+// TexCacheStats returns the aggregate texture-cache statistics of the
+// plans committed, counting every tap, coalesced repeats included, as an
+// access and every tap that is not a miss as a hit. It derives them from
+// Stats, so it holds for a pipeline that commits plans another pipeline
+// filtered (FilterTextures) as for one that filters its own.
 func (p *Pipeline) TexCacheStats() cache.Stats {
-	agg := cache.Stats{Accesses: p.texRepeats, Hits: p.texRepeats}
-	for _, c := range p.tex {
-		s := c.Stats()
-		agg.Accesses += s.Accesses
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.ReadMisses += s.ReadMisses
-		agg.WriteMisses += s.WriteMisses
-		agg.Writebacks += s.Writebacks
-		agg.Bypasses += s.Bypasses
-		agg.Fills += s.Fills
+	s := p.stats
+	return cache.Stats{
+		Accesses:   s.TexAccesses,
+		Hits:       s.TexAccesses - s.TexMisses,
+		Misses:     s.TexMisses,
+		ReadMisses: s.TexMisses,
+		Fills:      s.TexMisses,
 	}
-	return agg
 }
 
 // TileWork is one primitive scheduled into a tile, in list order.

@@ -7,7 +7,6 @@ import (
 	"tcor/internal/mem"
 	"tcor/internal/memmap"
 	"tcor/internal/stats"
-	"tcor/internal/trace"
 )
 
 // ListCacheConfig sizes the Primitive List Cache (§III-C1): a conventional
@@ -72,11 +71,14 @@ func RegisterListStatsInvariants(r *stats.Registry, prefix string) {
 // allocate (the PLB appends PMDs one at a time, and 16 PMDs share a block,
 // so write-allocate captures the spatial reuse of list building).
 type PrimitiveListCache struct {
-	cfg     ListCacheConfig
-	c       *cache.Cache
-	next    mem.Sink
-	stats   ListStats
-	lastUse map[trace.Key]uint16 // block -> owning tile traversal position
+	cfg   ListCacheConfig
+	c     *cache.WriteBackLRU
+	next  mem.Sink
+	stats ListStats
+	// lastUse is a per-slot column: the traversal position of the tile
+	// that last accessed the slot's block. Every hit and fill writes it;
+	// a dirty victim's write-back reads it before the fill overwrites it.
+	lastUse []uint16
 }
 
 // NewPrimitiveListCache builds the cache; next receives L2 traffic.
@@ -85,11 +87,11 @@ func NewPrimitiveListCache(cfg ListCacheConfig, next mem.Sink) (*PrimitiveListCa
 		return nil, fmt.Errorf("tcor: list cache needs a next-level sink")
 	}
 	lines := cache.LinesFor(cfg.SizeBytes, memmap.BlockBytes)
-	c, err := cache.New(cache.Config{
+	c, err := cache.NewWriteBackLRU(cache.Config{
 		Lines:         lines,
 		Ways:          cfg.Ways,
 		WriteAllocate: true,
-	}, cache.NewLRU())
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tcor: list cache: %w", err)
 	}
@@ -97,7 +99,7 @@ func NewPrimitiveListCache(cfg ListCacheConfig, next mem.Sink) (*PrimitiveListCa
 		cfg:     cfg,
 		c:       c,
 		next:    next,
-		lastUse: make(map[trace.Key]uint16, lines*4),
+		lastUse: make([]uint16, lines),
 	}, nil
 }
 
@@ -107,38 +109,40 @@ func (p *PrimitiveListCache) Stats() ListStats { return p.stats }
 // Access services one PB-Lists access at byte address addr for the given
 // tile at traversal position tilePos.
 func (p *PrimitiveListCache) Access(addr uint64, write bool, tilePos uint16) {
-	key := trace.Key(memmap.Block(addr))
-	p.lastUse[key] = tilePos
+	key := memmap.Block(addr)
 	if write {
 		p.stats.Writes++
 	} else {
 		p.stats.Reads++
 	}
-	res := p.c.Access(trace.Access{Key: key, Write: write})
+	slot, res := p.c.Access(key, write)
 	if res.Hit {
 		p.stats.Hits++
+		p.lastUse[slot] = tilePos
 		return
 	}
 	p.stats.Misses++
 	if res.Evicted && res.VictimDirty {
 		p.stats.Writebacks++
-		p.emit(res.Victim, true)
+		p.emit(uint64(res.Victim), true, p.lastUse[slot])
 	}
+	p.lastUse[slot] = tilePos
 	// Read misses fetch the block. Write misses fetch only when the PMD
 	// lands mid-block: appending to a block that was evicted part-way
 	// through filling must merge with the PMDs already written, whereas the
 	// first PMD of a block (64-byte-aligned address) starts a fresh block
 	// and allocates without a fetch.
 	if !write || addr%memmap.BlockBytes != 0 {
-		p.emit(key, false)
+		p.emit(key, false, tilePos)
 	}
 }
 
-func (p *PrimitiveListCache) emit(key trace.Key, write bool) {
-	last, ok := p.lastUse[key]
-	r := mem.Request{Addr: memmap.BlockAddr(uint64(key)), Write: write}
-	if p.cfg.TagLastUse && ok {
-		r.LastUse = last
+// emit sends one block request to the L2, tagged with the traversal
+// position of the block's last-use tile when TagLastUse is on.
+func (p *PrimitiveListCache) emit(block uint64, write bool, lastUse uint16) {
+	r := mem.Request{Addr: memmap.BlockAddr(block), Write: write}
+	if p.cfg.TagLastUse {
+		r.LastUse = lastUse
 		r.HasLastUse = true
 	}
 	if write {
@@ -149,10 +153,6 @@ func (p *PrimitiveListCache) emit(key trace.Key, write bool) {
 	p.next.Access(r)
 }
 
-// EndFrame invalidates the cache without write-back (the PB is recycled).
-func (p *PrimitiveListCache) EndFrame() {
-	for _, k := range p.c.FlushAll() {
-		_ = k // dirty PB-Lists data is dead at frame end: dropped
-	}
-	clear(p.lastUse)
-}
+// EndFrame invalidates the cache without write-back: the PB is recycled,
+// so dirty PB-Lists data is dead at frame end and is dropped.
+func (p *PrimitiveListCache) EndFrame() { p.c.FlushAll() }

@@ -2,8 +2,10 @@ package tcor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tcor/internal/geom"
 	"tcor/internal/mem"
 	"tcor/internal/memmap"
 	"tcor/internal/pbuffer"
@@ -423,5 +425,54 @@ func TestPrimitiveListCacheWritebackOnEviction(t *testing.T) {
 	// EndFrame drops dirty lines without L2 writes.
 	if sink.Writes != 1 {
 		t.Error("EndFrame must not write back")
+	}
+}
+
+// lastUseRecorder is a mem.Sink that keeps every request in order.
+type lastUseRecorder struct{ reqs []mem.Request }
+
+func (r *lastUseRecorder) Access(req mem.Request)          { r.reqs = append(r.reqs, req) }
+func (r *lastUseRecorder) TileRetired(uint16, geom.TileID) {}
+func (r *lastUseRecorder) EndFrame()                       {}
+
+// TestPrimitiveListCacheLastUseColumn pins the per-slot last-use column:
+// a dirty victim's write-back carries the position of the last tile that
+// touched the block, and a re-fetch carries the fetching tile's position.
+func TestPrimitiveListCacheLastUseColumn(t *testing.T) {
+	sink := &lastUseRecorder{}
+	// One set of two ways.
+	p, err := NewPrimitiveListCache(ListCacheConfig{SizeBytes: 128, Ways: 2, TagLastUse: true}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := memmap.PBListsBase, memmap.PBListsBase+64, memmap.PBListsBase+128
+	p.Access(a, true, 3)    // fill A dirty, no fetch
+	p.Access(a+4, true, 7)  // hit: A's last use moves to 7
+	p.Access(b, false, 8)   // fetch B
+	p.Access(c, false, 8)   // evicts A: write-back, then fetch C
+	p.Access(a+8, false, 9) // re-fetch A, evicting clean B
+	want := []mem.Request{
+		{Addr: b, LastUse: 8, HasLastUse: true},
+		{Addr: a, Write: true, LastUse: 7, HasLastUse: true},
+		{Addr: c, LastUse: 8, HasLastUse: true},
+		{Addr: a, LastUse: 9, HasLastUse: true},
+	}
+	if !slices.Equal(sink.reqs, want) {
+		t.Errorf("L2 requests %+v, want %+v", sink.reqs, want)
+	}
+
+	// Without TagLastUse the same stream carries no tags.
+	untagged := &lastUseRecorder{}
+	q, err := NewPrimitiveListCache(ListCacheConfig{SizeBytes: 128, Ways: 2}, untagged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Access(a, true, 3)
+	q.Access(b, false, 8)
+	q.Access(c, false, 8)
+	for _, r := range untagged.reqs {
+		if r.HasLastUse || r.LastUse != 0 {
+			t.Errorf("untagged cache sent %+v", r)
+		}
 	}
 }
