@@ -8,7 +8,7 @@ import (
 
 // The policy registry maps stable string names to fresh policy instances so
 // every binary — tcorsim -policy, paperfig -arena, the /v1/arena endpoint —
-// selects policies the same way. Seeded policies use a fixed seed (1):
+// and the paper's policy figures select policies the same way. Seeded policies use a fixed seed (1):
 // reproducibility across runs and processes outranks seed variety here, and
 // the determinism test in registry_test.go depends on it.
 

@@ -161,15 +161,16 @@ func TestRunnerPurgeMemoAndMetering(t *testing.T) {
 	if _, err := r.Binning("CCS"); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.PurgeMemo(); n != 2 {
-		t.Fatalf("PurgeMemo dropped %d entries, want 2 (scene + binning)", n)
+	// Binning reads the memoized scene and keeps no table of its own.
+	if n := r.PurgeMemo(); n != 1 {
+		t.Fatalf("PurgeMemo dropped %d entries, want 1 (the scene)", n)
 	}
 	snap := r.Metrics().Snapshot()
 	if got := snap.Get("memo.scenes.evictions"); got != 1 {
 		t.Fatalf("memo.scenes.evictions = %d, want 1", got)
 	}
-	if got := snap.Get("memo.bins.evictions"); got != 1 {
-		t.Fatalf("memo.bins.evictions = %d, want 1", got)
+	if got := snap.Get("memo.scenes.hits"); got != 1 {
+		t.Fatalf("memo.scenes.hits = %d, want 1 (Binning's scene)", got)
 	}
 	// The purged scene recomputes on next use.
 	missesBefore := r.Metrics().Snapshot().Get("memo.scenes.misses")

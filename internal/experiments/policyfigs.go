@@ -53,31 +53,14 @@ func (p *PolicyFigure) Table() *Table {
 	return t
 }
 
-// policySpec names a replacement policy and how to build a fresh instance.
-type policySpec struct {
-	label string
-	make  func() cache.Policy
-}
-
-func policyByName(name string) policySpec {
-	switch name {
-	case "LRU":
-		return policySpec{"LRU", cache.NewLRU}
-	case "MRU":
-		return policySpec{"MRU", cache.NewMRU}
-	case "FIFO":
-		return policySpec{"FIFO", cache.NewFIFO}
-	case "OPT":
-		return policySpec{"OPT", cache.NewOPT}
-	case "DRRIP":
-		return policySpec{"DRRIP (M=2)", func() cache.Policy { return cache.NewDRRIP(1) }}
-	case "SRRIP":
-		return policySpec{"SRRIP", cache.NewSRRIP}
-	case "PLRU":
-		return policySpec{"PLRU", cache.NewPLRU}
-	default:
-		panic("experiments: unknown policy " + name)
+// policyLabel is the label the policy studies print for a registry policy
+// (cache.LookupPolicy): its name, except that Fig. 13's legend calls DRRIP
+// by its set-dueling width.
+func policyLabel(name string) string {
+	if name == "DRRIP" {
+		return "DRRIP (M=2)"
 	}
+	return name
 }
 
 // CacheCfgFor builds a primitive-granularity cache geometry for a capacity
@@ -96,13 +79,14 @@ func CacheCfgFor(cp, ways int) cache.Config {
 	return cache.Config{Lines: lines, Ways: ways, WriteAllocate: true}
 }
 
-// missRatioAvg simulates the policy over every benchmark's attribute trace
-// and returns the suite-average miss ratio. Fully associative LRU takes the
-// one-pass Mattson stack-distance path (exact — the cache tests prove the
-// two agree to the access); everything else is event-driven.
-func (r *Runner) missRatioAvg(ps policySpec, cp, ways int) (float64, error) {
+// missRatioAvg simulates the named registry policy over every benchmark's
+// attribute trace and returns the suite-average miss ratio. Fully
+// associative LRU takes the one-pass Mattson stack-distance path (exact —
+// the cache tests prove the two agree to the access); everything else is
+// event-driven.
+func (r *Runner) missRatioAvg(policy string, cp, ways int) (float64, error) {
 	ratios, err := forSuite(r, func(spec workload.Spec) (float64, error) {
-		if ps.label == "LRU" && ways <= 0 {
+		if policy == "LRU" && ways <= 0 {
 			p, err := r.LRUProfile(spec.Alias)
 			if err != nil {
 				return 0, err
@@ -113,9 +97,13 @@ func (r *Runner) missRatioAvg(ps policySpec, cp, ways int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		// ps.make() runs inside the sweep job: every benchmark simulates
-		// against a fresh policy instance, so no state is shared.
-		st, err := cache.Simulate(CacheCfgFor(cp, ways), ps.make(), tr)
+		// The policy is built inside the sweep job: every benchmark
+		// simulates against a fresh instance, so no state is shared.
+		p, err := cache.NewPolicy(policy)
+		if err != nil {
+			return 0, err
+		}
+		st, err := cache.Simulate(CacheCfgFor(cp, ways), p, tr)
 		if err != nil {
 			return 0, err
 		}
@@ -151,11 +139,11 @@ func (r *Runner) lowerBoundAvg(cp int) (float64, error) {
 	return sum / float64(len(bounds)), nil
 }
 
-// sweep runs one policy/associativity over the given sizes.
-func (r *Runner) sweep(label string, ps policySpec, sizesKB []float64, ways int) (MissCurve, error) {
+// sweep runs one registry policy and associativity over the given sizes.
+func (r *Runner) sweep(label, policy string, sizesKB []float64, ways int) (MissCurve, error) {
 	c := MissCurve{Label: label, SizesKB: sizesKB}
 	for _, sz := range sizesKB {
-		mr, err := r.missRatioAvg(ps, CapacityPrims(sz), ways)
+		mr, err := r.missRatioAvg(policy, CapacityPrims(sz), ways)
 		if err != nil {
 			return c, err
 		}
@@ -191,7 +179,7 @@ func (r *Runner) Fig1() (*PolicyFigure, error) {
 	sizes := sizesRange(8, 160, 8)
 	fig := &PolicyFigure{Fig: 1}
 	for _, name := range []string{"LRU", "OPT"} {
-		c, err := r.sweep(name, policyByName(name), sizes, 0)
+		c, err := r.sweep(name, name, sizes, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +200,7 @@ func (r *Runner) Fig11() (*PolicyFigure, error) {
 	}
 	fig.Curves = append(fig.Curves, lb)
 	for _, name := range []string{"LRU", "OPT"} {
-		c, err := r.sweep(name, policyByName(name), sizes, 0)
+		c, err := r.sweep(name, name, sizes, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +232,7 @@ func (r *Runner) Fig12() (map[string]*PolicyFigure, error) {
 		}
 		fig.Curves = append(fig.Curves, lb)
 		for _, a := range assocs {
-			c, err := r.sweep(a.label, policyByName(polName), sizes, a.ways)
+			c, err := r.sweep(a.label, polName, sizes, a.ways)
 			if err != nil {
 				return nil, err
 			}
@@ -266,7 +254,7 @@ func (r *Runner) Fig13() (*PolicyFigure, error) {
 	}
 	fig.Curves = append(fig.Curves, lb)
 	for _, name := range []string{"MRU", "DRRIP", "LRU", "OPT"} {
-		c, err := r.sweep(policyByName(name).label, policyByName(name), sizes, 4)
+		c, err := r.sweep(policyLabel(name), name, sizes, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -281,10 +269,9 @@ func (r *Runner) Fig13() (*PolicyFigure, error) {
 func (r *Runner) OPTReachParity(tol float64) (optKB, lruKB, ratio float64, err error) {
 	sizes := sizesRange(10, 1200, 10)
 	find := func(name string) (float64, error) {
-		ps := policyByName(name)
 		for _, sz := range sizes {
 			cp := CapacityPrims(sz)
-			mr, err := r.missRatioAvg(ps, cp, 0)
+			mr, err := r.missRatioAvg(name, cp, 0)
 			if err != nil {
 				return 0, err
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tcor/internal/cache"
 	"tcor/internal/trace"
 )
 
@@ -17,20 +16,7 @@ import (
 // history-based policies approaches OPT — exact future knowledge is what
 // closes the gap, and TCOR gets it for free from the Polygon List Builder.
 func (r *Runner) RelatedWork(sizeKB int) (*Table, error) {
-	policies := []policySpec{
-		policyByName("MRU"),
-		{"NRU", cache.NewNRU},
-		{"LIP", cache.NewLIP},
-		{"BIP", func() cache.Policy { return cache.NewBIP(1) }},
-		{"DIP", func() cache.Policy { return cache.NewDIP(1) }},
-		policyByName("SRRIP"),
-		policyByName("DRRIP"),
-		{"Shepherd", func() cache.Policy { return cache.NewShepherd(1) }},
-		{"Hawkeye", func() cache.Policy { return cache.NewHawkeye(nil) }},
-		{"SHiP", func() cache.Policy { return cache.NewSHiP(nil) }},
-		policyByName("LRU"),
-		policyByName("OPT"),
-	}
+	policies := []string{"MRU", "NRU", "LIP", "BIP", "DIP", "SRRIP", "DRRIP", "Shepherd", "Hawkeye", "SHiP", "LRU", "OPT"}
 	cp := CapacityPrims(float64(sizeKB))
 
 	type row struct {
@@ -40,12 +26,12 @@ func (r *Runner) RelatedWork(sizeKB int) (*Table, error) {
 	// One sweep job per policy; each job fans the suite out through the same
 	// pool via missRatioAvg, and rows come back in declaration order.
 	rows, err := SweepSlice(r.baseCtx(), r.Parallel, policies,
-		func(_ context.Context, ps policySpec) (row, error) {
-			mr, err := r.missRatioAvg(ps, cp, 4)
+		func(_ context.Context, policy string) (row, error) {
+			mr, err := r.missRatioAvg(policy, cp, 4)
 			if err != nil {
 				return row{}, err
 			}
-			return row{ps.label, mr}, nil
+			return row{policyLabel(policy), mr}, nil
 		})
 	if err != nil {
 		return nil, err

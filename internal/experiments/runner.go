@@ -18,7 +18,7 @@ import (
 // so that the figures sharing the same underlying runs (Figs. 14–24 all
 // come from six configurations per benchmark) pay for each run once.
 //
-// Every memoized product — scenes, binnings, traces, stack profiles,
+// Every memoized product — scenes, attribute traces, stack profiles,
 // full-system results — is keyed with per-key singleflight locking (see
 // memo.go), so concurrent requests for different benchmarks or
 // configurations proceed in parallel while duplicate requests for the same
@@ -40,7 +40,7 @@ type Runner struct {
 	// before use, like the other fields.
 	Ctx context.Context
 	// MemoCap, when positive, bounds each memo table (scenes, runs, traces,
-	// binnings, profiles) to that many completed entries with LRU eviction,
+	// profiles) to that many completed entries with LRU eviction,
 	// metered as "memo.<table>.evictions". Zero keeps the figure-harness
 	// default: cache forever (the paper grid is finite). Long-running hosts
 	// set it — or call PurgeMemo between batches — so an open-ended request
@@ -55,7 +55,6 @@ type Runner struct {
 	scenes   memo[*workload.Scene]
 	runs     memo[*gpu.Result]
 	traces   memo[trace.Trace]
-	bins     memo[*tiling.Binning]
 	profiles memo[cache.StackProfile]
 
 	// metrics meters the runner itself: memo hit/miss counts per table and
@@ -106,7 +105,6 @@ func (r *Runner) PurgeMemo() int {
 	n += r.scenes.purge(ev("scenes"))
 	n += r.runs.purge(ev("runs"))
 	n += r.traces.purge(ev("traces"))
-	n += r.bins.purge(ev("bins"))
 	n += r.profiles.purge(ev("profiles"))
 	return n
 }
@@ -267,21 +265,19 @@ func (r *Runner) PrewarmContext(ctx context.Context, par int) error {
 	return err
 }
 
-// Binning returns the memoized frame-0 binning of a benchmark under the
-// paper's Z-order traversal.
+// Binning returns the frame-0 binning of a benchmark under the paper's
+// Z-order traversal. It bins afresh on every call: its one caller inside
+// the Runner, AttributeTrace, is memoized itself.
 func (r *Runner) Binning(alias string) (*tiling.Binning, error) {
-	hits, misses, evictions := r.meter("bins")
-	return r.bins.get(alias, r.MemoCap, hits, misses, evictions, func() (*tiling.Binning, error) {
-		sc, err := r.Scene(alias)
-		if err != nil {
-			return nil, err
-		}
-		trav, err := tiling.NewTraversal(r.Screen, tiling.OrderZ)
-		if err != nil {
-			return nil, err
-		}
-		return tiling.Bin(r.Screen, trav, sc.Frame(0).Prims)
-	})
+	sc, err := r.Scene(alias)
+	if err != nil {
+		return nil, err
+	}
+	trav, err := tiling.NewTraversal(r.Screen, tiling.OrderZ)
+	if err != nil {
+		return nil, err
+	}
+	return tiling.Bin(r.Screen, trav, sc.Frame(0).Prims)
 }
 
 // AttributeTrace returns the memoized primitive-granularity access trace to

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"tcor/internal/energy"
+	"tcor/internal/raster"
 	"tcor/internal/tcor"
 )
 
@@ -45,9 +46,8 @@ func (s *sim) computeEnergy(r *Result) {
 	}
 
 	// Texture caches (per-cache sizing).
-	rc := s.rasterPipe.Config()
 	tex := s.rasterPipe.TexCacheStats()
-	t.Add("texture-caches", tex.Accesses, m.SRAMRead(rc.TexCacheBytes, rc.TexCacheWays))
+	t.Add("texture-caches", tex.Accesses, m.SRAMRead(raster.TexCacheBytes, raster.TexCacheWays))
 
 	// Instruction caches: fetches happen once per 4 instructions (64-bit
 	// fetch groups of 16-byte instructions are amortized by the fetch
@@ -80,7 +80,7 @@ func (s *sim) computeEnergy(r *Result) {
 	if cfg.IncludeLeakage {
 		cycles := r.FrameCycles + r.GeomCycles + r.PLBCycles // finish() adds these later; here FrameCycles holds the tile phase
 		sramBytes := cfg.VertexCacheBytes + cfg.TileCacheBytes +
-			rc.NumTexCaches*rc.TexCacheBytes + 16*1024 /* icaches */ +
+			raster.NumTexCaches*raster.TexCacheBytes + 16*1024 /* icaches */ +
 			cfg.L2.SizeBytes
 		t.Add("leakage", 0, 0)
 		t.AddEnergy("leakage", m.Leakage(sramBytes, cycles))

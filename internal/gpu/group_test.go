@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tcor/internal/geom"
+	"tcor/internal/raster"
 	"tcor/internal/stats"
 	"tcor/internal/tiling"
 )
@@ -30,8 +31,8 @@ func groupConfigs() []Config {
 // own texture caches; the others commit its filtered plans. So the group
 // also runs in reverse order and as the tail the prewarm memo leaves when
 // the first cells are already resolved, which puts each preset first once
-// and pins every non-first configuration, whose texture caches are never
-// touched, against its solo run.
+// and pins every non-first configuration, which builds no texture caches,
+// against its solo run.
 func TestSimulateGroupMatchesSolo(t *testing.T) {
 	for _, alias := range []string{"CCS", "DDS", "Mze"} {
 		sc := smallScene(t, alias, 2)
@@ -161,5 +162,32 @@ func TestSimulateGroupRejectsMixedGroups(t *testing.T) {
 	if _, err := SimulateGroup(sc, []Config{Baseline(64 << 10), bad}); err == nil ||
 		!strings.Contains(err.Error(), "group configuration 1") {
 		t.Errorf("group with an invalid configuration: error %v", err)
+	}
+}
+
+// TestSimulateGroupBuildsOneTexCacheSet checks that a six-configuration
+// group holds one set of texture caches, the first configuration's: the
+// others commit its filtered plans and never build their own.
+func TestSimulateGroupBuildsOneTexCacheSet(t *testing.T) {
+	sc := smallScene(t, "GTr", 1)
+	cfgs := groupConfigs()
+	g, err := newGroup(sc, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.runFrame(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range g.sims {
+		want := 0
+		if i == 0 {
+			want = raster.NumTexCaches
+		}
+		if got := s.rasterPipe.TexCaches(); got != want {
+			t.Errorf("configuration %d holds %d texture caches, want %d", i, got, want)
+		}
+		if s.rasterPipe.Stats().TexAccesses == 0 {
+			t.Errorf("configuration %d committed no texture accesses", i)
+		}
 	}
 }

@@ -125,8 +125,9 @@ func Simulate(scene *workload.Scene, cfg Config) (*Result, error) {
 // Pipeline, L2 and DRAM (raster.CommitFiltered). The texture caches read no
 // L2 state and every configuration's raster.Config is the same, so each
 // configuration's texture caches would filter the same tap stream the same
-// way. Geometry, the PLB and Tile Fetcher replays, the other L1s, the L2
-// and DRAM stay per configuration. Each configuration sees exactly the
+// way, and the other configurations never build texture caches at all.
+// Geometry, the PLB and Tile Fetcher replays, the other L1s, the L2 and
+// DRAM stay per configuration. Each configuration sees exactly the
 // event order it sees alone, so results[i] is byte-identical to
 // Simulate(scene, cfgs[i]).
 //
@@ -238,8 +239,8 @@ func (g *group) runFrame(f int) error {
 // derives it from the scene and the screen alone), so one plan serves all.
 // For the same reason every sim's texture caches would see the same tap
 // stream from the same state, so one filter serves all too: the other
-// sims' texture caches are never touched, and their texture statistics
-// come from the filtered plans they commit.
+// sims never build texture caches, and their texture statistics come from
+// the filtered plans they commit.
 func (g *group) planTile(tile geom.TileID) {
 	s := g.sims[0]
 	work := g.work[:0]

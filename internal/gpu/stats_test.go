@@ -106,8 +106,7 @@ func tableIICases(t *testing.T) []invariantCase {
 // randomCases draws seeded random configurations — screen and tile
 // geometry, traversal order, cache kind, eviction tracing, leakage — so the
 // model runs on shapes the curated suite never hits (small and odd screens,
-// 16- and 64-pixel tiles, Hilbert and scanline order). gpu.Config cannot
-// enable bilinear filtering; internal/raster's differential tests cover it.
+// 16- and 64-pixel tiles, Hilbert and scanline order).
 func randomCases(t *testing.T, n int) []invariantCase {
 	rng := rand.New(rand.NewSource(0x7c02))
 	cases := make([]invariantCase, n)

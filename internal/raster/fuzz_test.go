@@ -21,7 +21,7 @@ func FuzzPlanTileMatchesReference(f *testing.F) {
 	f.Add(float32(20.25), float32(-5), float32(21.5), float32(90), float32(21), float32(40), float32(0.5), uint32(23))      // one column
 	var pipes []*Pipeline
 	for _, ts := range []int{31, 32} {
-		p, err := New(testConfig(ts, ts%2 == 1), mem.NewCounter(), mem.NewCounter())
+		p, err := New(testConfig(ts), mem.NewCounter(), mem.NewCounter())
 		if err != nil {
 			f.Fatal(err)
 		}

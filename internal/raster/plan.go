@@ -102,7 +102,7 @@ func (p *Pipeline) PlanTile(tile geom.TileID, frame int, work []TileWork, sc *Pl
 }
 
 // texRoute is a tile's texture-cache routing. The caches interleave across
-// screen tiles: a quad's taps go to cache (column + row) % NumTexCaches of
+// screen tiles: a quad's tap goes to cache (column + row) % NumTexCaches of
 // the tile holding the quad's center. With an even TileSize that is the
 // tile itself for every quad. With an odd one the last quad column and row
 // are centered one pixel past the tile edge, in the next tile column or
@@ -116,7 +116,7 @@ func (p *Pipeline) tileRoute(tile geom.TileID) texRoute {
 	tx, ty := p.cfg.Screen.TileCoord(tile)
 	r := texRoute{straddle: p.cfg.Screen.TileSize / 2}
 	for i := range r.cache {
-		r.cache[i] = uint8((tx + ty + i) % p.cfg.NumTexCaches)
+		r.cache[i] = uint8((tx + ty + i) % NumTexCaches)
 	}
 	return r
 }
@@ -136,8 +136,13 @@ func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
 // of CommitPlan that touches the texture caches, and the texture caches
 // read nothing else: every pipeline built from one Config that is fed the
 // same plans in the same order would filter them identically. So one
-// pipeline may filter each plan and every such pipeline commit it.
+// pipeline may filter each plan and every such pipeline commit it. The
+// texture caches are built on the first call, so a pipeline that only
+// commits plans others filtered never holds any.
 func (p *Pipeline) FilterTextures(plan *TilePlan) {
+	if p.tex == nil {
+		p.tex = newTexCaches()
+	}
 	misses := plan.TexMisses[:0]
 	var taps int64
 	for i, addr := range plan.TapAddrs {
@@ -178,7 +183,7 @@ func (p *Pipeline) CommitFiltered(plan *TilePlan) int64 {
 	}
 	p.stats.FBBlocksFlushed += plan.FBBlocks
 
-	cycles := instr / int64(p.cfg.NumFragmentProcessors)
+	cycles := instr / NumFragmentProcessors
 	if cycles == 0 && plan.Prims > 0 {
 		cycles = 1
 	}
@@ -412,43 +417,23 @@ func (e *edge) crossing(yT, tileMinX float32, lo, hi int) (nonNeg, pos int) {
 	return nonNeg, k
 }
 
-// quadTaps holds one primitive's texel address terms: the same arithmetic
-// as the inline textureFetch, minus the cache simulation (which
-// FilterTextures performs during the ordered replay).
+// quadTaps holds one primitive's texel address terms, computed once per
+// primitive; the cache simulation is FilterTextures', during the ordered
+// replay.
 type quadTaps struct {
-	enabled  bool   // the workload has textures
-	bilinear bool   // four taps per quad instead of one
-	off      uint64 // per-primitive offset spreading objects across the atlas
-	vOff     uint64 // the offset's row share plus the per-frame scroll
-	texW     uint64 // texels per row at the selected mip level
-	mipBase  uint64 // byte offset of the selected mip level
+	enabled bool   // the workload has textures
+	off     uint64 // per-primitive offset spreading objects across the atlas
+	vOff    uint64 // the offset's row share plus the per-frame scroll
+	texW    uint64 // texels per row
 }
 
 func (p *Pipeline) tapsFor(pr *geom.Primitive, frame int) quadTaps {
 	t := quadTaps{
-		enabled:  p.cfg.TextureBytes > 0,
-		bilinear: p.cfg.Bilinear,
-		off:      uint64(pr.ID) * 2654435761,
-		texW:     p.texW,
+		enabled: p.cfg.TextureBytes > 0,
+		off:     uint64(pr.ID) * 2654435761,
+		texW:    p.texW,
 	}
 	t.vOff = t.off>>16 + uint64(frame)*7
-	if t.enabled && t.bilinear {
-		// LOD from screen area: primitives smaller than ~1 tile use mip 1+,
-		// tiny ones coarser still. Mip i halves the resolution and lives
-		// after the previous levels.
-		area := pr.Area()
-		lod := 0
-		for threshold := float32(1024); area < threshold && lod < 4; threshold /= 4 {
-			lod++
-		}
-		for i := 0; i < lod; i++ {
-			t.mipBase += t.texW * t.texW * 4
-			t.texW /= 2
-			if t.texW < 8 {
-				t.texW = 8
-			}
-		}
-	}
 	return t
 }
 
@@ -474,30 +459,24 @@ func (t *quadTaps) next(u uint64) uint64 {
 	return u
 }
 
-// plan records the texel accesses of a shaded quad at texel (u, v) into
-// the plan's tap stream, all routed to texture cache cacheIdx.
+// plan records the texel access of a shaded quad at texel (u, v) into the
+// plan's tap stream, routed to texture cache cacheIdx.
 func (t *quadTaps) plan(u, v uint64, cacheIdx uint8, plan *TilePlan) {
 	if !t.enabled {
 		return
 	}
-	base := memmap.TexturesBase + t.mipBase
-	plan.tap(base+(v*t.texW+u)*4, cacheIdx)
-	if t.bilinear {
-		u1, v1 := (u+1)%t.texW, (v+1)%t.texW
-		plan.tap(base+(v*t.texW+u1)*4, cacheIdx)
-		plan.tap(base+(v1*t.texW+u)*4, cacheIdx)
-		plan.tap(base+(v1*t.texW+u1)*4, cacheIdx)
-	}
+	plan.tap(memmap.TexturesBase+(v*t.texW+u)*4, cacheIdx)
 }
 
 // tap appends one texture tap at byte address addr, routed to texture
 // cache c, to the run-length coded stream: a tap reading the same block of
 // the same cache as the previous entry extends that entry's run. This is
 // exact because the texture caches are LRU, read-only and write-allocate
-// (New): a repeat is a read hit on the line its cache touched last, which
-// already holds that cache's newest timestamp, so it changes no victim
-// choice and issues no L2 request. FilterTextures replays each run as one
-// access plus run-1 hits. A full run starts a new entry rather than wrap.
+// (newTexCaches): a repeat is a read hit on the line its cache touched
+// last, which already holds that cache's newest timestamp, so it changes
+// no victim choice and issues no L2 request. FilterTextures replays each
+// run as one access plus run-1 hits. A full run starts a new entry rather
+// than wrap.
 func (p *TilePlan) tap(addr uint64, c uint8) {
 	block := addr &^ (memmap.BlockBytes - 1)
 	if n := len(p.TapAddrs) - 1; n >= 0 && p.TapAddrs[n] == block && p.TapCache[n] == c && p.TapRuns[n] < math.MaxUint32 {

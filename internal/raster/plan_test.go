@@ -71,28 +71,10 @@ func refPlanTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) Tile
 					continue
 				}
 				off := uint64(pr.ID) * 2654435761
-				texW, mipBase := p.texW, uint64(0)
-				if p.cfg.Bilinear {
-					lod := 0
-					for threshold := float32(1024); pr.Area() < threshold && lod < 4; threshold /= 4 {
-						lod++
-					}
-					for i := 0; i < lod; i++ {
-						mipBase += texW * texW * 4
-						texW = max(texW/2, 8)
-					}
-				}
-				u := (uint64(cx) + off) % texW
-				v := (uint64(cy) + off>>16 + uint64(frame)*7) % texW
-				cache := uint8((int(cx)/ts + int(cy)/ts) % p.cfg.NumTexCaches)
-				texels := [][2]uint64{{u, v}}
-				if p.cfg.Bilinear {
-					texels = append(texels, [2]uint64{(u + 1) % texW, v}, [2]uint64{u, (v + 1) % texW}, [2]uint64{(u + 1) % texW, (v + 1) % texW})
-				}
-				for _, tx := range texels {
-					plan.TapAddrs = append(plan.TapAddrs, memmap.TexturesBase+mipBase+(tx[1]*texW+tx[0])*4)
-					plan.TapCache = append(plan.TapCache, cache)
-				}
+				u := (uint64(cx) + off) % p.texW
+				v := (uint64(cy) + off>>16 + uint64(frame)*7) % p.texW
+				plan.TapAddrs = append(plan.TapAddrs, memmap.TexturesBase+(v*p.texW+u)*4)
+				plan.TapCache = append(plan.TapCache, uint8((int(cx)/ts+int(cy)/ts)%NumTexCaches))
 			}
 		}
 	}
@@ -164,15 +146,30 @@ func randomPrims(rng *rand.Rand, n int, w, h float32) []geom.Primitive {
 }
 
 // testConfig is the differential tests' raster configuration at tile size
-// ts: an odd number of texture caches and every material path.
-func testConfig(ts int, bilinear bool) Config {
+// ts: partial tiles on the right and bottom, and every material path.
+func testConfig(ts int) Config {
 	screen := geom.Screen{Width: 5*ts - 7, Height: 3*ts + 5, TileSize: ts}
 	cfg := DefaultConfig(screen, 3<<20, 8)
-	cfg.NumTexCaches = 3
 	cfg.LateZFraction = 0.2
 	cfg.TranslucentFraction = 0.2
-	cfg.Bilinear = bilinear
 	return cfg
+}
+
+// installSmallTexCaches gives p NumTexCaches 2 KiB 4-way texture caches in
+// place of the 64 KiB ones its first FilterTextures would build, so that a
+// test's few hundred primitives evict constantly.
+func installSmallTexCaches(t *testing.T, p *Pipeline) {
+	t.Helper()
+	if p.tex != nil {
+		t.Fatal("texture caches already built")
+	}
+	for range NumTexCaches {
+		c, err := cache.NewFlatLRU(cache.Config{Lines: cache.LinesFor(2*1024, memmap.BlockBytes), Ways: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.tex = append(p.tex, c)
+	}
 }
 
 // tileWork lists the primitives overlapping a tile, in order.
@@ -309,46 +306,46 @@ var adversarialFamilies = []struct {
 
 // TestPlanTileMatchesReference is the differential test of the planner:
 // at even and odd tile sizes (where the last quad column and row route to
-// the next tile's cache), with every material path and both filtering
-// modes, PlanTile's tallies equal the reference's, and its tap stream
-// equals the reference's run-length coded. The inputs are randomPrims'
-// triangles and then each adversarial family's.
+// the next tile's cache), with every material path, PlanTile's tallies
+// equal the reference's, and its tap stream equals the reference's
+// run-length coded. The inputs are randomPrims' triangles and then each
+// adversarial family's.
 func TestPlanTileMatchesReference(t *testing.T) {
 	for _, ts := range []int{24, 31, 32, 33, 64} {
-		for _, bilinear := range []bool{false, true} {
-			cfg := testConfig(ts, bilinear)
-			p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
-			if err != nil {
-				t.Fatal(err)
+		cfg := testConfig(ts)
+		p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, h := float32(cfg.Screen.Width), float32(cfg.Screen.Height)
+		// Every quad is point-sampled, one tap each; the bilinear=false
+		// level keeps the subtest names stable.
+		name := fmt.Sprintf("ts=%d/bilinear=false", ts)
+		t.Run(name+"/random", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(ts)))
+			if _, taps, coalesced := checkPlans(t, p, randomPrims(rng, 300, w, h)); taps == 0 || coalesced == 0 {
+				t.Fatalf("%d taps planned, %d coalesced; the test exercises too little", taps, coalesced)
 			}
-			w, h := float32(cfg.Screen.Width), float32(cfg.Screen.Height)
-			name := fmt.Sprintf("ts=%d/bilinear=%v", ts, bilinear)
-			t.Run(name+"/random", func(t *testing.T) {
+		})
+		for _, fam := range adversarialFamilies {
+			t.Run(name+"/"+fam.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(ts)))
-				if _, taps, coalesced := checkPlans(t, p, randomPrims(rng, 300, w, h)); taps == 0 || coalesced == 0 {
-					t.Fatalf("%d taps planned, %d coalesced; the test exercises too little", taps, coalesced)
+				prims := make([]geom.Primitive, 200)
+				for i := range prims {
+					pr := &prims[i]
+					pr.Pos = fam.tri(rng, w, h)
+					if rng.Intn(2) == 0 {
+						pr.Pos[1], pr.Pos[2] = pr.Pos[2], pr.Pos[1]
+					}
+					pr.ID = rng.Uint32()
+					for v := range pr.Depth {
+						pr.Depth[v] = rng.Float32()
+					}
+				}
+				if quads, _, _ := checkPlans(t, p, prims); quads == 0 {
+					t.Fatal("no quad covered; the family exercises too little")
 				}
 			})
-			for _, fam := range adversarialFamilies {
-				t.Run(name+"/"+fam.name, func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(ts)))
-					prims := make([]geom.Primitive, 200)
-					for i := range prims {
-						pr := &prims[i]
-						pr.Pos = fam.tri(rng, w, h)
-						if rng.Intn(2) == 0 {
-							pr.Pos[1], pr.Pos[2] = pr.Pos[2], pr.Pos[1]
-						}
-						pr.ID = rng.Uint32()
-						for v := range pr.Depth {
-							pr.Depth[v] = rng.Float32()
-						}
-					}
-					if quads, _, _ := checkPlans(t, p, prims); quads == 0 {
-						t.Fatal("no quad covered; the family exercises too little")
-					}
-				})
-			}
 		}
 	}
 }
@@ -370,71 +367,112 @@ func (r *recorder) EndFrame()                       {}
 // Small texture caches make the replay evict constantly.
 func TestCommitPlanMatchesExpandedReplay(t *testing.T) {
 	for _, ts := range []int{24, 31, 32, 33, 64} {
-		for _, bilinear := range []bool{false, true} {
-			cfg := testConfig(ts, bilinear)
-			cfg.TexCacheBytes = 2 * 1024
-			screen := cfg.Screen
-			var l2, fb, refL2, refFB recorder
-			p, err := New(cfg, &l2, &fb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := New(cfg, &refL2, &refFB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(ts)))
-			prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
-			sc := p.NewScratch()
-			var plan TilePlan
-			var repeats int64
-			for frame := 0; frame < 2; frame++ {
-				for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
-					work := tileWork(prims, screen, tile)
-					p.PlanTile(tile, frame, work, sc, &plan)
-					for _, n := range plan.TapRuns {
-						repeats += int64(n) - 1
-					}
-					gotCycles := p.CommitPlan(&plan)
-
-					expanded := refPlanTile(ref, tile, frame, work)
-					expanded.FBBase, expanded.FBBlocks = plan.FBBase, plan.FBBlocks
-					for i := range expanded.TapAddrs {
-						expanded.TapAddrs[i] &^= memmap.BlockBytes - 1
-						expanded.TapRuns = append(expanded.TapRuns, 1)
-					}
-					if wantCycles := ref.CommitPlan(&expanded); gotCycles != wantCycles {
-						t.Fatalf("ts=%d bilinear=%v tile %d: %d cycles, want %d", ts, bilinear, tile, gotCycles, wantCycles)
-					}
+		cfg := testConfig(ts)
+		screen := cfg.Screen
+		var l2, fb, refL2, refFB recorder
+		p, err := New(cfg, &l2, &fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := New(cfg, &refL2, &refFB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		installSmallTexCaches(t, p)
+		installSmallTexCaches(t, ref)
+		rng := rand.New(rand.NewSource(int64(ts)))
+		prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
+		sc := p.NewScratch()
+		var plan TilePlan
+		var repeats int64
+		for frame := 0; frame < 2; frame++ {
+			for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
+				work := tileWork(prims, screen, tile)
+				p.PlanTile(tile, frame, work, sc, &plan)
+				for _, n := range plan.TapRuns {
+					repeats += int64(n) - 1
 				}
-			}
-			if p.Stats() != ref.Stats() {
-				t.Errorf("ts=%d bilinear=%v: stats %+v, want %+v", ts, bilinear, p.Stats(), ref.Stats())
-			}
-			got := cache.Stats{Accesses: repeats, Hits: repeats}
-			var want cache.Stats
-			for i := range p.tex {
-				got = addStats(got, p.tex[i].Stats())
-				want = addStats(want, ref.tex[i].Stats())
-			}
-			if got != want {
-				t.Errorf("ts=%d bilinear=%v: texture caches %+v with repeats, want %+v", ts, bilinear, got, want)
-			}
-			if derived := p.TexCacheStats(); derived != want {
-				t.Errorf("ts=%d bilinear=%v: TexCacheStats %+v, want %+v", ts, bilinear, derived, want)
-			}
-			if repeats == 0 || want.Misses == 0 || want.Hits == 0 {
-				t.Fatalf("ts=%d bilinear=%v: %d repeats, %+v; the test exercises too little", ts, bilinear, repeats, want)
-			}
-			if !slices.Equal(l2.reqs, refL2.reqs) || !slices.Equal(fb.reqs, refFB.reqs) {
-				t.Errorf("ts=%d bilinear=%v: L2 %d/FB %d requests, want %d/%d or a different order", ts, bilinear, len(l2.reqs), len(fb.reqs), len(refL2.reqs), len(refFB.reqs))
-			}
-			for i := range p.tex {
-				if !slices.Equal(p.tex[i].ResidentKeys(), ref.tex[i].ResidentKeys()) {
-					t.Errorf("ts=%d bilinear=%v: texture cache %d contents differ", ts, bilinear, i)
+				gotCycles := p.CommitPlan(&plan)
+
+				expanded := refPlanTile(ref, tile, frame, work)
+				expanded.FBBase, expanded.FBBlocks = plan.FBBase, plan.FBBlocks
+				for i := range expanded.TapAddrs {
+					expanded.TapAddrs[i] &^= memmap.BlockBytes - 1
+					expanded.TapRuns = append(expanded.TapRuns, 1)
+				}
+				if wantCycles := ref.CommitPlan(&expanded); gotCycles != wantCycles {
+					t.Fatalf("ts=%d tile %d: %d cycles, want %d", ts, tile, gotCycles, wantCycles)
 				}
 			}
 		}
+		if p.Stats() != ref.Stats() {
+			t.Errorf("ts=%d: stats %+v, want %+v", ts, p.Stats(), ref.Stats())
+		}
+		got := cache.Stats{Accesses: repeats, Hits: repeats}
+		var want cache.Stats
+		for i := range p.tex {
+			got = addStats(got, p.tex[i].Stats())
+			want = addStats(want, ref.tex[i].Stats())
+		}
+		if got != want {
+			t.Errorf("ts=%d: texture caches %+v with repeats, want %+v", ts, got, want)
+		}
+		if derived := p.TexCacheStats(); derived != want {
+			t.Errorf("ts=%d: TexCacheStats %+v, want %+v", ts, derived, want)
+		}
+		if repeats == 0 || want.Misses == 0 || want.Hits == 0 {
+			t.Fatalf("ts=%d: %d repeats, %+v; the test exercises too little", ts, repeats, want)
+		}
+		if !slices.Equal(l2.reqs, refL2.reqs) || !slices.Equal(fb.reqs, refFB.reqs) {
+			t.Errorf("ts=%d: L2 %d/FB %d requests, want %d/%d or a different order", ts, len(l2.reqs), len(fb.reqs), len(refL2.reqs), len(refFB.reqs))
+		}
+		for i := range p.tex {
+			if !slices.Equal(p.tex[i].ResidentKeys(), ref.tex[i].ResidentKeys()) {
+				t.Errorf("ts=%d: texture cache %d contents differ", ts, i)
+			}
+		}
+	}
+}
+
+// TestCommitFilteredBuildsNoTexCaches commits one pipeline's filtered
+// plans into a second pipeline: the second holds no texture caches, since
+// only FilterTextures builds them, yet ends with the first's statistics
+// and the same L2 and Frame Buffer request sequences.
+func TestCommitFilteredBuildsNoTexCaches(t *testing.T) {
+	cfg := testConfig(31)
+	var l2, fb, leadL2, leadFB recorder
+	lead, err := New(cfg, &leadL2, &leadFB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(cfg, &l2, &fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lead.TexCaches() != 0 || p.TexCaches() != 0 {
+		t.Fatalf("New built %d and %d texture caches, want none", lead.TexCaches(), p.TexCaches())
+	}
+	prims := randomPrims(rand.New(rand.NewSource(5)), 200, float32(cfg.Screen.Width), float32(cfg.Screen.Height))
+	sc := lead.NewScratch()
+	var plan TilePlan
+	for tile := geom.TileID(0); int(tile) < cfg.Screen.NumTiles(); tile++ {
+		lead.PlanTile(tile, 0, tileWork(prims, cfg.Screen, tile), sc, &plan)
+		lead.FilterTextures(&plan)
+		if got, want := p.CommitFiltered(&plan), lead.CommitFiltered(&plan); got != want {
+			t.Fatalf("tile %d: %d cycles, want %d", tile, got, want)
+		}
+	}
+	if lead.TexCaches() != NumTexCaches {
+		t.Errorf("filtering pipeline holds %d texture caches, want %d", lead.TexCaches(), NumTexCaches)
+	}
+	if p.TexCaches() != 0 {
+		t.Errorf("committing pipeline holds %d texture caches, want none", p.TexCaches())
+	}
+	if p.Stats() != lead.Stats() || lead.Stats().TexAccesses == 0 {
+		t.Errorf("stats %+v, want %+v with texture accesses", p.Stats(), lead.Stats())
+	}
+	if !slices.Equal(l2.reqs, leadL2.reqs) || !slices.Equal(fb.reqs, leadFB.reqs) {
+		t.Errorf("L2 %d/FB %d requests, want %d/%d or a different order", len(l2.reqs), len(fb.reqs), len(leadL2.reqs), len(leadFB.reqs))
 	}
 }
 

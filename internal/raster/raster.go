@@ -27,21 +27,25 @@ import (
 // 2x2 pixel quads.
 const QuadSize = 2
 
-// Config describes the Raster Pipeline resources (Table I).
+// The Raster Pipeline's fixed resources (Table I): four 64 KiB 4-way L1
+// texture caches, partitioned across the fragment processors by
+// screen-space interleaving, and four fragment processors, which set the
+// shading throughput (instructions per cycle across the tile). Each shaded
+// quad samples one texel.
+const (
+	NumTexCaches          = 4
+	TexCacheBytes         = 64 * 1024
+	TexCacheWays          = 4
+	NumFragmentProcessors = 4
+)
+
+// Config describes a workload's use of the Raster Pipeline.
 type Config struct {
 	Screen geom.Screen
-	// NumTexCaches is the number of L1 texture caches (Table I: 4),
-	// partitioned across fragment processors by screen-space interleaving.
-	NumTexCaches  int
-	TexCacheBytes int
-	TexCacheWays  int
 	// TextureBytes is the workload's texture working-set footprint.
 	TextureBytes int64
 	// ShaderInstrPerPixel is the average fragment shader length.
 	ShaderInstrPerPixel int
-	// NumFragmentProcessors sets the shading throughput (instructions per
-	// cycle across the tile).
-	NumFragmentProcessors int
 	// LateZFraction is the share of primitives whose fragment shader
 	// modifies depth: for those the Early Z-Test is disabled and the Late
 	// Z-Test runs after shading (paper §II-A), so occluded quads still pay
@@ -52,25 +56,15 @@ type Config struct {
 	// occlude (they do not write depth), always shade, and perform a
 	// read-modify-write on the on-chip Color Buffer.
 	TranslucentFraction float64
-	// Bilinear enables 4-tap bilinear filtering with mip selection: each
-	// shaded quad samples a 2x2 texel footprint at a level of detail
-	// derived from the primitive's screen magnification. Off by default
-	// (one tap per quad), matching the calibrated traffic model; turn on
-	// for texture-system sensitivity studies.
-	Bilinear bool
 }
 
-// DefaultConfig returns the Table I raster configuration for a workload's
-// texture footprint and shader length.
+// DefaultConfig returns the raster configuration for a workload's texture
+// footprint and shader length.
 func DefaultConfig(screen geom.Screen, textureBytes int64, instrPerPixel int) Config {
 	return Config{
-		Screen:                screen,
-		NumTexCaches:          4,
-		TexCacheBytes:         64 * 1024,
-		TexCacheWays:          4,
-		TextureBytes:          textureBytes,
-		ShaderInstrPerPixel:   instrPerPixel,
-		NumFragmentProcessors: 4,
+		Screen:              screen,
+		TextureBytes:        textureBytes,
+		ShaderInstrPerPixel: instrPerPixel,
 	}
 }
 
@@ -124,7 +118,7 @@ func RegisterStatsInvariants(r *stats.Registry, prefix string) {
 // Pipeline is the Raster Pipeline model.
 type Pipeline struct {
 	cfg   Config
-	tex   []*cache.FlatLRU
+	tex   []*cache.FlatLRU // built by the first FilterTextures (newTexCaches)
 	l2    mem.Sink
 	fb    mem.Sink // Color Buffer flush target (main memory, bypassing L2, Fig. 5)
 	stats Stats
@@ -140,28 +134,10 @@ func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 	if err := cfg.Screen.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.NumTexCaches <= 0 || cfg.NumFragmentProcessors <= 0 {
-		return nil, fmt.Errorf("raster: need at least one texture cache and fragment processor")
-	}
-	if cfg.NumTexCaches > 256 {
-		return nil, fmt.Errorf("raster: %d texture caches exceed the 256 the plan's tap routing encodes", cfg.NumTexCaches)
-	}
 	if l2Sink == nil || fbSink == nil {
 		return nil, fmt.Errorf("raster: nil sink")
 	}
 	p := &Pipeline{cfg: cfg, l2: l2Sink, fb: fbSink}
-	// Tap coalescing (TilePlan.tap) is exact only for LRU caches that are
-	// only read.
-	for i := 0; i < cfg.NumTexCaches; i++ {
-		c, err := cache.NewFlatLRU(cache.Config{
-			Lines: cache.LinesFor(cfg.TexCacheBytes, memmap.BlockBytes),
-			Ways:  cfg.TexCacheWays,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("raster: texture cache: %w", err)
-		}
-		p.tex = append(p.tex, c)
-	}
 	texels := cfg.TextureBytes / 4
 	if texels < 64 {
 		texels = 64
@@ -172,11 +148,29 @@ func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 	return p, nil
 }
 
+// newTexCaches builds the Table I texture caches. Tap coalescing
+// (TilePlan.tap) is exact only for LRU caches that are only read.
+func newTexCaches() []*cache.FlatLRU {
+	tex := make([]*cache.FlatLRU, NumTexCaches)
+	for i := range tex {
+		c, err := cache.NewFlatLRU(cache.Config{
+			Lines: cache.LinesFor(TexCacheBytes, memmap.BlockBytes),
+			Ways:  TexCacheWays,
+		})
+		if err != nil {
+			panic("raster: texture cache: " + err.Error()) // the geometry is constant
+		}
+		tex[i] = c
+	}
+	return tex
+}
+
 // Stats returns a copy of the counters.
 func (p *Pipeline) Stats() Stats { return p.stats }
 
-// Config returns the pipeline's configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
+// TexCaches returns the number of texture caches the pipeline holds: none
+// until its first FilterTextures, then NumTexCaches.
+func (p *Pipeline) TexCaches() int { return len(p.tex) }
 
 // TexCacheStats returns the aggregate texture-cache statistics of the
 // plans committed, counting every tap, coalesced repeats included, as an

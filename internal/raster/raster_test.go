@@ -45,11 +45,6 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(DefaultConfig(geom.Screen{}, 0, 1), mem.NewCounter(), mem.NewCounter()); err == nil {
 		t.Error("invalid screen must fail")
 	}
-	cfg := DefaultConfig(screen, 0, 1)
-	cfg.NumTexCaches = 0
-	if _, err := New(cfg, mem.NewCounter(), mem.NewCounter()); err == nil {
-		t.Error("zero texture caches must fail")
-	}
 	if _, err := New(DefaultConfig(screen, 0, 1), nil, mem.NewCounter()); err == nil {
 		t.Error("nil l2 must fail")
 	}
@@ -200,53 +195,6 @@ func TestLateZFractionZeroIsEarlyZ(t *testing.T) {
 	}
 }
 
-func TestBilinearSamplesFourTaps(t *testing.T) {
-	screen := geom.Screen{Width: 64, Height: 64, TileSize: 32}
-	cfg := DefaultConfig(screen, 1<<20, 4)
-	cfg.Bilinear = true
-	p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := tri(0, geom.Vec2{X: -10, Y: -10}, geom.Vec2{X: 100, Y: -10}, geom.Vec2{X: -10, Y: 100}, 0.5)
-	rasterTile(p, 0, 0, []TileWork{{Prim: full}})
-	st := p.Stats()
-	if st.TexAccesses != 4*st.QuadsShaded {
-		t.Errorf("tex accesses = %d, want 4 per shaded quad (%d)", st.TexAccesses, st.QuadsShaded)
-	}
-	// Neighbouring taps share blocks: locality must remain strong.
-	if st.TexMisses*3 > st.TexAccesses {
-		t.Errorf("bilinear locality broken: %d misses / %d accesses", st.TexMisses, st.TexAccesses)
-	}
-}
-
-func TestBilinearMipSelection(t *testing.T) {
-	screen := geom.Screen{Width: 64, Height: 64, TileSize: 32}
-	cfg := DefaultConfig(screen, 1<<20, 4)
-	cfg.Bilinear = true
-	p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A tiny primitive (low screen area) must sample from a coarse mip:
-	// its working set is small, so repeated tiny prims at scattered
-	// positions should hit well.
-	for i := 0; i < 200; i++ {
-		x := float32((i * 7) % 28)
-		y := float32((i * 11) % 28)
-		tiny := tri(uint32(i), geom.Vec2{X: x, Y: y}, geom.Vec2{X: x + 2, Y: y}, geom.Vec2{X: x, Y: y + 2}, 0.5)
-		rasterTile(p, 0, 0, []TileWork{{Prim: tiny}})
-	}
-	st := p.Stats()
-	if st.TexAccesses == 0 {
-		t.Fatal("no texture accesses")
-	}
-	missRate := float64(st.TexMisses) / float64(st.TexAccesses)
-	if missRate > 0.5 {
-		t.Errorf("coarse-mip miss rate = %.2f; mip selection apparently broken", missRate)
-	}
-}
-
 func TestTranslucentBlending(t *testing.T) {
 	screen := geom.Screen{Width: 64, Height: 64, TileSize: 32}
 	cfg := DefaultConfig(screen, 1<<16, 4)
@@ -278,12 +226,12 @@ func TestTranslucentBlending(t *testing.T) {
 // texture-cache statistics and demands every identity a published cache
 // must satisfy: each miss is a read or write miss and fills or bypasses.
 func TestTexCacheStatsSatisfyCacheInvariants(t *testing.T) {
-	cfg := testConfig(32, false)
-	cfg.TexCacheBytes = 2 * 1024
+	cfg := testConfig(32)
 	p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
 	if err != nil {
 		t.Fatal(err)
 	}
+	installSmallTexCaches(t, p)
 	prims := randomPrims(rand.New(rand.NewSource(7)), 200, float32(cfg.Screen.Width), float32(cfg.Screen.Height))
 	for tile := geom.TileID(0); int(tile) < cfg.Screen.NumTiles(); tile++ {
 		rasterTile(p, tile, 0, tileWork(prims, cfg.Screen, tile))

@@ -74,52 +74,3 @@ func TestCounts(t *testing.T) {
 		t.Errorf("Writes = %d, want 2", got)
 	}
 }
-
-// TestColumnsRoundTrip checks the row/columnar conversions are inverses and
-// that the columnar next-use annotation matches the row-oriented one on a
-// deterministic pseudo-random trace with heavy key reuse.
-func TestColumnsRoundTrip(t *testing.T) {
-	tr := make(Trace, 4096)
-	state := uint64(1)
-	for i := range tr {
-		state = state*6364136223846793005 + 1442695040888963407
-		tr[i] = Access{Key: Key(state % 97), Write: state%3 == 0}
-	}
-	cols := ColumnsOf(tr)
-	if cols.Len() != len(tr) {
-		t.Fatalf("len %d != %d", cols.Len(), len(tr))
-	}
-	AnnotateNextUse(tr)
-	AnnotateNextUseColumns(cols)
-	for i := range tr {
-		if cols.At(i) != tr[i] {
-			t.Fatalf("access %d: columnar %+v != row %+v", i, cols.At(i), tr[i])
-		}
-	}
-	back := cols.ToTrace()
-	for i := range tr {
-		if back[i] != tr[i] {
-			t.Fatalf("round trip diverges at %d", i)
-		}
-	}
-}
-
-// TestColumnsAppendReset checks the builder surface.
-func TestColumnsAppendReset(t *testing.T) {
-	var c Columns
-	c.Append(7, false)
-	c.Append(7, true)
-	c.Append(9, false)
-	AnnotateNextUseColumns(&c)
-	if c.NextUse[0] != 1 || c.NextUse[1] != Never || c.NextUse[2] != Never {
-		t.Fatalf("next-use = %v", c.NextUse)
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("reset left %d accesses", c.Len())
-	}
-	c.Append(1, true)
-	if got := c.At(0); got != (Access{Key: 1, Write: true, NextUse: Never}) {
-		t.Fatalf("after reset: %+v", got)
-	}
-}
