@@ -392,8 +392,8 @@ func BenchmarkRasterTile(b *testing.B) {
 		b.Fatal(err)
 	}
 	tri := &geom.Primitive{
-		Pos:   [3]geom.Vec2{{X: -10, Y: -10}, {X: 100, Y: -10}, {X: -10, Y: 100}},
-		Attrs: []geom.Attribute{{}},
+		Pos:      [3]geom.Vec2{{X: -10, Y: -10}, {X: 100, Y: -10}, {X: -10, Y: 100}},
+		NumAttrs: 1,
 	}
 	work := []raster.TileWork{{Prim: tri}, {Prim: tri}, {Prim: tri}}
 	sc := p.NewScratch()

@@ -37,7 +37,7 @@ func main() {
 		fmt.Println(buildinfo.Get())
 		return
 	}
-	if err := run(*tracePath, *sizeKB, *ways, strings.Split(*policies, ",")); err != nil {
+	if err := run(os.Stdout, *tracePath, *sizeKB, *ways, strings.Split(*policies, ",")); err != nil {
 		fmt.Fprintln(os.Stderr, "tracesim:", err)
 		os.Exit(1)
 	}
@@ -84,44 +84,18 @@ func parse(r io.Reader) (trace.Trace, error) {
 	return tr, nil
 }
 
-func policyByName(name string) (func() cache.Policy, error) {
-	switch strings.ToUpper(name) {
-	case "LRU":
-		return cache.NewLRU, nil
-	case "MRU":
-		return cache.NewMRU, nil
-	case "FIFO":
-		return cache.NewFIFO, nil
-	case "NRU":
-		return cache.NewNRU, nil
-	case "LIP":
-		return cache.NewLIP, nil
-	case "BIP":
-		return func() cache.Policy { return cache.NewBIP(1) }, nil
-	case "DIP":
-		return func() cache.Policy { return cache.NewDIP(1) }, nil
-	case "SRRIP":
-		return cache.NewSRRIP, nil
-	case "BRRIP":
-		return func() cache.Policy { return cache.NewBRRIP(1) }, nil
-	case "DRRIP":
-		return func() cache.Policy { return cache.NewDRRIP(1) }, nil
-	case "SHEPHERD":
-		return func() cache.Policy { return cache.NewShepherd(1) }, nil
-	case "HAWKEYE":
-		return func() cache.Policy { return cache.NewHawkeye(nil) }, nil
-	case "SHIP":
-		return func() cache.Policy { return cache.NewSHiP(nil) }, nil
-	case "RANDOM":
-		return func() cache.Policy { return cache.NewRandom(1) }, nil
-	case "OPT":
-		return cache.NewOPT, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
+// run simulates each named policy (any cache registry spelling) over the
+// trace and writes the comparison table to w. Every name is resolved
+// before the trace is read, so a bad one prints nothing.
+func run(w io.Writer, tracePath string, sizeKB, ways int, policyNames []string) error {
+	names := make([]string, len(policyNames))
+	for i, name := range policyNames {
+		canon, err := cache.CanonicalPolicyName(name)
+		if err != nil {
+			return err
+		}
+		names[i] = canon
 	}
-}
-
-func run(tracePath string, sizeKB, ways int, policyNames []string) error {
 	var in io.Reader = os.Stdin
 	if tracePath != "-" {
 		f, err := os.Open(tracePath)
@@ -148,22 +122,22 @@ func run(tracePath string, sizeKB, ways int, policyNames []string) error {
 			lines = ways
 		}
 	}
-	fmt.Printf("trace: %d accesses (%d writes), %d primitives; cache %d KiB = %d primitives, %s\n\n",
+	fmt.Fprintf(w, "trace: %d accesses (%d writes), %d primitives; cache %d KiB = %d primitives, %s\n\n",
 		len(tr), trace.Writes(tr), trace.UniqueKeys(tr), sizeKB, cp, assocName(ways))
-	fmt.Printf("%-10s %10s %10s %10s %12s\n", "policy", "hits", "misses", "missratio", "writebacks")
-	for _, name := range policyNames {
-		mk, err := policyByName(strings.TrimSpace(name))
+	fmt.Fprintf(w, "%-10s %10s %10s %10s %12s\n", "policy", "hits", "misses", "missratio", "writebacks")
+	for _, name := range names {
+		pol, err := cache.NewPolicy(name)
 		if err != nil {
 			return err
 		}
-		st, err := cache.Simulate(cache.Config{Lines: lines, Ways: ways, WriteAllocate: true}, mk(), tr)
+		st, err := cache.Simulate(cache.Config{Lines: lines, Ways: ways, WriteAllocate: true}, pol, tr)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %10d %10d %10.3f %12d\n",
-			strings.TrimSpace(name), st.Hits, st.Misses, st.MissRatio(), st.Writebacks)
+		fmt.Fprintf(w, "%-10s %10d %10d %10.3f %12d\n",
+			name, st.Hits, st.Misses, st.MissRatio(), st.Writebacks)
 	}
-	fmt.Printf("%-10s %10s %10s %10.3f\n", "LowerBound", "", "",
+	fmt.Fprintf(w, "%-10s %10s %10s %10.3f\n", "LowerBound", "", "",
 		cache.TraceLowerBoundMissRatio(tr, cp))
 	return nil
 }

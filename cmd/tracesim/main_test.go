@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -42,23 +43,40 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
-func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{
-		"LRU", "lru", "MRU", "FIFO", "NRU", "LIP", "BIP", "DIP",
-		"SRRIP", "BRRIP", "DRRIP", "Shepherd", "Hawkeye", "SHiP", "Random", "OPT",
-	} {
-		mk, err := policyByName(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if mk() == nil {
-			t.Errorf("%s: nil policy", name)
+// TestRunEveryRegistryPolicy runs every cache registry policy through
+// tracesim, in the registry's spelling and in lower case: each prints one
+// row under its canonical name, and an unknown name fails before any
+// output.
+func TestRunEveryRegistryPolicy(t *testing.T) {
+	path := t.TempDir() + "/t.trace"
+	if err := writeFile(path, strings.Repeat("W 0\nW 1\nW 2\nR 0\nR 1\nR 2\nR 0\n", 4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, ways := range []int{0, 4} {
+		for _, names := range [][]string{cache.PolicyNames(), lower(cache.PolicyNames())} {
+			var out strings.Builder
+			if err := run(&out, path, 48, ways, names); err != nil {
+				t.Fatalf("ways %d: %v", ways, err)
+			}
+			for _, name := range cache.PolicyNames() {
+				if !strings.Contains(out.String(), "\n"+fmt.Sprintf("%-10s ", name)) {
+					t.Errorf("ways %d: no row for %s in\n%s", ways, name, out.String())
+				}
+			}
 		}
 	}
-	if _, err := policyByName("nope"); err == nil {
-		t.Error("unknown policy must fail")
+	var out strings.Builder
+	if err := run(&out, path, 48, 0, []string{"LRU", "nope"}); err == nil || out.Len() != 0 {
+		t.Errorf("unknown policy: err %v, output %q", err, out.String())
 	}
+}
+
+func lower(names []string) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = strings.ToLower(n)
+	}
+	return out
 }
 
 func TestRunEndToEnd(t *testing.T) {
@@ -67,13 +85,13 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := writeFile(path, trace); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, 48, 4, []string{"LRU", "OPT"}); err != nil {
+	if err := run(io.Discard, path, 48, 4, []string{"LRU", "OPT"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, 48, 0, []string{"bogus"}); err == nil {
+	if err := run(io.Discard, path, 48, 0, []string{"bogus"}); err == nil {
 		t.Error("bogus policy must fail")
 	}
-	if err := run(path+".missing", 48, 0, []string{"LRU"}); err == nil {
+	if err := run(io.Discard, path+".missing", 48, 0, []string{"LRU"}); err == nil {
 		t.Error("missing file must fail")
 	}
 }

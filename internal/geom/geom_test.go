@@ -117,11 +117,11 @@ func TestPrimitiveValidate(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("expected error for 0 attributes")
 	}
-	p.Attrs = make([]Attribute, MaxAttributes+1)
+	p.NumAttrs = MaxAttributes + 1
 	if err := p.Validate(); err == nil {
 		t.Error("expected error for too many attributes")
 	}
-	p.Attrs = make([]Attribute, 3)
+	p.NumAttrs = 3
 	if err := p.Validate(); err != nil {
 		t.Errorf("unexpected error: %v", err)
 	}

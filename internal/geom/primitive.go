@@ -7,42 +7,28 @@ import "fmt"
 // count is limited to 15.
 const MaxAttributes = 15
 
-// AttrBytesPerVertex is the storage for one vertex worth of one attribute.
-const AttrBytesPerVertex = 16
-
-// AttrBytes is the storage for one attribute of one primitive: 16 bytes per
-// vertex x 3 vertices = 48 bytes (paper Fig. 4).
-const AttrBytes = 3 * AttrBytesPerVertex
-
-// Attribute holds one interpolatable quantity (color, normal, texture
-// coordinates, ...) for the three vertices of a triangle. 48 bytes of
-// payload, exactly the paper's PB-Attributes record.
-type Attribute struct {
-	V [3]Vec4
-}
-
 // Primitive is an assembled triangle as it leaves the Primitive Assembly
 // stage and enters the Tiling Engine. ID is assigned in program order and is
 // also used (scaled) as the address of its first attribute in PB-Attributes.
+// The Tiling Engine reads only how many 48-byte PB-Attributes records a
+// primitive spans (the PMD's 4-bit count, paper Figs. 3/4/6), never their
+// contents, so a primitive carries the count and no attribute values.
 type Primitive struct {
-	ID    uint32
-	Pos   [3]Vec2 // screen-space vertex positions, pixels
-	Depth [3]float32
-	Attrs []Attribute
+	ID       uint32
+	Pos      [3]Vec2 // screen-space vertex positions, pixels
+	Depth    [3]float32
+	NumAttrs uint8
 }
-
-// NumAttrs returns the number of attributes of the primitive.
-func (p *Primitive) NumAttrs() int { return len(p.Attrs) }
 
 // Validate reports whether the primitive satisfies the hardware encoding
 // limits (non-zero attribute count that fits the 4-bit PMD field).
 func (p *Primitive) Validate() error {
-	if len(p.Attrs) == 0 {
+	if p.NumAttrs == 0 {
 		return fmt.Errorf("geom: primitive %d has no attributes", p.ID)
 	}
-	if len(p.Attrs) > MaxAttributes {
+	if p.NumAttrs > MaxAttributes {
 		return fmt.Errorf("geom: primitive %d has %d attributes, max %d",
-			p.ID, len(p.Attrs), MaxAttributes)
+			p.ID, p.NumAttrs, MaxAttributes)
 	}
 	return nil
 }

@@ -95,16 +95,9 @@ func TestMeshValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("attribute-less vertices must fail")
 	}
-	mixed := &Mesh{
-		Vertices: []Vertex{
-			{Attrs: []geom.Vec4{{}}},
-			{Attrs: []geom.Vec4{{}, {}}},
-			{Attrs: []geom.Vec4{{}}},
-		},
-		Indices: []uint32{0, 1, 2},
-	}
-	if err := mixed.Validate(); err == nil {
-		t.Error("mixed attribute counts must fail")
+	bad.NumAttrs = geom.MaxAttributes + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("more attributes than the PMD encodes must fail")
 	}
 }
 
@@ -236,23 +229,20 @@ func TestRunErrors(t *testing.T) {
 func TestClipTriangleProperties(t *testing.T) {
 	f := func(coords [9]int8, wRaw uint8) bool {
 		w := float32(wRaw%20) + 1
-		var tri [3]clipVertex
+		var tri [3]geom.Vec4
 		for i := 0; i < 3; i++ {
-			tri[i] = clipVertex{
-				pos: geom.Vec4{
-					X: float32(coords[i*3]) / 16 * w,
-					Y: float32(coords[i*3+1]) / 16 * w,
-					Z: float32(coords[i*3+2]) / 16 * w,
-					W: w,
-				},
-				attrs: []geom.Vec4{{X: float32(i)}},
+			tri[i] = geom.Vec4{
+				X: float32(coords[i*3]) / 16 * w,
+				Y: float32(coords[i*3+1]) / 16 * w,
+				Z: float32(coords[i*3+2]) / 16 * w,
+				W: w,
 			}
 		}
 		poly, touched := clipTriangle(tri)
 		const eps = 1e-3
 		for _, v := range poly {
 			for _, plane := range clipPlanes {
-				if plane(v.pos) < -eps*w {
+				if plane(v) < -eps*w {
 					return false
 				}
 			}
@@ -274,19 +264,19 @@ func TestClipTriangleProperties(t *testing.T) {
 	}
 }
 
-// Property: attribute interpolation stays within the convex hull of the
-// input attribute values.
+// Property: position interpolation stays within the convex hull of the
+// input positions.
 func TestLerpVertexBounds(t *testing.T) {
 	f := func(aRaw, bRaw int8, tRaw uint8) bool {
-		a := clipVertex{attrs: []geom.Vec4{{X: float32(aRaw)}}}
-		b := clipVertex{attrs: []geom.Vec4{{X: float32(bRaw)}}}
+		a := geom.Vec4{X: float32(aRaw)}
+		b := geom.Vec4{X: float32(bRaw)}
 		tt := float32(tRaw) / 255
 		v := lerpVertex(a, b, tt)
 		lo, hi := float32(aRaw), float32(bRaw)
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		return v.attrs[0].X >= lo-1e-4 && v.attrs[0].X <= hi+1e-4
+		return v.X >= lo-1e-4 && v.X <= hi+1e-4
 	}
 	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
@@ -297,13 +287,14 @@ func TestBackfaceCullingIsWindingSensitive(t *testing.T) {
 	// One triangle facing the camera, its mirror facing away.
 	front := &Mesh{
 		Vertices: []Vertex{
-			{Pos: geom.Vec3{X: -1, Y: -1}, Attrs: []geom.Vec4{{}}},
-			{Pos: geom.Vec3{X: 1, Y: -1}, Attrs: []geom.Vec4{{}}},
-			{Pos: geom.Vec3{X: 0, Y: 1}, Attrs: []geom.Vec4{{}}},
+			{Pos: geom.Vec3{X: -1, Y: -1}},
+			{Pos: geom.Vec3{X: 1, Y: -1}},
+			{Pos: geom.Vec3{X: 0, Y: 1}},
 		},
-		Indices: []uint32{0, 1, 2},
+		Indices:  []uint32{0, 1, 2},
+		NumAttrs: 1,
 	}
-	back := &Mesh{Vertices: front.Vertices, Indices: []uint32{0, 2, 1}}
+	back := &Mesh{Vertices: front.Vertices, Indices: []uint32{0, 2, 1}, NumAttrs: 1}
 	scene := &Scene{
 		Camera: testCamera(),
 		Objects: []Object{

@@ -6,13 +6,12 @@ import (
 	"tcor/internal/geom"
 )
 
-// Vertex is one input vertex: an object-space position plus the attribute
-// payload that will be interpolated by the Raster Pipeline (colors, normals,
-// texture coordinates — each a Vec4, 16 bytes, matching the paper's
-// PB-Attributes layout).
+// Vertex is one input vertex: an object-space position. Its attributes
+// (colors, normals, texture coordinates — each a Vec4, 16 bytes, matching
+// the paper's PB-Attributes layout) are counted by its Mesh, not stored:
+// the Tiling Engine reads only how many a primitive carries.
 type Vertex struct {
-	Pos   geom.Vec3
-	Attrs []geom.Vec4
+	Pos geom.Vec3
 }
 
 // Mesh is an indexed triangle mesh.
@@ -20,6 +19,9 @@ type Mesh struct {
 	Vertices []Vertex
 	// Indices holds vertex indices, three per triangle.
 	Indices []uint32
+	// NumAttrs is the number of attributes every vertex carries, and so the
+	// attribute count of every primitive the mesh emits.
+	NumAttrs uint8
 }
 
 // Validate checks the mesh's structural invariants.
@@ -27,19 +29,11 @@ func (m *Mesh) Validate() error {
 	if len(m.Indices)%3 != 0 {
 		return fmt.Errorf("geometry: %d indices is not a multiple of 3", len(m.Indices))
 	}
-	nAttrs := -1
-	for i, v := range m.Vertices {
-		if nAttrs == -1 {
-			nAttrs = len(v.Attrs)
-		} else if len(v.Attrs) != nAttrs {
-			return fmt.Errorf("geometry: vertex %d has %d attrs, mesh uses %d", i, len(v.Attrs), nAttrs)
-		}
-	}
-	if nAttrs == 0 {
+	if m.NumAttrs == 0 {
 		return fmt.Errorf("geometry: mesh vertices need at least one attribute")
 	}
-	if nAttrs > geom.MaxAttributes {
-		return fmt.Errorf("geometry: %d attributes exceed the PMD limit %d", nAttrs, geom.MaxAttributes)
+	if m.NumAttrs > geom.MaxAttributes {
+		return fmt.Errorf("geometry: %d attributes exceed the PMD limit %d", m.NumAttrs, geom.MaxAttributes)
 	}
 	for i, idx := range m.Indices {
 		if int(idx) >= len(m.Vertices) {
@@ -67,20 +61,11 @@ type Scene struct {
 // Cube returns a unit cube mesh centered at the origin with one color
 // attribute and one texture-coordinate attribute per vertex.
 func Cube() *Mesh {
-	corner := func(x, y, z float32) Vertex {
-		return Vertex{
-			Pos: geom.Vec3{X: x, Y: y, Z: z},
-			Attrs: []geom.Vec4{
-				{X: (x + 1) / 2, Y: (y + 1) / 2, Z: (z + 1) / 2, W: 1}, // color
-				{X: (x + 1) / 2, Y: (y + 1) / 2},                       // uv
-			},
-		}
-	}
-	m := &Mesh{}
-	for _, z := range []float32{-0.5, 0.5} {
-		for _, y := range []float32{-0.5, 0.5} {
-			for _, x := range []float32{-0.5, 0.5} {
-				m.Vertices = append(m.Vertices, corner(x*2, y*2, z*2))
+	m := &Mesh{NumAttrs: 2}
+	for _, z := range []float32{-1, 1} {
+		for _, y := range []float32{-1, 1} {
+			for _, x := range []float32{-1, 1} {
+				m.Vertices = append(m.Vertices, Vertex{Pos: geom.Vec3{X: x, Y: y, Z: z}})
 			}
 		}
 	}
@@ -97,20 +82,14 @@ func Cube() *Mesh {
 }
 
 // Plane returns a two-triangle rectangle in the XZ plane (a ground plane)
-// spanning [-size/2, size/2] on X and Z at the given Y.
+// spanning [-size/2, size/2] on X and Z at the given Y, with a color and a
+// UV attribute per vertex.
 func Plane(size, y float32) *Mesh {
 	h := size / 2
-	mk := func(x, z float32) Vertex {
-		return Vertex{
-			Pos: geom.Vec3{X: x, Y: y, Z: z},
-			Attrs: []geom.Vec4{
-				{X: 0.4, Y: 0.5, Z: 0.4, W: 1},
-				{X: (x + h) / size, Y: (z + h) / size},
-			},
-		}
-	}
+	mk := func(x, z float32) Vertex { return Vertex{Pos: geom.Vec3{X: x, Y: y, Z: z}} }
 	return &Mesh{
 		Vertices: []Vertex{mk(-h, -h), mk(h, -h), mk(h, h), mk(-h, h)},
 		Indices:  []uint32{0, 1, 2, 0, 2, 3},
+		NumAttrs: 2,
 	}
 }

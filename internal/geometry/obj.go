@@ -15,14 +15,16 @@ import (
 // plain geometry: `v x y z` vertex positions, `vt u v` texture coordinates,
 // and `f` faces referencing them (v, v/vt, v/vt/vn or v//vn forms; faces
 // with more than three vertices are fan-triangulated). Normals are parsed
-// and ignored — the pipeline carries positions plus a color and a UV
-// attribute. Indices may be negative (relative), as the spec allows.
+// and ignored — every vertex counts two attributes, a color and a UV, and
+// the UV values are checked but not kept, since the pipeline carries only
+// the count. Indices may be negative (relative), as the spec allows.
 func ParseOBJ(r io.Reader) (*Mesh, error) {
 	var positions []geom.Vec3
-	var uvs []geom.Vec2
-	m := &Mesh{}
+	var numUVs int
+	m := &Mesh{NumAttrs: 2}
 	// OBJ faces index positions and UVs independently; the Mesh format
-	// wants unified vertices, so deduplicate (pos, uv) pairs.
+	// wants unified vertices, so deduplicate (pos, uv) pairs: a position
+	// under two UVs is two vertices, as in the asset.
 	vertexOf := make(map[[2]int]uint32)
 
 	resolve := func(idx, n int) (int, error) {
@@ -40,17 +42,8 @@ func ParseOBJ(r io.Reader) (*Mesh, error) {
 		if id, ok := vertexOf[key]; ok {
 			return id
 		}
-		v := Vertex{Pos: positions[vi]}
-		uv := geom.Vec2{}
-		if ti >= 0 {
-			uv = uvs[ti]
-		}
-		v.Attrs = []geom.Vec4{
-			{X: 0.7, Y: 0.7, Z: 0.7, W: 1}, // default material color
-			{X: uv.X, Y: uv.Y},
-		}
 		id := uint32(len(m.Vertices))
-		m.Vertices = append(m.Vertices, v)
+		m.Vertices = append(m.Vertices, Vertex{Pos: positions[vi]})
 		vertexOf[key] = id
 		return id
 	}
@@ -84,12 +77,12 @@ func ParseOBJ(r io.Reader) (*Mesh, error) {
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("geometry: OBJ line %d: short texcoord", lineNo)
 			}
-			u, err1 := strconv.ParseFloat(fields[1], 64)
-			v, err2 := strconv.ParseFloat(fields[2], 64)
+			_, err1 := strconv.ParseFloat(fields[1], 64)
+			_, err2 := strconv.ParseFloat(fields[2], 64)
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("geometry: OBJ line %d: bad texcoord", lineNo)
 			}
-			uvs = append(uvs, geom.Vec2{X: float32(u), Y: float32(v)})
+			numUVs++
 		case "f":
 			if len(fields) < 4 {
 				return nil, fmt.Errorf("geometry: OBJ line %d: face needs 3+ vertices", lineNo)
@@ -111,7 +104,7 @@ func ParseOBJ(r io.Reader) (*Mesh, error) {
 					if err != nil {
 						return nil, fmt.Errorf("geometry: OBJ line %d: %v", lineNo, err)
 					}
-					if ti, err = resolve(ti64, len(uvs)); err != nil {
+					if ti, err = resolve(ti64, numUVs); err != nil {
 						return nil, fmt.Errorf("geometry: OBJ line %d: %v", lineNo, err)
 					}
 				}
@@ -137,7 +130,7 @@ func ParseOBJ(r io.Reader) (*Mesh, error) {
 }
 
 // Sphere returns a UV-sphere mesh with the given subdivision (stacks x
-// slices), radius 1, one color and one UV attribute per vertex.
+// slices), radius 1, counting one color and one UV attribute per vertex.
 func Sphere(stacks, slices int) *Mesh {
 	if stacks < 2 {
 		stacks = 2
@@ -145,7 +138,7 @@ func Sphere(stacks, slices int) *Mesh {
 	if slices < 3 {
 		slices = 3
 	}
-	m := &Mesh{}
+	m := &Mesh{NumAttrs: 2}
 	for i := 0; i <= stacks; i++ {
 		phi := math.Pi * float64(i) / float64(stacks)
 		for j := 0; j <= slices; j++ {
@@ -153,13 +146,7 @@ func Sphere(stacks, slices int) *Mesh {
 			x := float32(math.Sin(phi) * math.Cos(theta))
 			y := float32(math.Cos(phi))
 			z := float32(math.Sin(phi) * math.Sin(theta))
-			m.Vertices = append(m.Vertices, Vertex{
-				Pos: geom.Vec3{X: x, Y: y, Z: z},
-				Attrs: []geom.Vec4{
-					{X: (x + 1) / 2, Y: (y + 1) / 2, Z: (z + 1) / 2, W: 1},
-					{X: float32(j) / float32(slices), Y: float32(i) / float32(stacks)},
-				},
-			})
+			m.Vertices = append(m.Vertices, Vertex{Pos: geom.Vec3{X: x, Y: y, Z: z}})
 		}
 	}
 	cols := uint32(slices + 1)

@@ -24,13 +24,6 @@ type PipelineStats struct {
 	TrianglesOut     int
 }
 
-// clipVertex is a vertex in clip space with its attribute payload, as it
-// flows between the vertex stage and primitive assembly.
-type clipVertex struct {
-	pos   geom.Vec4
-	attrs []geom.Vec4
-}
-
 // Run pushes a scene through the Geometry Pipeline and returns the
 // screen-space primitives in emission order (IDs assigned 0..n-1, the
 // program order the Tiling Engine requires) together with the stage
@@ -58,19 +51,16 @@ func Run(scene *Scene, cfg PipelineConfig) ([]geom.Primitive, PipelineStats, err
 
 		// Vertex Stage: transform every vertex once (the Vertex Cache in
 		// the full GPU model makes this a fetch-once operation too).
-		clipVerts := make([]clipVertex, len(obj.Mesh.Vertices))
+		clipVerts := make([]geom.Vec4, len(obj.Mesh.Vertices))
 		for i, v := range obj.Mesh.Vertices {
-			clipVerts[i] = clipVertex{
-				pos:   mvp.Apply(geom.Vec4{X: v.Pos.X, Y: v.Pos.Y, Z: v.Pos.Z, W: 1}),
-				attrs: v.Attrs,
-			}
+			clipVerts[i] = mvp.Apply(geom.Vec4{X: v.Pos.X, Y: v.Pos.Y, Z: v.Pos.Z, W: 1})
 		}
 
 		// Primitive Assembly + clip + viewport.
 		idx := obj.Mesh.Indices
 		for t := 0; t+2 < len(idx); t += 3 {
 			st.TrianglesIn++
-			tri := [3]clipVertex{clipVerts[idx[t]], clipVerts[idx[t+1]], clipVerts[idx[t+2]]}
+			tri := [3]geom.Vec4{clipVerts[idx[t]], clipVerts[idx[t+1]], clipVerts[idx[t+2]]}
 			poly, touched := clipTriangle(tri)
 			if len(poly) < 3 {
 				st.CulledFrustum++
@@ -81,7 +71,7 @@ func Run(scene *Scene, cfg PipelineConfig) ([]geom.Primitive, PipelineStats, err
 			}
 			// Triangulate the clipped polygon as a fan and emit.
 			for k := 1; k+1 < len(poly); k++ {
-				p, ok := toScreen([3]clipVertex{poly[0], poly[k], poly[k+1]}, cfg.Screen)
+				p, ok := toScreen([3]geom.Vec4{poly[0], poly[k], poly[k+1]}, cfg.Screen)
 				if !ok {
 					st.CulledDegenerate++
 					continue
@@ -91,6 +81,7 @@ func Run(scene *Scene, cfg PipelineConfig) ([]geom.Primitive, PipelineStats, err
 					continue
 				}
 				p.ID = uint32(len(out))
+				p.NumAttrs = obj.Mesh.NumAttrs
 				out = append(out, p)
 				st.TrianglesOut++
 			}
@@ -113,20 +104,20 @@ var clipPlanes = [6]clipPlane{
 }
 
 // clipTriangle clips a clip-space triangle against the view volume with
-// Sutherland–Hodgman, interpolating attributes. It returns the clipped
-// polygon (empty when fully outside) and whether any plane actually cut it.
-func clipTriangle(tri [3]clipVertex) ([]clipVertex, bool) {
+// Sutherland–Hodgman. It returns the clipped polygon (empty when fully
+// outside) and whether any plane actually cut it.
+func clipTriangle(tri [3]geom.Vec4) ([]geom.Vec4, bool) {
 	poly := tri[:]
 	touched := false
 	for _, plane := range clipPlanes {
 		if len(poly) == 0 {
 			break
 		}
-		var next []clipVertex
+		var next []geom.Vec4
 		for i := range poly {
 			cur := poly[i]
 			prev := poly[(i+len(poly)-1)%len(poly)]
-			dc, dp := plane(cur.pos), plane(prev.pos)
+			dc, dp := plane(cur), plane(prev)
 			inC, inP := dc >= 0, dp >= 0
 			if inP != inC {
 				touched = true
@@ -141,39 +132,25 @@ func clipTriangle(tri [3]clipVertex) ([]clipVertex, bool) {
 	return poly, touched
 }
 
-// lerpVertex interpolates position and attributes at parameter t in [0,1]
+// lerpVertex interpolates a clip-space position at parameter t in [0,1]
 // from a toward b.
-func lerpVertex(a, b clipVertex, t float32) clipVertex {
-	v := clipVertex{
-		pos:   a.pos.Add(b.pos.Sub(a.pos).Scale(t)),
-		attrs: make([]geom.Vec4, len(a.attrs)),
-	}
-	for i := range a.attrs {
-		v.attrs[i] = a.attrs[i].Add(b.attrs[i].Sub(a.attrs[i]).Scale(t))
-	}
-	return v
+func lerpVertex(a, b geom.Vec4, t float32) geom.Vec4 {
+	return a.Add(b.Sub(a).Scale(t))
 }
 
-// toScreen performs the perspective divide and viewport transform, packing
-// the per-vertex attributes into the PB-Attributes record shape
-// (geom.Attribute: one attribute = three vertices' worth).
-func toScreen(tri [3]clipVertex, screen geom.Screen) (geom.Primitive, bool) {
+// toScreen performs the perspective divide and viewport transform.
+func toScreen(tri [3]geom.Vec4, screen geom.Screen) (geom.Primitive, bool) {
 	var p geom.Primitive
-	nAttrs := len(tri[0].attrs)
-	p.Attrs = make([]geom.Attribute, nAttrs)
 	for i, cv := range tri {
-		if cv.pos.W <= 0 {
+		if cv.W <= 0 {
 			return p, false // behind the eye even after clipping: degenerate
 		}
-		ndc := cv.pos.PerspectiveDivide()
+		ndc := cv.PerspectiveDivide()
 		p.Pos[i] = geom.Vec2{
 			X: (ndc.X*0.5 + 0.5) * float32(screen.Width),
 			Y: (1 - (ndc.Y*0.5 + 0.5)) * float32(screen.Height),
 		}
 		p.Depth[i] = ndc.Z*0.5 + 0.5
-		for a := 0; a < nAttrs; a++ {
-			p.Attrs[a].V[i] = cv.attrs[a]
-		}
 	}
 	return p, true
 }

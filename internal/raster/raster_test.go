@@ -25,10 +25,10 @@ func newPipeline(t *testing.T) (*Pipeline, *mem.Counter, *mem.Counter) {
 
 func tri(id uint32, a, b, c geom.Vec2, z float32) *geom.Primitive {
 	return &geom.Primitive{
-		ID:    id,
-		Pos:   [3]geom.Vec2{a, b, c},
-		Depth: [3]float32{z, z, z},
-		Attrs: []geom.Attribute{{}},
+		ID:       id,
+		Pos:      [3]geom.Vec2{a, b, c},
+		Depth:    [3]float32{z, z, z},
+		NumAttrs: 1,
 	}
 }
 

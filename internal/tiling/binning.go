@@ -106,8 +106,8 @@ func BinWithOverlap(screen geom.Screen, trav *Traversal, prims []geom.Primitive,
 			return nil, fmt.Errorf("tiling: primitive %d has ID %d; expected program order", i, p.ID)
 		}
 		b.AttrBase[i] = attrCursor
-		b.NumAttrs[i] = uint8(len(p.Attrs))
-		attrCursor += uint32(len(p.Attrs))
+		b.NumAttrs[i] = p.NumAttrs
+		attrCursor += uint32(p.NumAttrs)
 
 		if ot == OverlapBBox {
 			tilesBuf = screen.OverlappedTilesBBox(p, tilesBuf[:0])

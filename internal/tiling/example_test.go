@@ -14,9 +14,9 @@ func ExampleBin() {
 	screen := geom.Screen{Width: 64, Height: 32, TileSize: 32} // tiles 0 and 1
 	trav, _ := tiling.NewTraversal(screen, tiling.OrderScanline)
 	prims := []geom.Primitive{{
-		ID:    0,
-		Pos:   [3]geom.Vec2{{X: 4, Y: 4}, {X: 60, Y: 4}, {X: 4, Y: 28}},
-		Attrs: []geom.Attribute{{}},
+		ID:       0,
+		Pos:      [3]geom.Vec2{{X: 4, Y: 4}, {X: 60, Y: 4}, {X: 4, Y: 28}},
+		NumAttrs: 1,
 	}}
 	b, _ := tiling.Bin(screen, trav, prims)
 	for tile := 0; tile < 2; tile++ {

@@ -89,9 +89,8 @@ func TestTraversalErrors(t *testing.T) {
 // column top, prim2 bottom region).
 func paperFrame() (geom.Screen, []geom.Primitive) {
 	screen := testScreen()
-	attrs := []geom.Attribute{{}}
 	mk := func(id uint32, a, b, c geom.Vec2) geom.Primitive {
-		return geom.Primitive{ID: id, Pos: [3]geom.Vec2{a, b, c}, Attrs: attrs}
+		return geom.Primitive{ID: id, Pos: [3]geom.Vec2{a, b, c}, NumAttrs: 1}
 	}
 	return screen, []geom.Primitive{
 		// Tiles are 32px. Prim 0: tiles 0,1,3 (an L in the top-left).
@@ -166,7 +165,7 @@ func TestBinRejectsBadPrims(t *testing.T) {
 	screen := testScreen()
 	trav, _ := NewTraversal(screen, OrderScanline)
 	// Wrong ID order.
-	prims := []geom.Primitive{{ID: 5, Attrs: []geom.Attribute{{}},
+	prims := []geom.Primitive{{ID: 5, NumAttrs: 1,
 		Pos: [3]geom.Vec2{{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 1, Y: 2}}}}
 	if _, err := Bin(screen, trav, prims); err == nil {
 		t.Error("expected error for out-of-order IDs")
@@ -178,7 +177,7 @@ func TestBinRejectsBadPrims(t *testing.T) {
 	}
 	// Mismatched traversal.
 	other, _ := NewTraversal(geom.Screen{Width: 64, Height: 64, TileSize: 32}, OrderScanline)
-	prims = []geom.Primitive{{ID: 0, Attrs: []geom.Attribute{{}},
+	prims = []geom.Primitive{{ID: 0, NumAttrs: 1,
 		Pos: [3]geom.Vec2{{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 1, Y: 2}}}}
 	if _, err := Bin(screen, other, prims); err == nil {
 		t.Error("expected error for traversal/screen mismatch")
@@ -187,7 +186,7 @@ func TestBinRejectsBadPrims(t *testing.T) {
 
 func TestBinAttrBasesAreCumulative(t *testing.T) {
 	screen, prims := paperFrame()
-	prims[1].Attrs = make([]geom.Attribute, 3)
+	prims[1].NumAttrs = 3
 	trav, _ := NewTraversal(screen, OrderZ)
 	b, err := Bin(screen, trav, prims)
 	if err != nil {
@@ -318,9 +317,9 @@ func TestBinOPTChainProperty(t *testing.T) {
 			x := float32(s % 90)
 			y := float32((s / 3) % 90)
 			prims[i] = geom.Primitive{
-				ID:    uint32(i),
-				Pos:   [3]geom.Vec2{{X: x, Y: y}, {X: x + 20, Y: y}, {X: x, Y: y + 20}},
-				Attrs: []geom.Attribute{{}},
+				ID:       uint32(i),
+				Pos:      [3]geom.Vec2{{X: x, Y: y}, {X: x + 20, Y: y}, {X: x, Y: y + 20}},
+				NumAttrs: 1,
 			}
 		}
 		b, err := Bin(screen, trav, prims)
@@ -366,9 +365,9 @@ func TestBinOverflowCap(t *testing.T) {
 	prims := make([]geom.Primitive, n)
 	for i := range prims {
 		prims[i] = geom.Primitive{
-			ID:    uint32(i),
-			Pos:   [3]geom.Vec2{{X: 5, Y: 5}, {X: 10, Y: 5}, {X: 5, Y: 10}},
-			Attrs: []geom.Attribute{{}},
+			ID:       uint32(i),
+			Pos:      [3]geom.Vec2{{X: 5, Y: 5}, {X: 10, Y: 5}, {X: 5, Y: 10}},
+			NumAttrs: 1,
 		}
 	}
 	b, err := Bin(screen, trav, prims)

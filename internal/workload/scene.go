@@ -253,7 +253,7 @@ func sliverAt(rng *rand.Rand, cx, cy, length, width float64, spec Spec, id uint3
 	dx, dy := math.Cos(theta), math.Sin(theta)
 	// Perpendicular for the width.
 	px, py := -dy, dx
-	p := triangleAt(rng, cx, cy, 1, 1, spec, id) // depth + attrs; positions replaced
+	p := triangleAt(rng, cx, cy, 1, 1, spec, id) // depth + attribute count; positions replaced
 	p.Pos[0] = geom.Vec2{X: float32(cx - dx*length/2), Y: float32(cy - dy*length/2)}
 	p.Pos[1] = geom.Vec2{X: float32(cx + dx*length/2), Y: float32(cy + dy*length/2)}
 	p.Pos[2] = geom.Vec2{X: float32(cx + px*width), Y: float32(cy + py*width)}
@@ -261,7 +261,11 @@ func sliverAt(rng *rand.Rand, cx, cy, length, width float64, spec Spec, id uint3
 }
 
 // triangleAt builds one primitive centered near (cx, cy) with extents
-// (sx, sy), random orientation, depth and attribute payload.
+// (sx, sy), random orientation, depth and attribute count. It still draws
+// the nine random values (x, y, z of each of three vertices) that each
+// attribute's payload once took, and discards them: nothing reads an
+// attribute's value, but the draws keep the random stream, and so every
+// scene, as it was when primitives carried them.
 func triangleAt(rng *rand.Rand, cx, cy, sx, sy float64, spec Spec, id uint32) geom.Primitive {
 	var p geom.Primitive
 	p.ID = id
@@ -292,14 +296,9 @@ func triangleAt(rng *rand.Rand, cx, cy, sx, sy float64, spec Spec, id uint32) ge
 	if n > geom.MaxAttributes {
 		n = geom.MaxAttributes
 	}
-	p.Attrs = make([]geom.Attribute, n)
-	for a := range p.Attrs {
-		for v := 0; v < 3; v++ {
-			p.Attrs[a].V[v] = geom.Vec4{
-				X: rng.Float32(), Y: rng.Float32(),
-				Z: rng.Float32(), W: 1,
-			}
-		}
+	p.NumAttrs = uint8(n)
+	for i := 0; i < 9*n; i++ {
+		rng.Float32()
 	}
 	return p
 }
@@ -321,7 +320,7 @@ func frameStats(screen geom.Screen, f *Frame, overlaps int) Stats {
 	st := Stats{Primitives: len(f.Prims), TotalOverlaps: overlaps}
 	var attrSum int
 	for i := range f.Prims {
-		attrSum += len(f.Prims[i].Attrs)
+		attrSum += int(f.Prims[i].NumAttrs)
 	}
 	if st.Primitives > 0 {
 		st.AvgPrimReuse = float64(st.TotalOverlaps) / float64(st.Primitives)
