@@ -30,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -319,7 +320,7 @@ type execOpts struct {
 func execute(r *experiments.Runner, o execOpts) error {
 	switch {
 	case o.arena:
-		return runArena(r, o)
+		return runArena(os.Stdout, r, o)
 	case o.report != "":
 		if err := r.Prewarm(prewarmPar); err != nil {
 			return err
@@ -395,10 +396,10 @@ func execute(r *experiments.Runner, o execOpts) error {
 }
 
 // runArena races the selected roster and renders the ranked report. With
-// -format json it emits the report's canonical bytes — identical to what
-// POST /v1/arena serves for the same race (pass -frames 1: the daemon pins
-// a single frame on its shared runner).
-func runArena(r *experiments.Runner, o execOpts) error {
+// -format json it writes the report's canonical bytes to w — identical to
+// what POST /v1/arena serves for the same race (pass -frames 1: the daemon
+// pins a single frame on its shared runner).
+func runArena(w io.Writer, r *experiments.Runner, o execOpts) error {
 	rep, err := arena.Race(r.Ctx, r, arena.Options{
 		Policies:   o.policies,
 		Benchmarks: r.Benchmarks,
@@ -415,7 +416,7 @@ func runArena(r *experiments.Runner, o execOpts) error {
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(body)
+		_, err = w.Write(body)
 		return err
 	}
 	for _, t := range rep.Tables() {

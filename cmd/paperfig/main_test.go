@@ -1,13 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"tcor/internal/experiments"
+	"tcor/internal/serve"
 )
 
 func TestSlugify(t *testing.T) {
@@ -167,6 +172,37 @@ func TestExecuteArena(t *testing.T) {
 	o.policies = []string{"PLRU"} // needs power-of-two ways; must surface
 	if err := execute(r, o); err == nil {
 		t.Error("PLRU without ways must fail the race")
+	}
+}
+
+// TestArenaJSONMatchesDaemon is the CLI's row of the determinism matrix
+// (internal/cluster TestDeterminismMatrix): paperfig -arena -frames 1
+// -curves=false -format json prints exactly the body POST /v1/arena serves
+// for the same race.
+func TestArenaJSONMatchesDaemon(t *testing.T) {
+	srv := httptest.NewServer(serve.NewServer(serve.Options{}).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/arena", "application/json",
+		strings.NewReader(`{"policies":["LRU","OPT","ARC"],"benchmarks":["GTr"],"sizeKB":16}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	served, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/arena: %d %s %v", resp.StatusCode, served, err)
+	}
+
+	r := experiments.NewRunner()
+	r.Frames = 1
+	r.Benchmarks = []string{"GTr"}
+	var cli bytes.Buffer
+	o := execOpts{arena: true, policies: []string{"LRU", "OPT", "ARC"}, size: 16, jsonOut: true}
+	if err := runArena(&cli, r, o); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cli.Bytes(), served) {
+		t.Errorf("paperfig -arena -format json differs from /v1/arena:\ncli:    %s\nserved: %s", cli.Bytes(), served)
 	}
 }
 

@@ -1,18 +1,25 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tcor/internal/arena"
 	"tcor/internal/gpu"
+	"tcor/internal/serve"
 	"tcor/internal/workload"
 )
 
+// TestConfigFor maps every -config name through the flags' request and
+// the daemon's resolver, and an unknown name fails there.
 func TestConfigFor(t *testing.T) {
 	cases := map[string]gpu.TileCacheKind{
 		"baseline":  gpu.KindBaseline,
@@ -20,24 +27,31 @@ func TestConfigFor(t *testing.T) {
 		"tcor-nol2": gpu.KindTCOR,
 	}
 	for name, kind := range cases {
-		cfg, err := configFor(name, 64)
+		reqs, err := requests(options{benchmark: "GTr", config: name, sizeKB: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, cfg, err := serve.Resolve(reqs[0])
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if cfg.Kind != kind {
-			t.Errorf("%s: kind = %v", name, cfg.Kind)
+		if got != name || cfg.Kind != kind {
+			t.Errorf("%s: resolved %s, kind %v", name, got, cfg.Kind)
 		}
 		if cfg.TileCacheBytes != 64*1024 {
 			t.Errorf("%s: size = %d", name, cfg.TileCacheBytes)
 		}
+		if cfg.L2Enhanced != (name == "tcor") {
+			t.Errorf("%s: L2Enhanced = %v", name, cfg.L2Enhanced)
+		}
 	}
-	if _, err := configFor("bogus", 64); err == nil {
+	reqs, err := requests(options{benchmark: "GTr", config: "bogus", sizeKB: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := serve.Resolve(reqs[0]); err == nil {
 		t.Error("unknown config must fail")
-	}
-	nol2, _ := configFor("tcor-nol2", 64)
-	if nol2.L2Enhanced {
-		t.Error("tcor-nol2 must disable the L2 enhancements")
 	}
 }
 
@@ -56,12 +70,16 @@ func TestParseOptionsValidation(t *testing.T) {
 		{"negative frames", []string{"-frames", "-1"}, "-frames"},
 		{"zero size", []string{"-size", "0"}, "-size"},
 		{"negative size", []string{"-size", "-64"}, "-size"},
-		{"negative parallel", []string{"-parallel", "-2"}, "-parallel"},
+		// -parallel and -chaos are gone: -compare is one SimulateGroup, so
+		// there is no pool to size or to inject faults into.
+		{"negative parallel", []string{"-parallel", "-2"}, "not defined: -parallel"},
 		{"negative evtrace", []string{"-evtrace", "-1"}, "-evtrace"},
 		{"evtrace without stats", []string{"-evtrace", "8"}, "-stats"},
-		{"chaos with compare", []string{"-compare", "-chaos", "rate=0.5,lat=10ms"}, ""},
-		{"chaos without compare", []string{"-chaos", "rate=0.5"}, "-compare"},
-		{"chaos bad plan", []string{"-compare", "-chaos", "rate=nope"}, "probability"},
+		{"chaos with compare", []string{"-compare", "-chaos", "rate=0.5,lat=10ms"}, "not defined: -chaos"},
+		{"chaos without compare", []string{"-chaos", "rate=0.5"}, "not defined: -chaos"},
+		{"chaos bad plan", []string{"-compare", "-chaos", "rate=nope"}, "not defined: -chaos"},
+		{"timeout without policy", []string{"-timeout", "1m"}, "-policy"},
+		{"timeout with policy", []string{"-policy", "ARC", "-timeout", "1m"}, ""},
 		{"compare with config", []string{"-compare", "-config", "tcor"}, "conflicts"},
 		{"spec with benchmark", []string{"-spec", "x.json", "-benchmark", "CCS"}, "conflicts"},
 		{"policy alone", []string{"-policy", "ARC"}, ""},
@@ -213,38 +231,86 @@ func TestRunStatsCheckAndTrace(t *testing.T) {
 }
 
 func TestRunCompareStatsDeterministic(t *testing.T) {
-	// The -stats file must not depend on -parallel scheduling.
+	// -compare runs both configurations as one group; its -stats runs must
+	// equal the two solo runs'.
 	dir := t.TempDir()
-	var dumps [][]byte
-	for i, par := range []int{1, 2} {
-		path := dir + "/" + string(rune('a'+i)) + ".json"
-		o := options{
-			benchmark: "GTr", config: "tcor", sizeKB: 64, frames: 1,
-			compare: true, parallel: par, statsPath: path, check: true,
-		}
+	statsOf := func(name string, o options) statsDoc {
+		t.Helper()
+		o.benchmark, o.sizeKB, o.frames = "GTr", 64, 1
+		o.statsPath, o.check = dir+"/"+name+".json", true
 		if err := run(context.Background(), io.Discard, o); err != nil {
 			t.Fatal(err)
 		}
-		blob, err := os.ReadFile(path)
+		blob, err := os.ReadFile(o.statsPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dumps = append(dumps, blob)
+		var doc statsDoc
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
 	}
-	if string(dumps[0]) != string(dumps[1]) {
-		t.Error("-stats output differs across -parallel levels")
-	}
-	var doc statsDoc
-	if err := json.Unmarshal(dumps[0], &doc); err != nil {
-		t.Fatal(err)
-	}
+	doc := statsOf("compare", options{compare: true})
 	if len(doc.Runs) != 2 || doc.Runs[0].Config != "baseline" || doc.Runs[1].Config != "tcor" {
 		t.Fatalf("compare runs wrong: %+v", doc.Runs)
+	}
+	for i, config := range []string{"baseline", "tcor"} {
+		solo := statsOf(config, options{config: config})
+		if !reflect.DeepEqual(solo.Runs[0], doc.Runs[i]) {
+			t.Errorf("-compare %s stats differ from the solo run", config)
+		}
 	}
 	// Schema stability: both configurations publish the same counter names.
 	if len(doc.Runs[0].Counters) != len(doc.Runs[1].Counters) {
 		t.Errorf("schema differs: %d vs %d counters",
 			len(doc.Runs[0].Counters), len(doc.Runs[1].Counters))
+	}
+}
+
+// TestJSONMatchesDaemon is the CLI's row of the determinism matrix
+// (internal/cluster TestDeterminismMatrix): -json prints exactly the body a
+// daemon serves for the same request, and -compare -json exactly the
+// /v1/sweep body for the baseline and TCOR items.
+func TestJSONMatchesDaemon(t *testing.T) {
+	srv := httptest.NewServer(serve.NewServer(serve.Options{}).Handler())
+	defer srv.Close()
+	post := func(path string, v any) []byte {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s %v", path, resp.StatusCode, data, err)
+		}
+		return data
+	}
+	cli := func(o options) []byte {
+		t.Helper()
+		o.benchmark, o.sizeKB, o.frames, o.jsonOut = "GTr", 64, 1, true
+		var out bytes.Buffer
+		if err := run(context.Background(), &out, o); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+
+	tcor := serve.SimulateRequest{Benchmark: "GTr", Config: "tcor", TileCacheKB: 64, Frames: 1}
+	base := tcor
+	base.Config = "baseline"
+	if got, want := cli(options{config: "tcor"}), post("/v1/simulate", tcor); !bytes.Equal(got, want) {
+		t.Errorf("tcorsim -json differs from /v1/simulate:\ncli:    %s\nserved: %s", got, want)
+	}
+	sweep := serve.SweepRequest{Items: []serve.SimulateRequest{base, tcor}}
+	if got, want := cli(options{compare: true}), post("/v1/sweep", sweep); !bytes.Equal(got, want) {
+		t.Errorf("tcorsim -compare -json differs from /v1/sweep:\ncli:    %s\nserved: %s", got, want)
 	}
 }
 

@@ -318,6 +318,17 @@ func TestRunnerMemoization(t *testing.T) {
 	if &tr1[0] != &tr2[0] {
 		t.Error("traces not memoized")
 	}
+	// Each table meters one miss per computed key and one hit per reuse;
+	// the trace's Binning reads the memoized scene and keeps no table.
+	snap := r.Metrics().Snapshot()
+	for name, want := range map[string]int64{
+		"memo.scenes.misses": 1, "memo.scenes.hits": 2,
+		"memo.traces.misses": 1, "memo.traces.hits": 1,
+	} {
+		if got := snap.Get(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
 	if _, err := r.Scene("nope"); err == nil {
 		t.Error("unknown alias must fail")
 	}

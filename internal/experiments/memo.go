@@ -18,7 +18,7 @@ import (
 // benchmark/configuration grid, which is finite and re-read many times. A
 // long-running host (the tcord daemon, a sweep service) passes a positive
 // capacity instead, which bounds the table to that many completed entries
-// with least-recently-used eviction, or calls purge between batches.
+// with least-recently-used eviction.
 // In-flight cells are never evicted — waiters hold them by pointer and the
 // leader still publishes into them — and eviction only drops the table's
 // reference, so an evicted-then-re-requested key simply recomputes.
@@ -56,7 +56,7 @@ func (c *memoCell[V]) completed() bool {
 // entries by evicting the least recently used completed cells at insert
 // time. hits/misses/evictions, when non-nil, meter the table: a miss is the
 // one call that computes; coalesced waiters count as hits (they reuse the
-// result); evictions count capacity-displaced and purged entries.
+// result); evictions count capacity-displaced entries.
 func (m *memo[V]) get(key string, capacity int, hits, misses, evictions *stats.Counter, compute func() (V, error)) (V, error) {
 	c, leader := m.claim(key, capacity, hits, misses, evictions)
 	if leader {
@@ -128,24 +128,6 @@ func (m *memo[V]) evictLRULocked(keep *memoCell[V]) bool {
 	}
 	delete(m.m, victimKey)
 	return true
-}
-
-// purge drops every completed entry, counting them into evictions, and
-// returns how many were dropped. In-flight computes keep their cells (their
-// waiters still resolve) and re-register nothing: the cell stays mapped
-// until evicted or purged later.
-func (m *memo[V]) purge(evictions *stats.Counter) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for k, c := range m.m {
-		if c.completed() {
-			delete(m.m, k)
-			n++
-		}
-	}
-	evictions.Add(int64(n))
-	return n
 }
 
 // size returns the number of mapped cells, in flight included (tests).

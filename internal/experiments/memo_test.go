@@ -90,38 +90,6 @@ func TestMemoNeverEvictsInFlight(t *testing.T) {
 	}
 }
 
-func TestMemoPurge(t *testing.T) {
-	var m memo[int]
-	hits, misses, ev := meters()
-	for i := 0; i < 4; i++ {
-		m.get(fmt.Sprintf("k%d", i), 0, hits, misses, ev, func() (int, error) { return i, nil }) //nolint:errcheck
-	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		m.get("inflight", 0, hits, misses, ev, func() (int, error) { //nolint:errcheck
-			close(started)
-			<-release
-			return 1, nil
-		})
-	}()
-	<-started
-	if n := m.purge(ev); n != 4 {
-		t.Fatalf("purge dropped %d entries, want 4 (the in-flight cell survives)", n)
-	}
-	if got := ev.Load(); got != 4 {
-		t.Fatalf("evictions = %d, want 4 after purge", got)
-	}
-	if got := m.size(); got != 1 {
-		t.Fatalf("table holds %d entries after purge, want the 1 in-flight cell", got)
-	}
-	close(release)
-	wg.Wait()
-}
-
 func TestMemoBoundedConcurrency(t *testing.T) {
 	// Hammer a tiny capacity from many goroutines: no races (run under
 	// -race), no lost results, and the bound holds afterwards.
@@ -149,35 +117,5 @@ func TestMemoBoundedConcurrency(t *testing.T) {
 	}
 	if hits.Load()+misses.Load() != 400 {
 		t.Fatalf("hits+misses = %d, want 400", hits.Load()+misses.Load())
-	}
-}
-
-func TestRunnerPurgeMemoAndMetering(t *testing.T) {
-	r := NewRunner()
-	r.Frames = 1
-	if _, err := r.Scene("CCS"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Binning("CCS"); err != nil {
-		t.Fatal(err)
-	}
-	// Binning reads the memoized scene and keeps no table of its own.
-	if n := r.PurgeMemo(); n != 1 {
-		t.Fatalf("PurgeMemo dropped %d entries, want 1 (the scene)", n)
-	}
-	snap := r.Metrics().Snapshot()
-	if got := snap.Get("memo.scenes.evictions"); got != 1 {
-		t.Fatalf("memo.scenes.evictions = %d, want 1", got)
-	}
-	if got := snap.Get("memo.scenes.hits"); got != 1 {
-		t.Fatalf("memo.scenes.hits = %d, want 1 (Binning's scene)", got)
-	}
-	// The purged scene recomputes on next use.
-	missesBefore := r.Metrics().Snapshot().Get("memo.scenes.misses")
-	if _, err := r.Scene("CCS"); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Metrics().Snapshot().Get("memo.scenes.misses"); got != missesBefore+1 {
-		t.Fatalf("memo.scenes.misses = %d after purge+reuse, want %d", got, missesBefore+1)
 	}
 }

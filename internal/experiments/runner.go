@@ -43,8 +43,8 @@ type Runner struct {
 	// profiles) to that many completed entries with LRU eviction,
 	// metered as "memo.<table>.evictions". Zero keeps the figure-harness
 	// default: cache forever (the paper grid is finite). Long-running hosts
-	// set it — or call PurgeMemo between batches — so an open-ended request
-	// stream cannot grow the tables without bound.
+	// set it, so an open-ended request stream cannot grow the tables
+	// without bound.
 	MemoCap int
 	// Checkpoint, when non-nil (attach one with OpenCheckpoint), journals
 	// every completed Run cell to an append-only file and restores journaled
@@ -88,25 +88,6 @@ func (r *Runner) meter(table string) (hits, misses, evictions *stats.Counter) {
 	return m.Counter("memo." + table + ".hits"),
 		m.Counter("memo." + table + ".misses"),
 		m.Counter("memo." + table + ".evictions")
-}
-
-// PurgeMemo drops every completed entry from every memo table and returns
-// the number dropped, metering them as evictions. In-flight computations
-// are untouched: their waiters still resolve, and they stay usable until a
-// later purge or capacity eviction. Long-running hosts call it between
-// batches; combined with MemoCap it keeps a daemon's Runner at a bounded
-// footprint over an unbounded request stream.
-func (r *Runner) PurgeMemo() int {
-	n := 0
-	ev := func(table string) *stats.Counter {
-		_, _, e := r.meter(table)
-		return e
-	}
-	n += r.scenes.purge(ev("scenes"))
-	n += r.runs.purge(ev("runs"))
-	n += r.traces.purge(ev("traces"))
-	n += r.profiles.purge(ev("profiles"))
-	return n
 }
 
 // baseCtx returns the runner's sweep context.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tcor/internal/memmap"
+	"tcor/internal/tiling"
 )
 
 // Traffic-conservation invariants: requests cannot appear or vanish between
@@ -103,6 +104,53 @@ func TestTrafficConservationBaseline(t *testing.T) {
 	// The baseline L2 must never drop write-backs (no dead-line logic).
 	if res.L2Stats.DroppedWritebacks != 0 || res.L2Stats.DeadEvictions != 0 {
 		t.Error("baseline L2 used dead-line machinery")
+	}
+}
+
+// TestTileWritebacksSplitAtFrameEnd pins the split tcorsim prints for the
+// baseline Tile Cache: TileStats.Writebacks minus TileL2Writes is exactly
+// the dirty lines the frame-end flush drops with the recycled Parameter
+// Buffer. It steps group.runFrame by hand and reads the cache's
+// Writebacks on either side of each endFrame.
+func TestTileWritebacksSplitAtFrameEnd(t *testing.T) {
+	sc := smallScene(t, "CCS", 2)
+	cfg := Baseline(128 * 1024)
+	g, err := newGroup(sc, []Config{cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.sims[0]
+	var dropped int64
+	for f := 0; f < sc.NumFrames(); f++ {
+		prims := sc.Frame(f).Prims
+		s.beginFrame(f, prims)
+		binning, err := tiling.Bin(s.cfg.Screen, s.trav, prims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.replayPLB(binning)
+		for pos := range binning.Traversal.Seq {
+			tiling.ReplayTile(binning, s.listLayout, s.attrLayout, pos, s)
+		}
+		before := s.tile.Stats().Writebacks
+		s.endFrame()
+		dropped += s.tile.Stats().Writebacks - before
+	}
+	res := s.finish()
+	if dropped == 0 {
+		t.Fatal("no dirty line reached a frame end; the scene does not exercise the flush")
+	}
+	if got := res.TileStats.Writebacks - res.TileL2Writes; got != dropped {
+		t.Errorf("writebacks %d - L2 writes %d = %d, flush drops %d",
+			res.TileStats.Writebacks, res.TileL2Writes, got, dropped)
+	}
+	solo, err := Simulate(sc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.TileStats != res.TileStats || solo.TileL2Writes != res.TileL2Writes {
+		t.Errorf("stepped run diverges from Simulate: %+v/%d vs %+v/%d",
+			res.TileStats, res.TileL2Writes, solo.TileStats, solo.TileL2Writes)
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 )
 
 // Configuration names accepted by the API, mapping onto the library's
-// constructors (cmd/tcorsim accepts the same set).
+// constructors. resolveRequest holds the one name table; cmd/tcorsim
+// resolves its -config through Resolve.
 const (
 	ConfigBaseline = "baseline"
 	ConfigTCOR     = "tcor"
@@ -70,9 +71,14 @@ type SweepResponse struct {
 	Runs []json.RawMessage `json:"runs"`
 }
 
-// RunResult is the wire shape of one simulation: the tcorsim -json summary
-// scalars plus the full hierarchy counter snapshot (sorted keys, stable
-// schema across configurations — see gpu.Result.PublishStats).
+// RunResult is the one encoding of a simulation run: headline scalars
+// plus the full hierarchy counter snapshot (sorted keys, stable schema
+// across configurations — see gpu.Result.PublishStats). Per-level traffic
+// lives in the counters; the Parameter Buffer's share, for example, is
+// the sum of the l2.in.region.PB-* and dram.in.region.PB-* counters.
+// /v1/simulate serves EncodeRunResult of it, a sweep's body wraps those
+// bodies in a SweepResponse (EncodeSweep), and tcorsim -json (-compare
+// -json) prints the same bytes for the same request.
 type RunResult struct {
 	Benchmark     string         `json:"benchmark"`
 	Config        string         `json:"config"`
@@ -192,6 +198,16 @@ func CanonicalKey(req SimulateRequest) (string, error) {
 	return j.key, nil
 }
 
+// Resolve validates a request the way CanonicalKey does, with no server
+// frame limit, and returns what it simulates: the workload, the
+// configuration name and the configuration. cmd/tcorsim maps its flags
+// onto a SimulateRequest and runs what Resolve returns, so the CLI and
+// the daemon share one name table and one set of defaults.
+func Resolve(req SimulateRequest) (workload.Spec, string, gpu.Config, error) {
+	j, err := resolveRequest(req, 0)
+	return j.spec, j.cfgName, j.cfg, err
+}
+
 // resolveRequest validates a request and maps it onto the library types.
 // maxFrames is the server's frame limit (<= 0 means unlimited). All
 // failures are 400s with a precise message.
@@ -272,8 +288,8 @@ func contentKey(spec workload.Spec, cfgName string, cfg gpu.Config) string {
 }
 
 // BuildRunResult converts a finished simulation into the wire shape.
-// The daemon and the golden tests share it: a served /v1/simulate body is
-// exactly EncodeRunResult(BuildRunResult(...)) over a direct library call.
+// The daemon and tcorsim share it: a served /v1/simulate body is exactly
+// EncodeRunResult(BuildRunResult(...)) over a direct library call.
 func BuildRunResult(alias, cfgName string, tileCacheKB int, res *gpu.Result) RunResult {
 	return RunResult{
 		Benchmark:     alias,
@@ -300,6 +316,21 @@ func EncodeRunResult(rr RunResult) ([]byte, error) {
 		return nil, err
 	}
 	return append(blob, '\n'), nil
+}
+
+// EncodeSweep is the canonical serialization of a sweep: the
+// EncodeRunResult bodies of its items, in item order and without their
+// trailing newlines, as a SweepResponse plus a trailing newline.
+func EncodeSweep(bodies [][]byte) ([]byte, error) {
+	runs := make([]json.RawMessage, len(bodies))
+	for i, b := range bodies {
+		runs[i] = bytes.TrimSuffix(b, []byte{'\n'})
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(SweepResponse{Runs: runs}); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // decodeStrict decodes JSON rejecting unknown fields and trailing content.

@@ -2,12 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"testing"
-
-	"tcor/internal/arena"
-	"tcor/internal/experiments"
 )
 
 func TestArenaValidation(t *testing.T) {
@@ -69,76 +65,5 @@ func TestArenaKeyNormalizes(t *testing.T) {
 	}
 	if k3 == k1 {
 		t.Error("different capacities share a key")
-	}
-}
-
-// TestArenaServesCachesAndMatchesLibrary is the endpoint's end-to-end
-// contract: a served report is byte-identical to a direct arena.Race over a
-// single-frame runner, a repeat is a cache hit with the same bytes, and the
-// serving-layer invariants hold afterwards.
-func TestArenaServesCachesAndMatchesLibrary(t *testing.T) {
-	s := NewServer(Options{})
-	h := s.Handler()
-	body := `{"policies":["LRU","OPT"],"benchmarks":["CCS"],"sizeKB":16}`
-
-	rec := postJSON(h, "/v1/arena", body)
-	if rec.Code != 200 {
-		t.Fatalf("status = %d (body %s)", rec.Code, rec.Body)
-	}
-	if got := rec.Header().Get("X-Tcord-Cache"); got != "miss" {
-		t.Errorf("first race cache disposition = %q, want miss", got)
-	}
-
-	r := experiments.NewRunner()
-	r.Frames = 1
-	rep, err := arena.Race(context.Background(), r, arena.Options{
-		Policies: []string{"LRU", "OPT"}, Benchmarks: []string{"CCS"}, SizeKB: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := rep.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Errorf("served report diverges from direct library race\ngot:  %s\nwant: %s",
-			rec.Body.Bytes(), want)
-	}
-
-	rec2 := postJSON(h, "/v1/arena", body)
-	if rec2.Code != 200 {
-		t.Fatalf("repeat status = %d", rec2.Code)
-	}
-	if got := rec2.Header().Get("X-Tcord-Cache"); got != "hit" {
-		t.Errorf("repeat cache disposition = %q, want hit", got)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), rec2.Body.Bytes()) {
-		t.Error("cache hit served different bytes than the miss")
-	}
-
-	var decoded arena.Report
-	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
-		t.Fatalf("served report is not a Report: %v", err)
-	}
-	if decoded.Ranking[0].Policy != "OPT" {
-		t.Errorf("OPT not ranked first: %+v", decoded.Ranking)
-	}
-	if decoded.Frames != 1 {
-		t.Errorf("daemon races frames=%d, want the pinned single frame", decoded.Frames)
-	}
-
-	snap := s.Registry().Snapshot()
-	if got := snap.Get("serve.arena.races.completed"); got != 1 {
-		t.Errorf("serve.arena.races.completed = %d, want 1 (hit must not race)", got)
-	}
-	if got := snap.Get("serve.arena.policy.lru.races"); got != 1 {
-		t.Errorf("serve.arena.policy.lru.races = %d, want 1", got)
-	}
-	if got := snap.Get("serve.arena.policy.opt.cells"); got != 1 {
-		t.Errorf("serve.arena.policy.opt.cells = %d, want 1", got)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Errorf("invariants after arena traffic: %v", err)
 	}
 }

@@ -9,11 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"tcor/internal/geom"
-	"tcor/internal/gpu"
 	"tcor/internal/serve"
 	"tcor/internal/stats"
-	"tcor/internal/workload"
 )
 
 // newTestServer starts a real serving stack (default simulator, full
@@ -24,56 +21,6 @@ func newTestServer(t *testing.T, opts serve.Options) (*serve.Server, *Client) {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return s, New(srv.URL, srv.Client())
-}
-
-// TestGoldenServedEqualsDirect is the serving layer's fidelity contract:
-// the body of a /v1/simulate response — through admission, the worker pool
-// and the result cache — is byte-identical to encoding a direct library
-// call with the same spec and configuration.
-func TestGoldenServedEqualsDirect(t *testing.T) {
-	_, c := newTestServer(t, serve.Options{})
-	req := serve.SimulateRequest{Benchmark: "GTr", Config: "tcor", TileCacheKB: 64, Frames: 1}
-	served, how, err := c.SimulateRaw(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if how != "miss" {
-		t.Fatalf("first request served as %q, want miss", how)
-	}
-
-	spec, err := workload.ByAlias("GTr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Frames = 1
-	scene, err := workload.Generate(spec, geom.DefaultScreen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := gpu.Simulate(scene, gpu.TCOR(64*1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := serve.EncodeRunResult(serve.BuildRunResult("GTr", "tcor", 64, res))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(served, direct) {
-		t.Fatalf("served body differs from the direct library encoding:\nserved: %s\ndirect: %s",
-			served, direct)
-	}
-
-	// The cached replay serves the same bytes.
-	cachedBody, how, err := c.SimulateRaw(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if how != "hit" {
-		t.Fatalf("second identical request served as %q, want hit", how)
-	}
-	if !bytes.Equal(cachedBody, direct) {
-		t.Fatal("cache hit served different bytes than the direct encoding")
-	}
 }
 
 func TestSimulateWithInvariantCheck(t *testing.T) {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -357,7 +356,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 	}
 	defer cp.Close()
 
-	runs := make([]json.RawMessage, len(jobs))
+	runs := make([][]byte, len(jobs))
 	for i, j := range jobs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -384,11 +383,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 		runs[i] = body
 		m.noteCell(e, false)
 	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(SweepResponse{Runs: runs}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return EncodeSweep(runs)
 }
 
 // runArena executes an arena job on a private runner wired to the job's own
@@ -399,7 +394,7 @@ func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) 
 	if err := decodeStrict(e.body, &req); err != nil {
 		return nil, err
 	}
-	opts, _, err := ArenaKey(req)
+	opts, key, err := ArenaKey(req)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +414,12 @@ func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) 
 		m.persistLocked(e)
 		m.mu.Unlock()
 	}
-	val, err := m.s.raceArena(ctx, runner, opts)
+	// The race rides the arena cache like a sweep cell rides the result
+	// cache: a report the daemon already holds is not raced again, and a
+	// race this job runs is one the cache metered as a miss.
+	val, _, err := m.s.arenaCache.get(ctx, key, nil, func() (cached, error) {
+		return m.s.raceArena(ctx, runner, opts)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -52,60 +52,6 @@ func submitAsync(t *testing.T, h http.Handler, path, body, key string, wantStatu
 	return jr.Job
 }
 
-// TestAsyncSweepMatchesSync proves the tentpole equivalence: an async sweep's
-// stored result is byte-identical to the synchronous response for the same
-// body, submission is idempotent, and the job shows up in the tenant's list.
-func TestAsyncSweepMatchesSync(t *testing.T) {
-	s := NewServer(Options{JobsDir: t.TempDir()})
-	s.simulate = fastSim
-	h := s.Handler()
-
-	syncRes := postJSON(h, "/v1/sweep", sweepBody)
-	if syncRes.Code != 200 {
-		t.Fatalf("sync sweep: %d %s", syncRes.Code, syncRes.Body)
-	}
-
-	job := submitAsync(t, h, "/v1/sweep?async=1", sweepBody, "", http.StatusAccepted)
-	if job.ID == "" || job.Kind != JobKindSweep || job.TotalCells != 2 {
-		t.Fatalf("job record = %+v", job)
-	}
-	if job.Tenant != DefaultTenantName {
-		t.Fatalf("anonymous job charged to %q", job.Tenant)
-	}
-
-	// Idempotent resubmission: same credential + body = same job, 200.
-	again := submitAsync(t, h, "/v1/sweep?async=1", sweepBody, "", http.StatusOK)
-	if again.ID != job.ID {
-		t.Fatalf("resubmission minted a new job %s (want %s)", again.ID, job.ID)
-	}
-
-	final := pollJob(t, h, "", job.ID)
-	if final.State != JobDone || final.DoneCells != 2 {
-		t.Fatalf("final record = %+v", final)
-	}
-
-	resultRes := getPath(h, "/v1/jobs/"+job.ID+"/result")
-	if resultRes.Code != 200 {
-		t.Fatalf("GET result: %d %s", resultRes.Code, resultRes.Body)
-	}
-	if !bytes.Equal(resultRes.Body.Bytes(), syncRes.Body.Bytes()) {
-		t.Fatalf("async result differs from sync:\nasync: %s\nsync:  %s",
-			resultRes.Body, syncRes.Body)
-	}
-
-	listRes := getPath(h, "/v1/jobs")
-	var list JobsResponse
-	if err := json.Unmarshal(listRes.Body.Bytes(), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Jobs) != 1 || list.Jobs[0].ID != job.ID {
-		t.Fatalf("job list = %+v", list.Jobs)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-}
-
 func TestAsyncWithoutJobsDir(t *testing.T) {
 	s := NewServer(Options{})
 	s.simulate = fastSim
@@ -221,6 +167,12 @@ func TestJobCancel(t *testing.T) {
 	h := s.Handler()
 
 	job := submitAsync(t, h, "/v1/sweep?async=1", sweepBody, "", http.StatusAccepted)
+	if job.ID == "" || job.Kind != JobKindSweep || job.TotalCells != 2 {
+		t.Fatalf("job record = %+v", job)
+	}
+	if job.Tenant != DefaultTenantName {
+		t.Fatalf("anonymous job charged to %q", job.Tenant)
+	}
 	<-started // first cell is running
 
 	del := httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+job.ID, nil)
@@ -268,7 +220,20 @@ func TestJobTenantScoping(t *testing.T) {
 	if job.Tenant != "alpha" {
 		t.Fatalf("job tenant = %q", job.Tenant)
 	}
-	pollJob(t, h, "key-alpha", job.ID)
+	// Idempotent resubmission: same credential + body = same job, 200.
+	if again := submitAsync(t, h, "/v1/sweep?async=1", sweepBody, "key-alpha", http.StatusOK); again.ID != job.ID {
+		t.Fatalf("resubmission minted a new job %s (want %s)", again.ID, job.ID)
+	}
+	if final := pollJob(t, h, "key-alpha", job.ID); final.State != JobDone || final.DoneCells != 2 {
+		t.Fatalf("final record = %+v", final)
+	}
+	var own JobsResponse
+	if err := json.Unmarshal(tenantHeaderReq(h, http.MethodGet, "/v1/jobs", "", "key-alpha").Body.Bytes(), &own); err != nil {
+		t.Fatal(err)
+	}
+	if len(own.Jobs) != 1 || own.Jobs[0].ID != job.ID {
+		t.Fatalf("alpha's job list = %+v", own.Jobs)
+	}
 
 	if res := tenantHeaderReq(h, http.MethodGet, "/v1/jobs/"+job.ID, "", "key-beta"); res.Code != 404 {
 		t.Fatalf("cross-tenant GET: %d", res.Code)
@@ -319,9 +284,15 @@ func TestAsyncArenaJob(t *testing.T) {
 	if syncRes.Code != 200 {
 		t.Fatalf("sync arena: %d %s", syncRes.Code, syncRes.Body)
 	}
+	if got := syncRes.Header().Get("X-Tcord-Cache"); got != "hit" {
+		t.Errorf("sync race after the job: X-Tcord-Cache = %q, want the job's cached report", got)
+	}
 	resultRes := getPath(h, "/v1/jobs/"+job.ID+"/result")
 	if !bytes.Equal(resultRes.Body.Bytes(), syncRes.Body.Bytes()) {
 		t.Fatal("async arena result differs from sync")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Errorf("invariants after an arena job: %v", err)
 	}
 }
 

@@ -75,8 +75,8 @@ type (
 	SimulateRequest = serve.SimulateRequest
 	// SweepRequest batches simulation requests through the Server's pool.
 	SweepRequest = serve.SweepRequest
-	// RunResult is the served form of a simulation's metrics; it encodes
-	// byte-identically to a direct Simulate call's summary.
+	// RunResult is the one encoding of a simulation run: what the daemon
+	// serves and tcorsim -json prints for the same request.
 	RunResult = serve.RunResult
 	// ClientOption configures a ServiceClient (retries, breaker, metrics,
 	// tenant credential).
