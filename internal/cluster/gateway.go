@@ -770,10 +770,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		g.shell.WriteError(w, err)
 		return
 	}
-	if anyStale {
-		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
-	}
-	g.shell.WriteJSON(w, serve.SweepResponse{Runs: runs})
+	g.shell.WriteSweep(w, runs, anyStale)
 }
 
 // sweepChunk is one sub-sweep: a run of same-owner items, at most
@@ -789,7 +786,7 @@ type sweepChunk struct {
 // full failover, so a sweep only fails when an item is unservable by
 // every shard (or genuinely invalid). When items fail, the error is the
 // one of the lowest failing item, whatever order the chunks ran in.
-func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest, keys []string) ([]json.RawMessage, bool, error) {
+func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest, keys []string) ([][]byte, bool, error) {
 	// Group by owner in shard-index order, preserving item order within
 	// each owner.
 	byOwner := make([][]int, len(g.shards))
@@ -806,7 +803,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 		}
 	}
 
-	runs := make([]json.RawMessage, len(items))
+	runs := make([][]byte, len(items))
 	var anyStale atomic.Bool
 	errs := make([]error, len(chunks))
 	failed := make([]int, len(chunks)) // global index of the chunk's failing item
@@ -840,10 +837,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 				errs[c], failed[c] = fmt.Errorf("item %d: %w", gi, err), gi
 				return
 			}
-			// Simulate bodies end in the canonical newline; runs
-			// embed without it, exactly as the shard's own sweep
-			// handler trims.
-			runs[gi] = json.RawMessage(string(res.body[:len(res.body)-1]))
+			runs[gi] = res.body
 			if res.outcome == "stale" {
 				anyStale.Store(true)
 			}

@@ -62,6 +62,11 @@ func TestValidationErrors(t *testing.T) {
 		{"over frame limit", `{"benchmark":"CCS","frames":1000}`, 400, "server limit"},
 		{"trailing garbage", `{"benchmark":"CCS"} {}`, 400, "trailing"},
 		{"not json", `hello`, 400, "decoding request"},
+		// Generate sizes its frames from the footprint target, so an
+		// unbounded one must be a 400 before any allocation.
+		{"unbounded footprint", `{"spec":{"alias":"Big","pbFootprintMiB":1e9,"avgPrimReuse":2}}`, 400, "PB footprint"},
+		{"negative texture", `{"spec":{"alias":"Tex","pbFootprintMiB":0.1,"avgPrimReuse":2,"textureMiB":-1}}`, 400, "texture footprint"},
+		{"negative shader", `{"spec":{"alias":"Shd","pbFootprintMiB":0.1,"avgPrimReuse":2,"shaderInstrPerPixel":-4}}`, 400, "shader length"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -686,7 +685,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// scheduling and deterministic (item-order) results.
 	var anyStale atomic.Bool
 	runs, err := experiments.SweepSlice(ctx, s.opts.Workers, jobs,
-		func(ctx context.Context, j job) (json.RawMessage, error) {
+		func(ctx context.Context, j job) ([]byte, error) {
 			val, how, err := s.runJob(ctx, j)
 			if err != nil {
 				return nil, err
@@ -700,18 +699,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 						Code: "invariant_violation", Message: err.Error()}
 				}
 			}
-			// Trim the canonical trailing newline: the bodies embed into
-			// the runs array, where encoding/json would compact it anyway.
-			return json.RawMessage(string(val.body[:len(val.body)-1])), nil
+			return val.body, nil
 		})
 	if err != nil {
 		s.shell.WriteError(w, err)
 		return
 	}
-	if anyStale.Load() {
-		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
-	}
-	s.shell.WriteJSON(w, SweepResponse{Runs: runs})
+	s.shell.WriteSweep(w, runs, anyStale.Load())
 }
 
 // AsyncRequested reports whether the request asked for the durable-job

@@ -388,6 +388,21 @@ func WriteResult(w http.ResponseWriter, body []byte, disposition string) {
 	w.Write(body) //nolint:errcheck // client gone is its own problem
 }
 
+// WriteSweep writes a sweep's item bodies as the EncodeSweep body, the same
+// on every tier; a sweep with a stale item carries a Warning.
+func (sh *Shell) WriteSweep(w http.ResponseWriter, runs [][]byte, anyStale bool) {
+	body, err := EncodeSweep(runs)
+	if err != nil {
+		sh.WriteError(w, err)
+		return
+	}
+	if anyStale {
+		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body) //nolint:errcheck // client gone is its own problem
+}
+
 // WriteJSON writes v as a 200 JSON body.
 func (sh *Shell) WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

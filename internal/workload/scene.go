@@ -79,6 +79,11 @@ func NewSceneFromFrames(spec Spec, screen geom.Screen, frames []Frame) (*Scene, 
 // generation loop adjusts the primitive count and the size distribution so
 // that the realized Parameter Buffer footprint and average primitive re-use
 // match the Table II targets within a few percent.
+//
+// Frame 0's random stream is drawn once: a calibration pass changes only
+// the primitive count and the size scale, so every pass rebuilds the same
+// recorded candidates at its own scale (see stream.pass). Frames 1 and on
+// are drawn in one pass each, at the calibrated count and scale.
 func Generate(spec Spec, screen geom.Screen) (*Scene, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -103,11 +108,22 @@ func Generate(spec Spec, screen geom.Screen) (*Scene, error) {
 		sizeScale = 2
 	}
 
+	// The 3D planes are drawn only while numPrims > 64, and they sit
+	// early in the stream, so each value of that flag has its own stream.
+	var streams [2]*stream
 	var frame Frame
 	var st Stats
 	for iter := 0; iter < 8; iter++ {
+		planes := planesDrawn(spec, numPrims)
+		k := 0
+		if planes {
+			k = 1
+		}
+		if streams[k] == nil {
+			streams[k] = newStream(spec, screen, 0, planes, numPrims)
+		}
 		var overlaps int
-		frame, overlaps = synthesizeFrame(spec, screen, numPrims, sizeScale, 0)
+		frame.Prims, overlaps = streams[k].pass(frame.Prims, numPrims, sizeScale)
 		st = frameStats(screen, &frame, overlaps)
 		reuseErr := st.AvgPrimReuse / spec.AvgPrimReuse
 		footErr := float64(st.PBFootprint) / targetBytes
@@ -132,30 +148,90 @@ func Generate(spec Spec, screen geom.Screen) (*Scene, error) {
 	sc.frames = make([]Frame, spec.Frames)
 	sc.frames[0] = frame
 	for f := 1; f < spec.Frames; f++ {
-		sc.frames[f], _ = synthesizeFrame(spec, screen, numPrims, sizeScale, f)
+		s := newStream(spec, screen, f, planesDrawn(spec, numPrims), 0)
+		sc.frames[f].Prims, _ = s.pass(nil, numPrims, sizeScale)
 	}
 	return sc, nil
 }
 
-// synthesizeFrame generates the primitives of one frame. The layout mixes a
-// handful of large "background" triangles (sky, ground planes — the 3D
-// games' large-coverage geometry) with many smaller foreground triangles
-// whose size follows a lognormal distribution. Frame index shifts object
-// positions slightly (animation), so consecutive frames have similar but not
-// identical binning. It also returns the frame's total tile overlap count,
-// the sum of len(OverlappedTiles) over the kept primitives.
-func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale float64, frameIdx int) (Frame, int) {
-	rng := rand.New(rand.NewSource(spec.Seed*1_000_003 + int64(frameIdx)))
-	w, h := float64(screen.Width), float64(screen.Height)
-	prims := make([]geom.Primitive, 0, numPrims)
-	// One OverlappedTiles pass per candidate serves both the off-screen
-	// cull and the frame's overlap count.
-	var buf []geom.TileID
-	var overlaps int
-	tiles := func(p *geom.Primitive) int {
-		buf = screen.OverlappedTiles(p, buf[:0])
-		return len(buf)
+// planesDrawn reports whether a frame of numPrims primitives draws the 3D
+// mid-ground planes.
+func planesDrawn(spec Spec, numPrims int) bool { return spec.ThreeD && numPrims > 64 }
+
+// A stream is the random stream of one frame: its backdrop and 3D planes,
+// built once since they do not depend on the size scale, and its
+// foreground candidates, drawn in order as passes need them. The layout
+// mixes a handful of large "background" triangles (sky, ground planes —
+// the 3D games' large-coverage geometry) with many smaller foreground
+// triangles whose size follows a lognormal distribution. The frame index
+// shifts object positions slightly (animation), so consecutive frames
+// have similar but not identical binning.
+type stream struct {
+	screen geom.Screen
+	rng    *rand.Rand
+	w, h   float64
+	drift  float64 // animation between frames
+	attrs  float64 // the spec's MeanAttrs
+
+	// The foreground's mesh state: primitives left in the current mesh
+	// and its drifting anchor.
+	meshLeft int
+	mx, my   float64
+
+	head         []geom.Primitive // backdrop and planes, in program order
+	headOverlaps int
+
+	// cands records each foreground candidate drawn so far, when the
+	// stream is kept for more than one pass; otherwise cands holds one
+	// slot that every draw reuses.
+	cands  []candidate
+	record bool
+
+	buf []geom.TileID // OverlappedTiles scratch
+}
+
+// A candidate is what one foreground primitive drew from the stream:
+// enough to rebuild its positions at any size scale with the float64
+// expressions of a fresh draw, so the rebuilt float32s are bit-identical.
+type candidate struct {
+	cx, cy float64 // anchor
+	ex     float64 // lognormal size factor: the size is sizeScale*ex
+	// r holds a triangle's six raw position draws (x0, y0, x1, y1, x2,
+	// y2), or, for a sliver, its stretch and the cosine and sine of its
+	// angle in r[0], r[1] and r[2].
+	r     [6]float64
+	depth [3]float32
+	shape uint8
+	attrs uint8
+}
+
+// Candidate shapes.
+const (
+	shapeTriangle = iota
+	shapeSliver
+	shapeProp
+)
+
+// newStream draws the head of frame frameIdx's stream: the backdrop, and
+// the 3D planes when planes is set. A stream that records keeps its
+// candidates for later passes, presized for numPrims of them.
+func newStream(spec Spec, screen geom.Screen, frameIdx int, planes bool, numPrims int) *stream {
+	s := &stream{
+		screen: screen,
+		rng:    rand.New(rand.NewSource(spec.Seed*1_000_003 + int64(frameIdx))),
+		w:      float64(screen.Width),
+		h:      float64(screen.Height),
+		drift:  float64(float32(frameIdx) * 7),
+		attrs:  spec.MeanAttrs,
+		record: numPrims > 0,
+		cands:  make([]candidate, 0, max(numPrims, 1)),
 	}
+	if !s.record {
+		s.cands = s.cands[:1]
+	}
+	rng, w, h := s.rng, s.w, s.h
+	var r [6]float64
+	var depth [3]float32
 
 	// Background layer, drawn first (painter's order): a full-screen quad
 	// (two triangles) at maximum depth — most games paint a backdrop or
@@ -164,122 +240,150 @@ func synthesizeFrame(spec Spec, screen geom.Screen, numPrims int, sizeScale floa
 	// Snp: Table II re-use < 2) cannot contain a 1488-tile primitive in
 	// their reuse budget; those games clear the backdrop instead of
 	// drawing it (a free operation in a TBR GPU's on-chip Color Buffer).
+	// Its vertices' draws are discarded; only the attribute count stays.
 	if spec.AvgPrimReuse >= 2 {
 		fullscreen := [2][3]geom.Vec2{
 			{{X: -1, Y: -1}, {X: float32(w) + 1, Y: -1}, {X: -1, Y: float32(h) + 1}},
 			{{X: float32(w) + 1, Y: float32(h) + 1}, {X: float32(w) + 1, Y: -1}, {X: -1, Y: float32(h) + 1}},
 		}
 		for _, pos := range fullscreen {
-			p := triangleAt(rng, w/2, h/2, 1, 1, spec, uint32(len(prims)))
-			p.Pos = pos
+			p := geom.Primitive{ID: uint32(len(s.head)), Pos: pos}
+			p.NumAttrs = s.drawVertices(&r, &depth)
 			p.Depth = [3]float32{0.999, 0.999, 0.999} // behind everything
-			overlaps += tiles(&p)
-			prims = append(prims, p)
+			s.addHead(p)
 		}
 	}
 	// 3D scenes add a couple of large mid-ground planes (terrain).
-	if spec.ThreeD && numPrims > 64 {
+	if planes {
 		for i := 0; i < 2+rng.Intn(2); i++ {
 			cx, cy := w*(0.25+rng.Float64()/2), h*(0.25+rng.Float64()/2)
 			span := 0.4 + rng.Float64()*0.5
-			p := triangleAt(rng, cx, cy, span*w, span*h, spec, uint32(len(prims)))
+			p := geom.Primitive{ID: uint32(len(s.head))}
+			p.NumAttrs = s.drawVertices(&r, &depth)
+			place(&p, cx, cy, span*w, span*h, &r)
 			for v := range p.Depth {
 				p.Depth[v] = 0.9 + rng.Float32()*0.05
 			}
-			overlaps += tiles(&p)
-			prims = append(prims, p)
+			s.addHead(p)
 		}
 	}
+	return s
+}
 
-	// Foreground: primitives arrive mesh by mesh, the way applications
-	// submit draw calls. Each mesh is a run of consecutive primitives
-	// around a drifting anchor, so program order has the spatial locality
-	// the Polygon List Builder exploits at memory-block granularity
-	// (§III-C1: 16 PMDs share a block, and consecutive primitives of a
-	// mesh bin into the same tiles).
-	sigma := 0.8
-	drift := float32(frameIdx) * 7 // animation between frames
-	var meshLeft int
-	var mx, my float64
-	for len(prims) < numPrims {
-		if meshLeft == 0 {
-			meshLeft = 8 + rng.Intn(48)
-			mx = rng.Float64() * w
-			my = rng.Float64() * h
-		}
-		meshLeft--
-		// The anchor walks a little per primitive (triangle strips).
-		mx += rng.NormFloat64() * w / 64
-		my += rng.NormFloat64() * h / 64
-		cx := math.Mod(math.Abs(mx+float64(drift)), w)
-		cy := math.Mod(math.Abs(my), h)
-		size := sizeScale * math.Exp(rng.NormFloat64()*sigma-sigma*sigma/2)
-		// Shape mixture. Real game geometry is not uniformly compact:
-		// roads, walls and UI strips are long and thin (their tiles are
-		// scattered across the traversal, stretching reuse distances),
-		// and occasional large props cover many tiles. This mixture is
-		// what gives the Parameter Buffer stream its LRU-hostile reuse
-		// pattern; the calibration loop keeps the *mean* re-use at the
-		// Table II target regardless.
-		var p geom.Primitive
-		switch roll := rng.Intn(10); {
-		case roll < 3:
-			// Elongated sliver at an arbitrary angle (roads, walls,
-			// beams, skid marks). Diagonal slivers cross many Z-order
-			// quadrants, so their tile visits are spread across the whole
-			// traversal — the long-reuse-distance component of real
-			// scenes that separates OPT from LRU.
-			stretch := 8 + rng.Float64()*24
-			p = sliverAt(rng, cx, cy, size*stretch, size*0.3, spec, uint32(len(prims)))
-		case roll < 4: // large prop
-			p = triangleAt(rng, cx, cy, size*2.5, size*2.5, spec, uint32(len(prims)))
-		default:
-			p = triangleAt(rng, cx, cy, size, size, spec, uint32(len(prims)))
-		}
-		n := tiles(&p)
+func (s *stream) addHead(p geom.Primitive) {
+	s.head = append(s.head, p)
+	s.headOverlaps += s.tiles(&p)
+}
+
+// tiles returns the number of tiles p overlaps.
+func (s *stream) tiles(p *geom.Primitive) int {
+	s.buf = s.screen.OverlappedTiles(p, s.buf[:0])
+	return len(s.buf)
+}
+
+// pass builds a frame of numPrims primitives at the given size scale into
+// prims (reusing its storage) and returns it with its total tile overlap
+// count, the sum of len(OverlappedTiles) over the kept primitives. One
+// OverlappedTiles pass per candidate serves both the off-screen cull and
+// that count.
+func (s *stream) pass(prims []geom.Primitive, numPrims int, sizeScale float64) ([]geom.Primitive, int) {
+	if cap(prims) < numPrims {
+		prims = make([]geom.Primitive, 0, numPrims)
+	}
+	prims = append(prims[:0], s.head...)
+	overlaps := s.headOverlaps
+	for i := 0; len(prims) < numPrims; i++ {
+		p := s.candidate(i).build(sizeScale, uint32(len(prims)))
+		n := s.tiles(&p)
 		if n == 0 {
 			continue // fully off-screen; the Tiling Engine would cull it
 		}
 		overlaps += n
 		prims = append(prims, p)
 	}
-	return Frame{Prims: prims}, overlaps
+	return prims, overlaps
 }
 
-// sliverAt builds a long thin triangle of the given length and width,
-// centered near (cx, cy) at a random angle.
-func sliverAt(rng *rand.Rand, cx, cy, length, width float64, spec Spec, id uint32) geom.Primitive {
-	theta := rng.Float64() * math.Pi
-	dx, dy := math.Cos(theta), math.Sin(theta)
-	// Perpendicular for the width.
-	px, py := -dy, dx
-	p := triangleAt(rng, cx, cy, 1, 1, spec, id) // depth + attribute count; positions replaced
-	p.Pos[0] = geom.Vec2{X: float32(cx - dx*length/2), Y: float32(cy - dy*length/2)}
-	p.Pos[1] = geom.Vec2{X: float32(cx + dx*length/2), Y: float32(cy + dy*length/2)}
-	p.Pos[2] = geom.Vec2{X: float32(cx + px*width), Y: float32(cy + py*width)}
-	return p
-}
-
-// triangleAt builds one primitive centered near (cx, cy) with extents
-// (sx, sy), random orientation, depth and attribute count. It still draws
-// the nine random values (x, y, z of each of three vertices) that each
-// attribute's payload once took, and discards them: nothing reads an
-// attribute's value, but the draws keep the random stream, and so every
-// scene, as it was when primitives carried them.
-func triangleAt(rng *rand.Rand, cx, cy, sx, sy float64, spec Spec, id uint32) geom.Primitive {
-	var p geom.Primitive
-	p.ID = id
-	for i := 0; i < 3; i++ {
-		p.Pos[i] = geom.Vec2{
-			X: float32(cx + (rng.Float64()-0.5)*sx),
-			Y: float32(cy + (rng.Float64()-0.5)*sy),
-		}
-		p.Depth[i] = float32(rng.Float64())
+// candidate returns the stream's i-th foreground candidate, drawing it
+// when no pass has yet.
+func (s *stream) candidate(i int) *candidate {
+	if !s.record {
+		s.draw(&s.cands[0])
+		return &s.cands[0]
 	}
-	// Attribute count: integer around MeanAttrs in [1, 15] so that the mean
-	// over many primitives matches the spec.
-	n := int(spec.MeanAttrs)
-	frac := spec.MeanAttrs - float64(n)
+	if i == len(s.cands) {
+		s.cands = append(s.cands, candidate{})
+		s.draw(&s.cands[i])
+	}
+	return &s.cands[i]
+}
+
+// draw draws the next foreground candidate into c. Primitives arrive mesh
+// by mesh, the way applications submit draw calls. Each mesh is a run of
+// consecutive primitives around a drifting anchor, so program order has
+// the spatial locality the Polygon List Builder exploits at memory-block
+// granularity (§III-C1: 16 PMDs share a block, and consecutive primitives
+// of a mesh bin into the same tiles).
+func (s *stream) draw(c *candidate) {
+	rng, w, h := s.rng, s.w, s.h
+	sigma := 0.8
+	if s.meshLeft == 0 {
+		s.meshLeft = 8 + rng.Intn(48)
+		s.mx = rng.Float64() * w
+		s.my = rng.Float64() * h
+	}
+	s.meshLeft--
+	// The anchor walks a little per primitive (triangle strips).
+	s.mx += rng.NormFloat64() * w / 64
+	s.my += rng.NormFloat64() * h / 64
+	c.cx = math.Mod(math.Abs(s.mx+s.drift), w)
+	c.cy = math.Mod(math.Abs(s.my), h)
+	c.ex = math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2)
+	// Shape mixture. Real game geometry is not uniformly compact: roads,
+	// walls and UI strips are long and thin (their tiles are scattered
+	// across the traversal, stretching reuse distances), and occasional
+	// large props cover many tiles. This mixture is what gives the
+	// Parameter Buffer stream its LRU-hostile reuse pattern; the
+	// calibration loop keeps the *mean* re-use at the Table II target
+	// regardless.
+	switch roll := rng.Intn(10); {
+	case roll < 3:
+		// Elongated sliver at an arbitrary angle (roads, walls, beams,
+		// skid marks). Diagonal slivers cross many Z-order quadrants, so
+		// their tile visits are spread across the whole traversal — the
+		// long-reuse-distance component of real scenes that separates
+		// OPT from LRU. Its vertex position draws are discarded.
+		c.shape = shapeSliver
+		c.r[0] = 8 + rng.Float64()*24
+		theta := rng.Float64() * math.Pi
+		c.r[1], c.r[2] = math.Cos(theta), math.Sin(theta)
+		var discard [6]float64
+		c.attrs = s.drawVertices(&discard, &c.depth)
+	case roll < 4: // large prop
+		c.shape = shapeProp
+		c.attrs = s.drawVertices(&c.r, &c.depth)
+	default:
+		c.shape = shapeTriangle
+		c.attrs = s.drawVertices(&c.r, &c.depth)
+	}
+}
+
+// drawVertices draws one primitive's three vertices — the raw position
+// draws x, y and a depth each — and its attribute count, an integer around
+// MeanAttrs in [1, 15] so that the mean over many primitives matches the
+// spec. It still draws the nine random values (x, y, z of each of three
+// vertices) that each attribute's payload once took, and discards them:
+// nothing reads an attribute's value, but the draws keep the random
+// stream, and so every scene, as it was when primitives carried them.
+func (s *stream) drawVertices(pos *[6]float64, depth *[3]float32) uint8 {
+	rng := s.rng
+	for i := 0; i < 3; i++ {
+		pos[2*i] = rng.Float64()
+		pos[2*i+1] = rng.Float64()
+		depth[i] = float32(rng.Float64())
+	}
+	n := int(s.attrs)
+	frac := s.attrs - float64(n)
 	if rng.Float64() < frac {
 		n++
 	}
@@ -296,11 +400,43 @@ func triangleAt(rng *rand.Rand, cx, cy, sx, sy float64, spec Spec, id uint32) ge
 	if n > geom.MaxAttributes {
 		n = geom.MaxAttributes
 	}
-	p.NumAttrs = uint8(n)
 	for i := 0; i < 9*n; i++ {
 		rng.Float32()
 	}
+	return uint8(n)
+}
+
+// build rebuilds candidate c as primitive id at the given size scale.
+func (c *candidate) build(sizeScale float64, id uint32) geom.Primitive {
+	p := geom.Primitive{ID: id, Depth: c.depth, NumAttrs: c.attrs}
+	size := sizeScale * c.ex
+	switch c.shape {
+	case shapeSliver:
+		// A long thin triangle centered near the anchor, along the
+		// candidate's angle; the perpendicular gives its width.
+		length, width := size*c.r[0], size*0.3
+		dx, dy := c.r[1], c.r[2]
+		px, py := -dy, dx
+		p.Pos[0] = geom.Vec2{X: float32(c.cx - dx*length/2), Y: float32(c.cy - dy*length/2)}
+		p.Pos[1] = geom.Vec2{X: float32(c.cx + dx*length/2), Y: float32(c.cy + dy*length/2)}
+		p.Pos[2] = geom.Vec2{X: float32(c.cx + px*width), Y: float32(c.cy + py*width)}
+	case shapeProp:
+		place(&p, c.cx, c.cy, size*2.5, size*2.5, &c.r)
+	default:
+		place(&p, c.cx, c.cy, size, size, &c.r)
+	}
 	return p
+}
+
+// place positions p's vertices around (cx, cy) from their raw draws r,
+// within extents (sx, sy).
+func place(p *geom.Primitive, cx, cy, sx, sy float64, r *[6]float64) {
+	for i := 0; i < 3; i++ {
+		p.Pos[i] = geom.Vec2{
+			X: float32(cx + (r[2*i]-0.5)*sx),
+			Y: float32(cy + (r[2*i+1]-0.5)*sy),
+		}
+	}
 }
 
 // measure bins the frame and computes its realized statistics.

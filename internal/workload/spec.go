@@ -45,19 +45,31 @@ type Spec struct {
 	Seed int64
 }
 
-// Validate reports whether the spec is self-consistent.
+// maxPBFootprintMiB bounds a spec's Parameter Buffer footprint target, far
+// above Table II's largest (DDS, 1.81 MiB): Generate sizes its frames from
+// the target, so an unbounded one would allocate without limit.
+const maxPBFootprintMiB = 64
+
+// Validate reports whether the spec is self-consistent. Every bound is
+// written so that NaN fails it.
 func (s Spec) Validate() error {
 	if s.Alias == "" {
 		return fmt.Errorf("workload: spec needs an alias")
 	}
-	if s.PBFootprintMiB <= 0 {
-		return fmt.Errorf("workload %s: PB footprint must be positive", s.Alias)
+	if !(s.PBFootprintMiB > 0 && s.PBFootprintMiB <= maxPBFootprintMiB) {
+		return fmt.Errorf("workload %s: PB footprint %v MiB out of (0,%d]", s.Alias, s.PBFootprintMiB, maxPBFootprintMiB)
 	}
-	if s.AvgPrimReuse < 1 {
+	if !(s.AvgPrimReuse >= 1) {
 		return fmt.Errorf("workload %s: average reuse %v must be >= 1 (every primitive overlaps at least one tile)", s.Alias, s.AvgPrimReuse)
 	}
-	if s.MeanAttrs < 1 || s.MeanAttrs > 15 {
+	if !(s.MeanAttrs >= 1 && s.MeanAttrs <= 15) {
 		return fmt.Errorf("workload %s: mean attributes %v out of [1,15]", s.Alias, s.MeanAttrs)
+	}
+	if !(s.TextureMiB >= 0) {
+		return fmt.Errorf("workload %s: texture footprint %v must not be negative", s.Alias, s.TextureMiB)
+	}
+	if s.ShaderInstrPerPixel < 0 {
+		return fmt.Errorf("workload %s: shader length %d must not be negative", s.Alias, s.ShaderInstrPerPixel)
 	}
 	if s.Frames <= 0 {
 		return fmt.Errorf("workload %s: frames must be positive", s.Alias)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+	"unsafe"
 
 	"tcor/internal/geom"
 )
@@ -94,3 +95,12 @@ func TestGenerateAllocsIndependentOfPrims(t *testing.T) {
 }
 
 const maxGenerateAllocs = 128
+
+// TestCandidateIsCompact guards the size of a calibration record: frame 0
+// keeps one per candidate while Generate runs, so a scene of n primitives
+// holds about 88n bytes of them at its peak.
+func TestCandidateIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(candidate{}); got > 88 {
+		t.Errorf("candidate is %d bytes, want at most 88", got)
+	}
+}

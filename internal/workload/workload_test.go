@@ -43,6 +43,12 @@ func TestSpecValidate(t *testing.T) {
 	cases := []func(*Spec){
 		func(s *Spec) { s.Alias = "" },
 		func(s *Spec) { s.PBFootprintMiB = 0 },
+		func(s *Spec) { s.PBFootprintMiB = maxPBFootprintMiB + 1 },
+		func(s *Spec) { s.PBFootprintMiB = math.NaN() },
+		func(s *Spec) { s.AvgPrimReuse = math.NaN() },
+		func(s *Spec) { s.MeanAttrs = math.NaN() },
+		func(s *Spec) { s.TextureMiB = -1 },
+		func(s *Spec) { s.ShaderInstrPerPixel = -1 },
 		func(s *Spec) { s.AvgPrimReuse = 0.5 },
 		func(s *Spec) { s.MeanAttrs = 0 },
 		func(s *Spec) { s.MeanAttrs = 20 },
