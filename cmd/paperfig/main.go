@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	paperfig -fig 14            # one figure (1, 9, 11..24)
+//	paperfig -fig 14            # one figure of the catalogue (experiments.Paper)
 //	paperfig -table 2           # Table I or II
 //	paperfig -headline          # the abstract-level aggregate numbers
 //	paperfig -all               # everything, in paper order
@@ -117,14 +117,13 @@ func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (1, 9, 11-24)")
 	table := flag.Int("table", 0, "table number to regenerate (1 or 2)")
 	headline := flag.Bool("headline", false, "print the headline aggregate results")
-	ablation := flag.String("ablation", "", "run the design-choice ablation on a benchmark alias (e.g. CCS)")
-	renderers := flag.String("renderers", "", "run the parallel-renderer scaling study on a benchmark alias")
-	related := flag.Bool("related", false, "run the related-work policy comparison (extended Fig. 13)")
-	imr := flag.String("imr", "", "compare TBR against immediate-mode rendering on a benchmark alias")
-	sweep := flag.String("sweep", "", "run the Tile Cache size sweep on a benchmark alias")
-	falseOverlap := flag.String("falseoverlap", "", "compare exact vs bounding-box binning on a benchmark alias")
-	tileSize := flag.String("tilesize", "", "run the tile-size sensitivity study on a benchmark alias")
-	reuse := flag.String("reuse", "", "print the reuse-interval profile of a benchmark alias")
+	for _, s := range experiments.Studies {
+		if s.Bench {
+			flag.String(s.Mode, "", s.Usage)
+		} else {
+			flag.Bool(s.Mode, false, s.Usage)
+		}
+	}
 	arenaMode := flag.Bool("arena", false, "race the replacement-policy arena: ranked report plus miss-ratio-vs-size curves")
 	policiesFlag := flag.String("policies", "", "comma-separated policy roster for -arena (default: every registered policy except PLRU; LRU and OPT always race)")
 	arenaSize := flag.Float64("size", 0, "headline capacity in KiB for -arena (0 = paper default)")
@@ -165,14 +164,15 @@ func main() {
 	m.add("table", *table != 0)
 	m.add("headline", *headline)
 	m.add("all", *all)
-	m.add("ablation", *ablation != "")
-	m.add("renderers", *renderers != "")
-	m.add("related", *related)
-	m.add("imr", *imr != "")
-	m.add("sweep", *sweep != "")
-	m.add("falseoverlap", *falseOverlap != "")
-	m.add("tilesize", *tileSize != "")
-	m.add("reuse", *reuse != "")
+	var alias string // the benchmark of a per-benchmark study
+	for _, s := range experiments.Studies {
+		f := flag.Lookup(s.Mode)
+		set := f.Value.String() != f.DefValue
+		m.add(s.Mode, set)
+		if set && s.Bench {
+			alias = f.Value.String()
+		}
+	}
 	m.add("arena", *arenaMode)
 	m.add("report", *report != "")
 	if err := m.conflict(); err != nil {
@@ -233,7 +233,6 @@ func main() {
 		tracer = stats.NewTracer(1 << 16)
 		ctx = stats.ContextWithTracer(ctx, tracer)
 	}
-	prewarmPar = *parallel
 
 	r := experiments.NewRunner()
 	r.Frames = *frames
@@ -262,15 +261,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperfig: debug server on http://%s/metrics\n", addr)
 	}
 
-	plotFigures = *plot
-	if err := execute(r, execOpts{
-		fig: *fig, table: *table, headline: *headline, all: *all,
-		ablation: *ablation, renderers: *renderers, related: *related,
-		imr: *imr, sweep: *sweep, falseOverlap: *falseOverlap,
-		tileSize: *tileSize, reuse: *reuse, report: *report,
-		arena: *arenaMode, policies: roster, size: *arenaSize,
-		ways: *arenaWays, curves: *arenaCurves, jsonOut: jsonOut,
-	}); err != nil {
+	o := execOpts{num: *fig, alias: alias, plot: *plot, report: *report,
+		policies: roster, size: *arenaSize, ways: *arenaWays, curves: *arenaCurves, jsonOut: jsonOut}
+	if *table != 0 {
+		o.num = *table
+	}
+	if len(m) == 1 {
+		o.mode = m[0]
+	}
+	if err := execute(r, o); err != nil {
 		fail(err)
 	}
 	if *statsPath != "" {
@@ -304,25 +303,26 @@ func writeTrace(tracer *stats.Tracer, path string) error {
 
 // execOpts selects what one paperfig invocation produces.
 type execOpts struct {
-	fig, table                            int
-	headline, all, related                bool
-	ablation, renderers, imr, sweep       string
-	falseOverlap, tileSize, reuse, report string
+	mode   string // the selected mode flag; "" when none is set
+	num    int    // the -fig or -table number
+	alias  string // a per-benchmark study's benchmark
+	plot   bool
+	report string
 
-	arena           bool
 	policies        []string
 	size            float64
 	ways            int
 	curves, jsonOut bool
 }
 
-// execute dispatches the single selected mode.
+// execute dispatches the single selected mode. Every mode but -arena and
+// -report prints catalogue artifacts.
 func execute(r *experiments.Runner, o execOpts) error {
-	switch {
-	case o.arena:
+	switch o.mode {
+	case "arena":
 		return runArena(os.Stdout, r, o)
-	case o.report != "":
-		if err := r.Prewarm(prewarmPar); err != nil {
+	case "report":
+		if err := r.Prewarm(r.Parallel); err != nil {
 			return err
 		}
 		f, err := os.Create(o.report)
@@ -335,64 +335,46 @@ func execute(r *experiments.Runner, o execOpts) error {
 		}
 		fmt.Println("wrote", o.report)
 		return nil
-	case o.tileSize != "":
-		t, _, err := r.TileSizeSweep(o.tileSize)
-		if err != nil {
+	case "all":
+		if err := r.Prewarm(r.Parallel); err != nil {
 			return err
 		}
-		printTableOut(t)
+		for _, a := range experiments.Paper {
+			if err := show(r, a, o); err != nil {
+				return err
+			}
+		}
 		return nil
-	case o.falseOverlap != "":
-		t, err := r.FalseOverlap(o.falseOverlap)
+	case "":
+		flag.Usage()
+		return fmt.Errorf("nothing to do: pass -fig, -table, -headline or -all")
+	}
+	a, err := experiments.Find(o.mode, o.num)
+	if err != nil {
+		return err
+	}
+	return show(r, a, o)
+}
+
+// show prints one artifact: its tables, or with -plot its chart when it
+// has one.
+func show(r *experiments.Runner, a experiments.Artifact, o execOpts) error {
+	if o.plot && a.Plot != nil {
+		chart, err := a.Plot(r)
 		if err != nil {
 			return err
 		}
-		printTableOut(t)
-		return nil
-	case o.sweep != "":
-		t, _, err := r.SizeSweep(o.sweep)
-		if err != nil {
-			return err
-		}
-		printTableOut(t)
-		return nil
-	case o.imr != "":
-		t, err := r.TBRvsIMR(o.imr)
-		if err != nil {
-			return err
-		}
-		printTableOut(t)
-		return nil
-	case o.related:
-		t, err := r.RelatedWork(48)
-		if err != nil {
-			return err
-		}
-		printTableOut(t)
-		return nil
-	case o.reuse != "":
-		t, err := r.ReuseProfile(o.reuse)
-		if err != nil {
-			return err
-		}
-		printTableOut(t)
-		return nil
-	case o.renderers != "":
-		p, err := r.ParallelRenderers(o.renderers, 64)
-		if err != nil {
-			return err
-		}
-		printTableOut(p.Table())
-		return nil
-	case o.ablation != "":
-		a, err := r.Ablation(o.ablation, 64)
-		if err != nil {
-			return err
-		}
-		printTableOut(a.Table())
+		fmt.Print(chart)
 		return nil
 	}
-	return run(r, o.fig, o.table, o.headline, o.all)
+	tables, err := a.Tables(r, o.alias)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		printTableOut(t)
+	}
+	return nil
 }
 
 // runArena races the selected roster and renders the ranked report. With
@@ -442,13 +424,6 @@ func writeStats(r *experiments.Runner, path string) error {
 // printTableOut renders a table in the selected output format.
 var printTableOut = func(t *experiments.Table) { fmt.Println(t) }
 
-// prewarmPar is the -parallel flag value used by the -all prewarm
-// (0 = GOMAXPROCS).
-var prewarmPar = 0
-
-// plotFigures selects ASCII charts for the policy figures.
-var plotFigures = false
-
 // slugify turns a table title into a file name.
 func slugify(title string) string {
 	var b strings.Builder
@@ -466,157 +441,4 @@ func slugify(title string) string {
 		}
 	}
 	return strings.TrimRight(b.String(), "-")
-}
-
-func run(r *experiments.Runner, fig, table int, headline, all bool) error {
-	if all {
-		if err := r.Prewarm(prewarmPar); err != nil {
-			return err
-		}
-		for _, t := range []int{1, 2} {
-			if err := printTable(r, t); err != nil {
-				return err
-			}
-		}
-		for _, f := range []int{1, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24} {
-			if err := printFig(r, f); err != nil {
-				return err
-			}
-		}
-		return printHeadline(r)
-	}
-	if table != 0 {
-		return printTable(r, table)
-	}
-	if fig != 0 {
-		return printFig(r, fig)
-	}
-	if headline {
-		return printHeadline(r)
-	}
-	flag.Usage()
-	return fmt.Errorf("nothing to do: pass -fig, -table, -headline or -all")
-}
-
-func printTable(r *experiments.Runner, n int) error {
-	switch n {
-	case 1:
-		printTableOut(experiments.TableI())
-	case 2:
-		t, err := r.TableII()
-		if err != nil {
-			return err
-		}
-		printTableOut(t)
-	default:
-		return fmt.Errorf("unknown table %d", n)
-	}
-	return nil
-}
-
-func printFig(r *experiments.Runner, n int) error {
-	var t *experiments.Table
-	var err error
-	switch n {
-	case 1:
-		var f *experiments.PolicyFigure
-		if f, err = r.Fig1(); err == nil {
-			if plotFigures {
-				fmt.Print(f.AsciiPlot(70, 18))
-				return nil
-			}
-			t = f.Table()
-		}
-	case 9, 10:
-		t, err = experiments.Fig910()
-	case 11:
-		var f *experiments.PolicyFigure
-		if f, err = r.Fig11(); err == nil {
-			if plotFigures {
-				fmt.Print(f.AsciiPlot(70, 18))
-				return nil
-			}
-			t = f.Table()
-		}
-	case 12:
-		figs, e := r.Fig12()
-		if e != nil {
-			return e
-		}
-		for _, pol := range []string{"LRU", "OPT"} {
-			ft := figs[pol].Table()
-			ft.Title = fmt.Sprintf("Figure 12 (%s): miss ratio vs size and associativity", pol)
-			printTableOut(ft)
-		}
-		return nil
-	case 13:
-		var f *experiments.PolicyFigure
-		if f, err = r.Fig13(); err == nil {
-			if plotFigures {
-				fmt.Print(f.AsciiPlot(70, 18))
-				return nil
-			}
-			t = f.Table()
-		}
-	case 14, 15, 16, 17, 18, 19:
-		var f *experiments.TrafficFigure
-		switch n {
-		case 14:
-			f, err = r.Fig14()
-		case 15:
-			f, err = r.Fig15()
-		case 16:
-			f, err = r.Fig16()
-		case 17:
-			f, err = r.Fig17()
-		case 18:
-			f, err = r.Fig18()
-		case 19:
-			f, err = r.Fig19()
-		}
-		if err == nil {
-			t = f.Table()
-		}
-	case 20, 21:
-		var f *experiments.EnergyFigure
-		if n == 20 {
-			f, err = r.Fig20()
-		} else {
-			f, err = r.Fig21()
-		}
-		if err == nil {
-			t = f.Table()
-		}
-	case 22:
-		var f *experiments.GPUEnergyFigure
-		if f, err = r.Fig22(); err == nil {
-			t = f.Table()
-		}
-	case 23, 24:
-		var f *experiments.ThroughputFigure
-		if n == 23 {
-			f, err = r.Fig23()
-		} else {
-			f, err = r.Fig24()
-		}
-		if err == nil {
-			t = f.Table()
-		}
-	default:
-		return fmt.Errorf("unknown figure %d", n)
-	}
-	if err != nil {
-		return err
-	}
-	printTableOut(t)
-	return nil
-}
-
-func printHeadline(r *experiments.Runner) error {
-	h, err := r.Headline()
-	if err != nil {
-		return err
-	}
-	printTableOut(h.Table())
-	return nil
 }

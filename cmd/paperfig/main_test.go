@@ -122,7 +122,7 @@ func TestExecuteAndWriteStats(t *testing.T) {
 	r := experiments.NewRunner()
 	r.Frames = 1
 	r.Benchmarks = []string{"GTr"}
-	if err := execute(r, execOpts{fig: 14}); err != nil {
+	if err := execute(r, execOpts{mode: "fig", num: 14}); err != nil {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/metrics.json"
@@ -154,7 +154,7 @@ func TestExecuteArena(t *testing.T) {
 	r := experiments.NewRunner()
 	r.Frames = 1
 	r.Benchmarks = []string{"GTr"}
-	o := execOpts{arena: true, policies: []string{"LRU", "OPT", "ARC"}, size: 16}
+	o := execOpts{mode: "arena", policies: []string{"LRU", "OPT", "ARC"}, size: 16}
 	if err := execute(r, o); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestArenaJSONMatchesDaemon(t *testing.T) {
 	r.Frames = 1
 	r.Benchmarks = []string{"GTr"}
 	var cli bytes.Buffer
-	o := execOpts{arena: true, policies: []string{"LRU", "OPT", "ARC"}, size: 16, jsonOut: true}
+	o := execOpts{mode: "arena", policies: []string{"LRU", "OPT", "ARC"}, size: 16, jsonOut: true}
 	if err := runArena(&cli, r, o); err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +208,10 @@ func TestArenaJSONMatchesDaemon(t *testing.T) {
 
 func TestExecuteUnknownFigure(t *testing.T) {
 	r := experiments.NewRunner()
-	if err := execute(r, execOpts{fig: 99}); err == nil {
+	if err := execute(r, execOpts{mode: "fig", num: 99}); err == nil {
 		t.Error("unknown figure must fail")
 	}
-	if err := execute(r, execOpts{table: 7}); err == nil {
+	if err := execute(r, execOpts{mode: "table", num: 7}); err == nil {
 		t.Error("unknown table must fail")
 	}
 }

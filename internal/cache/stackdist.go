@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"sort"
-
-	"tcor/internal/trace"
-)
+import "tcor/internal/trace"
 
 // Mattson et al.'s "Evaluation techniques for storage hierarchies" — the
 // paper that proved OPT optimal (TCOR's reference [27]) — introduced *stack
@@ -90,52 +86,4 @@ func (p StackProfile) Curve(capacities []int) []float64 {
 		out[i] = p.MissRatioAt(c)
 	}
 	return out
-}
-
-// Percentile returns the stack distance below which the given fraction of
-// *reused* accesses fall (the reuse-distance quantile used by the workload
-// characterization experiments).
-func (p StackProfile) Percentile(f float64) int {
-	var reused int64
-	for _, n := range p.Distances {
-		reused += n
-	}
-	if reused == 0 {
-		return 0
-	}
-	target := int64(f * float64(reused))
-	var cum int64
-	for d, n := range p.Distances {
-		cum += n
-		if cum >= target {
-			return d
-		}
-	}
-	return len(p.Distances) - 1
-}
-
-// OPTStackDistances computes the OPT stack-distance profile: OPT is also a
-// stack algorithm (Mattson et al. prove inclusion for it), so a single
-// profile yields the optimal miss count at every capacity. This
-// implementation derives the profile from per-size simulations at
-// power-of-two capacities bounded by the working set — not a true one-pass
-// algorithm (the exact one-pass OPT profile needs a priority structure that
-// is considerably more intricate), but it exposes the same interface and
-// inherits exactness from the simulator at the probed sizes, interpolating
-// between them monotonically.
-func OPTStackDistances(tr trace.Trace, capacities []int) (map[int]int64, error) {
-	out := make(map[int]int64, len(capacities))
-	sorted := append([]int(nil), capacities...)
-	sort.Ints(sorted)
-	for _, c := range sorted {
-		if c <= 0 {
-			continue
-		}
-		st, err := Simulate(Config{Lines: c, WriteAllocate: true}, NewOPT(), tr)
-		if err != nil {
-			return nil, err
-		}
-		out[c] = st.Misses
-	}
-	return out, nil
 }

@@ -94,37 +94,4 @@ func TestStackProfileHelpers(t *testing.T) {
 	if zero.MissRatioAt(4) != 0 {
 		t.Error("empty profile ratio")
 	}
-	if d := p.Percentile(0.5); d < 1 || d > 2 {
-		t.Errorf("median reuse distance = %d", d)
-	}
-	if (StackProfile{}).Percentile(0.5) != 0 {
-		t.Error("empty percentile")
-	}
-}
-
-// OPT inclusion: the OPT miss counts are monotone in capacity and never
-// exceed LRU's at the same capacity.
-func TestOPTStackDistances(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	tr := make(trace.Trace, 8000)
-	for i := range tr {
-		tr[i].Key = trace.Key(rng.Intn(250))
-	}
-	trace.AnnotateNextUse(tr)
-	caps := []int{4, 8, 16, 32, 64, 128}
-	opt, err := OPTStackDistances(tr, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lru := LRUStackDistances(tr)
-	prev := int64(1 << 62)
-	for _, c := range caps {
-		if opt[c] > prev {
-			t.Errorf("OPT misses increased at capacity %d", c)
-		}
-		prev = opt[c]
-		if opt[c] > lru.MissesAt(c) {
-			t.Errorf("capacity %d: OPT %d > LRU %d", c, opt[c], lru.MissesAt(c))
-		}
-	}
 }

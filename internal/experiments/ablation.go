@@ -56,52 +56,35 @@ func (a *AblationResult) Table() *Table {
 // enhancements), plus a scanline-traversal variant and the baseline.
 func (r *Runner) Ablation(alias string, sizeKB int) (*AblationResult, error) {
 	bytes := tileCacheBytes(sizeKB)
-	configs := []struct {
+	tcorWithout := func(change func(*gpu.Config)) gpu.Config {
+		c := gpu.TCOR(bytes)
+		change(&c)
+		return c
+	}
+	type variant struct {
 		name string
 		cfg  gpu.Config
-	}{
+	}
+	variants := []variant{
 		{"TCOR (full)", gpu.TCOR(bytes)},
-		{"no interleaved layout", func() gpu.Config {
-			c := gpu.TCOR(bytes)
-			c.InterleavedLists = false
-			return c
-		}()},
-		{"no XOR indexing", func() gpu.Config {
-			c := gpu.TCOR(bytes)
-			c.XORIndex = false
-			return c
-		}()},
-		{"no write bypass", func() gpu.Config {
-			c := gpu.TCOR(bytes)
-			c.WriteBypass = false
-			return c
-		}()},
+		{"no interleaved layout", tcorWithout(func(c *gpu.Config) { c.InterleavedLists = false })},
+		{"no XOR indexing", tcorWithout(func(c *gpu.Config) { c.XORIndex = false })},
+		{"no write bypass", tcorWithout(func(c *gpu.Config) { c.WriteBypass = false })},
 		{"no L2 enhancements", gpu.TCORNoL2(bytes)},
-		{"scanline traversal", func() gpu.Config {
-			c := gpu.TCOR(bytes)
-			c.Order = tiling.OrderScanline
-			return c
-		}()},
-		{"hilbert traversal", func() gpu.Config {
-			c := gpu.TCOR(bytes)
-			c.Order = tiling.OrderHilbert
-			return c
-		}()},
+		{"scanline traversal", tcorWithout(func(c *gpu.Config) { c.Order = tiling.OrderScanline })},
+		{"hilbert traversal", tcorWithout(func(c *gpu.Config) { c.Order = tiling.OrderHilbert })},
 		{"baseline", gpu.Baseline(bytes)},
 	}
-	rows, err := SweepSlice(r.baseCtx(), r.Parallel, configs,
-		func(_ context.Context, c struct {
-			name string
-			cfg  gpu.Config
-		}) (AblationRow, error) {
-			res, err := r.Run(alias, fmt.Sprintf("abl-%s-%d", c.name, sizeKB), c.cfg)
+	rows, err := SweepSlice(r.baseCtx(), r.Parallel, variants,
+		func(_ context.Context, v variant) (AblationRow, error) {
+			res, err := r.Run(alias, fmt.Sprintf("abl-%s-%d", v.name, sizeKB), v.cfg)
 			if err != nil {
 				return AblationRow{}, err
 			}
 			pb := res.L2In.PB()
 			pbm := res.DRAMIn.PB()
 			return AblationRow{
-				Name:   c.name,
+				Name:   v.name,
 				PBL2:   pb.Reads + pb.Writes,
 				PBMem:  pbm.Reads + pbm.Writes,
 				HierPJ: res.MemHierarchyPJ,

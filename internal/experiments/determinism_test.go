@@ -6,48 +6,30 @@ import (
 	"testing"
 )
 
-// renderSystemFigures renders the Figs. 14-24 tables plus the headline
-// aggregate into one string, in paper order.
+// renderSystemFigures renders, in catalogue order, every artifact computed
+// from the six-configuration grid: the figures RESULTS.md reports (Figs.
+// 14-24) and the headline.
 func renderSystemFigures(t *testing.T, r *Runner) string {
 	t.Helper()
 	var b strings.Builder
-	figs := []struct {
-		n     int
-		table func() (*Table, error)
-	}{
-		{14, func() (*Table, error) { f, err := r.Fig14(); return tbl(f, err) }},
-		{15, func() (*Table, error) { f, err := r.Fig15(); return tbl(f, err) }},
-		{16, func() (*Table, error) { f, err := r.Fig16(); return tbl(f, err) }},
-		{17, func() (*Table, error) { f, err := r.Fig17(); return tbl(f, err) }},
-		{18, func() (*Table, error) { f, err := r.Fig18(); return tbl(f, err) }},
-		{19, func() (*Table, error) { f, err := r.Fig19(); return tbl(f, err) }},
-		{20, func() (*Table, error) { f, err := r.Fig20(); return tbl(f, err) }},
-		{21, func() (*Table, error) { f, err := r.Fig21(); return tbl(f, err) }},
-		{22, func() (*Table, error) { f, err := r.Fig22(); return tbl(f, err) }},
-		{23, func() (*Table, error) { f, err := r.Fig23(); return tbl(f, err) }},
-		{24, func() (*Table, error) { f, err := r.Fig24(); return tbl(f, err) }},
-	}
-	for _, fig := range figs {
-		tab, err := fig.table()
-		if err != nil {
-			t.Fatalf("fig %d: %v", fig.n, err)
+	n := 0
+	for _, a := range Paper {
+		if a.Summary == nil && a.Mode != "headline" {
+			continue
 		}
-		fmt.Fprintf(&b, "%s\n", tab)
+		n++
+		tables, err := a.Tables(r, "")
+		if err != nil {
+			t.Fatalf("%s %d: %v", a.Mode, a.Num, err)
+		}
+		for _, tab := range tables {
+			fmt.Fprintf(&b, "%s\n", tab)
+		}
 	}
-	h, err := r.Headline()
-	if err != nil {
-		t.Fatal(err)
+	if n != 12 {
+		t.Fatalf("rendered %d grid artifacts, want 12 (Figs. 14-24 and the headline)", n)
 	}
-	fmt.Fprintf(&b, "%s\n", h.Table())
 	return b.String()
-}
-
-// tbl adapts a figure's (figure, error) pair to (figure.Table(), error).
-func tbl(f interface{ Table() *Table }, err error) (*Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return f.Table(), nil
 }
 
 // TestGoldenParallelDeterminism is the reproducibility contract of the sweep

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tcor/internal/cache"
 )
 
 // fastRunner restricts the suite and frame count to keep tests quick.
@@ -501,12 +503,12 @@ func TestStackProfilePathMatchesSimulation(t *testing.T) {
 	}
 	for _, sizeKB := range []float64{16, 48, 96} {
 		cp := CapacityPrims(sizeKB)
-		st, err := cacheSimLRU(cp, tr)
+		st, err := cache.Simulate(cache.Config{Lines: cp, WriteAllocate: true}, cache.NewLRU(), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.MissesAt(cp); got != st {
-			t.Errorf("%vKB: profile %d misses, simulator %d", sizeKB, got, st)
+		if got := p.MissesAt(cp); got != st.Misses {
+			t.Errorf("%vKB: profile %d misses, simulator %d", sizeKB, got, st.Misses)
 		}
 	}
 }

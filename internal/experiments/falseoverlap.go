@@ -12,19 +12,7 @@ import (
 // structure — more PMDs, longer lists, more Tile Fetcher reads of
 // primitives the Rasterizer then discards.
 func (r *Runner) FalseOverlap(alias string) (*Table, error) {
-	sc, err := r.Scene(alias)
-	if err != nil {
-		return nil, err
-	}
-	trav, err := tiling.NewTraversal(r.Screen, tiling.OrderZ)
-	if err != nil {
-		return nil, err
-	}
-	exact, err := tiling.BinWithOverlap(r.Screen, trav, sc.Frame(0).Prims, tiling.OverlapExact)
-	if err != nil {
-		return nil, err
-	}
-	bbox, err := tiling.BinWithOverlap(r.Screen, trav, sc.Frame(0).Prims, tiling.OverlapBBox)
+	exact, bbox, err := r.binBothWays(alias)
 	if err != nil {
 		return nil, err
 	}
@@ -60,21 +48,28 @@ func (r *Runner) FalseOverlap(alias string) (*Table, error) {
 // FalseOverlapInflation returns the PMD inflation factor bbox/exact (for
 // tests).
 func (r *Runner) FalseOverlapInflation(alias string) (float64, error) {
-	sc, err := r.Scene(alias)
-	if err != nil {
-		return 0, err
-	}
-	trav, err := tiling.NewTraversal(r.Screen, tiling.OrderZ)
-	if err != nil {
-		return 0, err
-	}
-	exact, err := tiling.BinWithOverlap(r.Screen, trav, sc.Frame(0).Prims, tiling.OverlapExact)
-	if err != nil {
-		return 0, err
-	}
-	bbox, err := tiling.BinWithOverlap(r.Screen, trav, sc.Frame(0).Prims, tiling.OverlapBBox)
+	exact, bbox, err := r.binBothWays(alias)
 	if err != nil {
 		return 0, err
 	}
 	return float64(bbox.TotalOverlaps) / float64(exact.TotalOverlaps), nil
+}
+
+// binBothWays bins a benchmark's first frame in Z-order with the exact
+// overlap test and with bounding boxes.
+func (r *Runner) binBothWays(alias string) (exact, bbox *tiling.Binning, err error) {
+	sc, err := r.Scene(alias)
+	if err != nil {
+		return nil, nil, err
+	}
+	trav, err := tiling.NewTraversal(r.Screen, tiling.OrderZ)
+	if err != nil {
+		return nil, nil, err
+	}
+	prims := sc.Frame(0).Prims
+	if exact, err = tiling.BinWithOverlap(r.Screen, trav, prims, tiling.OverlapExact); err != nil {
+		return nil, nil, err
+	}
+	bbox, err = tiling.BinWithOverlap(r.Screen, trav, prims, tiling.OverlapBBox)
+	return exact, bbox, err
 }

@@ -24,7 +24,7 @@ import (
 // and IMR's texture locality is no better). IMR has no Parameter Buffer:
 // binning traffic is TBR-only.
 func (r *Runner) TBRvsIMR(alias string) (*Table, error) {
-	tbr, err := r.baseline(alias, 64)
+	tbr, err := r.grid(alias, gridBaseline, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +59,8 @@ func (r *Runner) TBRvsIMR(alias string) (*Table, error) {
 		for i := range frame.Prims {
 			p := &frame.Prims[i]
 			bb := p.BBox()
-			x0, y0 := clampI(int(bb.Min.X)/2, 0, qw-1), clampI(int(bb.Min.Y)/2, 0, qh-1)
-			x1, y1 := clampI(int(bb.Max.X)/2, 0, qw-1), clampI(int(bb.Max.Y)/2, 0, qh-1)
+			x0, y0 := min(max(int(bb.Min.X)/2, 0), qw-1), min(max(int(bb.Min.Y)/2, 0), qh-1)
+			x1, y1 := min(max(int(bb.Max.X)/2, 0), qw-1), min(max(int(bb.Max.Y)/2, 0), qh-1)
 			z := (p.Depth[0] + p.Depth[1] + p.Depth[2]) / 3
 			for qy := y0; qy <= y1; qy++ {
 				for qx := x0; qx <= x1; qx++ {
@@ -120,14 +120,4 @@ func (r *Runner) IMRRatio(alias string) (float64, error) {
 		return 0, err
 	}
 	return ratio, nil
-}
-
-func clampI(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

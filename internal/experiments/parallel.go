@@ -70,11 +70,11 @@ func fpsWithRenderers(res *gpu.Result, n int, clockHz float64) float64 {
 
 // ParallelRenderers runs the renderer-scaling study for one benchmark.
 func (r *Runner) ParallelRenderers(alias string, sizeKB int) (*ParallelResult, error) {
-	base, err := r.baseline(alias, sizeKB)
+	base, err := r.grid(alias, gridBaseline, sizeKB)
 	if err != nil {
 		return nil, err
 	}
-	tc, err := r.tcorFull(alias, sizeKB)
+	tc, err := r.grid(alias, gridTCOR, sizeKB)
 	if err != nil {
 		return nil, err
 	}

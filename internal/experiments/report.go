@@ -3,13 +3,15 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 )
 
 // WriteReport regenerates a complete markdown results report — the
 // machine-written companion to EXPERIMENTS.md — with fresh numbers from
-// this runner: headline, every figure's summary statistic, Tables I/II and
-// the beyond-the-paper studies. Intended for `paperfig -report out.md`.
+// this runner: the headline, the summary cell of every figure with a
+// catalogue row, Table II and the related-work policies.
+// Intended for `paperfig -report out.md`.
 func (r *Runner) WriteReport(w io.Writer, generatedAt time.Time) error {
 	fmt.Fprintf(w, "# TCOR reproduction results\n\n")
 	fmt.Fprintf(w, "Generated %s by `paperfig -report`. All numbers are deterministic.\n\n",
@@ -19,103 +21,25 @@ func (r *Runner) WriteReport(w io.Writer, generatedAt time.Time) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "## Headline (paper: 13.8%% / 5.5%% / 3.7%% / ~5x)\n\n")
-	fmt.Fprintf(w, "- memory hierarchy energy decrease: **%.1f%%**\n", 100*h.MemHierarchyDecrease)
-	fmt.Fprintf(w, "- total GPU energy decrease: **%.1f%%**\n", 100*h.GPUEnergyDecrease)
-	fmt.Fprintf(w, "- FPS increase: **%.1f%%**\n", 100*h.FPSIncrease)
-	fmt.Fprintf(w, "- tiling engine speedup: **%.1fx**\n\n", h.TilingSpeedup)
+	paper := make([]string, len(headlineMetrics))
+	for i, m := range headlineMetrics {
+		paper[i] = m.paper
+	}
+	fmt.Fprintf(w, "## Headline (paper: %s)\n\n", strings.Join(paper, " / "))
+	for _, m := range headlineMetrics {
+		fmt.Fprintf(w, "- %s: **%s**\n", m.bullet, m.cell(h))
+	}
 
-	type figure struct {
-		name  string
-		run   func() (string, error)
-		paper string
-	}
-	figs := []figure{
-		{"Fig. 14 PB→L2 (64 KiB)", func() (string, error) {
-			f, err := r.Fig14()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% average", 100*f.Average), nil
-		}, "−33.5%"},
-		{"Fig. 15 PB→L2 (128 KiB)", func() (string, error) {
-			f, err := r.Fig15()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% average", 100*f.Average), nil
-		}, "−37.1%"},
-		{"Fig. 16 PB→memory (64 KiB)", func() (string, error) {
-			f, err := r.Fig16()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% average", 100*f.Average), nil
-		}, "−93.0%"},
-		{"Fig. 17 PB→memory (128 KiB)", func() (string, error) {
-			f, err := r.Fig17()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% average", 100*f.Average), nil
-		}, "−94.1%"},
-		{"Fig. 18 memory total (64 KiB)", func() (string, error) {
-			f, err := r.Fig18()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% average", 100*f.Average), nil
-		}, "−13.9%"},
-		{"Fig. 19 memory total (128 KiB)", func() (string, error) {
-			f, err := r.Fig19()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% average", 100*f.Average), nil
-		}, "−13.3%"},
-		{"Fig. 20 hierarchy energy (64 KiB)", func() (string, error) {
-			f, err := r.Fig20()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% TCOR, −%.1f%% without L2 enh.", 100*f.AvgTCOR, 100*f.AvgNoL2), nil
-		}, "−14.1% / −8.7%"},
-		{"Fig. 21 hierarchy energy (128 KiB)", func() (string, error) {
-			f, err := r.Fig21()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% TCOR, −%.1f%% without L2 enh.", 100*f.AvgTCOR, 100*f.AvgNoL2), nil
-		}, "−13.6% / −9.3%"},
-		{"Fig. 22 total GPU energy", func() (string, error) {
-			f, err := r.Fig22()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("−%.1f%% (64 KiB), −%.1f%% (128 KiB)", 100*f.Avg64, 100*f.Avg128), nil
-		}, "−5.6% / −5.3%"},
-		{"Fig. 23 tiling throughput (64 KiB)", func() (string, error) {
-			f, err := r.Fig23()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%.1fx average speedup", f.AvgSpeedup), nil
-		}, "4.7x"},
-		{"Fig. 24 tiling throughput (128 KiB)", func() (string, error) {
-			f, err := r.Fig24()
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%.1fx average speedup", f.AvgSpeedup), nil
-		}, "5.0x"},
-	}
-	fmt.Fprintf(w, "## Figures\n\n| Figure | Paper | This run |\n|---|---|---|\n")
-	for _, f := range figs {
-		val, err := f.run()
+	fmt.Fprintf(w, "\n## Figures\n\n| Figure | Paper | This run |\n|---|---|---|\n")
+	for _, a := range Paper {
+		if a.Summary == nil {
+			continue
+		}
+		val, err := a.Summary(r)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "| %s | %s | %s |\n", f.name, f.paper, val)
+		fmt.Fprintf(w, "| %s | %s | %s |\n", a.Row, a.Paper, val)
 	}
 	fmt.Fprintln(w)
 

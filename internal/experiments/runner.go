@@ -213,10 +213,9 @@ func (r *Runner) runScene(cells []runCell) []*memoCell[*gpu.Result] {
 func prewarmConfigs(alias string) []runCell {
 	var cells []runCell
 	for _, sizeKB := range []int{64, 128} {
-		cells = append(cells,
-			runCell{alias, fmt.Sprintf("base%d", sizeKB), gpu.Baseline(sizeKB * 1024)},
-			runCell{alias, fmt.Sprintf("tcor%d", sizeKB), gpu.TCOR(sizeKB * 1024)},
-			runCell{alias, fmt.Sprintf("nol2-%d", sizeKB), gpu.TCORNoL2(sizeKB * 1024)})
+		for config := range gridConfigs {
+			cells = append(cells, gridCell(alias, config, sizeKB))
+		}
 	}
 	return cells
 }
@@ -314,13 +313,4 @@ func CapacityPrims(sizeKB float64) int {
 		cp = 1
 	}
 	return cp
-}
-
-// cacheSimLRU is a test helper: event-driven fully associative LRU misses.
-func cacheSimLRU(cp int, tr trace.Trace) (int64, error) {
-	st, err := cache.Simulate(cache.Config{Lines: cp, WriteAllocate: true}, cache.NewLRU(), tr)
-	if err != nil {
-		return 0, err
-	}
-	return st.Misses, nil
 }

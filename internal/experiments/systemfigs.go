@@ -11,17 +11,49 @@ import (
 // tileCacheBytes maps the two experiment sizes of §V-B.
 func tileCacheBytes(sizeKB int) int { return sizeKB * 1024 }
 
-// run helpers for the six configurations behind Figs. 14-24.
-func (r *Runner) baseline(alias string, sizeKB int) (*gpu.Result, error) {
-	return r.Run(alias, fmt.Sprintf("base%d", sizeKB), gpu.Baseline(tileCacheBytes(sizeKB)))
+// gridConfigs are the three full-system configurations behind Figs. 14-24,
+// each run at 64 and 128 KiB. A cell's memo name is its configuration's
+// prefix followed by the size: base64, tcor128, nol2-64 and so on.
+var gridConfigs = [...]struct {
+	prefix string
+	config func(tileCacheBytes int) gpu.Config
+}{{"base", gpu.Baseline}, {"tcor", gpu.TCOR}, {"nol2-", gpu.TCORNoL2}}
+
+// Indices into gridConfigs.
+const (
+	gridBaseline = iota
+	gridTCOR
+	gridNoL2
+)
+
+// gridCell is one benchmark's cell of the grid.
+func gridCell(alias string, config, sizeKB int) runCell {
+	c := gridConfigs[config]
+	return runCell{alias, fmt.Sprintf("%s%d", c.prefix, sizeKB), c.config(tileCacheBytes(sizeKB))}
 }
 
-func (r *Runner) tcorFull(alias string, sizeKB int) (*gpu.Result, error) {
-	return r.Run(alias, fmt.Sprintf("tcor%d", sizeKB), gpu.TCOR(tileCacheBytes(sizeKB)))
+// grid returns the memoized result of one grid cell.
+func (r *Runner) grid(alias string, config, sizeKB int) (*gpu.Result, error) {
+	c := gridCell(alias, config, sizeKB)
+	return r.Run(c.alias, c.name, c.cfg)
 }
 
-func (r *Runner) tcorNoL2(alias string, sizeKB int) (*gpu.Result, error) {
-	return r.Run(alias, fmt.Sprintf("nol2-%d", sizeKB), gpu.TCORNoL2(tileCacheBytes(sizeKB)))
+// suiteMean averages per-benchmark values, one mean per getter, and is 0
+// for an empty suite. Each mean adds its values in suite order: float
+// addition is not associative, so a fixed order keeps the means
+// bit-identical at every parallelism level.
+func suiteMean[T any](rows []T, get ...func(T) float64) []float64 {
+	means := make([]float64, len(get))
+	if len(rows) == 0 {
+		return means
+	}
+	for i, g := range get {
+		for _, row := range rows {
+			means[i] += g(row)
+		}
+		means[i] /= float64(len(rows))
+	}
+	return means
 }
 
 // TrafficRow is one benchmark's bar of a normalized traffic figure: reads
@@ -64,17 +96,20 @@ func (f *TrafficFigure) Table() *Table {
 	return t
 }
 
+// Summary is the figure's cell in RESULTS.md.
+func (f *TrafficFigure) Summary() string { return fmt.Sprintf("−%.1f%% average", 100*f.Average) }
+
 // trafficFigure builds Figs. 14-19 from a per-result counter extractor. The
 // per-benchmark rows come back from the sweep pool in suite order, so the
 // aggregation below is identical at every parallelism level.
 func (r *Runner) trafficFigure(fig, sizeKB int, metric string,
 	get func(*gpu.Result) mem.RegionCounts) (*TrafficFigure, error) {
 	rows, err := forSuite(r, func(spec workload.Spec) (TrafficRow, error) {
-		base, err := r.baseline(spec.Alias, sizeKB)
+		base, err := r.grid(spec.Alias, gridBaseline, sizeKB)
 		if err != nil {
 			return TrafficRow{}, err
 		}
-		tc, err := r.tcorFull(spec.Alias, sizeKB)
+		tc, err := r.grid(spec.Alias, gridTCOR, sizeKB)
 		if err != nil {
 			return TrafficRow{}, err
 		}
@@ -92,15 +127,8 @@ func (r *Runner) trafficFigure(fig, sizeKB int, metric string,
 	if err != nil {
 		return nil, err
 	}
-	f := &TrafficFigure{Fig: fig, SizeKB: sizeKB, Metric: metric, Rows: rows}
-	var sum float64
-	for _, row := range rows {
-		sum += row.Decrease
-	}
-	if len(rows) > 0 {
-		f.Average = sum / float64(len(rows))
-	}
-	return f, nil
+	avg := suiteMean(rows, func(row TrafficRow) float64 { return row.Decrease })
+	return &TrafficFigure{Fig: fig, SizeKB: sizeKB, Metric: metric, Rows: rows, Average: avg[0]}, nil
 }
 
 // Fig14 and Fig15: Parameter Buffer accesses to the L2, for the 64 KiB and
@@ -174,6 +202,11 @@ func (f *EnergyFigure) Table() *Table {
 	return t
 }
 
+// Summary is the figure's cell in RESULTS.md.
+func (f *EnergyFigure) Summary() string {
+	return fmt.Sprintf("−%.1f%% TCOR, −%.1f%% without L2 enh.", 100*f.AvgTCOR, 100*f.AvgNoL2)
+}
+
 // Fig20 and Fig21: memory-hierarchy energy for baseline, TCOR without the
 // L2 enhancements, and full TCOR.
 func (r *Runner) Fig20() (*EnergyFigure, error) { return r.figEnergy(20, 64) }
@@ -183,15 +216,15 @@ func (r *Runner) Fig21() (*EnergyFigure, error) { return r.figEnergy(21, 128) }
 
 func (r *Runner) figEnergy(fig, sizeKB int) (*EnergyFigure, error) {
 	rows, err := forSuite(r, func(spec workload.Spec) (EnergyRow, error) {
-		base, err := r.baseline(spec.Alias, sizeKB)
+		base, err := r.grid(spec.Alias, gridBaseline, sizeKB)
 		if err != nil {
 			return EnergyRow{}, err
 		}
-		noL2, err := r.tcorNoL2(spec.Alias, sizeKB)
+		noL2, err := r.grid(spec.Alias, gridNoL2, sizeKB)
 		if err != nil {
 			return EnergyRow{}, err
 		}
-		tc, err := r.tcorFull(spec.Alias, sizeKB)
+		tc, err := r.grid(spec.Alias, gridTCOR, sizeKB)
 		if err != nil {
 			return EnergyRow{}, err
 		}
@@ -208,17 +241,10 @@ func (r *Runner) figEnergy(fig, sizeKB int) (*EnergyFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &EnergyFigure{Fig: fig, SizeKB: sizeKB, Rows: rows}
-	var sumN, sumT float64
-	for _, row := range rows {
-		sumN += row.DecreaseNoL2
-		sumT += row.DecreaseTCOR
-	}
-	if len(rows) > 0 {
-		f.AvgNoL2 = sumN / float64(len(rows))
-		f.AvgTCOR = sumT / float64(len(rows))
-	}
-	return f, nil
+	avg := suiteMean(rows,
+		func(row EnergyRow) float64 { return row.DecreaseNoL2 },
+		func(row EnergyRow) float64 { return row.DecreaseTCOR })
+	return &EnergyFigure{Fig: fig, SizeKB: sizeKB, Rows: rows, AvgNoL2: avg[0], AvgTCOR: avg[1]}, nil
 }
 
 // GPUEnergyRow is one benchmark of Fig. 22.
@@ -247,17 +273,22 @@ func (f *GPUEnergyFigure) Table() *Table {
 	return t
 }
 
+// Summary is the figure's cell in RESULTS.md.
+func (f *GPUEnergyFigure) Summary() string {
+	return fmt.Sprintf("−%.1f%% (64 KiB), −%.1f%% (128 KiB)", 100*f.Avg64, 100*f.Avg128)
+}
+
 // Fig22 reproduces Figure 22: per-benchmark decrease in total GPU energy
 // for both Tile Cache sizes.
 func (r *Runner) Fig22() (*GPUEnergyFigure, error) {
 	rows, err := forSuite(r, func(spec workload.Spec) (GPUEnergyRow, error) {
 		row := GPUEnergyRow{Alias: spec.Alias}
 		for _, sizeKB := range []int{64, 128} {
-			base, err := r.baseline(spec.Alias, sizeKB)
+			base, err := r.grid(spec.Alias, gridBaseline, sizeKB)
 			if err != nil {
 				return row, err
 			}
-			tc, err := r.tcorFull(spec.Alias, sizeKB)
+			tc, err := r.grid(spec.Alias, gridTCOR, sizeKB)
 			if err != nil {
 				return row, err
 			}
@@ -273,16 +304,10 @@ func (r *Runner) Fig22() (*GPUEnergyFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &GPUEnergyFigure{Rows: rows}
-	var s64, s128 float64
-	for _, row := range rows {
-		s64 += row.Decrease64
-		s128 += row.Decrease128
-	}
-	if n := float64(len(rows)); n > 0 {
-		f.Avg64, f.Avg128 = s64/n, s128/n
-	}
-	return f, nil
+	avg := suiteMean(rows,
+		func(row GPUEnergyRow) float64 { return row.Decrease64 },
+		func(row GPUEnergyRow) float64 { return row.Decrease128 })
+	return &GPUEnergyFigure{Rows: rows, Avg64: avg[0], Avg128: avg[1]}, nil
 }
 
 // ThroughputRow is one benchmark of Figs. 23/24.
@@ -315,6 +340,11 @@ func (f *ThroughputFigure) Table() *Table {
 	return t
 }
 
+// Summary is the figure's cell in RESULTS.md.
+func (f *ThroughputFigure) Summary() string {
+	return fmt.Sprintf("%.1fx average speedup", f.AvgSpeedup)
+}
+
 // Fig23 and Fig24: Tile Fetcher throughput (primitives per cycle) with an
 // unbounded output queue.
 func (r *Runner) Fig23() (*ThroughputFigure, error) { return r.figThroughput(23, 64) }
@@ -324,11 +354,11 @@ func (r *Runner) Fig24() (*ThroughputFigure, error) { return r.figThroughput(24,
 
 func (r *Runner) figThroughput(fig, sizeKB int) (*ThroughputFigure, error) {
 	rows, err := forSuite(r, func(spec workload.Spec) (ThroughputRow, error) {
-		base, err := r.baseline(spec.Alias, sizeKB)
+		base, err := r.grid(spec.Alias, gridBaseline, sizeKB)
 		if err != nil {
 			return ThroughputRow{}, err
 		}
-		tc, err := r.tcorFull(spec.Alias, sizeKB)
+		tc, err := r.grid(spec.Alias, gridTCOR, sizeKB)
 		if err != nil {
 			return ThroughputRow{}, err
 		}
@@ -341,20 +371,12 @@ func (r *Runner) figThroughput(fig, sizeKB int) (*ThroughputFigure, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &ThroughputFigure{Fig: fig, SizeKB: sizeKB, Rows: rows}
-	var sum float64
-	for _, row := range rows {
-		sum += row.Speedup
-	}
-	if len(rows) > 0 {
-		f.AvgSpeedup = sum / float64(len(rows))
-	}
-	return f, nil
+	avg := suiteMean(rows, func(row ThroughputRow) float64 { return row.Speedup })
+	return &ThroughputFigure{Fig: fig, SizeKB: sizeKB, Rows: rows, AvgSpeedup: avg[0]}, nil
 }
 
-// Headline aggregates the paper's abstract-level claims: 13.8% memory
-// hierarchy energy decrease, 5.5% total GPU energy decrease, 3.7% FPS
-// increase, ~5x Tiling Engine speedup.
+// Headline aggregates the paper's abstract-level claims (headlineMetrics
+// holds the paper's values).
 type Headline struct {
 	MemHierarchyDecrease float64
 	GPUEnergyDecrease    float64
@@ -368,10 +390,9 @@ func (h Headline) Table() *Table {
 		Title:  "Headline results (suite average, 64 KiB Tile Cache)",
 		Header: []string{"Metric", "This repro", "Paper"},
 	}
-	t.AddRow("Memory hierarchy energy decrease", pct(h.MemHierarchyDecrease), "13.8%")
-	t.AddRow("Total GPU energy decrease", pct(h.GPUEnergyDecrease), "5.5%")
-	t.AddRow("FPS increase", pct(h.FPSIncrease), "3.7%")
-	t.AddRow("Tiling Engine speedup", fmt.Sprintf("%.1fx", h.TilingSpeedup), "~5x")
+	for _, m := range headlineMetrics {
+		t.AddRow(m.label, m.cell(h), m.paper)
+	}
 	return t
 }
 
@@ -379,11 +400,11 @@ func (h Headline) Table() *Table {
 func (r *Runner) Headline() (Headline, error) {
 	const clock = 600e6
 	parts, err := forSuite(r, func(spec workload.Spec) (Headline, error) {
-		base, err := r.baseline(spec.Alias, 64)
+		base, err := r.grid(spec.Alias, gridBaseline, 64)
 		if err != nil {
 			return Headline{}, err
 		}
-		tc, err := r.tcorFull(spec.Alias, 64)
+		tc, err := r.grid(spec.Alias, gridTCOR, 64)
 		if err != nil {
 			return Headline{}, err
 		}
@@ -400,22 +421,12 @@ func (r *Runner) Headline() (Headline, error) {
 	if err != nil {
 		return Headline{}, err
 	}
-	// Sum the per-benchmark partials in suite order — float addition is not
-	// associative, so a fixed order keeps the averages bit-identical.
-	var h Headline
-	for _, p := range parts {
-		h.MemHierarchyDecrease += p.MemHierarchyDecrease
-		h.GPUEnergyDecrease += p.GPUEnergyDecrease
-		h.FPSIncrease += p.FPSIncrease
-		h.TilingSpeedup += p.TilingSpeedup
-	}
-	if n := float64(len(parts)); n > 0 {
-		h.MemHierarchyDecrease /= n
-		h.GPUEnergyDecrease /= n
-		h.FPSIncrease /= n
-		h.TilingSpeedup /= n
-	}
-	return h, nil
+	avg := suiteMean(parts,
+		func(p Headline) float64 { return p.MemHierarchyDecrease },
+		func(p Headline) float64 { return p.GPUEnergyDecrease },
+		func(p Headline) float64 { return p.FPSIncrease },
+		func(p Headline) float64 { return p.TilingSpeedup })
+	return Headline{avg[0], avg[1], avg[2], avg[3]}, nil
 }
 
 // TableI renders the simulation parameters of Table I.

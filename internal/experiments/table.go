@@ -84,13 +84,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // pct formats a ratio as a percentage string.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 

@@ -373,6 +373,9 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 			m.cellsSim.Inc() // before the outcome, like serve.admitted
 			return m.s.computeCell(ctx, j)
 		})
+		if err == nil {
+			err = j.checked(val)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -67,6 +67,9 @@ func TestValidationErrors(t *testing.T) {
 		{"unbounded footprint", `{"spec":{"alias":"Big","pbFootprintMiB":1e9,"avgPrimReuse":2}}`, 400, "PB footprint"},
 		{"negative texture", `{"spec":{"alias":"Tex","pbFootprintMiB":0.1,"avgPrimReuse":2,"textureMiB":-1}}`, 400, "texture footprint"},
 		{"negative shader", `{"spec":{"alias":"Shd","pbFootprintMiB":0.1,"avgPrimReuse":2,"shaderInstrPerPixel":-4}}`, 400, "shader length"},
+		// No primitive overlaps more than the screen's 1488 tiles.
+		{"unreachable reuse", `{"spec":{"alias":"Far","pbFootprintMiB":0.1,"avgPrimReuse":1e6}}`, 400, "1488 tiles"},
+		{"overflowing reuse", `{"spec":{"alias":"Inf","pbFootprintMiB":0.1,"avgPrimReuse":1e300}}`, 400, "1488 tiles"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -347,6 +350,61 @@ func TestPanicIsolation(t *testing.T) {
 	rec = postJSON(h, "/v1/simulate", `{"benchmark":"CCS","frames":1}`)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("retried panicking request = %d, want 500", rec.Code)
+	}
+}
+
+// brokenSim returns a result whose DRAM reads have no matching L2 fills, so
+// it breaks the gpu.dramReadsConserved identity.
+func brokenSim(_ context.Context, scene *workload.Scene, _ gpu.Config) (*gpu.Result, error) {
+	res := &gpu.Result{Benchmark: scene.Spec.Alias, Frames: 1}
+	res.DRAM.Reads = 7
+	return res, nil
+}
+
+// TestCheckAnswersInvariantViolation: with check set, every path that returns
+// a simulation re-verifies its invariants. Sync simulate, sync sweep and the
+// cache-only peer probe answer 500 invariant_violation; an async sweep job
+// fails with the same message instead of storing a result. Without check the
+// same result is served.
+func TestCheckAnswersInvariantViolation(t *testing.T) {
+	s := NewServer(Options{JobsDir: t.TempDir(), JobWorkers: 1})
+	s.simulate = brokenSim
+	h := s.Handler()
+	const item = `{"benchmark":"GTr","frames":1,"check":true}`
+
+	violation := func(name string, rec *httptest.ResponseRecorder) string {
+		t.Helper()
+		var eb ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatalf("%s: %d %s: %v", name, rec.Code, rec.Body, err)
+		}
+		if rec.Code != http.StatusInternalServerError || eb.Error.Code != "invariant_violation" {
+			t.Fatalf("%s = %d %s, want 500 invariant_violation", name, rec.Code, rec.Body)
+		}
+		return eb.Error.Message
+	}
+	want := violation("simulate", postJSON(h, "/v1/simulate", item))
+	if !strings.Contains(want, "DRAM reads") {
+		t.Fatalf("violation %q does not name the broken identity", want)
+	}
+	violation("sweep", postJSON(h, "/v1/sweep", `{"items":[`+item+`]}`))
+
+	if rec := postJSON(h, "/v1/simulate", `{"benchmark":"GTr","frames":1}`); rec.Code != http.StatusOK {
+		t.Fatalf("unchecked simulate = %d %s, want 200", rec.Code, rec.Body)
+	}
+	probe := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(item))
+	probe.Header.Set(CacheOnlyHeader, "1")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, probe)
+	violation("cache-only probe", rec)
+
+	job := submitAsync(t, h, "/v1/sweep?async=1", `{"items":[`+item+`]}`, "", http.StatusAccepted)
+	final := pollJob(t, h, "", job.ID)
+	if final.State != JobFailed || final.Error != want {
+		t.Fatalf("async job ended %s with error %q, want failed with %q", final.State, final.Error, want)
+	}
+	if res := getPath(h, "/v1/jobs/"+job.ID+"/result"); res.Code != http.StatusConflict {
+		t.Fatalf("result of the failed job: %d %s", res.Code, res.Body)
 	}
 }
 

@@ -637,6 +637,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			s.shell.WriteError(w, ErrCacheMiss)
 			return
 		}
+		if err := j.checked(val); err != nil {
+			s.shell.WriteError(w, err)
+			return
+		}
 		metaFrom(r.Context()).noteOutcome(how)
 		WriteResult(w, val.body, string(how))
 		return
@@ -645,18 +649,29 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	val, how, err := s.runJob(ctx, j)
+	if err == nil {
+		err = j.checked(val)
+	}
 	if err != nil {
 		s.shell.WriteError(w, err)
 		return
 	}
-	if j.check {
-		if err := val.res.CheckInvariants(); err != nil {
-			s.shell.WriteError(w, &APIError{Status: http.StatusInternalServerError,
-				Code: "invariant_violation", Message: err.Error()})
-			return
-		}
-	}
 	WriteResult(w, val.body, string(how))
+}
+
+// checked re-verifies the result's stats invariants when the request set
+// check, and answers a violation as a 500 invariant_violation. Every path
+// that returns a simulation (sync or async, computed or cached) passes
+// through it.
+func (j job) checked(val cached) error {
+	if !j.check {
+		return nil
+	}
+	if err := val.res.CheckInvariants(); err != nil {
+		return &APIError{Status: http.StatusInternalServerError,
+			Code: "invariant_violation", Message: err.Error()}
+	}
+	return nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -693,11 +708,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if how == outcomeStale {
 				anyStale.Store(true)
 			}
-			if j.check {
-				if err := val.res.CheckInvariants(); err != nil {
-					return nil, &APIError{Status: http.StatusInternalServerError,
-						Code: "invariant_violation", Message: err.Error()}
-				}
+			if err := j.checked(val); err != nil {
+				return nil, err
 			}
 			return val.body, nil
 		})

@@ -91,6 +91,11 @@ func Generate(spec Spec, screen geom.Screen) (*Scene, error) {
 	if err := screen.Validate(); err != nil {
 		return nil, err
 	}
+	// A primitive overlaps at most every tile of the screen, so a higher
+	// target cannot be reached: calibration would return a scene far off it.
+	if tiles := screen.NumTiles(); spec.AvgPrimReuse > float64(tiles) {
+		return nil, fmt.Errorf("workload %s: average reuse %v exceeds the screen's %d tiles", spec.Alias, spec.AvgPrimReuse, tiles)
+	}
 
 	targetBytes := spec.PBFootprintMiB * 1024 * 1024
 	// Initial estimates: per-primitive bytes = attrs*64 (block-aligned

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"tcor/internal/geom"
@@ -151,6 +152,31 @@ func TestGenerateRejectsBadInput(t *testing.T) {
 	spec := Suite()[0]
 	if _, err := Generate(spec, geom.Screen{}); err == nil {
 		t.Error("expected error for invalid screen")
+	}
+}
+
+// TestGenerateRejectsUnreachableReuse: no primitive overlaps more than the
+// screen's 1488 tiles, so a higher re-use target fails before calibration
+// instead of returning a scene far off it (1e300 overflows the size scale).
+func TestGenerateRejectsUnreachableReuse(t *testing.T) {
+	screen := geom.DefaultScreen()
+	for _, reuse := range []float64{1e6, 1e300} {
+		spec := Suite()[0]
+		spec.AvgPrimReuse = reuse
+		spec.Frames = 1
+		sc, err := Generate(spec, screen)
+		if err == nil {
+			t.Fatalf("reuse %g: got a scene with realized reuse %.2f, want an error", reuse, sc.Stats().AvgPrimReuse)
+		}
+		if !strings.Contains(err.Error(), "1488 tiles") {
+			t.Errorf("reuse %g: error %q does not name the screen's tile count", reuse, err)
+		}
+	}
+	spec := Suite()[0]
+	spec.AvgPrimReuse = float64(screen.NumTiles())
+	spec.Frames = 1
+	if _, err := Generate(spec, screen); err != nil {
+		t.Errorf("reuse equal to the tile count must be accepted: %v", err)
 	}
 }
 
