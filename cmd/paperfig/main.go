@@ -113,6 +113,10 @@ func validateNumbers(frames, parallel int, timeout time.Duration) error {
 	return nil
 }
 
+// formatUsage is -format's help text. It names every format the switch on
+// *format in main accepts (TestFormatUsageNamesEveryFormat).
+const formatUsage = "output format: text, csv or json (json needs -arena)"
+
 func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (1, 9, 11-24)")
 	table := flag.Int("table", 0, "table number to regenerate (1 or 2)")
@@ -132,7 +136,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	frames := flag.Int("frames", 0, "frames per benchmark (0 = spec default)")
 	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark aliases (default: all ten)")
-	format := flag.String("format", "text", "output format: text or csv")
+	format := flag.String("format", "text", formatUsage)
 	outDir := flag.String("out", "", "also write each artifact as CSV into this directory")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")

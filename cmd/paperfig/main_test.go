@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -213,5 +217,54 @@ func TestExecuteUnknownFigure(t *testing.T) {
 	}
 	if err := execute(r, execOpts{mode: "table", num: 7}); err == nil {
 		t.Error("unknown table must fail")
+	}
+}
+
+// TestFormatUsageNamesEveryFormat reads main.go's syntax tree for the
+// switch on *format and checks that formatUsage names every format one of
+// its cases accepts, so the help cannot fall behind the switch.
+func TestFormatUsageNamesEveryFormat(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var formats []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		sw, ok := n.(*ast.SwitchStmt)
+		if !ok {
+			return true
+		}
+		star, ok := sw.Tag.(*ast.StarExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := star.X.(*ast.Ident); !ok || id.Name != "format" {
+			return true
+		}
+		for _, stmt := range sw.Body.List {
+			for _, e := range stmt.(*ast.CaseClause).List {
+				lit, ok := e.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatalf("case %T in the switch on *format is not a string literal", e)
+				}
+				v, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				formats = append(formats, v)
+			}
+		}
+		return false
+	})
+	if len(formats) < 3 {
+		t.Fatalf("found formats %q in the switch on *format, want at least text, csv and json", formats)
+	}
+	for _, name := range formats {
+		if !strings.Contains(formatUsage, name) {
+			t.Errorf("-format usage %q does not name %q", formatUsage, name)
+		}
+	}
+	if !strings.Contains(formatUsage, "-arena") {
+		t.Errorf("-format usage %q does not say json needs -arena", formatUsage)
 	}
 }

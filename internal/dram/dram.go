@@ -160,6 +160,34 @@ func (d *DRAM) Access(r mem.Request) {
 	d.Counter.Access(r)
 }
 
+// WriteBlocks implements mem.BlockWriter: it services the n block writes
+// at base, base+64, ... exactly as n Access calls would, one DRAM row at a
+// time. A row's first block of the run hits or misses as Latency finds
+// it, and the rest of the row's blocks are row hits, so the run is booked
+// once per row it touches. A Color Buffer flush is one run per tile.
+func (d *DRAM) WriteBlocks(base uint64, n int64) {
+	for n > 0 {
+		// The run's blocks up to the end of base's row, and of its region
+		// (a row never spans two at the default geometry).
+		end := (base>>d.rowShift + 1) << d.rowShift
+		if re := base&^(memmap.RegionBytes-1) + memmap.RegionBytes; re < end {
+			end = re
+		}
+		k := int64((end - base + memmap.BlockBytes - 1) / memmap.BlockBytes)
+		if k > n {
+			k = n
+		}
+		d.Latency(base)
+		d.stats.RowHits += k - 1
+		d.stats.TotalCycles += (k - 1) * int64(d.cfg.RowHitCycles)
+		d.stats.Writes += k
+		d.stats.BusyCycles += k * d.busCycles
+		d.Counter.AccessN(mem.Request{Addr: base, Write: true}, k)
+		base += uint64(k) * memmap.BlockBytes
+		n -= k
+	}
+}
+
 // TileRetired implements mem.Sink (no-op).
 func (d *DRAM) TileRetired(pos uint16, tile geom.TileID) {}
 

@@ -11,10 +11,12 @@
 // One frame loop runs every simulation. SimulateGroup steps several
 // configurations of one scene (same screen and traversal order) through
 // it in lockstep: each frame is binned once and each tile's raster plan
-// is computed once and committed into every configuration, while
-// geometry, the Tiling Engine replays, the caches, the L2 and DRAM stay
-// per configuration, so each result is byte-identical to the
-// configuration run alone. Simulate is the one-configuration case.
+// is computed once and committed into every configuration;
+// configurations that differ only in their back ends (L2, DRAM, timing,
+// energy and tracing) share one front end (the Vertex Cache and the
+// Tiling Engine); and each configuration keeps its own L2, DRAM and cycle
+// accounting, so each result is byte-identical to the configuration run
+// alone. Simulate is the one-configuration case.
 package gpu
 
 import (
@@ -176,6 +178,26 @@ func TCORNoL2(tileCacheBytes int) Config {
 	c := TCOR(tileCacheBytes)
 	c.L2Enhanced = false
 	c.L2 = l2.DefaultConfig(false)
+	return c
+}
+
+// frontEndKey returns c with its back-end fields cleared. Configurations
+// of a group whose keys are equal share one front end (see SimulateGroup).
+// A back-end field sets only what a front end never reads: the L2, DRAM,
+// the cycle accounting (Timing), energy and span recording. L2Enhanced is
+// one of them because the front end's Primitive List Cache sends each
+// back end its requests tagged or untagged as that back end's L2 needs. A
+// field not cleared here is a front-end field, so a new field splits front
+// ends until it is classified; TestConfigFieldsClassified makes that a
+// decision.
+func (c Config) frontEndKey() Config {
+	c.L2Enhanced = false
+	c.L2TraceDepth = 0
+	c.Tracer, c.TraceParent, c.TraceTiles = nil, nil, false
+	c.IncludeLeakage = false
+	c.L2 = l2.Config{}
+	c.DRAM = dram.Config{}
+	c.Timing = Timing{}
 	return c
 }
 

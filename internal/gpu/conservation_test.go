@@ -12,7 +12,7 @@ import (
 // kept by the L1 caches, the L2 ingress tee, the L2 itself and the DRAM
 // model — an accounting bug anywhere breaks one of the identities.
 
-// instrFillBlocks mirrors sim.instrFills' per-frame block counts for the
+// instrFillBlocks mirrors backEnd.instrFills' per-frame block counts for the
 // CCS benchmark these tests use (fragment shader of 4 instructions).
 func instrFillBlocks(res *Result, cfg Config) int64 {
 	const fragInstr = 4 // CCS, Table II
@@ -111,7 +111,7 @@ func TestTrafficConservationBaseline(t *testing.T) {
 // baseline Tile Cache: TileStats.Writebacks minus TileL2Writes is exactly
 // the dirty lines the frame-end flush drops with the recycled Parameter
 // Buffer. It steps group.runFrame by hand and reads the cache's
-// Writebacks on either side of each endFrame.
+// Writebacks on either side of the front end's endFrame.
 func TestTileWritebacksSplitAtFrameEnd(t *testing.T) {
 	sc := smallScene(t, "CCS", 2)
 	cfg := Baseline(128 * 1024)
@@ -119,24 +119,23 @@ func TestTileWritebacksSplitAtFrameEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := g.sims[0]
+	fe := g.fronts[0]
 	var dropped int64
 	for f := 0; f < sc.NumFrames(); f++ {
-		prims := sc.Frame(f).Prims
-		s.beginFrame(f, prims)
-		binning, err := tiling.Bin(s.cfg.Screen, s.trav, prims)
-		if err != nil {
+		g.frame, g.prims = f, sc.Frame(f).Prims
+		fe.beginFrame()
+		if g.binning, err = tiling.Bin(cfg.Screen, g.trav, g.prims); err != nil {
 			t.Fatal(err)
 		}
-		s.replayPLB(binning)
-		for pos := range binning.Traversal.Seq {
-			tiling.ReplayTile(binning, s.listLayout, s.attrLayout, pos, s)
+		fe.replayPLB()
+		for pos := range g.binning.Traversal.Seq {
+			tiling.ReplayTile(g.binning, fe.listLayout, fe.attrLayout, pos, fe)
 		}
-		before := s.tile.Stats().Writebacks
-		s.endFrame()
-		dropped += s.tile.Stats().Writebacks - before
+		before := fe.tile.Stats().Writebacks
+		fe.endFrame()
+		dropped += fe.tile.Stats().Writebacks - before
 	}
-	res := s.finish()
+	res := g.backs[0].finish()
 	if dropped == 0 {
 		t.Fatal("no dirty line reached a frame end; the scene does not exercise the flush")
 	}

@@ -10,10 +10,11 @@ import (
 // the paper reports: the memory-hierarchy energy of Figs. 20/21 (all caches
 // plus DRAM) and the total GPU energy of Fig. 22 (hierarchy plus the shader
 // and fixed-function datapaths, which are identical across configurations).
-func (s *sim) computeEnergy(r *Result) {
+func (b *backEnd) computeEnergy(r *Result) {
 	m := energy.DefaultModel()
 	t := energy.NewTally()
-	cfg := s.cfg
+	f := b.front
+	cfg := b.cfg
 
 	// Vertex cache.
 	vs := r.VertexStats
@@ -23,8 +24,8 @@ func (s *sim) computeEnergy(r *Result) {
 	switch cfg.Kind {
 	case KindBaseline:
 		per := m.SRAMRead(cfg.TileCacheBytes, cfg.TileCacheWays)
-		t.Add("tile-cache", s.tileStats.reads, per)
-		t.Add("tile-cache", s.tileStats.writes, per*m.WriteFactor)
+		t.Add("tile-cache", f.tileStats.reads, per)
+		t.Add("tile-cache", f.tileStats.writes, per*m.WriteFactor)
 	case KindTCOR:
 		lcfg := tcor.DefaultListCacheConfig()
 		ls := r.ListStats
@@ -32,7 +33,7 @@ func (s *sim) computeEnergy(r *Result) {
 		t.Add("prim-list-cache", ls.Reads, perL)
 		t.Add("prim-list-cache", ls.Writes, perL*m.WriteFactor)
 
-		acfg := s.attrs.Config()
+		acfg := f.attrs.Config()
 		as := r.AttrStats
 		// Primitive Buffer lines are ~8 bytes (tag + control + OPT Number
 		// + ABP, Fig. 8).
@@ -46,14 +47,14 @@ func (s *sim) computeEnergy(r *Result) {
 	}
 
 	// Texture caches (per-cache sizing).
-	tex := s.rasterPipe.TexCacheStats()
+	tex := b.rasterPipe.TexCacheStats()
 	t.Add("texture-caches", tex.Accesses, m.SRAMRead(raster.TexCacheBytes, raster.TexCacheWays))
 
 	// Instruction caches: fetches happen once per 4 instructions (64-bit
 	// fetch groups of 16-byte instructions are amortized by the fetch
 	// width), hitting essentially always; modeled arithmetically.
 	instrFetches := (r.RasterStats.InstrExecuted + 3) / 4
-	vertexInstr := int64(len(s.group.scene.Frame(0).Prims)) * 3 * int64(cfg.Timing.VertexInstr) * int64(r.Frames)
+	vertexInstr := int64(len(f.group.scene.Frame(0).Prims)) * 3 * int64(cfg.Timing.VertexInstr) * int64(r.Frames)
 	t.Add("instr-caches", instrFetches+(vertexInstr+3)/4, m.SRAMRead(16*1024, 2))
 
 	// On-chip Color and Z buffers (tile-sized SRAMs, Fig. 2): every shaded

@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,20 +24,45 @@ func groupConfigs() []Config {
 	return cfgs
 }
 
+// soloVariants extends groupConfigs with configurations that differ from
+// TCOR or TCORNoL2 (64 KiB) only in back-end fields, so they share its
+// front end in a group: index 6 is TCORNoL2 with an L2 eviction trace,
+// whose Tile fields pin the untagging of the Primitive List Cache's
+// requests; 7 is TCORNoL2 with its own L2 timing; 8 is TCOR with an L2
+// eviction trace and leakage energy.
+func soloVariants() []Config {
+	cfgs := groupConfigs()
+	traced := TCORNoL2(64 << 10)
+	traced.L2TraceDepth = 1 << 12
+	timing := TCORNoL2(64 << 10)
+	timing.Timing.L2Cycles, timing.Timing.MSHROverlap = 20, 3
+	leaky := TCOR(64 << 10)
+	leaky.L2TraceDepth, leaky.IncludeLeakage = 1<<12, true
+	return append(cfgs, traced, timing, leaky)
+}
+
 // TestSimulateGroupMatchesSolo is SimulateGroup's differential test:
-// every result of one SimulateGroup call over the six paper configurations
-// must marshal byte-identical to the same configuration simulated alone,
-// over two frames, with span tracing (per-tile spans included) off and on.
-// Only the group's first configuration filters texture taps through its
-// own texture caches; the others commit its filtered plans. So the group
-// also runs in reverse order and as the tail the prewarm memo leaves when
-// the first cells are already resolved, which puts each preset first once
-// and pins every non-first configuration, which builds no texture caches,
-// against its solo run.
+// every result of a SimulateGroup call must marshal byte-identical to the
+// same configuration simulated alone, over two frames, with span tracing
+// (per-tile spans included) off and on. The group shapes pin both levels
+// of sharing:
+//   - Only the group's first configuration filters texture taps through
+//     its own texture caches; the others commit its filtered plans. So the
+//     six paper configurations also run in reverse order and as the tail
+//     the prewarm memo leaves when the first cells are already resolved,
+//     which puts each preset first once.
+//   - Configurations equal outside their back ends share one front end:
+//     TCOR and TCORNoL2 alone in both orders, a lone TCORNoL2, a
+//     duplicated configuration, members that differ in L2 timing or
+//     energy, and a TCORNoL2 with an L2 eviction trace, whose Tile fields
+//     show whether its list-cache requests arrived untagged. A member with
+//     a different TileCacheBytes gets its own front end.
+//
+// Each run also states how many front ends its group builds.
 func TestSimulateGroupMatchesSolo(t *testing.T) {
 	for _, alias := range []string{"CCS", "DDS", "Mze"} {
 		sc := smallScene(t, alias, 2)
-		cfgs := groupConfigs()
+		cfgs := soloVariants()
 		solo := make([][]byte, len(cfgs))
 		for i, cfg := range cfgs {
 			res, err := Simulate(sc, cfg)
@@ -50,16 +76,28 @@ func TestSimulateGroupMatchesSolo(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if bytes.Equal(solo[2], solo[6]) || bytes.Equal(solo[2], solo[7]) || bytes.Equal(solo[1], solo[8]) {
+			t.Fatalf("%s: a back-end variant runs like its preset; the test would not see its back end", alias)
+		}
 		forward := []int{0, 1, 2, 3, 4, 5}
 		runs := []struct {
 			name   string
 			order  []int
 			traced bool
+			fronts int
 		}{
-			{"forward", forward, false},
-			{"forward", forward, true},
-			{"reverse", []int{5, 4, 3, 2, 1, 0}, false},
-			{"tail", []int{4, 5}, false},
+			{"forward", forward, false, 4},
+			{"forward", forward, true, 4},
+			{"reverse", []int{5, 4, 3, 2, 1, 0}, false, 4},
+			{"tail", []int{4, 5}, false, 1},
+			{"TCOR+NoL2", []int{1, 2}, false, 1},
+			{"NoL2+TCOR", []int{2, 1}, true, 1},
+			{"lone NoL2", []int{2}, false, 1},
+			{"duplicate", []int{1, 2, 1}, false, 1},
+			{"eviction trace", []int{1, 6, 8}, false, 1},
+			{"eviction trace first", []int{6, 1}, false, 1},
+			{"timing", []int{7, 1, 2}, true, 1},
+			{"tile cache size", []int{1, 5, 2}, false, 2},
 		}
 		for _, run := range runs {
 			var tr *stats.Tracer
@@ -70,6 +108,13 @@ func TestSimulateGroupMatchesSolo(t *testing.T) {
 			for k, i := range run.order {
 				grouped[k] = cfgs[i]
 				grouped[k].Tracer, grouped[k].TraceTiles = tr, run.traced
+			}
+			g, err := newGroup(sc, grouped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.fronts) != run.fronts {
+				t.Errorf("%s %s: %d front ends, want %d", alias, run.name, len(g.fronts), run.fronts)
 			}
 			results, err := SimulateGroup(sc, grouped)
 			if err != nil {
@@ -89,17 +134,18 @@ func TestSimulateGroupMatchesSolo(t *testing.T) {
 				}
 			}
 			if run.traced {
-				checkGroupSpans(t, tr, len(cfgs), sc.NumFrames(), cfgs[0].Screen.NumTiles())
+				checkGroupSpans(t, tr, len(grouped), run.fronts, sc.NumFrames(), cfgs[0].Screen.NumTiles())
 			}
 		}
 	}
 }
 
 // checkGroupSpans checks a traced group's span tree: every configuration
-// records frame > {geometry, tiles > tile...} per frame, and the shared
-// binning is recorded once per frame, under the first configuration's
-// frame span.
-func checkGroupSpans(t *testing.T, tr *stats.Tracer, n, frames, numTiles int) {
+// records frame > {tiles > tile...} per frame, each front end's geometry
+// is recorded once per frame, under its first configuration's frame span,
+// and the shared binning is recorded once per frame, under the first
+// configuration's frame span.
+func checkGroupSpans(t *testing.T, tr *stats.Tracer, n, fronts, frames, numTiles int) {
 	t.Helper()
 	if tr.Dropped() != 0 {
 		t.Fatalf("tracer dropped %d spans", tr.Dropped())
@@ -110,7 +156,7 @@ func checkGroupSpans(t *testing.T, tr *stats.Tracer, n, frames, numTiles int) {
 		byID[s.ID] = s
 		count[s.Name]++
 	}
-	want := map[string]int{"frame": n * frames, "geometry": n * frames, "binning": frames, "tiles": n * frames, "tile": n * frames * numTiles}
+	want := map[string]int{"frame": n * frames, "geometry": fronts * frames, "binning": frames, "tiles": n * frames, "tile": n * frames * numTiles}
 	for name, c := range want {
 		if count[name] != c {
 			t.Errorf("%d %s spans, want %d", count[name], name, c)
@@ -178,16 +224,81 @@ func TestSimulateGroupBuildsOneTexCacheSet(t *testing.T) {
 	if err := g.runFrame(0); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range g.sims {
+	for i, b := range g.backs {
 		want := 0
 		if i == 0 {
 			want = raster.NumTexCaches
 		}
-		if got := s.rasterPipe.TexCaches(); got != want {
+		if got := b.rasterPipe.TexCaches(); got != want {
 			t.Errorf("configuration %d holds %d texture caches, want %d", i, got, want)
 		}
-		if s.rasterPipe.Stats().TexAccesses == 0 {
+		if b.rasterPipe.Stats().TexAccesses == 0 {
 			t.Errorf("configuration %d committed no texture accesses", i)
 		}
+	}
+}
+
+// TestConfigFieldsClassified lists every Config field as a front-end or a
+// back-end field and checks frontEndKey against the list: changing a
+// back-end field keeps a configuration's key, changing a front-end field
+// changes it. A new field fails here until it is listed, and listing it
+// decides whether configurations that differ in it may share a front end.
+func TestConfigFieldsClassified(t *testing.T) {
+	front := map[string]bool{
+		"Screen": true, "Order": true, "Kind": true, "TileCacheBytes": true,
+		"TileCacheWays": true, "InterleavedLists": true, "XORIndex": true,
+		"WriteBypass": true, "OutputQueueDepth": true,
+		"VertexCacheBytes": true, "VertexCacheWays": true,
+	}
+	back := map[string]bool{
+		"L2Enhanced": true, "L2TraceDepth": true, "Tracer": true,
+		"TraceParent": true, "TraceTiles": true, "IncludeLeakage": true,
+		"L2": true, "DRAM": true, "Timing": true,
+	}
+	typ := reflect.TypeOf(Config{})
+	if n := len(front) + len(back); n != typ.NumField() {
+		t.Errorf("%d fields classified, Config has %d", n, typ.NumField())
+	}
+	base := TCOR(64 << 10)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if front[name] == back[name] {
+			t.Errorf("Config.%s must be listed as exactly one of front-end and back-end", name)
+			continue
+		}
+		c := base
+		perturb(t, reflect.ValueOf(&c).Elem().Field(i))
+		if c == base {
+			t.Fatalf("perturbing Config.%s left the configuration unchanged", name)
+		}
+		if moved := c.frontEndKey() != base.frontEndKey(); moved != front[name] {
+			t.Errorf("Config.%s: front-end field %v, but changing it moves the front-end key: %v", name, front[name], moved)
+		}
+	}
+}
+
+// perturb changes every settable leaf of v: it flips a bool, adds one to a
+// number, points a pointer at a fresh value and recurses into a struct.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).CanSet() {
+				perturb(t, v.Field(i))
+			}
+		}
+	default:
+		t.Fatalf("perturb: unsupported kind %s (%s)", v.Kind(), v.Type())
 	}
 }

@@ -117,19 +117,31 @@ func Simulate(scene *workload.Scene, cfg Config) (*Result, error) {
 // SimulateGroup runs every frame of the scene through each configuration
 // and returns the results in configuration order. The configurations step
 // through the scene in lockstep, frame by frame and tile by tile, and share
-// the work that depends only on the scene, the screen, the traversal order,
-// the frame and the tile: each frame is binned once, and each tile is
-// planned once (raster.PlanTile) and its texture taps filtered once, through
-// the first configuration's texture caches (raster.FilterTextures); the
-// filtered plan is then committed into every configuration's own Raster
-// Pipeline, L2 and DRAM (raster.CommitFiltered). The texture caches read no
-// L2 state and every configuration's raster.Config is the same, so each
-// configuration's texture caches would filter the same tap stream the same
-// way, and the other configurations never build texture caches at all.
-// Geometry, the PLB and Tile Fetcher replays, the other L1s, the L2 and
-// DRAM stay per configuration. Each configuration sees exactly the
-// event order it sees alone, so results[i] is byte-identical to
-// Simulate(scene, cfgs[i]).
+// the work their results cannot tell apart, at two levels:
+//
+//   - The whole group shares the work that depends only on the scene, the
+//     screen, the traversal order, the frame and the tile. Each frame is
+//     binned once. Each tile is planned once (raster.PlanTile) and its
+//     texture taps are filtered once, through the first configuration's
+//     texture caches (raster.FilterTextures). The texture caches read no
+//     L2 state and every configuration's raster.Config is the same, so
+//     every configuration's texture caches would filter the same tap
+//     stream the same way; the others never build texture caches.
+//   - Configurations whose fields are equal outside the back end share a
+//     front end (Config.frontEndKey forms the key): the Vertex Cache, the
+//     Tiling Engine L1s, the output queue, and the PLB and Tile Fetcher
+//     replays. None of them reads L2 or DRAM state, so they issue one L2
+//     request stream for every such configuration. The front end sends
+//     each request to every member's back end. Primitive List Cache
+//     requests reach a back end whose L2 is not enhanced untagged, as a
+//     solo run's list cache (TagLastUse off) sends them.
+//
+// Each configuration keeps its own back end: the L2 and the tee that
+// counts its ingress, DRAM, the commit of each filtered plan
+// (raster.CommitFiltered) and the cycle accounting, which charges every
+// L1 operation the stall penalty of that configuration's own L2 and DRAM.
+// Each back end sees exactly the event order its configuration sees
+// alone, so results[i] is byte-identical to Simulate(scene, cfgs[i]).
 //
 // All configurations must share Screen and Order. Grouping is the caller's
 // job: a group that mixes screens or orders is an error.
@@ -158,21 +170,29 @@ func SimulateGroup(scene *workload.Scene, cfgs []Config) ([]*Result, error) {
 			return nil, err
 		}
 	}
-	out := make([]*Result, len(g.sims))
-	for i, s := range g.sims {
-		out[i] = s.finish()
+	out := make([]*Result, len(g.backs))
+	for i, b := range g.backs {
+		out[i] = b.finish()
 	}
 	return out, nil
 }
 
-// group steps its configurations through a scene in lockstep: one sim per
-// configuration, plus the tile plan they share.
+// group steps its configurations through a scene in lockstep: one back end
+// per configuration, one front end per front-end key, and the frame and
+// tile work they all share.
 type group struct {
-	scene *workload.Scene
-	sims  []*sim
+	scene  *workload.Scene
+	trav   *tiling.Traversal
+	fronts []*frontEnd // in the order of their first configurations
+	backs  []*backEnd  // in configuration order
 
-	// The current tile's raster plan: the first sim's TileDone plans and
-	// filters it, every sim's TileDone commits it.
+	// The current frame (set by runFrame).
+	frame   int
+	prims   []geom.Primitive
+	binning *tiling.Binning
+
+	// The current tile's raster plan: the first front end's TileDone plans
+	// and filters it, every back end commits it.
 	work    []raster.TileWork
 	scratch *raster.PlanScratch
 	plan    raster.TilePlan
@@ -183,73 +203,93 @@ func newGroup(scene *workload.Scene, cfgs []Config) (*group, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &group{scene: scene, sims: make([]*sim, len(cfgs))}
+	g := &group{scene: scene, trav: trav, backs: make([]*backEnd, len(cfgs))}
+	front := make(map[Config]int)
+	var members [][]*backEnd
 	for i, cfg := range cfgs {
-		if g.sims[i], err = newSim(scene, cfg, trav, g); err != nil {
+		if g.backs[i], err = newBackEnd(scene, cfg); err != nil {
 			return nil, err
 		}
+		key := cfg.frontEndKey()
+		k, ok := front[key]
+		if !ok {
+			k = len(members)
+			front[key] = k
+			members = append(members, nil)
+		}
+		members[k] = append(members[k], g.backs[i])
 	}
-	g.scratch = g.sims[0].rasterPipe.NewScratch()
+	for _, backs := range members {
+		f, err := newFrontEnd(g, backs)
+		if err != nil {
+			return nil, err
+		}
+		g.fronts = append(g.fronts, f)
+	}
+	g.scratch = g.backs[0].rasterPipe.NewScratch()
 	return g, nil
 }
 
-// runFrame pushes one frame through every sim, stage by stage: each sim's
-// geometry, one binning, each sim's PLB replay, then the
-// tiles in traversal order (every sim's Tile Fetcher replay and raster of a
-// tile before the next tile), then each sim's frame end.
+// runFrame pushes one frame through every front end, stage by stage: each
+// front end's geometry, one binning, each front end's PLB replay, then the
+// tiles in traversal order (every front end's Tile Fetcher replay and
+// raster of a tile before the next tile), then each front end's frame end.
 //
-// When a tracer is configured, each sim's frame emits a span tree — frame >
-// {geometry, binning, tiles > tile...} — whose wall-clock durations
-// attribute simulator time to pipeline phases (the trace never feeds back
-// into simulated cycles). The shared work, binning and each tile's plan, is
-// recorded once, in the first sim's binning and tile spans.
+// When a tracer is configured, each configuration's frame emits a span
+// tree — frame > {geometry, binning, tiles > tile...} — whose wall-clock
+// durations attribute simulator time to pipeline phases (the trace never
+// feeds back into simulated cycles). Shared work is recorded once: the
+// binning and each tile's plan in the group's first configuration's spans,
+// and each front end's geometry in its first configuration's frame span.
 func (g *group) runFrame(f int) error {
-	prims := g.scene.Frame(f).Prims
-	for _, s := range g.sims {
-		s.beginFrame(f, prims)
+	g.frame, g.prims = f, g.scene.Frame(f).Prims
+	for _, fe := range g.fronts {
+		fe.beginFrame()
 	}
-	lead := g.sims[0]
+	lead := g.backs[0]
 	bsp := lead.frameSpan.Child("binning", "gpu")
-	binning, err := tiling.Bin(lead.cfg.Screen, lead.trav, prims)
+	binning, err := tiling.Bin(lead.cfg.Screen, g.trav, g.prims)
 	bsp.End()
 	if err != nil {
-		for _, s := range g.sims {
-			s.frameSpan.End()
+		for _, b := range g.backs {
+			b.frameSpan.End()
 		}
 		return err
 	}
-	for _, s := range g.sims {
-		s.replayPLB(binning)
+	g.binning = binning
+	for _, fe := range g.fronts {
+		fe.replayPLB()
 	}
 	for pos := range binning.Traversal.Seq {
-		for _, s := range g.sims {
-			tiling.ReplayTile(binning, s.listLayout, s.attrLayout, pos, s)
+		for _, fe := range g.fronts {
+			tiling.ReplayTile(binning, fe.listLayout, fe.attrLayout, pos, fe)
 		}
 	}
-	for _, s := range g.sims {
-		s.endFrame()
+	for _, fe := range g.fronts {
+		fe.endFrame()
 	}
+	g.binning = nil // garbage before the next frame is binned
 	return nil
 }
 
-// planTile plans the first sim's current tile into the shared plan and
-// filters its texture taps through the first sim's texture caches. A plan
+// planTile plans the current tile into the shared plan and filters its
+// texture taps through the first configuration's texture caches. A plan
 // depends only on the scene, the screen, the frame and the tile, and every
-// sim's Raster Pipeline is built from the same raster.Config (newSim
-// derives it from the scene and the screen alone), so one plan serves all.
-// For the same reason every sim's texture caches would see the same tap
-// stream from the same state, so one filter serves all too: the other
-// sims never build texture caches, and their texture statistics come from
-// the filtered plans they commit.
+// back end's Raster Pipeline is built from the same raster.Config
+// (newBackEnd derives it from the scene and the screen alone), so one plan
+// serves all. For the same reason every back end's texture caches would
+// see the same tap stream from the same state, so one filter serves all
+// too: the other back ends never build texture caches, and their texture
+// statistics come from the filtered plans they commit.
 func (g *group) planTile(tile geom.TileID) {
-	s := g.sims[0]
 	work := g.work[:0]
-	for _, e := range s.binning.Lists[tile] {
-		work = append(work, raster.TileWork{Prim: &s.prims[e.Prim]})
+	for _, e := range g.binning.Lists[tile] {
+		work = append(work, raster.TileWork{Prim: &g.prims[e.Prim]})
 	}
 	g.work = work
-	s.rasterPipe.PlanTile(tile, s.frame, work, g.scratch, &g.plan)
-	s.rasterPipe.FilterTextures(&g.plan)
+	pipe := g.backs[0].rasterPipe
+	pipe.PlanTile(tile, g.frame, work, g.scratch, &g.plan)
+	pipe.FilterTextures(&g.plan)
 }
 
 // teeSink counts requests by region and forwards them.
@@ -270,19 +310,53 @@ func (t *teeSink) Access(r mem.Request) {
 func (t *teeSink) TileRetired(pos uint16, tile geom.TileID) { t.next.TileRetired(pos, tile) }
 func (t *teeSink) EndFrame()                                { t.next.EndFrame() }
 
-// sim is one configuration's wired-up machine. It is also the
-// tiling.Handler that adapts the Tiling Engine event stream onto the
-// configured cache organization and accumulates the timing.
-type sim struct {
-	cfg    Config
-	group  *group
-	trav   *tiling.Traversal // shared by the group
-	tracer *stats.Tracer     // nil when span tracing is off
+// fanOut is a front end's next level when it serves several back ends: it
+// sends every request to each back end's L2 tee, in configuration order.
+// With untag set it is the Primitive List Cache's next level, and strips
+// the last-use tag from requests bound for an L2 without the enhancements:
+// the L2 records a tag in its lines (and eviction trace) whether or not it
+// replaces by it, and a solo run's list cache tags only for an enhanced L2.
+type fanOut struct {
+	backs []*backEnd
+	untag bool
+}
 
-	dramDev *dram.DRAM
-	l2c     *l2.Cache
-	l2in    *teeSink    // in front of the L2: counts all L1->L2 traffic
-	l2trace *stats.Ring // bounded L2 eviction trace (nil when off)
+func (o *fanOut) Access(r mem.Request) {
+	for _, b := range o.backs {
+		if o.untag && !b.cfg.L2Enhanced {
+			b.l2in.Access(mem.Request{Addr: r.Addr, Write: r.Write})
+			continue
+		}
+		b.l2in.Access(r)
+	}
+}
+
+func (o *fanOut) TileRetired(pos uint16, tile geom.TileID) {
+	for _, b := range o.backs {
+		b.l2in.TileRetired(pos, tile)
+	}
+}
+
+func (o *fanOut) EndFrame() {
+	for _, b := range o.backs {
+		b.l2in.EndFrame()
+	}
+}
+
+// frontEnd is the part of the machine that configurations equal outside
+// their back ends share: the Geometry Pipeline's Vertex Cache and the
+// Tiling Engine, with its L1s, its output queue and its PLB and Tile
+// Fetcher replays. It is the tiling.Handler of its configurations. Its L1s
+// send their L2 requests to every back end, and it charges each L1
+// operation to every back end's cycle accounts.
+type frontEnd struct {
+	cfg   Config // the first member's; every member's front-end fields are equal
+	group *group
+	backs []*backEnd
+
+	// l2 is the L1s' next level: the one back end's L2 tee, or a fanOut
+	// over every back end's.
+	l2 mem.Sink
 
 	// Tiling Engine L1s: exactly one of (tile) or (lists, attrs) is set.
 	tile      *cache.WriteBackLRU // baseline unified Tile Cache
@@ -295,58 +369,41 @@ type sim struct {
 	vertex        *cache.FlatLRU
 	vertexL2Reads int64
 
-	rasterPipe *raster.Pipeline
-
 	listLayout pbuffer.ListLayout
 	attrLayout pbuffer.AttrLayout
 
-	// framePrimReads is the per-frame bookkeeping cursor for PerFrame.
-	framePrimReads int64
+	// primReads counts the Tile Fetcher's primitive reads; framePrimReads
+	// is its value when the current frame began.
+	primReads, framePrimReads int64
 
-	// The current frame (set by beginFrame and replayPLB).
-	frame      int
-	prims      []geom.Primitive
-	binning    *tiling.Binning
-	dramBefore dram.Stats
-	plbCycles  int64
-	// Per-traversal-position Tile Fetcher and Raster cycles, reused across
-	// frames (reset, never reallocated once warm).
-	tileTF, tileRaster []int64
-	curTF              int64
-
-	// frameSpan and tilesSpan are the current frame's spans; tileSpan is
-	// the span of the tile currently streaming through the Tile Fetcher
-	// (begun lazily at its first fetch event, ended in TileDone). All nil
-	// when tracing is off.
-	frameSpan, tilesSpan, tileSpan *stats.Span
+	// traceTiles reports whether any back end records per-tile spans.
+	traceTiles bool
 
 	// TCOR output queue: primitives locked until the Rasterizer consumes
 	// them.
 	queue []uint32
-
-	res Result
 }
 
-func newSim(scene *workload.Scene, cfg Config, trav *tiling.Traversal, g *group) (*sim, error) {
-	s := &sim{cfg: cfg, group: g, trav: trav, tracer: cfg.Tracer}
-	var err error
-	s.dramDev, err = dram.New(cfg.DRAM)
-	if err != nil {
-		return nil, err
+func newFrontEnd(g *group, backs []*backEnd) (*frontEnd, error) {
+	cfg := backs[0].cfg
+	f := &frontEnd{cfg: cfg, group: g, backs: backs}
+	tagLastUse := false
+	for _, b := range backs {
+		b.front = f
+		tagLastUse = tagLastUse || b.cfg.L2Enhanced
+		f.traceTiles = f.traceTiles || b.cfg.Tracer != nil && b.cfg.TraceTiles
 	}
-	s.l2c, err = l2.New(cfg.L2, s.dramDev)
-	if err != nil {
-		return nil, err
-	}
-	s.l2in = newTee(s.l2c)
-	if cfg.L2TraceDepth > 0 {
-		s.l2trace = stats.NewRing(cfg.L2TraceDepth)
-		s.l2c.SetEvictionTrace(s.l2trace)
+	f.l2 = backs[0].l2in
+	listNext := f.l2
+	if len(backs) > 1 {
+		f.l2 = &fanOut{backs: backs}
+		listNext = &fanOut{backs: backs, untag: tagLastUse}
 	}
 
+	var err error
 	switch cfg.Kind {
 	case KindBaseline:
-		s.tile, err = cache.NewWriteBackLRU(cache.Config{
+		f.tile, err = cache.NewWriteBackLRU(cache.Config{
 			Lines:         cache.LinesFor(cfg.TileCacheBytes, memmap.BlockBytes),
 			Ways:          cfg.TileCacheWays,
 			WriteAllocate: true,
@@ -356,15 +413,15 @@ func newSim(scene *workload.Scene, cfg Config, trav *tiling.Traversal, g *group)
 		}
 	case KindTCOR:
 		lcfg := tcor.DefaultListCacheConfig()
-		lcfg.TagLastUse = cfg.L2Enhanced
-		s.lists, err = tcor.NewPrimitiveListCache(lcfg, s.l2in)
+		lcfg.TagLastUse = tagLastUse
+		f.lists, err = tcor.NewPrimitiveListCache(lcfg, listNext)
 		if err != nil {
 			return nil, err
 		}
 		acfg := tcor.DefaultAttrCacheConfig(cfg.TileCacheBytes - lcfg.SizeBytes)
 		acfg.XORIndex = cfg.XORIndex
 		acfg.WriteBypass = cfg.WriteBypass
-		s.attrs, err = tcor.NewAttributeCache(acfg, s.l2in)
+		f.attrs, err = tcor.NewAttributeCache(acfg, f.l2)
 		if err != nil {
 			return nil, err
 		}
@@ -373,12 +430,72 @@ func newSim(scene *workload.Scene, cfg Config, trav *tiling.Traversal, g *group)
 	}
 
 	// The Vertex Cache is only read.
-	s.vertex, err = cache.NewFlatLRU(cache.Config{
+	f.vertex, err = cache.NewFlatLRU(cache.Config{
 		Lines: cache.LinesFor(cfg.VertexCacheBytes, memmap.BlockBytes),
 		Ways:  cfg.VertexCacheWays,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("gpu: vertex cache: %w", err)
+	}
+
+	if cfg.InterleavedLists {
+		f.listLayout = pbuffer.NewInterleavedListLayout(cfg.Screen.NumTiles())
+	} else {
+		f.listLayout = pbuffer.NewBaselineListLayout(cfg.Screen.NumTiles())
+	}
+	f.attrLayout = pbuffer.NewAttrLayout()
+	return f, nil
+}
+
+// backEnd is one configuration's own part of the machine: the L2 behind
+// its ingress tee, DRAM, the Raster Pipeline that commits the group's
+// filtered plans, and the cycle accounting. It also holds the
+// configuration's spans and Result.
+type backEnd struct {
+	cfg   Config
+	front *frontEnd
+
+	dramDev    *dram.DRAM
+	l2c        *l2.Cache
+	l2in       *teeSink    // in front of the L2: counts all L1->L2 traffic
+	l2trace    *stats.Ring // bounded L2 eviction trace (nil when off)
+	rasterPipe *raster.Pipeline
+
+	// probe is taken by frontEnd.mark before each L1 operation.
+	probe penaltyProbe
+
+	// The current frame's accounts (reset by openTiles). Per-traversal-
+	// position Tile Fetcher and Raster cycles are reused across frames
+	// (reset, never reallocated once warm).
+	dramBefore         dram.Stats
+	plbCycles          int64
+	tileTF, tileRaster []int64
+	curTF              int64
+
+	// frameSpan and tilesSpan are the current frame's spans; tileSpan is
+	// the span of the tile currently streaming through the Tile Fetcher
+	// (begun lazily at its first fetch event, ended in tileDone). All nil
+	// when tracing is off.
+	frameSpan, tilesSpan, tileSpan *stats.Span
+
+	res Result
+}
+
+func newBackEnd(scene *workload.Scene, cfg Config) (*backEnd, error) {
+	b := &backEnd{cfg: cfg}
+	var err error
+	b.dramDev, err = dram.New(cfg.DRAM)
+	if err != nil {
+		return nil, err
+	}
+	b.l2c, err = l2.New(cfg.L2, b.dramDev)
+	if err != nil {
+		return nil, err
+	}
+	b.l2in = newTee(b.l2c)
+	if cfg.L2TraceDepth > 0 {
+		b.l2trace = stats.NewRing(cfg.L2TraceDepth)
+		b.l2c.SetEvictionTrace(b.l2trace)
 	}
 
 	spec := scene.Spec
@@ -388,174 +505,207 @@ func newSim(scene *workload.Scene, cfg Config, trav *tiling.Traversal, g *group)
 	if spec.ThreeD {
 		rcfg.TranslucentFraction = 0.05
 	}
-	s.rasterPipe, err = raster.New(rcfg, s.l2in, s.dramDev)
+	b.rasterPipe, err = raster.New(rcfg, b.l2in, b.dramDev)
 	if err != nil {
 		return nil, err
 	}
 
-	if cfg.InterleavedLists {
-		s.listLayout = pbuffer.NewInterleavedListLayout(cfg.Screen.NumTiles())
-	} else {
-		s.listLayout = pbuffer.NewBaselineListLayout(cfg.Screen.NumTiles())
-	}
-	s.attrLayout = pbuffer.NewAttrLayout()
-
-	s.res.Benchmark = spec.Alias
-	s.res.Kind = cfg.Kind
-	return s, nil
+	b.res.Benchmark = spec.Alias
+	b.res.Kind = cfg.Kind
+	return b, nil
 }
 
-// penalty measures the stall cycles incurred by the last L1 operation from
-// the L2/DRAM traffic it generated, scaled by the MSHR overlap factor.
+// penaltyProbe is where a back end's L2 and DRAM read counters stood
+// before an L1 operation.
 type penaltyProbe struct {
 	l2Reads, dramReadCycles int64
 }
 
-func (s *sim) snap() penaltyProbe {
-	return penaltyProbe{
-		l2Reads:        s.l2in.Reads,
-		dramReadCycles: s.dramDev.Stats().ReadCycles,
+// mark probes every back end before an L1 operation.
+func (f *frontEnd) mark() {
+	for _, b := range f.backs {
+		b.probe = penaltyProbe{
+			l2Reads:        b.l2in.Reads,
+			dramReadCycles: b.dramDev.Stats().ReadCycles,
+		}
 	}
 }
 
-func (s *sim) penaltySince(p penaltyProbe) int64 {
-	l2 := (s.l2in.Reads - p.l2Reads) * int64(s.cfg.Timing.L2Cycles)
-	dr := s.dramDev.Stats().ReadCycles - p.dramReadCycles
-	return (l2 + dr) / int64(s.cfg.Timing.MSHROverlap)
+// penalty measures the stall cycles the L1 operation since the last mark
+// incurred in this back end, from the L2/DRAM traffic it generated, scaled
+// by the MSHR overlap factor.
+func (b *backEnd) penalty() int64 {
+	l2 := (b.l2in.Reads - b.probe.l2Reads) * int64(b.cfg.Timing.L2Cycles)
+	dr := b.dramDev.Stats().ReadCycles - b.probe.dramReadCycles
+	return (l2 + dr) / int64(b.cfg.Timing.MSHROverlap)
 }
 
-// beginFrameSpan opens one frame's top span: a child of cfg.TraceParent
-// when the caller threaded one through (the frame then joins the caller's
-// trace), else a fresh root trace. Nil-safe — with tracing off it returns
-// the nil span.
-func (s *sim) beginFrameSpan() *stats.Span {
-	if p := s.cfg.TraceParent; p != nil {
-		return p.Child("frame", "gpu")
+// chargeTF charges every back end's Tile Fetcher the L1 operation since
+// the last mark: extra cycles, the L1 latency and the stall penalty.
+func (f *frontEnd) chargeTF(extra int64) {
+	for _, b := range f.backs {
+		b.curTF += extra + int64(b.cfg.Timing.L1Cycles) + b.penalty()
 	}
-	return s.tracer.Begin("frame", "gpu")
 }
 
-// beginFrame opens frame f and runs its Geometry Pipeline: vertex fetch and
-// vertex shading.
-func (s *sim) beginFrame(f int, prims []geom.Primitive) {
-	s.frame, s.prims = f, prims
-	s.frameSpan = s.beginFrameSpan()
-	s.frameSpan.SetAttr("frame", strconv.Itoa(f))
-	s.dramBefore = s.dramDev.Stats()
+// chargePLB charges every back end's Polygon List Builder the L1 write
+// since the last mark: extra cycles and the L1 latency. Writes drain
+// through a write buffer, so miss handling is off the critical path; only
+// write-buffer pressure (an eighth of the stall penalty) throttles the
+// builder.
+func (f *frontEnd) chargePLB(extra int64) {
+	for _, b := range f.backs {
+		b.plbCycles += extra + int64(b.cfg.Timing.L1Cycles) + b.penalty()/8
+	}
+}
 
-	gsp := s.frameSpan.Child("geometry", "gpu")
-	s.res.GeomCycles += s.geometry(prims)
-	gsp.SetAttr("prims", strconv.Itoa(len(prims)))
+// beginFrame opens the current frame in every back end and runs the
+// Geometry Pipeline: vertex fetch and vertex shading.
+func (f *frontEnd) beginFrame() {
+	g := f.group
+	for _, b := range f.backs {
+		b.beginFrame(g.frame)
+	}
+	gsp := f.backs[0].frameSpan.Child("geometry", "gpu")
+	f.geometry(g.prims)
+	gsp.SetAttr("prims", strconv.Itoa(len(g.prims)))
 	gsp.End()
+}
+
+// beginFrame opens frame f's top span: a child of cfg.TraceParent when the
+// caller threaded one through (the frame then joins the caller's trace),
+// else a fresh root trace. Nil-safe: with tracing off the span is nil.
+func (b *backEnd) beginFrame(f int) {
+	if p := b.cfg.TraceParent; p != nil {
+		b.frameSpan = p.Child("frame", "gpu")
+	} else {
+		b.frameSpan = b.cfg.Tracer.Begin("frame", "gpu")
+	}
+	b.frameSpan.SetAttr("frame", strconv.Itoa(f))
+	b.dramBefore = b.dramDev.Stats()
 }
 
 // replayPLB opens the frame's tile phase on the binned frame and replays
 // the Tiling Engine's phase 1, the PLB.
-func (s *sim) replayPLB(b *tiling.Binning) {
-	s.binning = b
-	s.plbCycles = 0
-	s.tileTF, s.tileRaster = s.tileTF[:0], s.tileRaster[:0]
-	s.tilesSpan = s.frameSpan.Child("tiles", "gpu")
-	tiling.ReplayPLB(b, s.listLayout, s.attrLayout, s)
+func (f *frontEnd) replayPLB() {
+	for _, b := range f.backs {
+		b.plbCycles = 0
+		b.tileTF, b.tileRaster = b.tileTF[:0], b.tileRaster[:0]
+		b.tilesSpan = b.frameSpan.Child("tiles", "gpu")
+	}
+	tiling.ReplayPLB(f.group.binning, f.listLayout, f.attrLayout, f)
 }
 
-// endFrame closes the frame once every tile is done: the per-tile timing
-// overlap, the shader program fills, the Parameter Buffer recycle and the
-// frame's statistics.
-func (s *sim) endFrame() {
-	s.drainQueue()
-	s.tilesSpan.End()
+// endFrame closes the frame once every tile is done: the front end
+// unlocks the primitives still in the TCOR output queue and recycles the
+// Parameter Buffer (its L1s drop their lines without sending anything to
+// the L2), and then every back end closes its frame.
+func (f *frontEnd) endFrame() {
+	for _, p := range f.queue {
+		f.attrs.Unlock(p)
+	}
+	f.queue = f.queue[:0]
+	switch f.cfg.Kind {
+	case KindBaseline:
+		f.tile.FlushAll() // PB-only cache; drop without write-back
+	case KindTCOR:
+		f.lists.EndFrame()
+		f.attrs.EndFrame()
+	}
+	primReads := f.primReads - f.framePrimReads
+	f.framePrimReads = f.primReads
+	for _, b := range f.backs {
+		b.endFrame(f.group.frame, primReads)
+	}
+}
+
+// endFrame closes the back end's frame: the per-tile timing overlap, the
+// shader program fills and the frame's statistics.
+func (b *backEnd) endFrame(frame int, primReads int64) {
+	b.res.PLBCycles += b.plbCycles
+	b.tilesSpan.End()
 
 	// Per-tile overlap of Tile Fetcher and Raster Pipeline: the stages are
 	// decoupled by the output queue, so the frame pays the slower of the
 	// two per tile.
-	fs := FrameStats{Frame: s.frame}
-	for i := range s.tileTF {
-		tf, rs := s.tileTF[i], s.tileRaster[i]
+	fs := FrameStats{Frame: frame, PrimReads: primReads}
+	for i := range b.tileTF {
+		tf, rs := b.tileTF[i], b.tileRaster[i]
 		if tf > rs {
 			fs.TileCycles += tf
 		} else {
 			fs.TileCycles += rs
 		}
 		fs.TFCycles += tf
-		s.res.RasterCycles += rs
+		b.res.RasterCycles += rs
 	}
-	s.res.FrameCycles += fs.TileCycles
+	b.res.FrameCycles += fs.TileCycles
 
 	// Shader program fills: each frame streams the vertex and fragment
 	// programs into the instruction caches once.
-	s.instrFills()
+	b.instrFills()
 
-	// --- Frame boundary: recycle the Parameter Buffer. ---
-	switch s.cfg.Kind {
-	case KindBaseline:
-		s.tile.FlushAll() // PB-only cache; drop without write-back
-	case KindTCOR:
-		s.lists.EndFrame()
-		s.attrs.EndFrame()
-	}
-	s.l2in.EndFrame()
-	s.rasterPipe.EndFrame()
-	dramAfter := s.dramDev.Stats()
-	fs.PrimReads = s.res.PrimReads - s.framePrimReads
-	s.framePrimReads = s.res.PrimReads
-	fs.DRAMReads = dramAfter.Reads - s.dramBefore.Reads
-	fs.DRAMWrites = dramAfter.Writes - s.dramBefore.Writes
-	s.res.PerFrame = append(s.res.PerFrame, fs)
-	s.res.Frames++
-	s.frameSpan.End()
-	s.binning = nil // garbage before the next frame is binned
+	b.l2in.EndFrame()
+	b.rasterPipe.EndFrame()
+	dramAfter := b.dramDev.Stats()
+	fs.DRAMReads = dramAfter.Reads - b.dramBefore.Reads
+	fs.DRAMWrites = dramAfter.Writes - b.dramBefore.Writes
+	b.res.PerFrame = append(b.res.PerFrame, fs)
+	b.res.Frames++
+	b.frameSpan.End()
 }
 
 // geometry models the Vertex Fetcher and Vertex Stage: each primitive
 // fetches three 16-byte vertices from the input geometry stream through the
 // Vertex Cache, then runs the vertex program.
-func (s *sim) geometry(prims []geom.Primitive) int64 {
-	var cycles int64
+func (f *frontEnd) geometry(prims []geom.Primitive) {
 	for i := range prims {
 		for v := 0; v < 3; v++ {
 			addr := memmap.InputGeometryBase + uint64(i*3+v)*16
-			p := s.snap()
-			if !s.vertex.Read(memmap.Block(addr)) {
-				s.vertexL2Reads++
-				s.l2in.Access(mem.Request{Addr: addr &^ (memmap.BlockBytes - 1)})
+			f.mark()
+			if !f.vertex.Read(memmap.Block(addr)) {
+				f.vertexL2Reads++
+				f.l2.Access(mem.Request{Addr: addr &^ (memmap.BlockBytes - 1)})
 			}
-			cycles += int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)
+			for _, b := range f.backs {
+				b.res.GeomCycles += int64(b.cfg.Timing.L1Cycles) + b.penalty()
+			}
 		}
-		cycles += int64(s.cfg.Timing.VertexInstr) * 3 / 4 // 4-lane vertex shading
 	}
-	return cycles
+	for _, b := range f.backs {
+		shade := int64(b.cfg.Timing.VertexInstr) * 3 / 4 // 4-lane vertex shading
+		b.res.GeomCycles += int64(len(prims)) * shade
+	}
 }
 
 // instrFills charges the per-frame shader-program streaming into the
 // instruction caches from the L2.
-func (s *sim) instrFills() {
-	for b := int64(0); b < s.rasterPipe.InstrFootprintBlocks(); b++ {
-		s.res.InstrL2Reads++
-		s.l2in.Access(mem.Request{Addr: memmap.FragShaderInstrBase + uint64(b)*memmap.BlockBytes})
+func (b *backEnd) instrFills() {
+	for i := int64(0); i < b.rasterPipe.InstrFootprintBlocks(); i++ {
+		b.res.InstrL2Reads++
+		b.l2in.Access(mem.Request{Addr: memmap.FragShaderInstrBase + uint64(i)*memmap.BlockBytes})
 	}
-	vblocks := int64(s.cfg.Timing.VertexInstr) * 16 / memmap.BlockBytes
-	for b := int64(0); b <= vblocks; b++ {
-		s.res.InstrL2Reads++
-		s.l2in.Access(mem.Request{Addr: memmap.VertexShaderInstrBase + uint64(b)*memmap.BlockBytes})
+	vblocks := int64(b.cfg.Timing.VertexInstr) * 16 / memmap.BlockBytes
+	for i := int64(0); i <= vblocks; i++ {
+		b.res.InstrL2Reads++
+		b.l2in.Access(mem.Request{Addr: memmap.VertexShaderInstrBase + uint64(i)*memmap.BlockBytes})
 	}
 }
 
 // tileAccess routes one block-granularity Tiling Engine access to the
-// correct L1 and returns the stall penalty.
-func (s *sim) tileAccess(addr uint64, write bool, tilePos uint16) int64 {
-	p := s.snap()
-	switch s.cfg.Kind {
+// correct L1. The caller marks before it and charges after it.
+func (f *frontEnd) tileAccess(addr uint64, write bool, tilePos uint16) {
+	switch f.cfg.Kind {
 	case KindBaseline:
 		if write {
-			s.tileStats.writes++
+			f.tileStats.writes++
 		} else {
-			s.tileStats.reads++
+			f.tileStats.reads++
 		}
-		_, res := s.tile.Access(memmap.Block(addr), write)
+		_, res := f.tile.Access(memmap.Block(addr), write)
 		if res.Evicted && res.VictimDirty {
-			s.tileStats.l2Writes++
-			s.l2in.Access(mem.Request{Addr: memmap.BlockAddr(uint64(res.Victim)), Write: true})
+			f.tileStats.l2Writes++
+			f.l2.Access(mem.Request{Addr: memmap.BlockAddr(uint64(res.Victim)), Write: true})
 		}
 		// Read misses fetch. Write misses fetch when the write is partial:
 		// a PMD appended mid-block must merge with the PMDs already there,
@@ -567,147 +717,157 @@ func (s *sim) tileAccess(addr uint64, write bool, tilePos uint16) int64 {
 		partial := addr%memmap.BlockBytes != 0 ||
 			memmap.RegionOf(addr) == memmap.RegionPBAttributes
 		if !res.Hit && (!write || partial) {
-			s.tileStats.l2Reads++
-			s.l2in.Access(mem.Request{Addr: addr &^ (memmap.BlockBytes - 1)})
+			f.tileStats.l2Reads++
+			f.l2.Access(mem.Request{Addr: addr &^ (memmap.BlockBytes - 1)})
 		}
 	case KindTCOR:
-		s.lists.Access(addr, write, tilePos)
+		f.lists.Access(addr, write, tilePos)
 	}
-	return int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)
 }
 
-// ListWrite implements tiling.Handler.
-func (s *sim) ListWrite(addr uint64, tile geom.TileID) {
-	pos := s.trav.Pos[tile]
-	// Binning work: overlap test + append (~2 cycles per PMD) plus the L1
-	// write. Writes drain through a write buffer, so miss handling is
-	// off the critical path; only write-buffer pressure (an eighth of the
-	// miss penalty) throttles the builder.
-	penalty := s.tileAccess(addr, true, pos)
-	s.plbCycles += 2 + int64(s.cfg.Timing.L1Cycles) + (penalty-int64(s.cfg.Timing.L1Cycles))/8
+// ListWrite implements tiling.Handler. Binning work is the overlap test
+// and append (~2 cycles per PMD) plus the L1 write.
+func (f *frontEnd) ListWrite(addr uint64, tile geom.TileID) {
+	f.mark()
+	f.tileAccess(addr, true, f.group.trav.Pos[tile])
+	f.chargePLB(2)
 }
 
 // AttrWrite implements tiling.Handler.
-func (s *sim) AttrWrite(prim uint32, numAttrs uint8, firstUse, lastUse uint16, blocks []uint64) {
-	switch s.cfg.Kind {
+func (f *frontEnd) AttrWrite(prim uint32, numAttrs uint8, firstUse, lastUse uint16, blocks []uint64) {
+	switch f.cfg.Kind {
 	case KindBaseline:
 		for _, b := range blocks {
-			penalty := s.tileAccess(b, true, lastUse)
-			s.plbCycles += int64(s.cfg.Timing.L1Cycles) + (penalty-int64(s.cfg.Timing.L1Cycles))/8
+			f.mark()
+			f.tileAccess(b, true, lastUse)
+			f.chargePLB(0)
 		}
 	case KindTCOR:
-		p := s.snap()
-		s.attrs.Write(prim, numAttrs, firstUse, lastUse, blocks)
-		s.plbCycles += int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)/8
+		f.mark()
+		f.attrs.Write(prim, numAttrs, firstUse, lastUse, blocks)
+		f.chargePLB(0)
 	}
 }
 
-// beginTileSpan lazily opens the current tile's span at its first Tile
-// Fetcher event. Per-tile spans are gated on cfg.TraceTiles (see the knob's
-// doc for why); the tracer-nil check keeps the disabled path to one branch.
-func (s *sim) beginTileSpan() {
-	if s.tracer != nil && s.cfg.TraceTiles && s.tileSpan == nil {
-		s.tileSpan = s.tilesSpan.Child("tile", "gpu")
+// beginTileSpans lazily opens the current tile's span in every back end
+// that records per-tile spans, at the tile's first Tile Fetcher event.
+// Per-tile spans are gated on cfg.TraceTiles (see the knob's doc for why);
+// traceTiles keeps the disabled path to one branch.
+func (f *frontEnd) beginTileSpans() {
+	if !f.traceTiles {
+		return
+	}
+	for _, b := range f.backs {
+		if b.cfg.Tracer != nil && b.cfg.TraceTiles && b.tileSpan == nil {
+			b.tileSpan = b.tilesSpan.Child("tile", "gpu")
+		}
 	}
 }
 
 // ListRead implements tiling.Handler.
-func (s *sim) ListRead(addr uint64, tile geom.TileID) {
-	s.beginTileSpan()
-	s.curTF += s.tileAccess(addr, false, s.trav.Pos[tile])
+func (f *frontEnd) ListRead(addr uint64, tile geom.TileID) {
+	f.beginTileSpans()
+	f.mark()
+	f.tileAccess(addr, false, f.group.trav.Pos[tile])
+	f.chargeTF(0)
 }
 
 // PrimRead implements tiling.Handler.
-func (s *sim) PrimRead(prim uint32, numAttrs uint8, optNum, lastUse uint16, blocks []uint64, tile geom.TileID) {
-	s.beginTileSpan()
-	s.res.PrimReads++
-	pos := s.trav.Pos[tile]
-	switch s.cfg.Kind {
+func (f *frontEnd) PrimRead(prim uint32, numAttrs uint8, optNum, lastUse uint16, blocks []uint64, tile geom.TileID) {
+	f.beginTileSpans()
+	f.primReads++
+	switch f.cfg.Kind {
 	case KindBaseline:
 		// The baseline Tile Fetcher reads each attribute block through the
 		// Tile Cache and copies the attributes out.
+		pos := f.group.trav.Pos[tile]
 		for _, b := range blocks {
-			s.curTF += s.tileAccess(b, false, pos)
+			f.mark()
+			f.tileAccess(b, false, pos)
+			f.chargeTF(0)
 		}
 	case KindTCOR:
-		p := s.snap()
-		res := s.attrs.Read(prim, numAttrs, optNum, lastUse, blocks)
+		f.mark()
+		var drains int64 // one-cycle drain steps
+		res := f.attrs.Read(prim, numAttrs, optNum, lastUse, blocks)
 		for res.Stalled {
-			if len(s.queue) == 0 {
-				return // cannot happen: queue empty means nothing locked
+			if len(f.queue) == 0 {
+				// Cannot happen: queue empty means nothing locked.
+				for _, b := range f.backs {
+					b.curTF += drains
+				}
+				return
 			}
 			// Rasterizer consumes the oldest in-flight primitive.
-			s.attrs.Unlock(s.queue[0])
-			s.queue = s.queue[1:]
-			s.curTF++ // one-cycle drain step
-			res = s.attrs.Read(prim, numAttrs, optNum, lastUse, blocks)
+			f.attrs.Unlock(f.queue[0])
+			f.queue = f.queue[1:]
+			drains++
+			res = f.attrs.Read(prim, numAttrs, optNum, lastUse, blocks)
 		}
-		s.queue = append(s.queue, prim)
-		if len(s.queue) > s.cfg.OutputQueueDepth {
-			s.attrs.Unlock(s.queue[0])
-			s.queue = s.queue[1:]
+		f.queue = append(f.queue, prim)
+		if len(f.queue) > f.cfg.OutputQueueDepth {
+			f.attrs.Unlock(f.queue[0])
+			f.queue = f.queue[1:]
 		}
-		s.curTF += int64(s.cfg.Timing.L1Cycles) + s.penaltySince(p)
+		f.chargeTF(drains)
 	}
 }
 
-// TileDone implements tiling.Handler: close out the tile's Tile Fetcher
-// cycle count, rasterize the tile, and signal retirement to the L2. The
-// group's first sim plans the tile and filters its texture taps; every sim
-// commits that one filtered plan.
-func (s *sim) TileDone(tile geom.TileID, pos uint16) {
-	s.beginTileSpan() // an empty tile still gets a (zero-fetch) span
-	g := s.group
-	if s == g.sims[0] {
+// TileDone implements tiling.Handler: every back end closes out the tile's
+// Tile Fetcher cycle count, rasterizes the tile and signals retirement to
+// its L2. The group's first front end plans the tile and filters its
+// texture taps; every back end commits that one filtered plan.
+func (f *frontEnd) TileDone(tile geom.TileID, pos uint16) {
+	f.beginTileSpans() // an empty tile still gets a (zero-fetch) span
+	g := f.group
+	if f == g.fronts[0] {
 		g.planTile(tile)
 	}
-	rc := s.rasterPipe.CommitFiltered(&g.plan)
-	s.tileTF = append(s.tileTF, s.curTF)
-	s.tileRaster = append(s.tileRaster, rc)
-	s.res.TFCycles += s.curTF
-	if sp := s.tileSpan; sp != nil {
-		sp.SetAttr("tile", strconv.Itoa(int(tile)))
-		sp.SetAttr("prims", strconv.Itoa(len(s.binning.Lists[tile])))
-		sp.SetAttr("tfCycles", strconv.FormatInt(s.curTF, 10))
-		sp.SetAttr("rasterCycles", strconv.FormatInt(rc, 10))
-		sp.End()
-		s.tileSpan = nil
+	for _, b := range f.backs {
+		b.tileDone(tile, pos, &g.plan, len(g.binning.Lists[tile]))
 	}
-	s.curTF = 0
-	s.l2in.TileRetired(pos, tile)
 }
 
-// drainQueue books the frame's PLB cycles and unlocks any primitives still
-// in the TCOR output queue at frame end.
-func (s *sim) drainQueue() {
-	s.res.PLBCycles += s.plbCycles
-	for _, p := range s.queue {
-		s.attrs.Unlock(p)
+func (b *backEnd) tileDone(tile geom.TileID, pos uint16, plan *raster.TilePlan, prims int) {
+	rc := b.rasterPipe.CommitFiltered(plan)
+	b.tileTF = append(b.tileTF, b.curTF)
+	b.tileRaster = append(b.tileRaster, rc)
+	b.res.TFCycles += b.curTF
+	if sp := b.tileSpan; sp != nil {
+		sp.SetAttr("tile", strconv.Itoa(int(tile)))
+		sp.SetAttr("prims", strconv.Itoa(prims))
+		sp.SetAttr("tfCycles", strconv.FormatInt(b.curTF, 10))
+		sp.SetAttr("rasterCycles", strconv.FormatInt(rc, 10))
+		sp.End()
+		b.tileSpan = nil
 	}
-	s.queue = s.queue[:0]
+	b.curTF = 0
+	b.l2in.TileRetired(pos, tile)
 }
 
 // finish collects stats and computes energy. The Result is a copy, so it
 // keeps none of the machine alive once the run is over.
-func (s *sim) finish() *Result {
+func (b *backEnd) finish() *Result {
+	f := b.front
 	r := new(Result)
-	*r = s.res
-	r.L2In = s.l2in.Counter
-	r.L2Stats = s.l2c.Stats()
-	r.L2Enhanced = s.cfg.L2Enhanced
-	r.L2Trace = s.l2trace
-	r.DRAM = s.dramDev.Stats()
-	r.DRAMIn = s.dramDev.Counter
-	r.VertexStats = s.vertex.Stats()
-	r.VertexL2Reads = s.vertexL2Reads
-	r.RasterStats = s.rasterPipe.Stats()
-	if s.cfg.Kind == KindTCOR {
-		r.AttrStats = s.attrs.Stats()
-		r.ListStats = s.lists.Stats()
+	*r = b.res
+	r.L2In = b.l2in.Counter
+	r.L2Stats = b.l2c.Stats()
+	r.L2Enhanced = b.cfg.L2Enhanced
+	r.L2Trace = b.l2trace
+	r.DRAM = b.dramDev.Stats()
+	r.DRAMIn = b.dramDev.Counter
+	r.PrimReads = f.primReads
+	r.VertexStats = f.vertex.Stats()
+	r.VertexL2Reads = f.vertexL2Reads
+	r.RasterStats = b.rasterPipe.Stats()
+	if b.cfg.Kind == KindTCOR {
+		r.AttrStats = f.attrs.Stats()
+		r.ListStats = f.lists.Stats()
 	} else {
-		r.TileStats = s.tile.Stats()
-		r.TileL2Reads = s.tileStats.l2Reads
-		r.TileL2Writes = s.tileStats.l2Writes
+		r.TileStats = f.tile.Stats()
+		r.TileL2Reads = f.tileStats.l2Reads
+		r.TileL2Writes = f.tileStats.l2Writes
 	}
 	r.FrameCycles += r.GeomCycles + r.PLBCycles
 	// Bandwidth bound: the frame cannot retire before the DRAM bus has
@@ -715,6 +875,6 @@ func (s *sim) finish() *Result {
 	if busy := r.DRAM.BusyCycles; busy > r.FrameCycles {
 		r.FrameCycles = busy
 	}
-	s.computeEnergy(r)
+	b.computeEnergy(r)
 	return r
 }

@@ -48,6 +48,28 @@ type Sink interface {
 	EndFrame()
 }
 
+// BlockWriter is a Sink that takes a run of consecutive block writes in one
+// call.
+type BlockWriter interface {
+	// WriteBlocks services the n block writes at base, base+BlockBytes,
+	// base+2*BlockBytes, ... exactly as n Access calls with Write set
+	// would, in address order.
+	WriteBlocks(base uint64, n int64)
+}
+
+// WriteBlocks writes the n consecutive blocks from base into s: in one
+// call when s is a BlockWriter, else as n Access calls, the way io.Copy
+// hands a copy to a WriterTo.
+func WriteBlocks(s Sink, base uint64, n int64) {
+	if w, ok := s.(BlockWriter); ok {
+		w.WriteBlocks(base, n)
+		return
+	}
+	for i := int64(0); i < n; i++ {
+		s.Access(Request{Addr: base + uint64(i)*memmap.BlockBytes, Write: true})
+	}
+}
+
 // Counter is a Sink that tallies requests by region and direction. It is the
 // terminal level in unit tests and doubles as the access meter in front of
 // DRAM. Per-region tallies live in a fixed array indexed by region — the
@@ -71,14 +93,17 @@ func NewCounter() *Counter {
 }
 
 // Access implements Sink.
-func (c *Counter) Access(r Request) {
+func (c *Counter) Access(r Request) { c.AccessN(r, 1) }
+
+// AccessN counts n requests like r, as n Access calls would.
+func (c *Counter) AccessN(r Request, n int64) {
 	rc := &c.byRegion[r.Region()]
 	if r.Write {
-		c.Writes++
-		rc.Writes++
+		c.Writes += n
+		rc.Writes += n
 	} else {
-		c.Reads++
-		rc.Reads++
+		c.Reads += n
+		rc.Reads += n
 	}
 }
 

@@ -33,6 +33,8 @@ const (
 // simulated footprint, so regions never collide.
 const (
 	regionShift = 28 // 256 MiB per region
+	// RegionBytes is a region's size; regions start at its multiples.
+	RegionBytes = uint64(1) << regionShift
 
 	InputGeometryBase     = uint64(RegionInputGeometry) << regionShift
 	PBListsBase           = uint64(RegionPBLists) << regionShift

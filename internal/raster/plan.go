@@ -178,9 +178,7 @@ func (p *Pipeline) CommitFiltered(plan *TilePlan) int64 {
 	p.stats.Fragments += fragments
 	p.stats.InstrExecuted += instr
 
-	for b := int64(0); b < plan.FBBlocks; b++ {
-		p.fb.Access(mem.Request{Addr: plan.FBBase + uint64(b)*memmap.BlockBytes, Write: true})
-	}
+	mem.WriteBlocks(p.fb, plan.FBBase, plan.FBBlocks)
 	p.stats.FBBlocksFlushed += plan.FBBlocks
 
 	cycles := instr / NumFragmentProcessors

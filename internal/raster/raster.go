@@ -129,7 +129,8 @@ type Pipeline struct {
 
 // New builds the pipeline. l2 receives texture-cache misses; fb receives
 // Color Buffer flushes (the paper's memory organization sends those straight
-// to main memory).
+// to main memory), through mem.WriteBlocks: one call per tile when fb is a
+// mem.BlockWriter, one Access per block otherwise.
 func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 	if err := cfg.Screen.Validate(); err != nil {
 		return nil, err

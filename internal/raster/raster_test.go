@@ -247,3 +247,48 @@ func TestTexCacheStatsSatisfyCacheInvariants(t *testing.T) {
 		t.Errorf("invariants violated: %v", err)
 	}
 }
+
+// accessRecorder is a plain mem.Sink that records every request.
+type accessRecorder struct{ reqs []mem.Request }
+
+func (r *accessRecorder) Access(q mem.Request)            { r.reqs = append(r.reqs, q) }
+func (r *accessRecorder) TileRetired(uint16, geom.TileID) {}
+func (r *accessRecorder) EndFrame()                       {}
+
+// runRecorder is a mem.BlockWriter that records every run it is handed.
+type runRecorder struct {
+	accessRecorder
+	runs [][2]uint64 // base, n
+}
+
+func (r *runRecorder) WriteBlocks(base uint64, n int64) {
+	r.runs = append(r.runs, [2]uint64{base, uint64(n)})
+}
+
+// TestFlushReachesPlainSinksBlockByBlock checks both paths of the Color
+// Buffer flush: a sink that is not a mem.BlockWriter receives one block
+// write per block, in address order, and a BlockWriter receives the same
+// blocks as one run.
+func TestFlushReachesPlainSinksBlockByBlock(t *testing.T) {
+	screen := geom.Screen{Width: 96, Height: 96, TileSize: 32}
+	plain, runs := &accessRecorder{}, &runRecorder{}
+	for _, fb := range []mem.Sink{plain, runs} {
+		p, err := New(DefaultConfig(screen, 1<<16, 4), mem.NewCounter(), fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rasterTile(p, 4, 0, nil)
+	}
+	base := memmap.FrameBufferBase + 4*32*32*4
+	if len(plain.reqs) != 64 {
+		t.Fatalf("plain sink received %d requests, want 64", len(plain.reqs))
+	}
+	for i, q := range plain.reqs {
+		if want := (mem.Request{Addr: base + uint64(i)*memmap.BlockBytes, Write: true}); q != want {
+			t.Fatalf("request %d = %+v, want %+v", i, q, want)
+		}
+	}
+	if len(runs.reqs) != 0 || len(runs.runs) != 1 || runs.runs[0] != [2]uint64{base, 64} {
+		t.Errorf("block writer received requests %v and runs %v, want the one run {%#x 64}", runs.reqs, runs.runs, base)
+	}
+}
