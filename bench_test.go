@@ -409,8 +409,16 @@ func BenchmarkRasterTile(b *testing.B) {
 // once, planned tile by tile in Z-order traversal with the raster
 // configuration gpu.Simulate builds for it. No cache, L2 or DRAM is
 // touched. quads/op is the number of covered quads one pass plans.
-func BenchmarkPlanTile(b *testing.B) {
-	spec, err := workload.ByAlias("CCS")
+func BenchmarkPlanTile(b *testing.B) { benchPlanTile(b, "CCS") }
+
+// BenchmarkPlanTileSmallPrims is BenchmarkPlanTile on DDS, whose small
+// triangles cover about four quad rows per primitive-tile pair against
+// CCS's twelve or so: a planner change that helps large primitives and
+// hurts small ones shows in one of the two.
+func BenchmarkPlanTileSmallPrims(b *testing.B) { benchPlanTile(b, "DDS") }
+
+func benchPlanTile(b *testing.B, alias string) {
+	spec, err := workload.ByAlias(alias)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -82,12 +82,27 @@ func (r *Runner) Metrics() *stats.Registry {
 	return r.metrics
 }
 
+// memoTable holds the counter names of one memo table,
+// "memo.<table>.hits", ".misses" and ".evictions", built once so that a
+// memo hit builds no string.
+type memoTable struct{ hits, misses, evictions string }
+
+func newMemoTable(table string) memoTable {
+	return memoTable{"memo." + table + ".hits", "memo." + table + ".misses", "memo." + table + ".evictions"}
+}
+
+// The Runner's memo tables.
+var (
+	scenesTable   = newMemoTable("scenes")
+	runsTable     = newMemoTable("runs")
+	tracesTable   = newMemoTable("traces")
+	profilesTable = newMemoTable("profiles")
+)
+
 // meter returns the counters for one memo table.
-func (r *Runner) meter(table string) (hits, misses, evictions *stats.Counter) {
+func (r *Runner) meter(t memoTable) (hits, misses, evictions *stats.Counter) {
 	m := r.Metrics()
-	return m.Counter("memo." + table + ".hits"),
-		m.Counter("memo." + table + ".misses"),
-		m.Counter("memo." + table + ".evictions")
+	return m.Counter(t.hits), m.Counter(t.misses), m.Counter(t.evictions)
 }
 
 // baseCtx returns the runner's sweep context.
@@ -117,7 +132,7 @@ func (r *Runner) Suite() []workload.Spec {
 
 // Scene returns the calibrated scene for a benchmark.
 func (r *Runner) Scene(alias string) (*workload.Scene, error) {
-	hits, misses, evictions := r.meter("scenes")
+	hits, misses, evictions := r.meter(scenesTable)
 	return r.scenes.get(alias, r.MemoCap, hits, misses, evictions, func() (*workload.Scene, error) {
 		if hook := r.testSceneHook; hook != nil {
 			hook(alias)
@@ -136,7 +151,9 @@ func (r *Runner) Scene(alias string) (*workload.Scene, error) {
 // Run simulates a benchmark under a configuration, memoized under the given
 // configuration name.
 func (r *Runner) Run(alias, cfgName string, cfg gpu.Config) (*gpu.Result, error) {
-	return r.runScene([]runCell{{alias, cfgName, cfg}})[0].wait()
+	var cell [1]*memoCell[*gpu.Result]
+	r.runScene([]runCell{{alias, cfgName, cfg}}, cell[:])
+	return cell[0].wait()
 }
 
 // runCell is one (benchmark, configuration) cell of the full-system grid,
@@ -147,17 +164,16 @@ type runCell struct {
 }
 
 // runScene fills the memo cells of one benchmark's configurations and
-// returns the cells in order. The cells must share the benchmark, the
-// screen and the traversal order. A cell another caller already claimed is
-// returned as it is, possibly still in flight. The others are all claimed
+// stores them in out, in order (len(out) == len(cells)). The cells must
+// share the benchmark, the screen and the traversal order. A cell another
+// caller already claimed is stored as it is, possibly still in flight. The others are all claimed
 // before any work starts, so a concurrent Run of one of their keys waits
 // for this call instead of simulating again. Each claimed cell is restored
 // from the checkpoint when it is journaled there; the rest simulate
 // together in one gpu.SimulateGroup, are journaled and are resolved.
-func (r *Runner) runScene(cells []runCell) []*memoCell[*gpu.Result] {
-	hits, misses, evictions := r.meter("runs")
+func (r *Runner) runScene(cells []runCell, out []*memoCell[*gpu.Result]) {
+	hits, misses, evictions := r.meter(runsTable)
 	cp := r.Checkpoint
-	out := make([]*memoCell[*gpu.Result], len(cells))
 	var todo []int
 	var fps []string
 	for i, c := range cells {
@@ -179,7 +195,7 @@ func (r *Runner) runScene(cells []runCell) []*memoCell[*gpu.Result] {
 		fps = append(fps, fp)
 	}
 	if len(todo) == 0 {
-		return out
+		return
 	}
 
 	sc, err := r.Scene(cells[0].alias)
@@ -187,7 +203,7 @@ func (r *Runner) runScene(cells []runCell) []*memoCell[*gpu.Result] {
 		for _, i := range todo {
 			out[i].resolve(nil, err)
 		}
-		return out
+		return
 	}
 	cfgs := make([]gpu.Config, len(todo))
 	for k, i := range todo {
@@ -205,7 +221,6 @@ func (r *Runner) runScene(cells []runCell) []*memoCell[*gpu.Result] {
 			out[i].resolve(results[k], nil)
 		}
 	}
-	return out
 }
 
 // prewarmConfigs returns the six full-system configurations behind
@@ -235,7 +250,10 @@ func (r *Runner) Prewarm(par int) error {
 // GOMAXPROCS.
 func (r *Runner) PrewarmContext(ctx context.Context, par int) error {
 	_, err := SweepSlice(ctx, par, r.Suite(), func(_ context.Context, spec workload.Spec) (struct{}, error) {
-		for _, c := range r.runScene(prewarmConfigs(spec.Alias)) {
+		cells := prewarmConfigs(spec.Alias)
+		out := make([]*memoCell[*gpu.Result], len(cells))
+		r.runScene(cells, out)
+		for _, c := range out {
 			if _, err := c.wait(); err != nil {
 				return struct{}{}, err
 			}
@@ -266,7 +284,7 @@ func (r *Runner) Binning(alias string) (*tiling.Binning, error) {
 // tile by tile in traversal order — the stream behind Figs. 1 and 11–13.
 // The trace is annotated with Belady next-use indices.
 func (r *Runner) AttributeTrace(alias string) (trace.Trace, error) {
-	hits, misses, evictions := r.meter("traces")
+	hits, misses, evictions := r.meter(tracesTable)
 	return r.traces.get(alias, r.MemoCap, hits, misses, evictions, func() (trace.Trace, error) {
 		b, err := r.Binning(alias)
 		if err != nil {
@@ -290,7 +308,7 @@ func (r *Runner) AttributeTrace(alias string) (trace.Trace, error) {
 // benchmark's attribute trace: fully-associative LRU miss ratios at every
 // capacity from one pass (reference [27]'s own technique).
 func (r *Runner) LRUProfile(alias string) (cache.StackProfile, error) {
-	hits, misses, evictions := r.meter("profiles")
+	hits, misses, evictions := r.meter(profilesTable)
 	return r.profiles.get(alias, r.MemoCap, hits, misses, evictions, func() (cache.StackProfile, error) {
 		tr, err := r.AttributeTrace(alias)
 		if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"tcor/internal/gpu"
 	"tcor/internal/mem"
@@ -29,7 +30,7 @@ const (
 // gridCell is one benchmark's cell of the grid.
 func gridCell(alias string, config, sizeKB int) runCell {
 	c := gridConfigs[config]
-	return runCell{alias, fmt.Sprintf("%s%d", c.prefix, sizeKB), c.config(tileCacheBytes(sizeKB))}
+	return runCell{alias, c.prefix + strconv.Itoa(sizeKB), c.config(tileCacheBytes(sizeKB))}
 }
 
 // grid returns the memoized result of one grid cell.

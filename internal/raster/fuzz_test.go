@@ -7,11 +7,12 @@ import (
 	"tcor/internal/mem"
 )
 
-// FuzzPlanTileMatchesReference cross-checks the planner's exact row spans
+// FuzzPlanTileMatchesReference cross-checks the planner's exact spans
 // against the per-quad reference on one fuzzed triangle: planned over every
-// tile of an odd- and an even-tile-size screen, PlanTile's tallies and its
-// run-length coded tap stream must equal refPlanTile's. The seeds are one
-// triangle of each of adversarialFamilies.
+// tile of an odd- and an even-tile-size screen, and of an odd one with the
+// floor-size texture, PlanTile's tallies and its run-length coded tap
+// stream must equal refPlanTile's. The seeds are one triangle of each of
+// adversarialFamilies.
 func FuzzPlanTileMatchesReference(f *testing.F) {
 	f.Add(float32(3.5), float32(5), float32(180.25), float32(61), float32(90), float32(33.9), float32(0.5), uint32(7))      // sliver
 	f.Add(float32(10), float32(10), float32(11.25), float32(11.25), float32(9.25), float32(9.25), float32(0.5), uint32(11)) // collinear
@@ -20,8 +21,8 @@ func FuzzPlanTileMatchesReference(f *testing.F) {
 	f.Add(float32(-3), float32(10.5), float32(150), float32(11.9), float32(70), float32(10), float32(0.5), uint32(19))      // one row
 	f.Add(float32(20.25), float32(-5), float32(21.5), float32(90), float32(21), float32(40), float32(0.5), uint32(23))      // one column
 	var pipes []*Pipeline
-	for _, ts := range []int{31, 32} {
-		p, err := New(testConfig(ts), mem.NewCounter(), mem.NewCounter())
+	for _, cfg := range []Config{testConfig(31), testConfig(32), floorTexConfig(31)} {
+		p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
 		if err != nil {
 			f.Fatal(err)
 		}

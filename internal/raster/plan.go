@@ -91,10 +91,12 @@ func (p *Pipeline) PlanTile(tile geom.TileID, frame int, work []TileWork, sc *Pl
 		sc.depth[i] = math.MaxFloat32
 	}
 	route := p.tileRoute(tile)
+	var run tapRun
 	for _, w := range work {
 		plan.Prims++
-		plan.QuadsShaded += p.planPrim(w.Prim, rect, route, frame, sc, plan)
+		plan.QuadsShaded += p.planPrim(w.Prim, rect, route, frame, sc, &run, plan)
 	}
+	run.flush(plan)
 
 	pixels := int64(rect.Width()) * int64(rect.Height())
 	plan.FBBlocks = (pixels*4 + memmap.BlockBytes - 1) / memmap.BlockBytes
@@ -130,7 +132,7 @@ func (p *Pipeline) CommitPlan(plan *TilePlan) int64 {
 }
 
 // FilterTextures runs the plan's tap runs through this pipeline's texture
-// caches, one read per run (the run's repeats are hits; see TilePlan.tap),
+// caches, one read per run (the run's repeats are hits; see tapRun.flush),
 // and records the outcome in the plan: TexTaps counts the taps and
 // TexMisses lists the blocks that missed, in issue order. It is the half
 // of CommitPlan that touches the texture caches, and the texture caches
@@ -192,26 +194,37 @@ func (p *Pipeline) CommitFiltered(plan *TilePlan) int64 {
 // planPrim plans one primitive in one tile: it finds the quads of the
 // tile whose centers geom.PointInTriangle accepts, tests them against the
 // scratch Z-buffer in row-major order, and records the texture taps of
-// surviving quads into the plan.
+// surviving quads into run and the plan.
 //
-// Coverage comes from exact row spans, with no per-quad test. The bbox
-// test is a clip of the quad rows and columns, once per primitive.
+// Coverage comes from exact spans, with no per-quad test. The bbox test is
+// a clip of the quad rows and columns, once per primitive.
 // PointInTriangle then accepts a center when none of its three edge
-// functions is positive, or none is negative. Along a quad row each edge
-// function float32((cx−P.X)·dY) − yT is monotone in cx, in the direction
-// of dY's sign: the centers cx are exact integers, and float32 subtraction
-// and multiplication round monotonically. So each edge's negative, zero
-// and positive quads form three consecutive runs, and each of the two
-// acceptance conditions holds on one interval of the row: the
+// functions is positive, or none is negative. Each edge function
+// f = float32((cx−P.X)·dY) − yT, yT = float32(dX·(cy−P.Y)), is monotone
+// in cx in the direction of dY's sign and in cy in the direction of
+// −dX's: the centers are exact integers, and float32 subtraction and
+// multiplication round monotonically. So along a quad row each edge's
+// negative, zero and positive quads form three consecutive runs, and each
+// of the two acceptance conditions holds on one interval of the row: the
 // intersection of one run-bounded interval per edge. edge.crossing finds
-// the run boundaries. The covered quads are the union of the two
-// intervals, visited left to right, so Early-Z and the taps see them in
-// the order a per-quad test would. Every float32 expression keeps
-// PointInTriangle's operands and order, and the explicit float32
-// conversions forbid fused multiply-adds, so coverage is bit-identical to
-// calling it while the edge products are finite (vertex coordinates within
-// about ±1e18).
-func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, frame int, sc *PlanScratch, plan *TilePlan) int64 {
+// the run boundaries. Over the whole clipped box, f's extremes lie at two
+// known corners, so classify folds an edge with one strict sign there into
+// bounds that hold for every row, and only the other edges cross row by
+// row. The covered quads are the union of the two intervals, visited left
+// to right, so Early-Z and the taps see them in the order a per-quad test
+// would. Every float32 expression keeps PointInTriangle's operands and
+// order, and the explicit float32 conversions forbid fused multiply-adds,
+// so coverage is bit-identical to calling it while the edge products are
+// finite (vertex coordinates within about ±1e18).
+//
+// An opaque Early-Z span of at least a block's worth of quads whose every
+// quad passes the depth test is planned in bulk: z over the span's depths,
+// then its taps a run at a time (quadTaps.span). That is what the per-quad
+// loop would do quad by quad, since a passing quad changes no depth the
+// span's later quads read. Any other span takes the per-quad loop. Taps
+// gather in the tile's tapRun and join the plan's stream when the run
+// ends.
+func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, frame int, sc *PlanScratch, run *tapRun, plan *TilePlan) int64 {
 	bb := pr.BBox()
 	x0 := maxF(bb.Min.X, tile.Min.X)
 	y0 := maxF(bb.Min.Y, tile.Min.Y)
@@ -234,6 +247,9 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 	}
 	for ; qy1 >= qy0 && quadCenter(tile.Min.Y, qy1) > bb.Max.Y; qy1-- {
 	}
+	if qx0 > qx1 || qy0 > qy1 {
+		return 0
+	}
 	z := (pr.Depth[0] + pr.Depth[1] + pr.Depth[2]) / 3
 	// Depth-writing materials disable the Early Z-Test (§II-A); the choice
 	// is a deterministic per-primitive hash so a given fraction of the
@@ -247,22 +263,62 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 	a, b, c := pr.Pos[0], pr.Pos[1], pr.Pos[2]
 	// geom.PointInTriangle's sign(p, a, b), sign(p, b, c), sign(p, c, a).
 	edges := [3]edge{
-		newEdge(b, a.X-b.X, a.Y-b.Y, tile.Min.X),
-		newEdge(c, b.X-c.X, b.Y-c.Y, tile.Min.X),
-		newEdge(a, c.X-a.X, c.Y-a.Y, tile.Min.X),
+		newEdge(b, a.X-b.X, a.Y-b.Y),
+		newEdge(c, b.X-c.X, b.Y-c.Y),
+		newEdge(a, c.X-a.X, c.Y-a.Y),
 	}
 	lo, hi := qx0, qx1+1 // half-open
-	taps := p.tapsFor(pr, frame)
-	var survived int64
-rows:
-	for qy := qy0; qy <= qy1; qy++ {
-		cy := quadCenter(tile.Min.Y, qy)
-		// [ls, le) has no positive edge, [rs, re) no negative one.
-		ls, le, rs, re := lo, hi, lo, hi
+	// [ls, le) has no positive edge, [rs, re) no negative one, on every
+	// row as far as the edges folded in so far decide. An edge with an end
+	// inside the tile runs into it and changes sign there, so only an edge
+	// with both ends outside is worth classifying; a primitive whose bbox
+	// the tile does not clip has none.
+	ls, le, rs, re := lo, hi, lo, hi
+	mixed := edges[:]
+	inA, inB, inC := tile.Contains(a), tile.Contains(b), tile.Contains(c)
+	if ends := [3]bool{!inA && !inB, !inB && !inC, !inC && !inA}; ends != [3]bool{} {
+		cyLo, cyHi := quadCenter(tile.Min.Y, qy0), quadCenter(tile.Min.Y, qy1)
+		n := 0
 		for i := range edges {
-			e := &edges[i]
-			yT := float32(e.dX * (cy - e.o.Y))
-			nonNeg, pos := e.crossing(yT, tile.Min.X, lo, hi)
+			sign := 0
+			if ends[i] {
+				sign = edges[i].classify(tile.Min.X, lo, hi-1, cyLo, cyHi)
+			}
+			if edges[i].flip {
+				sign = -sign // the original function is −f
+			}
+			switch sign {
+			case -1: // the edge is negative at every center
+				rs = hi
+			case 1: // the edge is positive at every center
+				le = lo
+			default:
+				edges[n] = edges[i]
+				n++
+			}
+		}
+		if ls >= le && rs >= re {
+			return 0
+		}
+		mixed = edges[:n]
+	}
+	for i := range mixed {
+		mixed[i].estimate(tile.Min.X)
+	}
+	taps := p.tapsFor(pr, frame)
+	bulk := !translucent && !lateZ
+	var survived int64
+	// Texel coordinates step with the quads, so the columns and rows are
+	// reduced modulo texW once per primitive and stepped from there.
+	u0 := taps.u(quadCenter(tile.Min.X, lo))
+	v := taps.v(quadCenter(tile.Min.Y, qy0))
+rows:
+	for qy := qy0; qy <= qy1; qy, v = qy+1, taps.next(v) {
+		cy := quadCenter(tile.Min.Y, qy)
+		ls, le, rs, re := ls, le, rs, re
+		for i := range mixed {
+			e := &mixed[i]
+			nonNeg, pos := e.crossing(e.yT(cy), tile.Min.X, lo, hi)
 			if e.flip {
 				ls, re = max(ls, nonNeg), min(re, pos)
 			} else {
@@ -284,7 +340,7 @@ rows:
 		if qy >= route.straddle {
 			rowEdges = 1
 		}
-		v := taps.v(cy)
+		row := taps.row(v)
 		for span := 0; span < 2; span++ {
 			from, to := ls, le
 			if span == 1 {
@@ -293,42 +349,71 @@ rows:
 			if from >= to {
 				continue
 			}
-			u := taps.u(quadCenter(tile.Min.X, from))
+			u := taps.skip(u0, from-lo)
+			depth := sc.depth[qy*p.tileQuads+from : qy*p.tileQuads+to]
+			if bulk && to-from >= quadsPerBlock && unoccluded(depth, z) {
+				// An opaque Early-Z span that every quad passes: each quad
+				// would write z and tap in turn, so write z over the span
+				// and add its taps a run at a time.
+				for i := range depth {
+					depth[i] = z
+				}
+				plan.Quads += int64(to - from)
+				survived += int64(to - from)
+				if taps.enabled {
+					taps.span(from, to, u, row, rowEdges, route, run, plan)
+				}
+				continue
+			}
 			for qx := from; qx < to; qx, u = qx+1, taps.next(u) {
 				plan.Quads++
-				di := qy*p.tileQuads + qx
+				di := qx - from
 				if translucent {
 					// Blend: depth-tested against opaque geometry but
 					// never written; the Color Buffer is read and
 					// re-written.
-					if z >= sc.depth[di] {
+					if z >= depth[di] {
 						continue
 					}
 					plan.BlendedQuads++
 				} else if !lateZ {
 					// Early-Z: opaque geometry in submission order.
-					if z >= sc.depth[di] {
+					if z >= depth[di] {
 						continue
 					}
-					sc.depth[di] = z
+					depth[di] = z
 				} else {
 					// Late-Z: shade unconditionally, then depth-test the
 					// result.
 					plan.LateZQuads++
-					if z < sc.depth[di] {
-						sc.depth[di] = z
+					if z < depth[di] {
+						depth[di] = z
 					}
 				}
 				survived++
-				edges := rowEdges
-				if qx >= route.straddle {
-					edges++
+				if taps.enabled {
+					edges := rowEdges
+					if qx >= route.straddle {
+						edges++
+					}
+					run.add(tapKey(blockOf(row+u*texelBytes), route.cache[edges]), 1, plan)
 				}
-				taps.plan(u, v, route.cache[edges], plan)
 			}
 		}
 	}
 	return survived
+}
+
+// unoccluded reports whether z passes the Early-Z test against every
+// depth: the per-quad test's condition, so a NaN z passes as it does
+// there.
+func unoccluded(depth []float32, z float32) bool {
+	for _, d := range depth {
+		if z >= d {
+			return false
+		}
+	}
+	return true
 }
 
 // quadCenter returns the coordinate of the center of quad q of a tile
@@ -347,27 +432,58 @@ type edge struct {
 	dX, dY float32
 	flip   bool
 	// f's zero along the row at cy lies near quad q0 + yT·qPerYT in real
-	// arithmetic, where yT is the row's y term.
+	// arithmetic, where yT is the row's y term (set by estimate).
 	q0, qPerYT float64
 }
 
-func newEdge(o geom.Vec2, dX, dY, tileMinX float32) edge {
+func newEdge(o geom.Vec2, dX, dY float32) edge {
 	e := edge{o: o, dX: dX, dY: dY}
 	if dY < 0 {
 		e.dX, e.dY, e.flip = -dX, -dY, true
 	}
+	return e
+}
+
+// estimate sets up crossing's estimate of f's zero along a row, for an
+// edge that crosses rows.
+func (e *edge) estimate(tileMinX float32) {
 	if e.dY > 0 {
 		// cx(q) = tileMinX + QuadSize·q + QuadSize/2 and f = 0 at
 		// cx = o.X + yT/dY.
-		e.q0 = (float64(o.X) - float64(tileMinX) - QuadSize/2) / QuadSize
+		e.q0 = (float64(e.o.X) - float64(tileMinX) - QuadSize/2) / QuadSize
 		e.qPerYT = 1 / (QuadSize * float64(e.dY))
 	}
-	return e
 }
 
 // at evaluates the edge function at quad column q of a row with y term yT.
 func (e *edge) at(q int, yT, tileMinX float32) float32 {
 	return float32((quadCenter(tileMinX, q)-e.o.X)*e.dY) - yT
+}
+
+// yT returns the y term of the row of quads centered at cy.
+func (e *edge) yT(cy float32) float32 {
+	return float32(e.dX * (cy - e.o.Y))
+}
+
+// classify returns −1 if f < 0 at every quad center of the columns
+// [qLo, qHi] of the rows centered cyLo to cyHi, 1 if f > 0 at every one,
+// and 0 otherwise. f never falls as cx rises, never rises as yT does, and
+// yT moves with cy in the direction of dX's sign, each step a monotone
+// float32 rounding. So f's maximum over the box is at column qHi of the
+// row with the least yT, its minimum at column qLo of the row with the
+// greatest: two evaluations decide the whole box.
+func (e *edge) classify(tileMinX float32, qLo, qHi int, cyLo, cyHi float32) int {
+	yLo, yHi := e.yT(cyLo), e.yT(cyHi)
+	if e.dX < 0 {
+		yLo, yHi = yHi, yLo
+	}
+	if e.at(qHi, yLo, tileMinX) < 0 {
+		return -1
+	}
+	if e.at(qLo, yHi, tileMinX) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // crossing returns, among the quad columns [lo, hi) of a row with y term
@@ -415,6 +531,18 @@ func (e *edge) crossing(yT, tileMinX float32, lo, hi int) (nonNeg, pos int) {
 	return nonNeg, k
 }
 
+// Texel addressing: 4-byte texels, and one tap per quad, so the taps of
+// adjacent quads in a row lie quadBytes apart and a block holds the taps
+// of quadsPerBlock of them.
+const (
+	texelBytes    = 4
+	quadBytes     = QuadSize * texelBytes
+	quadsPerBlock = memmap.BlockBytes / quadBytes
+)
+
+// blockOf returns the address of the block holding byte address addr.
+func blockOf(addr uint64) uint64 { return addr &^ (memmap.BlockBytes - 1) }
+
 // quadTaps holds one primitive's texel address terms, computed once per
 // primitive; the cache simulation is FilterTextures', during the ordered
 // replay.
@@ -445,43 +573,109 @@ func (t *quadTaps) u(x float32) uint64 {
 	return (uint64(x) + t.off) % t.texW
 }
 
-// next returns the texel column of the next quad in the row, given this
-// quad's column u < texW. Quad centers are integers QuadSize apart, so
-// uint64(x) steps exactly by QuadSize, and texW >= 8 > QuadSize needs at
-// most one wrap.
-func (t *quadTaps) next(u uint64) uint64 {
-	u += QuadSize
-	if u >= t.texW {
-		u -= t.texW
+// row returns the byte address of texel row v; the quad sampling texel
+// column u of it taps row + u·texelBytes.
+func (t *quadTaps) row(v uint64) uint64 {
+	return memmap.TexturesBase + v*t.texW*texelBytes
+}
+
+// next returns the texel column (or row) of the next quad along the row
+// (or column), given this quad's c < texW. Quad centers are integers
+// QuadSize apart, so uint64(x) steps exactly by QuadSize, and
+// texW >= 8 > QuadSize needs at most one wrap.
+func (t *quadTaps) next(c uint64) uint64 {
+	c += QuadSize
+	if c >= t.texW {
+		c -= t.texW
+	}
+	return c
+}
+
+// skip returns the texel column k ≥ 0 quads further along the row than
+// column u < texW.
+func (t *quadTaps) skip(u uint64, k int) uint64 {
+	if u += uint64(k) * QuadSize; u >= t.texW {
+		u %= t.texW
 	}
 	return u
 }
 
-// plan records the texel access of a shaded quad at texel (u, v) into the
-// plan's tap stream, routed to texture cache cacheIdx.
-func (t *quadTaps) plan(u, v uint64, cacheIdx uint8, plan *TilePlan) {
-	if !t.enabled {
-		return
+// span adds the taps of the quads [from, to) of one row, every one of
+// them shaded, to run: the first samples texel column u of the texel row
+// at byte address row, and each next one the column next gives. Taps
+// share a block and a cache until they leave the block, until u wraps at
+// texW or at the route's straddle column, so span adds them one such
+// stretch at a time instead of one tap at a time.
+func (t *quadTaps) span(from, to int, u, row uint64, rowEdges int, route texRoute, run *tapRun, plan *TilePlan) {
+	for qx := from; qx < to; {
+		addr := row + u*texelBytes
+		n := (memmap.BlockBytes - addr%memmap.BlockBytes + quadBytes - 1) / quadBytes
+		n = min(n, (t.texW-u+QuadSize-1)/QuadSize, uint64(to-qx))
+		edges := rowEdges
+		if qx >= route.straddle {
+			edges++
+		} else {
+			n = min(n, uint64(route.straddle-qx))
+		}
+		run.add(tapKey(blockOf(addr), route.cache[edges]), n, plan)
+		qx += int(n)
+		if u += n * QuadSize; u >= t.texW {
+			u -= t.texW
+		}
 	}
-	plan.tap(memmap.TexturesBase+(v*t.texW+u)*4, cacheIdx)
 }
 
-// tap appends one texture tap at byte address addr, routed to texture
-// cache c, to the run-length coded stream: a tap reading the same block of
-// the same cache as the previous entry extends that entry's run. This is
-// exact because the texture caches are LRU, read-only and write-allocate
-// (newTexCaches): a repeat is a read hit on the line its cache touched
-// last, which already holds that cache's newest timestamp, so it changes
-// no victim choice and issues no L2 request. FilterTextures replays each
-// run as one access plus run-1 hits. A full run starts a new entry rather
-// than wrap.
-func (p *TilePlan) tap(addr uint64, c uint8) {
-	block := addr &^ (memmap.BlockBytes - 1)
-	if n := len(p.TapAddrs) - 1; n >= 0 && p.TapAddrs[n] == block && p.TapCache[n] == c && p.TapRuns[n] < math.MaxUint32 {
-		p.TapRuns[n]++
+// tapRun gathers n consecutive taps of one block through one texture
+// cache in locals before they join the plan's tap stream. Blocks are
+// aligned, so the block address and the cache share one key: the cache
+// index sits in the block offset bits.
+type tapRun struct {
+	key uint64 // block | cache
+	n   uint64
+}
+
+// The cache index must fit in a block's offset bits.
+var _ [memmap.BlockBytes - NumTexCaches]struct{}
+
+// tapKey returns the run key of a tap of block through texture cache c.
+func tapKey(block uint64, c uint8) uint64 { return block | uint64(c) }
+
+// add appends n taps with run key key, flushing the gathered run first if
+// they do not extend it.
+func (r *tapRun) add(key, n uint64, plan *TilePlan) {
+	if key != r.key {
+		r.flush(plan)
+		r.key = key
+	}
+	r.n += n
+}
+
+// flush appends the gathered run to the plan's run-length coded tap
+// stream and empties it. The stream ends exactly as it would after r.n
+// single taps: a tap reading the same block of the same cache as the
+// previous entry extends that entry's run, and a full run starts a new
+// entry rather than wrap. This is exact because the texture caches are
+// LRU, read-only and write-allocate (newTexCaches): a repeat is a read hit
+// on the line its cache touched last, which already holds that cache's
+// newest timestamp, so it changes no victim choice and issues no L2
+// request. FilterTextures replays each run as one access plus run-1 hits.
+func (r *tapRun) flush(plan *TilePlan) {
+	n := r.n
+	if n == 0 {
 		return
 	}
-	p.TapAddrs = append(p.TapAddrs, block)
-	p.TapCache = append(p.TapCache, c)
-	p.TapRuns = append(p.TapRuns, 1)
+	r.n = 0
+	block, c := blockOf(r.key), uint8(r.key%memmap.BlockBytes)
+	if last := len(plan.TapAddrs) - 1; last >= 0 && plan.TapAddrs[last] == block && plan.TapCache[last] == c {
+		k := min(n, math.MaxUint32-uint64(plan.TapRuns[last]))
+		plan.TapRuns[last] += uint32(k)
+		n -= k
+	}
+	for n > 0 {
+		k := min(n, math.MaxUint32)
+		plan.TapAddrs = append(plan.TapAddrs, block)
+		plan.TapCache = append(plan.TapCache, c)
+		plan.TapRuns = append(plan.TapRuns, uint32(k))
+		n -= k
+	}
 }

@@ -81,21 +81,68 @@ func refPlanTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) Tile
 	return plan
 }
 
-// coalesce run-length codes an expanded tap stream by the rule PlanTile
-// follows: a tap extends the previous run when it reads the same block of
-// the same texture cache.
-func coalesce(addrs []uint64, caches []uint8) (blocks []uint64, routes []uint8, runs []uint32) {
-	for i, addr := range addrs {
-		block := addr / memmap.BlockBytes * memmap.BlockBytes
-		if n := len(blocks); n > 0 && blocks[n-1] == block && routes[n-1] == caches[i] {
-			runs[n-1]++
-			continue
-		}
-		blocks = append(blocks, block)
-		routes = append(routes, caches[i])
-		runs = append(runs, 1)
+// tapRef appends one tap of byte address addr through texture cache c to
+// the plan's run-length coded stream by the per-tap rule: it extends the
+// last entry when that reads the same block of the same cache and its run
+// is not full, and starts a new entry otherwise.
+func tapRef(p *TilePlan, addr uint64, c uint8) {
+	block := addr &^ (memmap.BlockBytes - 1)
+	if n := len(p.TapAddrs) - 1; n >= 0 && p.TapAddrs[n] == block && p.TapCache[n] == c && p.TapRuns[n] < math.MaxUint32 {
+		p.TapRuns[n]++
+		return
 	}
-	return blocks, routes, runs
+	p.TapAddrs = append(p.TapAddrs, block)
+	p.TapCache = append(p.TapCache, c)
+	p.TapRuns = append(p.TapRuns, 1)
+}
+
+// TestTapRunFlushMatchesPerTap merges a run of n taps into a plan whose
+// last entry is k short of a full run: tapRun.flush must leave the stream
+// tapRef leaves after n single taps, for runs that fit, fill and overflow
+// the last entry, and for runs of another block or cache, which never
+// merge.
+func TestTapRunFlushMatchesPerTap(t *testing.T) {
+	const block = memmap.TexturesBase + 7*memmap.BlockBytes
+	for _, k := range []uint32{0, 1, 5} {
+		for _, n := range []uint64{1, uint64(k), uint64(k) + 1, uint64(k) + 9} {
+			for _, to := range []struct {
+				block uint64
+				cache uint8
+			}{{block, 2}, {block, 3}, {block + memmap.BlockBytes, 2}} {
+				if n == 0 {
+					continue
+				}
+				var got, want TilePlan
+				for _, p := range []*TilePlan{&got, &want} {
+					p.TapAddrs = []uint64{block - memmap.BlockBytes, block}
+					p.TapCache = []uint8{2, 2}
+					p.TapRuns = []uint32{3, math.MaxUint32 - k}
+				}
+				run := tapRun{key: tapKey(to.block, to.cache), n: n}
+				run.flush(&got)
+				for i := uint64(0); i < n; i++ {
+					tapRef(&want, to.block+4*(i%16), to.cache)
+				}
+				if !slices.Equal(got.TapAddrs, want.TapAddrs) || !slices.Equal(got.TapCache, want.TapCache) || !slices.Equal(got.TapRuns, want.TapRuns) {
+					t.Errorf("k=%d n=%d to %#x/%d: stream %v %v %v, want %v %v %v", k, n, to.block, to.cache,
+						got.TapAddrs, got.TapCache, got.TapRuns, want.TapAddrs, want.TapCache, want.TapRuns)
+				}
+				if run.n != 0 {
+					t.Errorf("k=%d n=%d: flush left %d taps gathered", k, n, run.n)
+				}
+			}
+		}
+	}
+}
+
+// coalesce run-length codes an expanded tap stream by the rule PlanTile
+// follows, one tapRef per tap.
+func coalesce(addrs []uint64, caches []uint8) (blocks []uint64, routes []uint8, runs []uint32) {
+	var p TilePlan
+	for i, addr := range addrs {
+		tapRef(&p, addr, caches[i])
+	}
+	return p.TapAddrs, p.TapCache, p.TapRuns
 }
 
 // randomPrims scatters triangles of every size over the screen, snapping
@@ -152,6 +199,15 @@ func testConfig(ts int) Config {
 	cfg := DefaultConfig(screen, 3<<20, 8)
 	cfg.LateZFraction = 0.2
 	cfg.TranslucentFraction = 0.2
+	return cfg
+}
+
+// floorTexConfig is testConfig with a texture under 256 B, which New
+// widens to the floor of 64 texels: texW is 8, so a row's texel column
+// wraps every four quads, inside every span longer than that.
+func floorTexConfig(ts int) Config {
+	cfg := testConfig(ts)
+	cfg.TextureBytes = 200
 	return cfg
 }
 
@@ -306,47 +362,54 @@ var adversarialFamilies = []struct {
 
 // TestPlanTileMatchesReference is the differential test of the planner:
 // at even and odd tile sizes (where the last quad column and row route to
-// the next tile's cache), with every material path, PlanTile's tallies
-// equal the reference's, and its tap stream equals the reference's
-// run-length coded. The inputs are randomPrims' triangles and then each
-// adversarial family's.
+// the next tile's cache), with every material path, and with a texture
+// large enough never to wrap inside a span and one at the floor size,
+// PlanTile's tallies equal the reference's, and its tap stream equals the
+// reference's run-length coded. The inputs are randomPrims' triangles and
+// then each adversarial family's.
 func TestPlanTileMatchesReference(t *testing.T) {
 	for _, ts := range []int{24, 31, 32, 33, 64} {
-		cfg := testConfig(ts)
-		p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, h := float32(cfg.Screen.Width), float32(cfg.Screen.Height)
 		// Every quad is point-sampled, one tap each; the bilinear=false
-		// level keeps the subtest names stable.
-		name := fmt.Sprintf("ts=%d/bilinear=false", ts)
-		t.Run(name+"/random", func(t *testing.T) {
+		// level keeps the subtest names stable. The floor-size texture
+		// wraps texel columns inside spans.
+		testPlanTileMatchesReference(t, testConfig(ts), fmt.Sprintf("ts=%d/bilinear=false", ts))
+		testPlanTileMatchesReference(t, floorTexConfig(ts), fmt.Sprintf("ts=%d/tex=floor", ts))
+	}
+}
+
+func testPlanTileMatchesReference(t *testing.T, cfg Config, name string) {
+	t.Helper()
+	p, err := New(cfg, mem.NewCounter(), mem.NewCounter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := cfg.Screen.TileSize
+	w, h := float32(cfg.Screen.Width), float32(cfg.Screen.Height)
+	t.Run(name+"/random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(int64(ts)))
+		if _, taps, coalesced := checkPlans(t, p, randomPrims(rng, 300, w, h)); taps == 0 || coalesced == 0 {
+			t.Fatalf("%d taps planned, %d coalesced; the test exercises too little", taps, coalesced)
+		}
+	})
+	for _, fam := range adversarialFamilies {
+		t.Run(name+"/"+fam.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(ts)))
-			if _, taps, coalesced := checkPlans(t, p, randomPrims(rng, 300, w, h)); taps == 0 || coalesced == 0 {
-				t.Fatalf("%d taps planned, %d coalesced; the test exercises too little", taps, coalesced)
+			prims := make([]geom.Primitive, 200)
+			for i := range prims {
+				pr := &prims[i]
+				pr.Pos = fam.tri(rng, w, h)
+				if rng.Intn(2) == 0 {
+					pr.Pos[1], pr.Pos[2] = pr.Pos[2], pr.Pos[1]
+				}
+				pr.ID = rng.Uint32()
+				for v := range pr.Depth {
+					pr.Depth[v] = rng.Float32()
+				}
+			}
+			if quads, _, _ := checkPlans(t, p, prims); quads == 0 {
+				t.Fatal("no quad covered; the family exercises too little")
 			}
 		})
-		for _, fam := range adversarialFamilies {
-			t.Run(name+"/"+fam.name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(ts)))
-				prims := make([]geom.Primitive, 200)
-				for i := range prims {
-					pr := &prims[i]
-					pr.Pos = fam.tri(rng, w, h)
-					if rng.Intn(2) == 0 {
-						pr.Pos[1], pr.Pos[2] = pr.Pos[2], pr.Pos[1]
-					}
-					pr.ID = rng.Uint32()
-					for v := range pr.Depth {
-						pr.Depth[v] = rng.Float32()
-					}
-				}
-				if quads, _, _ := checkPlans(t, p, prims); quads == 0 {
-					t.Fatal("no quad covered; the family exercises too little")
-				}
-			})
-		}
 	}
 }
 
@@ -364,72 +427,79 @@ func (r *recorder) EndFrame()                       {}
 // Buffer request sequences and equal texture-cache contents. The texture
 // caches' own counters, plus the repeats the plans coalesced, must equal
 // the reference caches' counters, and so must the derived TexCacheStats.
-// Small texture caches make the replay evict constantly.
+// Small texture caches make the replay evict constantly; each tile size
+// runs with the large and the floor-size texture.
 func TestCommitPlanMatchesExpandedReplay(t *testing.T) {
 	for _, ts := range []int{24, 31, 32, 33, 64} {
-		cfg := testConfig(ts)
-		screen := cfg.Screen
-		var l2, fb, refL2, refFB recorder
-		p, err := New(cfg, &l2, &fb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := New(cfg, &refL2, &refFB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		installSmallTexCaches(t, p)
-		installSmallTexCaches(t, ref)
-		rng := rand.New(rand.NewSource(int64(ts)))
-		prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
-		sc := p.NewScratch()
-		var plan TilePlan
-		var repeats int64
-		for frame := 0; frame < 2; frame++ {
-			for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
-				work := tileWork(prims, screen, tile)
-				p.PlanTile(tile, frame, work, sc, &plan)
-				for _, n := range plan.TapRuns {
-					repeats += int64(n) - 1
-				}
-				gotCycles := p.CommitPlan(&plan)
+		testCommitPlanMatchesExpandedReplay(t, testConfig(ts), fmt.Sprintf("ts=%d", ts))
+		testCommitPlanMatchesExpandedReplay(t, floorTexConfig(ts), fmt.Sprintf("ts=%d tex=floor", ts))
+	}
+}
 
-				expanded := refPlanTile(ref, tile, frame, work)
-				expanded.FBBase, expanded.FBBlocks = plan.FBBase, plan.FBBlocks
-				for i := range expanded.TapAddrs {
-					expanded.TapAddrs[i] &^= memmap.BlockBytes - 1
-					expanded.TapRuns = append(expanded.TapRuns, 1)
-				}
-				if wantCycles := ref.CommitPlan(&expanded); gotCycles != wantCycles {
-					t.Fatalf("ts=%d tile %d: %d cycles, want %d", ts, tile, gotCycles, wantCycles)
-				}
+func testCommitPlanMatchesExpandedReplay(t *testing.T, cfg Config, name string) {
+	t.Helper()
+	ts := cfg.Screen.TileSize
+	screen := cfg.Screen
+	var l2, fb, refL2, refFB recorder
+	p, err := New(cfg, &l2, &fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg, &refL2, &refFB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installSmallTexCaches(t, p)
+	installSmallTexCaches(t, ref)
+	rng := rand.New(rand.NewSource(int64(ts)))
+	prims := randomPrims(rng, 300, float32(screen.Width), float32(screen.Height))
+	sc := p.NewScratch()
+	var plan TilePlan
+	var repeats int64
+	for frame := 0; frame < 2; frame++ {
+		for tile := geom.TileID(0); int(tile) < screen.NumTiles(); tile++ {
+			work := tileWork(prims, screen, tile)
+			p.PlanTile(tile, frame, work, sc, &plan)
+			for _, n := range plan.TapRuns {
+				repeats += int64(n) - 1
+			}
+			gotCycles := p.CommitPlan(&plan)
+
+			expanded := refPlanTile(ref, tile, frame, work)
+			expanded.FBBase, expanded.FBBlocks = plan.FBBase, plan.FBBlocks
+			for i := range expanded.TapAddrs {
+				expanded.TapAddrs[i] &^= memmap.BlockBytes - 1
+				expanded.TapRuns = append(expanded.TapRuns, 1)
+			}
+			if wantCycles := ref.CommitPlan(&expanded); gotCycles != wantCycles {
+				t.Fatalf("%s tile %d: %d cycles, want %d", name, tile, gotCycles, wantCycles)
 			}
 		}
-		if p.Stats() != ref.Stats() {
-			t.Errorf("ts=%d: stats %+v, want %+v", ts, p.Stats(), ref.Stats())
-		}
-		got := cache.Stats{Accesses: repeats, Hits: repeats}
-		var want cache.Stats
-		for i := range p.tex {
-			got = addStats(got, p.tex[i].Stats())
-			want = addStats(want, ref.tex[i].Stats())
-		}
-		if got != want {
-			t.Errorf("ts=%d: texture caches %+v with repeats, want %+v", ts, got, want)
-		}
-		if derived := p.TexCacheStats(); derived != want {
-			t.Errorf("ts=%d: TexCacheStats %+v, want %+v", ts, derived, want)
-		}
-		if repeats == 0 || want.Misses == 0 || want.Hits == 0 {
-			t.Fatalf("ts=%d: %d repeats, %+v; the test exercises too little", ts, repeats, want)
-		}
-		if !slices.Equal(l2.reqs, refL2.reqs) || !slices.Equal(fb.reqs, refFB.reqs) {
-			t.Errorf("ts=%d: L2 %d/FB %d requests, want %d/%d or a different order", ts, len(l2.reqs), len(fb.reqs), len(refL2.reqs), len(refFB.reqs))
-		}
-		for i := range p.tex {
-			if !slices.Equal(p.tex[i].ResidentKeys(), ref.tex[i].ResidentKeys()) {
-				t.Errorf("ts=%d: texture cache %d contents differ", ts, i)
-			}
+	}
+	if p.Stats() != ref.Stats() {
+		t.Errorf("%s: stats %+v, want %+v", name, p.Stats(), ref.Stats())
+	}
+	got := cache.Stats{Accesses: repeats, Hits: repeats}
+	var want cache.Stats
+	for i := range p.tex {
+		got = addStats(got, p.tex[i].Stats())
+		want = addStats(want, ref.tex[i].Stats())
+	}
+	if got != want {
+		t.Errorf("%s: texture caches %+v with repeats, want %+v", name, got, want)
+	}
+	if derived := p.TexCacheStats(); derived != want {
+		t.Errorf("%s: TexCacheStats %+v, want %+v", name, derived, want)
+	}
+	if repeats == 0 || want.Misses == 0 || want.Hits == 0 {
+		t.Fatalf("%s: %d repeats, %+v; the test exercises too little", name, repeats, want)
+	}
+	if !slices.Equal(l2.reqs, refL2.reqs) || !slices.Equal(fb.reqs, refFB.reqs) {
+		t.Errorf("%s: L2 %d/FB %d requests, want %d/%d or a different order", name, len(l2.reqs), len(fb.reqs), len(refL2.reqs), len(refFB.reqs))
+	}
+	for i := range p.tex {
+		if !slices.Equal(p.tex[i].ResidentKeys(), ref.tex[i].ResidentKeys()) {
+			t.Errorf("%s: texture cache %d contents differ", name, i)
 		}
 	}
 }

@@ -150,7 +150,7 @@ func New(cfg Config, l2Sink, fbSink mem.Sink) (*Pipeline, error) {
 }
 
 // newTexCaches builds the Table I texture caches. Tap coalescing
-// (TilePlan.tap) is exact only for LRU caches that are only read.
+// (tapRun.flush) is exact only for LRU caches that are only read.
 func newTexCaches() []*cache.FlatLRU {
 	tex := make([]*cache.FlatLRU, NumTexCaches)
 	for i := range tex {
