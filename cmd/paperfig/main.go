@@ -12,7 +12,6 @@
 //	paperfig -all -timeout 10m  # abort if the full pass exceeds 10 minutes
 //	paperfig -all -http :0      # live /metrics + pprof while the sweep runs
 //	paperfig -fig 14 -stats m.json  # dump the runner's memo metrics
-//	paperfig -all -checkpoint runs.ckpt  # journal runs; resume after a crash
 //	paperfig -arena                     # race every replacement policy vs OPT
 //	paperfig -arena -policies LRU,OPT,ARC,Learned -size 32
 //	paperfig -arena -frames 1 -curves=false -format json  # daemon-parity bytes
@@ -145,7 +144,6 @@ func main() {
 	statsPath := flag.String("stats", "", "write the runner's memoization/sweep metrics as JSON to this file")
 	tracePath := flag.String("trace", "", "write the sweep schedule as Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
 	httpAddr := flag.String("http", "", "serve live /metrics and pprof on this address while running (e.g. :0)")
-	checkpoint := flag.String("checkpoint", "", "journal completed runs to this file and resume from it after a crash")
 	version := flag.Bool("version", false, "print the build identity and exit")
 	flag.Parse()
 
@@ -243,16 +241,6 @@ func main() {
 	r.Parallel = *parallel
 	r.Ctx = ctx
 	r.Benchmarks = aliases
-	if *checkpoint != "" {
-		restored, err := r.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			fail(err)
-		}
-		defer r.Checkpoint.Close()
-		if restored > 0 {
-			fmt.Fprintf(os.Stderr, "paperfig: resumed %d completed runs from %s\n", restored, *checkpoint)
-		}
-	}
 
 	if *httpAddr != "" {
 		// The metrics registry is live: serving it before the work starts

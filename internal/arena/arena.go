@@ -17,8 +17,9 @@
 // the cache tests prove exact. The same profile supplies every row's
 // fully-associative reference for the 3C decomposition and the report's
 // per-benchmark reuse-distance summaries (via stats.SummarizeReuseDist).
-// Cells completed before a crash restore from the runner's checkpoint
-// journal, so a killed race resumes where it died.
+// When the runner carries a journal (Runner.Checkpoint, which the daemon
+// attaches to an async arena job), completed cells journal as they finish
+// and restore on resume, so a job killed mid-race re-races only the rest.
 package arena
 
 import (
@@ -179,9 +180,9 @@ type cellPayload struct {
 	Conflict   int64 `json:"conflict"`
 }
 
-// cellSHA pins the geometry a journaled cell was measured under, the way
-// cfgFingerprint pins a gpu.Config: the journal key names (benchmark,
-// policy), this hash pins what the name meant.
+// cellSHA pins the geometry a journaled cell was measured under: the
+// journal key names (benchmark, policy), this hash pins what the name
+// meant.
 func cellSHA(cfg cache.Config) string {
 	b, _ := json.Marshal(struct {
 		Lines int `json:"lines"`
@@ -195,8 +196,8 @@ func cellSHA(cfg cache.Config) string {
 // associative LRU reads the stack profile; everything else runs the event
 // simulator against a fresh registry instance. Either way the 3C
 // decomposition's fully-associative reference comes from the profile, and
-// completed cells round-trip through the checkpoint journal when one is
-// attached to the runner.
+// completed cells round-trip through the runner's journal when one is
+// attached.
 func raceCell(r *experiments.Runner, alias, policy string, cp, ways int) (cellPayload, error) {
 	cfg := experiments.CacheCfgFor(cp, ways)
 	journalKey := "arena/" + alias + "/" + policy

@@ -260,22 +260,26 @@ func TestRaceResumesFromCheckpoint(t *testing.T) {
 	}
 
 	r1 := testRunner("CCS")
-	if _, err := r1.OpenCheckpoint(path); err != nil {
+	cp1, _, err := experiments.OpenJournal(path, "race", r1.Metrics())
+	if err != nil {
 		t.Fatal(err)
 	}
+	r1.Checkpoint = cp1
 	rep1, err := Race(context.Background(), r1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Checkpoint.Close(); err != nil {
+	if err := cp1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	r2 := testRunner("CCS")
-	restored, err := r2.OpenCheckpoint(path)
+	cp2, restored, err := experiments.OpenJournal(path, "race", r2.Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cp2.Close()
+	r2.Checkpoint = cp2
 	if restored != 3 { // one journaled cell per (benchmark, policy)
 		t.Fatalf("restored %d cells, want 3", restored)
 	}

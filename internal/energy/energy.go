@@ -157,21 +157,11 @@ func (t *Tally) Components() []string {
 }
 
 // MarshalJSON encodes the tally as a plain component→entry object.
-// encoding/json sorts object keys, so the encoding is deterministic; the
-// sweep checkpoint journal relies on that to make record hashes stable.
+// encoding/json sorts object keys, so the encoding is deterministic, as the
+// gpu golden digests (hashes of encoded results) require. The encoding is
+// one-way.
 func (t *Tally) MarshalJSON() ([]byte, error) {
 	return json.Marshal(t.entries)
-}
-
-// UnmarshalJSON restores a tally encoded by MarshalJSON. The receiver's
-// previous contents are discarded.
-func (t *Tally) UnmarshalJSON(b []byte) error {
-	m := make(map[string]*Entry)
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	t.entries = m
-	return nil
 }
 
 // Merge adds the other tally into t.

@@ -10,7 +10,6 @@ import (
 	"os"
 	"sync"
 
-	"tcor/internal/gpu"
 	"tcor/internal/stats"
 )
 
@@ -21,30 +20,20 @@ import (
 // in a record — not just its payload — is detected on open.
 const checkpointFormat = "tcor-checkpoint/2"
 
-// checkpointHeader is the journal's first line: the format version plus the
-// run fingerprint (screen geometry and frame override). A journal written
-// under one fingerprint must never seed a run under another — the restored
-// results would be answers to a different question.
-type checkpointHeader struct {
-	Format string `json:"format"`
-	Screen string `json:"screen"` // canonical JSON of the geom.Screen
-	Frames int    `json:"frames"`
-}
-
-// journalHeader is the first line of a standalone journal opened through
-// OpenJournal: the format version plus an opaque caller-owned fingerprint
-// (the serving layer uses the job's content address, so a job directory can
-// never be resumed under a different request).
+// journalHeader is the journal's first line: the format version plus an
+// opaque caller-owned fingerprint (the serving layer uses the job's content
+// address, so a job directory can never be resumed under a different
+// request).
 type journalHeader struct {
 	Format      string `json:"format"`
 	Fingerprint string `json:"fingerprint"`
 }
 
-// checkpointRecord is one completed run: the memo key, a hash of the full
-// configuration (the memo key alone names but does not pin the config), the
-// result, and a hash over the whole triple so a corrupted line — whether in
-// the key, the config hash, or the payload — is detected rather than
-// restored.
+// checkpointRecord is one completed cell: the caller's key, a hash of
+// what the key meant (the key alone names but does not pin the cell's
+// configuration), the payload, and a hash over the whole triple so a
+// corrupted line — whether in the key, the config hash, or the payload — is
+// detected rather than restored.
 type checkpointRecord struct {
 	Key    string          `json:"key"`
 	CfgSHA string          `json:"cfgSHA"`
@@ -65,13 +54,13 @@ func recordSHA(key, cfgSHA string, result []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Checkpoint is an append-only journal of completed full-system runs:
-// one JSON line per (benchmark, configuration) cell, each self-verifying
-// via a content hash. A Runner with a checkpoint attached restores
-// journaled cells instead of re-simulating them, so a sweep killed at any
-// point — SIGKILL included — resumes by re-executing only the missing
-// cells, with byte-identical final output (results are restored from their
-// canonical JSON, which round-trips exactly).
+// Checkpoint is an append-only journal of completed cells: one JSON line
+// per cell, each self-verifying via a content hash. The serving layer's
+// async jobs journal through it — a sweep job's /v1/simulate bodies, an
+// arena job's per-policy cells (attached as Runner.Checkpoint) — so a job
+// killed at any point, SIGKILL included, resumes by re-executing only the
+// missing cells, with byte-identical final output (payloads are restored
+// as the exact bytes that were journaled).
 //
 // Crash safety comes from the format, not fsync discipline: a torn final
 // line (the process died mid-write) fails its hash or parse, and open
@@ -79,8 +68,7 @@ func recordSHA(key, cfgSHA string, result []byte) string {
 // record is a torn tail or a corrupted line in the middle of the file —
 // sacrificing only the cells at and after the damage.
 //
-// A nil *Checkpoint is a valid no-op, so the Runner's hot path stays
-// unconditional.
+// A nil *Checkpoint is a valid no-op, so callers stay unconditional.
 type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -90,27 +78,38 @@ type Checkpoint struct {
 	journaledC *stats.Counter // cells appended this session
 }
 
-// openJournal replays the journal at path, validating the header line with
-// checkHeader and every record's full-triple hash. Everything from the
-// first torn or corrupt line onward is truncated; the file is reopened for
-// appends, writing hdrLine if the journal is empty or freshly created.
-func openJournal(path string, hdrLine []byte, checkHeader func(line []byte) error, restoredC, journaledC *stats.Counter) (*Checkpoint, error) {
+// OpenJournal opens (or creates) the journal at path, fingerprinted by an
+// opaque caller-owned string: a journal written under another fingerprint,
+// or a file that is not a journal, is an error. Replay validates every
+// record's full-triple hash; everything from the first torn or corrupt line
+// onward is truncated, and the file is reopened for appends (with a fresh
+// header when empty). It returns the checkpoint and the number of
+// restorable cells. Restores and appends are metered in reg as
+// "checkpoint.restored" and "checkpoint.journaled"; a nil reg meters into a
+// private registry.
+func OpenJournal(path, fingerprint string, reg *stats.Registry) (*Checkpoint, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, err
+		return nil, 0, err
 	}
-
+	if reg == nil {
+		reg = stats.NewRegistry()
+	}
 	cp := &Checkpoint{
 		restored:   make(map[string]json.RawMessage),
-		restoredC:  restoredC,
-		journaledC: journaledC,
+		restoredC:  reg.Counter("checkpoint.restored"),
+		journaledC: reg.Counter("checkpoint.journaled"),
 	}
 
 	valid := 0 // byte offset just past the last intact line
 	if len(data) > 0 {
 		line, rest, _ := bytes.Cut(data, []byte("\n"))
-		if err := checkHeader(line); err != nil {
-			return nil, err
+		var hdr journalHeader
+		if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != checkpointFormat {
+			return nil, 0, fmt.Errorf("experiments: %s is not a %s journal", path, checkpointFormat)
+		}
+		if hdr.Fingerprint != fingerprint {
+			return nil, 0, fmt.Errorf("experiments: journal %s was written for fingerprint %q, not %q", path, hdr.Fingerprint, fingerprint)
 		}
 		valid = len(line) + 1
 		for len(rest) > 0 {
@@ -125,9 +124,8 @@ func openJournal(path string, hdrLine []byte, checkHeader func(line []byte) erro
 			if recordSHA(rec.Key, rec.CfgSHA, rec.Result) != rec.SHA {
 				break
 			}
-			// Payloads stay raw here: the journal is shared by full-system
-			// runs (gpu.Result), arena cells, and async job cells, and each
-			// consumer decodes into its own type at lookup time.
+			// Payloads stay raw: each consumer decodes into its own type
+			// at lookup time.
 			cp.restored[rec.Key+"\x00"+rec.CfgSHA] = rec.Result
 			valid += len(line) + 1
 			rest = next
@@ -135,116 +133,31 @@ func openJournal(path string, hdrLine []byte, checkHeader func(line []byte) erro
 	}
 	if valid < len(data) {
 		if err := os.Truncate(path, int64(valid)); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if valid == 0 {
-		if _, err := f.Write(append(append([]byte{}, hdrLine...), '\n')); err != nil {
+		hdrLine, err := json.Marshal(journalHeader{Format: checkpointFormat, Fingerprint: fingerprint})
+		if err == nil {
+			_, err = f.Write(append(hdrLine, '\n'))
+		}
+		if err != nil {
 			f.Close()
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	cp.f = f
-	return cp, nil
-}
-
-// OpenCheckpoint attaches a journal at path to the runner, creating it (with
-// a fingerprint header) if absent and otherwise replaying it: valid records
-// become restorable cells, and everything from the first torn or corrupt
-// record onward is truncated. It returns the number of restorable cells.
-//
-// The journal is fingerprinted by the runner's Screen and Frames — open it
-// after configuring those, and opening a journal written under a different
-// fingerprint is an error. Restores and appends are metered in the runner's
-// registry as "checkpoint.restored" and "checkpoint.journaled".
-func (r *Runner) OpenCheckpoint(path string) (int, error) {
-	screenJSON, err := json.Marshal(r.Screen)
-	if err != nil {
-		return 0, err
-	}
-	want := checkpointHeader{Format: checkpointFormat, Screen: string(screenJSON), Frames: r.Frames}
-	hdrLine, err := json.Marshal(want)
-	if err != nil {
-		return 0, err
-	}
-	check := func(line []byte) error {
-		var hdr checkpointHeader
-		if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != checkpointFormat {
-			return fmt.Errorf("experiments: %s is not a %s journal", path, checkpointFormat)
-		}
-		if hdr.Screen != want.Screen || hdr.Frames != want.Frames {
-			return fmt.Errorf("experiments: checkpoint %s was written for screen=%s frames=%d; this runner is screen=%s frames=%d",
-				path, hdr.Screen, hdr.Frames, want.Screen, want.Frames)
-		}
-		return nil
-	}
-	m := r.Metrics()
-	cp, err := openJournal(path, hdrLine, check, m.Counter("checkpoint.restored"), m.Counter("checkpoint.journaled"))
-	if err != nil {
-		return 0, err
-	}
-	r.Checkpoint = cp
-	return len(cp.restored), nil
-}
-
-// OpenJournal opens (or creates) a standalone checkpoint journal at path,
-// fingerprinted by an arbitrary caller-owned string instead of a Runner's
-// screen geometry. The serving layer's durable job store persists sweep
-// cells through this: same record format, same torn/corrupt-record
-// truncation, same byte-identical restore semantics. It returns the
-// checkpoint and the number of restorable cells. Restores and appends are
-// metered in reg as "checkpoint.restored" and "checkpoint.journaled"; a nil
-// reg meters into a private registry.
-func OpenJournal(path, fingerprint string, reg *stats.Registry) (*Checkpoint, int, error) {
-	hdrLine, err := json.Marshal(journalHeader{Format: checkpointFormat, Fingerprint: fingerprint})
-	if err != nil {
-		return nil, 0, err
-	}
-	check := func(line []byte) error {
-		var hdr journalHeader
-		if err := json.Unmarshal(line, &hdr); err != nil || hdr.Format != checkpointFormat {
-			return fmt.Errorf("experiments: %s is not a %s journal", path, checkpointFormat)
-		}
-		if hdr.Fingerprint != fingerprint {
-			return fmt.Errorf("experiments: journal %s was written for fingerprint %q, not %q", path, hdr.Fingerprint, fingerprint)
-		}
-		return nil
-	}
-	if reg == nil {
-		reg = stats.NewRegistry()
-	}
-	cp, err := openJournal(path, hdrLine, check, reg.Counter("checkpoint.restored"), reg.Counter("checkpoint.journaled"))
-	if err != nil {
-		return nil, 0, err
-	}
 	return cp, len(cp.restored), nil
 }
 
-// lookup returns the restored full-system result for a cell, if the journal
-// holds one under the exact configuration hash.
-func (cp *Checkpoint) lookup(key, cfgSHA string) (*gpu.Result, bool) {
-	raw, ok := cp.Lookup(key, cfgSHA)
-	if !ok {
-		return nil, false
-	}
-	res := new(gpu.Result)
-	if err := json.Unmarshal(raw, res); err != nil {
-		// A record journaled under a different payload type (or by a future
-		// format) is a miss, not an error: the cell just recomputes.
-		return nil, false
-	}
-	return res, true
-}
-
-// Lookup returns the raw journaled payload for a cell, if present. Callers
-// owning other payload types (the arena's per-policy cells, the serving
-// layer's job cells) decode it themselves; a decode failure should be
-// treated as a cache miss.
+// Lookup returns the raw journaled payload for a cell, if the journal holds
+// one under the exact config hash. Callers decode it into their own payload
+// type; a decode failure should be treated as a miss.
 func (cp *Checkpoint) Lookup(key, cfgSHA string) (json.RawMessage, bool) {
 	if cp == nil {
 		return nil, false
@@ -256,11 +169,6 @@ func (cp *Checkpoint) Lookup(key, cfgSHA string) (json.RawMessage, bool) {
 		cp.restoredC.Inc()
 	}
 	return raw, ok
-}
-
-// journal appends one completed full-system cell.
-func (cp *Checkpoint) journal(key, cfgSHA string, res *gpu.Result) error {
-	return cp.Journal(key, cfgSHA, res)
 }
 
 // Journal appends one completed cell of any JSON-marshalable payload type.
@@ -289,26 +197,11 @@ func (cp *Checkpoint) Journal(key, cfgSHA string, payload any) error {
 	return nil
 }
 
-// Close closes the journal file. The Runner keeps serving already-restored
-// cells; further completions fail to journal.
+// Close closes the journal file. Already-restored cells stay servable;
+// further completions fail to journal.
 func (cp *Checkpoint) Close() error {
 	if cp == nil || cp.f == nil {
 		return nil
 	}
 	return cp.f.Close()
-}
-
-// cfgFingerprint hashes a full configuration. The memo key (alias/cfgName)
-// names a cell; this pins what the name meant, so a journal written under
-// one tile-cache size can never satisfy a resume under another that reused
-// the name.
-func cfgFingerprint(cfg gpu.Config) string {
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		// gpu.Config is plain data; Marshal cannot fail. Guard anyway so a
-		// future unmarshalable field poisons the fingerprint, not the run.
-		return "unfingerprintable:" + err.Error()
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }

@@ -46,10 +46,10 @@ type Runner struct {
 	// set it, so an open-ended request stream cannot grow the tables
 	// without bound.
 	MemoCap int
-	// Checkpoint, when non-nil (attach one with OpenCheckpoint), journals
-	// every completed Run cell to an append-only file and restores journaled
-	// cells instead of re-simulating, so a killed sweep resumes where it
-	// died with byte-identical results.
+	// Checkpoint, when non-nil (open one with OpenJournal), journals every
+	// completed arena cell and restores journaled ones instead of racing
+	// them again. Only arena.raceCell reads it; the serving layer attaches
+	// an async arena job's journal here so the job resumes across restarts.
 	Checkpoint *Checkpoint
 
 	scenes   memo[*workload.Scene]
@@ -168,31 +168,17 @@ type runCell struct {
 // share the benchmark, the screen and the traversal order. A cell another
 // caller already claimed is stored as it is, possibly still in flight. The others are all claimed
 // before any work starts, so a concurrent Run of one of their keys waits
-// for this call instead of simulating again. Each claimed cell is restored
-// from the checkpoint when it is journaled there; the rest simulate
-// together in one gpu.SimulateGroup, are journaled and are resolved.
+// for this call instead of simulating again. The claimed cells simulate
+// together in one gpu.SimulateGroup and are resolved.
 func (r *Runner) runScene(cells []runCell, out []*memoCell[*gpu.Result]) {
 	hits, misses, evictions := r.meter(runsTable)
-	cp := r.Checkpoint
 	var todo []int
-	var fps []string
 	for i, c := range cells {
-		key := c.alias + "/" + c.name
-		cell, leader := r.runs.claim(key, r.MemoCap, hits, misses, evictions)
+		cell, leader := r.runs.claim(c.alias+"/"+c.name, r.MemoCap, hits, misses, evictions)
 		out[i] = cell
-		if !leader {
-			continue
+		if leader {
+			todo = append(todo, i)
 		}
-		var fp string
-		if cp != nil {
-			fp = cfgFingerprint(c.cfg)
-			if res, ok := cp.lookup(key, fp); ok {
-				cell.resolve(res, nil)
-				continue
-			}
-		}
-		todo = append(todo, i)
-		fps = append(fps, fp)
 	}
 	if len(todo) == 0 {
 		return
@@ -212,11 +198,8 @@ func (r *Runner) runScene(cells []runCell, out []*memoCell[*gpu.Result]) {
 	results, err := gpu.SimulateGroup(sc, cfgs)
 	for k, i := range todo {
 		c := cells[i]
-		key := c.alias + "/" + c.name
 		if err != nil {
 			out[i].resolve(nil, fmt.Errorf("experiments: %s under %s: %w", c.alias, c.name, err))
-		} else if jerr := cp.journal(key, fps[k], results[k]); jerr != nil {
-			out[i].resolve(nil, fmt.Errorf("experiments: journaling %s: %w", key, jerr))
 		} else {
 			out[i].resolve(results[k], nil)
 		}

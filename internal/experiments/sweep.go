@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"tcor/internal/resilience"
 	"tcor/internal/stats"
 	"tcor/internal/workload"
 )
@@ -100,22 +99,16 @@ func Sweep[T any](ctx context.Context, par int, jobs []func(context.Context) (T,
 	return results, cancelErr
 }
 
-// runSweepJob runs one job under the pool's safety shell. When the context
-// carries a resilience.Injector, the SiteSweep hook evaluates before the job
-// — how chaos tests and the checkpoint kill-window test inject latency or
-// failures into individual cells without touching the jobs themselves. A
-// panicking job (a simulator bug, an injected panic escaping a lower layer)
-// is converted into that slot's error instead of crashing the pool's host:
-// one poisoned cell fails one sweep, not the whole daemon.
+// runSweepJob runs one job under the pool's safety shell. A panicking job
+// (a simulator bug, an injected panic escaping a lower layer) is converted
+// into that slot's error instead of crashing the pool's host: one poisoned
+// cell fails one sweep, not the whole daemon.
 func runSweepJob[T any](ctx context.Context, i int, job func(context.Context) (T, error)) (val T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("experiments: sweep job %d panicked: %v", i, p)
 		}
 	}()
-	if err := resilience.InjectorFrom(ctx).Inject(ctx, resilience.SiteSweep); err != nil {
-		return val, err
-	}
 	return job(ctx)
 }
 

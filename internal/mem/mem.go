@@ -6,7 +6,6 @@ package mem
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"tcor/internal/geom"
@@ -128,8 +127,9 @@ func (c *Counter) Region(r memmap.Region) RegionCounts {
 // map-of-pointers representation: a "ByRegion" object holding only the
 // touched regions, keyed by the region's decimal value in ascending order
 // (single-digit keys, so numeric order and encoding/json's sorted-string
-// map order coincide). Golden results, content-addressed caches and sweep
-// checkpoints serialized before the array conversion keep matching.
+// map order coincide), so the gpu golden digests (hashes of encoded
+// results) computed before the array conversion keep matching. The
+// encoding is one-way: nothing decodes a Counter.
 func (c *Counter) MarshalJSON() ([]byte, error) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `{"Reads":%d,"Writes":%d,"ByRegion":{`, c.Reads, c.Writes)
@@ -147,28 +147,6 @@ func (c *Counter) MarshalJSON() ([]byte, error) {
 	}
 	fmt.Fprintf(&b, `},"TileRetirements":%d,"Frames":%d}`, c.TileRetirements, c.Frames)
 	return b.Bytes(), nil
-}
-
-// UnmarshalJSON accepts the same shape MarshalJSON emits (which is also the
-// pre-conversion encoding), so persisted results round-trip.
-func (c *Counter) UnmarshalJSON(data []byte) error {
-	var aux struct {
-		Reads, Writes   int64
-		ByRegion        map[memmap.Region]RegionCounts
-		TileRetirements int
-		Frames          int
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	*c = Counter{Reads: aux.Reads, Writes: aux.Writes,
-		TileRetirements: aux.TileRetirements, Frames: aux.Frames}
-	for r, rc := range aux.ByRegion {
-		if int(r) < len(c.byRegion) {
-			c.byRegion[r] = rc
-		}
-	}
-	return nil
 }
 
 // PB returns combined Parameter Buffer reads and writes (both sections).

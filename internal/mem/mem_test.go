@@ -49,8 +49,7 @@ func TestCounterSignals(t *testing.T) {
 
 // TestCounterJSONCompat pins the counter's JSON encoding to the byte shape
 // of its pre-array representation (a ByRegion object holding only touched
-// regions), which golden results and persisted checkpoints depend on, and
-// checks the round trip through UnmarshalJSON.
+// regions), which the gpu golden digests depend on.
 func TestCounterJSONCompat(t *testing.T) {
 	c := NewCounter()
 	c.Access(Request{Addr: memmap.PBListsBase})
@@ -67,13 +66,6 @@ func TestCounterJSONCompat(t *testing.T) {
 		`"TileRetirements":1,"Frames":1}`
 	if string(data) != want {
 		t.Fatalf("encoding drifted:\n got %s\nwant %s", data, want)
-	}
-	var back Counter
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != *c {
-		t.Fatalf("round trip: %+v != %+v", back, *c)
 	}
 	empty, err := json.Marshal(NewCounter())
 	if err != nil {

@@ -23,9 +23,6 @@ const (
 	// SiteSimulate is evaluated inside the result cache's singleflight
 	// leader, after admission, just before the simulation runs.
 	SiteSimulate = "serve.sim"
-	// SiteSweep is evaluated by the experiments.Sweep worker pool once per
-	// dispatched job.
-	SiteSweep = "experiments.sweep"
 	// SiteProxy is evaluated by the cluster gateway once per upstream
 	// attempt, before the shard call leaves the process — an injected
 	// fault looks exactly like a shard failure and must be absorbed by
@@ -249,22 +246,6 @@ func fnv64(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// injectorKey carries an *Injector in a context.
-type injectorKey struct{}
-
-// ContextWithInjector returns ctx carrying in, for layers (the experiments
-// sweep pool) that are reached through a context rather than a config.
-func ContextWithInjector(ctx context.Context, in *Injector) context.Context {
-	return context.WithValue(ctx, injectorKey{}, in)
-}
-
-// InjectorFrom returns the context's injector, or nil (a valid no-op
-// injector) when absent.
-func InjectorFrom(ctx context.Context) *Injector {
-	in, _ := ctx.Value(injectorKey{}).(*Injector)
-	return in
 }
 
 // ParsePlan parses the -chaos flag grammar: comma-separated key=value

@@ -157,17 +157,6 @@ func TestInjectorMetrics(t *testing.T) {
 	}
 }
 
-func TestInjectorContext(t *testing.T) {
-	in := NewInjector(1)
-	ctx := ContextWithInjector(context.Background(), in)
-	if InjectorFrom(ctx) != in {
-		t.Fatalf("InjectorFrom did not round-trip")
-	}
-	if InjectorFrom(context.Background()) != nil {
-		t.Fatalf("InjectorFrom(empty ctx) != nil")
-	}
-}
-
 func TestParsePlan(t *testing.T) {
 	plan, seed, err := ParsePlan("rate=0.2, lat=50ms, codes=500|503, panic=0.01, seed=7")
 	if err != nil {

@@ -133,8 +133,8 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 
 // raceArena runs one arena race on the given runner and encodes the
 // canonical report. Sync requests pass the shared memoized runner;
-// background arena jobs pass a private runner wired to the job's
-// checkpoint journal so the race resumes across restarts.
+// background arena jobs pass a private runner carrying the job's journal
+// (see runArena).
 func (s *Server) raceArena(ctx context.Context, runner *experiments.Runner, opts arena.Options) (cached, error) {
 	cells := int64(len(opts.Benchmarks) * (1 + len(opts.CurveSizesKB)))
 	for _, p := range opts.Policies {

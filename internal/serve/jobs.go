@@ -390,8 +390,8 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 }
 
 // runArena executes an arena job on a private runner wired to the job's own
-// checkpoint journal: the race's per-policy cells journal as they finish and
-// restore on resume, exactly like `paperfig -arena -checkpoint`.
+// journal, fingerprinted by the job ID like a sweep job's: the race's
+// per-policy cells journal as they finish and restore on resume.
 func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) {
 	var req ArenaRequest
 	if err := decodeStrict(e.body, &req); err != nil {
@@ -404,11 +404,12 @@ func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) 
 	runner := experiments.NewRunner()
 	runner.Frames = 1
 	runner.MemoCap = 32
-	restored, err := runner.OpenCheckpoint(e.journalPath())
+	cp, restored, err := experiments.OpenJournal(e.journalPath(), e.rec.ID, runner.Metrics())
 	if err != nil {
 		return nil, err
 	}
-	defer runner.Checkpoint.Close()
+	defer cp.Close()
+	runner.Checkpoint = cp
 	if restored > 0 {
 		m.mu.Lock()
 		e.rec.RestoredCells = restored

@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"tcor/internal/geom"
 	"tcor/internal/gpu"
 	"tcor/internal/workload"
 )
@@ -293,6 +296,158 @@ func TestAsyncArenaJob(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Errorf("invariants after an arena job: %v", err)
+	}
+}
+
+// arenaJobBody is the arena job of TestArenaJobSurvivesRestart: one
+// benchmark, three policies, no curves, so the job journals three cells.
+const arenaJobBody = `{"policies":["LRU","OPT","ARC"],"benchmarks":["CCS"],"sizeKB":48}`
+
+// crashedArenaJob copies a finished arena job's directory into a fresh jobs
+// directory and rewinds it to what a SIGKILL mid-race leaves behind:
+// job.json says "running", there is no result, and the journal holds the
+// given header line plus the first k of the finished run's records.
+func crashedArenaJob(t *testing.T, jobDir string, header []byte, k int) string {
+	t.Helper()
+	dir := t.TempDir()
+	dst := filepath.Join(dir, filepath.Base(jobDir))
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(jobDir, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jf jobFile
+	if err := json.Unmarshal(blob, &jf); err != nil {
+		t.Fatal(err)
+	}
+	jf.Record.State = JobRunning
+	if blob, err = json.Marshal(jf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dst, "job.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(jobDir, "cells.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(journal, []byte("\n")) // [header, records..., ""]
+	if len(lines) < 2+k {
+		t.Fatalf("finished journal has %d records, want at least %d", len(lines)-2, k)
+	}
+	out := append(append([]byte{}, header...), bytes.Join(lines[1:1+k], nil)...)
+	if err := os.WriteFile(filepath.Join(dst, "cells.journal"), out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestArenaJobSurvivesRestart is TestJobSurvivesRestart for the arena kind,
+// built without timing: server A races a small arena job to done, the test
+// rewinds its directory to the state a SIGKILL after k journaled cells
+// leaves, and server B on that directory must finish the job restoring
+// exactly k cells, with the result a synchronous /v1/arena race produces.
+// A journal whose header is the older {format, screen, frames} shape was
+// written before arena jobs were fingerprinted by their ID: the job fails
+// on the fingerprint and restores nothing.
+func TestArenaJobSurvivesRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("arena races on the real simulator")
+	}
+	dirA := t.TempDir()
+	a := NewServer(Options{JobsDir: dirA})
+	job := submitAsync(t, a.Handler(), "/v1/arena?async=1", arenaJobBody, "", http.StatusAccepted)
+	if final := pollJob(t, a.Handler(), "", job.ID); final.State != JobDone || final.TotalCells != 3 {
+		t.Fatalf("arena job on server A ended %+v", final)
+	}
+	if err := a.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	jobDir := filepath.Join(dirA, job.ID)
+	journal, err := os.ReadFile(filepath.Join(jobDir, "cells.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := bytes.Cut(journal, []byte("\n"))
+	header = append(header, '\n')
+
+	ref := NewServer(Options{})
+	syncRes := postJSON(ref.Handler(), "/v1/arena", arenaJobBody)
+	if syncRes.Code != 200 {
+		t.Fatalf("sync arena: %d %s", syncRes.Code, syncRes.Body)
+	}
+
+	const k = 2
+	dirB := crashedArenaJob(t, jobDir, header, k)
+	b := NewServer(Options{JobsDir: dirB})
+	hb := b.Handler()
+	final := pollJob(t, hb, "", job.ID)
+	if final.State != JobDone {
+		t.Fatalf("resumed arena job ended %s: %s", final.State, final.Error)
+	}
+	if final.RestoredCells != k || final.DoneCells != 3 {
+		t.Fatalf("resume accounting = %+v, want %d restored of 3", final, k)
+	}
+	if got := b.Registry().Snapshot().Get("serve.jobs.cells.restored"); got != k {
+		t.Fatalf("serve.jobs.cells.restored = %d, want %d", got, k)
+	}
+	resultRes := getPath(hb, "/v1/jobs/"+job.ID+"/result")
+	if !bytes.Equal(resultRes.Body.Bytes(), syncRes.Body.Bytes()) {
+		t.Fatalf("resumed arena result differs from sync:\nasync: %s\nsync:  %s",
+			resultRes.Body, syncRes.Body)
+	}
+	// The k restored cells were served from the journal and only the
+	// other 3-k raced and journaled: header plus exactly three records.
+	resumed, err := os.ReadFile(filepath.Join(dirB, job.ID, "cells.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(resumed, []byte("\n")); n != 1+3 {
+		t.Fatalf("resumed journal has %d lines, want the header and 3 records", n)
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	if err := b.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	screen, err := json.Marshal(geom.DefaultScreen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(struct {
+		Format string `json:"format"`
+		Screen string `json:"screen"`
+		Frames int    `json:"frames"`
+	}{"tcor-checkpoint/2", string(screen), 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirC := crashedArenaJob(t, jobDir, append(legacy, '\n'), k)
+	before, err := os.ReadFile(filepath.Join(dirC, job.ID, "cells.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewServer(Options{JobsDir: dirC})
+	final = pollJob(t, c.Handler(), "", job.ID)
+	if final.State != JobFailed || !strings.Contains(final.Error, "fingerprint") {
+		t.Fatalf("arena job on an unfingerprinted journal ended %s (%q), want failed on the fingerprint", final.State, final.Error)
+	}
+	if final.RestoredCells != 0 {
+		t.Fatalf("restored %d cells from an unfingerprinted journal, want 0", final.RestoredCells)
+	}
+	after, err := os.ReadFile(filepath.Join(dirC, job.ID, "cells.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("a rejected journal was rewritten")
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

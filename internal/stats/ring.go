@@ -73,9 +73,10 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// ringJSON is the wire form of a Ring: capacity, lifetime count and the
-// retained events oldest-first. It exists so results holding a debug trace
-// survive a JSON round-trip (the sweep checkpoint journal).
+// ringJSON is the encoded form of a Ring: capacity, lifetime count and the
+// retained events oldest-first, so a result holding a debug trace encodes
+// the trace with it (the gpu golden digests cover traced runs). The
+// encoding is one-way.
 type ringJSON struct {
 	Cap    int     `json:"cap"`
 	Seq    int64   `json:"seq"`
@@ -92,29 +93,6 @@ func (r *Ring) MarshalJSON() ([]byte, error) {
 	cap, seq := len(r.buf), r.seq
 	r.mu.Unlock()
 	return json.Marshal(ringJSON{Cap: cap, Seq: seq, Events: r.Events()})
-}
-
-// UnmarshalJSON restores a ring encoded by MarshalJSON, replacing the
-// receiver's contents. Restored events keep their original Seq values; the
-// next Record continues from the recorded lifetime count.
-func (r *Ring) UnmarshalJSON(b []byte) error {
-	var w ringJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	if w.Cap <= 0 {
-		w.Cap = len(w.Events)
-		if w.Cap == 0 {
-			w.Cap = 1
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf = make([]Event, w.Cap)
-	r.n = copy(r.buf, w.Events)
-	r.w = r.n % len(r.buf)
-	r.seq = w.Seq
-	return nil
 }
 
 // Total returns how many events were ever recorded (including overwritten
