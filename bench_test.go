@@ -417,6 +417,12 @@ func BenchmarkPlanTile(b *testing.B) { benchPlanTile(b, "CCS") }
 // hurts small ones shows in one of the two.
 func BenchmarkPlanTileSmallPrims(b *testing.B) { benchPlanTile(b, "DDS") }
 
+// BenchmarkPlanTile3D is BenchmarkPlanTile on SoD, a 3D title: CCS, a 2D
+// one, draws nothing translucent, while about two in five of SoD's
+// covered quads blend, so a change to the blended or partly occluded
+// spans shows here and not in BenchmarkPlanTile.
+func BenchmarkPlanTile3D(b *testing.B) { benchPlanTile(b, "SoD") }
+
 func benchPlanTile(b *testing.B, alias string) {
 	spec, err := workload.ByAlias(alias)
 	if err != nil {

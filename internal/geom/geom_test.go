@@ -240,10 +240,28 @@ func TestScreenValidate(t *testing.T) {
 		{Width: 100, Height: 0, TileSize: 32},
 		{Width: 100, Height: 100, TileSize: 0},
 		{Width: 1 << 14, Height: 1 << 14, TileSize: 8}, // too many tiles for 12-bit IDs
+		// 4096 tiles: position 4095 is InvalidTile, the "never used
+		// again" OPT Number.
+		{Width: 64 * 8, Height: 64 * 8, TileSize: 8},
+		{Width: 4096 * 8, Height: 8, TileSize: 8},
+		{Width: 4095*8 + 1, Height: 8, TileSize: 8},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+	// 4095 tiles, the most a screen may hold.
+	for _, s := range []Screen{
+		{Width: 65 * 8, Height: 63 * 8, TileSize: 8},
+		{Width: 4095 * 8, Height: 8, TileSize: 8},
+		{Width: 8, Height: 4095*8 - 7, TileSize: 8},
+	} {
+		if s.NumTiles() != int(InvalidTile) {
+			t.Fatalf("%+v has %d tiles", s, s.NumTiles())
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%+v: %v", s, err)
 		}
 	}
 }

@@ -31,9 +31,11 @@ func (s Screen) Validate() error {
 	if s.TileSize <= 0 {
 		return fmt.Errorf("geom: tile size %d must be positive", s.TileSize)
 	}
-	if s.NumTiles() > 1<<12 {
-		// Tile IDs travel in 12-bit PMD/L2 fields (paper Figs. 6, 8).
-		return fmt.Errorf("geom: %d tiles exceed the 12-bit tile ID space", s.NumTiles())
+	if s.NumTiles() > int(InvalidTile) {
+		// Tile IDs and traversal positions travel in 12-bit PMD/L2 fields
+		// (paper Figs. 6, 8), whose all-ones value is the "never used
+		// again" sentinel: a tile at position 4095 would read as dead.
+		return fmt.Errorf("geom: %d tiles exceed %d, the 12-bit tile ID space less its sentinel", s.NumTiles(), InvalidTile)
 	}
 	return nil
 }

@@ -217,13 +217,15 @@ func (p *Pipeline) CommitFiltered(plan *TilePlan) int64 {
 // so coverage is bit-identical to calling it while the edge products are
 // finite (vertex coordinates within about ±1e18).
 //
-// An opaque Early-Z span of at least a block's worth of quads whose every
-// quad passes the depth test is planned in bulk: z over the span's depths,
-// then its taps a run at a time (quadTaps.span). That is what the per-quad
-// loop would do quad by quad, since a passing quad changes no depth the
-// span's later quads read. Any other span takes the per-quad loop. Taps
-// gather in the tile's tapRun and join the plan's stream when the run
-// ends.
+// Each row span is then split into the runs of quads that pass the
+// per-quad depth condition (z >= depth rejects, so a NaN z passes), and
+// every run is planned whole: counted, its depths written on the opaque
+// Early-Z path and left alone when blended, and its taps added a stretch
+// at a time (quadTaps.span). Late-Z shades every quad, so its whole span
+// is one run whose depths take the nearer z. This is what a per-quad
+// loop would do quad by quad, since each quad reads and writes only its
+// own depth slot. Taps gather in the tile's tapRun and join the plan's
+// stream when the run ends.
 func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, frame int, sc *PlanScratch, run *tapRun, plan *TilePlan) int64 {
 	bb := pr.BBox()
 	x0 := maxF(bb.Min.X, tile.Min.X)
@@ -251,15 +253,15 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 		return 0
 	}
 	z := (pr.Depth[0] + pr.Depth[1] + pr.Depth[2]) / 3
-	// Depth-writing materials disable the Early Z-Test (§II-A); the choice
-	// is a deterministic per-primitive hash so a given fraction of the
-	// geometry takes the late path.
-	lateZ := p.cfg.LateZFraction > 0 &&
-		float64(pr.ID*2654435761%1000) < p.cfg.LateZFraction*1000
 	// Translucent materials neither occlude nor get occluded by later
 	// translucent layers; they blend over whatever is resident.
 	translucent := p.cfg.TranslucentFraction > 0 &&
 		float64(pr.ID*40503%1000) < p.cfg.TranslucentFraction*1000
+	// Depth-writing materials disable the Early Z-Test (§II-A); the choice
+	// is a deterministic per-primitive hash so a given fraction of the
+	// geometry takes the late path. A translucent one blends instead.
+	lateZ := !translucent && p.cfg.LateZFraction > 0 &&
+		float64(pr.ID*2654435761%1000) < p.cfg.LateZFraction*1000
 	a, b, c := pr.Pos[0], pr.Pos[1], pr.Pos[2]
 	// geom.PointInTriangle's sign(p, a, b), sign(p, b, c), sign(p, c, a).
 	edges := [3]edge{
@@ -306,7 +308,6 @@ func (p *Pipeline) planPrim(pr *geom.Primitive, tile geom.Rect, route texRoute, 
 		mixed[i].estimate(tile.Min.X)
 	}
 	taps := p.tapsFor(pr, frame)
-	bulk := !translucent && !lateZ
 	var survived int64
 	// Texel coordinates step with the quads, so the columns and rows are
 	// reduced modulo texW once per primitive and stepped from there.
@@ -342,78 +343,55 @@ rows:
 		}
 		row := taps.row(v)
 		for span := 0; span < 2; span++ {
-			from, to := ls, le
+			qx, to := ls, le
 			if span == 1 {
-				from, to = rs, re
+				qx, to = rs, re
 			}
-			if from >= to {
+			if qx >= to {
 				continue
 			}
-			u := taps.skip(u0, from-lo)
-			depth := sc.depth[qy*p.tileQuads+from : qy*p.tileQuads+to]
-			if bulk && to-from >= quadsPerBlock && unoccluded(depth, z) {
-				// An opaque Early-Z span that every quad passes: each quad
-				// would write z and tap in turn, so write z over the span
-				// and add its taps a run at a time.
-				for i := range depth {
-					depth[i] = z
+			plan.Quads += int64(to - qx)
+			// The row's depths up to the span's end: a quad's slot is d[qx].
+			d := sc.depth[qy*p.tileQuads : qy*p.tileQuads+to]
+			for qx < len(d) {
+				if !lateZ {
+					for qx < len(d) && z >= d[qx] { // Early-Z rejects the quad
+						qx++
+					}
 				}
-				plan.Quads += int64(to - from)
-				survived += int64(to - from)
-				if taps.enabled {
-					taps.span(from, to, u, row, rowEdges, route, run, plan)
-				}
-				continue
-			}
-			for qx := from; qx < to; qx, u = qx+1, taps.next(u) {
-				plan.Quads++
-				di := qx - from
-				if translucent {
+				from := qx
+				switch {
+				case lateZ:
+					// Late-Z: shade the whole span, then depth-test the
+					// result.
+					for ; qx < len(d); qx++ {
+						if z < d[qx] {
+							d[qx] = z
+						}
+					}
+					plan.LateZQuads += int64(qx - from)
+				case translucent:
 					// Blend: depth-tested against opaque geometry but
 					// never written; the Color Buffer is read and
 					// re-written.
-					if z >= depth[di] {
-						continue
+					for qx < len(d) && !(z >= d[qx]) {
+						qx++
 					}
-					plan.BlendedQuads++
-				} else if !lateZ {
+					plan.BlendedQuads += int64(qx - from)
+				default:
 					// Early-Z: opaque geometry in submission order.
-					if z >= depth[di] {
-						continue
-					}
-					depth[di] = z
-				} else {
-					// Late-Z: shade unconditionally, then depth-test the
-					// result.
-					plan.LateZQuads++
-					if z < depth[di] {
-						depth[di] = z
+					for ; qx < len(d) && !(z >= d[qx]); qx++ {
+						d[qx] = z
 					}
 				}
-				survived++
-				if taps.enabled {
-					edges := rowEdges
-					if qx >= route.straddle {
-						edges++
-					}
-					run.add(tapKey(blockOf(row+u*texelBytes), route.cache[edges]), 1, plan)
+				survived += int64(qx - from)
+				if taps.enabled && qx > from {
+					taps.span(from, qx, taps.skip(u0, from-lo), row, rowEdges, route, run, plan)
 				}
 			}
 		}
 	}
 	return survived
-}
-
-// unoccluded reports whether z passes the Early-Z test against every
-// depth: the per-quad test's condition, so a NaN z passes as it does
-// there.
-func unoccluded(depth []float32, z float32) bool {
-	for _, d := range depth {
-		if z >= d {
-			return false
-		}
-	}
-	return true
 }
 
 // quadCenter returns the coordinate of the center of quad q of a tile
@@ -532,12 +510,10 @@ func (e *edge) crossing(yT, tileMinX float32, lo, hi int) (nonNeg, pos int) {
 }
 
 // Texel addressing: 4-byte texels, and one tap per quad, so the taps of
-// adjacent quads in a row lie quadBytes apart and a block holds the taps
-// of quadsPerBlock of them.
+// adjacent quads in a row lie quadBytes apart.
 const (
-	texelBytes    = 4
-	quadBytes     = QuadSize * texelBytes
-	quadsPerBlock = memmap.BlockBytes / quadBytes
+	texelBytes = 4
+	quadBytes  = QuadSize * texelBytes
 )
 
 // blockOf returns the address of the block holding byte address addr.

@@ -40,8 +40,7 @@ func refPlanTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) Tile
 		qx1 := min(int(x1-rect.Min.X-0.0001)/QuadSize, p.tileQuads-1)
 		qy1 := min(int(y1-rect.Min.Y-0.0001)/QuadSize, p.tileQuads-1)
 		z := (pr.Depth[0] + pr.Depth[1] + pr.Depth[2]) / 3
-		lateZ := p.cfg.LateZFraction > 0 && float64(pr.ID*2654435761%1000) < p.cfg.LateZFraction*1000
-		translucent := p.cfg.TranslucentFraction > 0 && float64(pr.ID*40503%1000) < p.cfg.TranslucentFraction*1000
+		mat := materialOf(p.cfg, pr.ID)
 		for qy := qy0; qy <= qy1; qy++ {
 			for qx := qx0; qx <= qx1; qx++ {
 				cx := rect.Min.X + float32(qx*QuadSize) + QuadSize/2
@@ -51,20 +50,22 @@ func refPlanTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) Tile
 				}
 				plan.Quads++
 				di := qy*p.tileQuads + qx
-				switch {
-				case translucent:
+				switch mat {
+				case matBlended:
 					if z >= depth[di] {
 						continue
 					}
 					plan.BlendedQuads++
-				case !lateZ:
+				case matOpaque:
 					if z >= depth[di] {
 						continue
 					}
 					depth[di] = z
 				default:
 					plan.LateZQuads++
-					depth[di] = min(depth[di], z)
+					if z < depth[di] {
+						depth[di] = z
+					}
 				}
 				plan.QuadsShaded++
 				if p.cfg.TextureBytes <= 0 {
@@ -79,6 +80,26 @@ func refPlanTile(p *Pipeline, tile geom.TileID, frame int, work []TileWork) Tile
 		}
 	}
 	return plan
+}
+
+// Materials: the raster path a primitive takes.
+const (
+	matOpaque  = iota // Early-Z, depth written
+	matBlended        // depth-tested, never written
+	matLateZ          // shaded unconditionally, depth written where nearer
+)
+
+// materialOf returns the material of primitive id under cfg, by the
+// per-primitive hashes planPrim draws it with: a translucent primitive
+// blends even where the late-Z hash also selects it.
+func materialOf(cfg Config, id uint32) int {
+	switch {
+	case cfg.TranslucentFraction > 0 && float64(id*40503%1000) < cfg.TranslucentFraction*1000:
+		return matBlended
+	case cfg.LateZFraction > 0 && float64(id*2654435761%1000) < cfg.LateZFraction*1000:
+		return matLateZ
+	}
+	return matOpaque
 }
 
 // tapRef appends one tap of byte address addr through texture cache c to
@@ -242,8 +263,10 @@ func tileWork(prims []geom.Primitive, screen geom.Screen, tile geom.TileID) []Ti
 // checkPlans plans every tile of p's screen for prims, the frame cycling
 // with the tile, and fails t unless PlanTile's tallies equal refPlanTile's
 // and its tap stream equals the reference's run-length coded. It returns
-// the covered quads, the taps planned and how many of them coalesced.
-func checkPlans(t *testing.T, p *Pipeline, prims []geom.Primitive) (quads int64, taps, coalesced int) {
+// the tallies summed over the tiles (primitive-tile pairs, covered,
+// shaded, late-Z and blended quads), the taps planned and how many of
+// them coalesced.
+func checkPlans(t *testing.T, p *Pipeline, prims []geom.Primitive) (tally [5]int64, taps, coalesced int) {
 	t.Helper()
 	screen := p.cfg.Screen
 	sc := p.NewScratch()
@@ -269,11 +292,13 @@ func checkPlans(t *testing.T, p *Pipeline, prims []geom.Primitive) (quads int64,
 		if sum != len(want.TapAddrs) {
 			t.Fatalf("tile %d: runs sum to %d taps, want %d", tile, sum, len(want.TapAddrs))
 		}
-		quads += plan.Quads
+		for i := range tally {
+			tally[i] += got[i]
+		}
 		taps += sum
 		coalesced += sum - len(runs)
 	}
-	return quads, taps, coalesced
+	return tally, taps, coalesced
 }
 
 // adversarialFamilies are the corner cases of planPrim's exact row spans,
@@ -406,11 +431,64 @@ func testPlanTileMatchesReference(t *testing.T, cfg Config, name string) {
 					pr.Depth[v] = rng.Float32()
 				}
 			}
-			if quads, _, _ := checkPlans(t, p, prims); quads == 0 {
+			if tally, _, _ := checkPlans(t, p, prims); tally[1] == 0 {
 				t.Fatal("no quad covered; the family exercises too little")
 			}
 		})
 	}
+	t.Run(name+"/occluded", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(int64(ts)))
+		tally, _, _ := checkPlans(t, p, occludedPrims(rng, cfg, 150))
+		// Some quads of every material are shaded and some rejected.
+		if tally[3] == 0 || tally[4] == 0 || tally[2] == tally[1] {
+			t.Fatalf("tallies %v; the family exercises too little", tally)
+		}
+	})
+}
+
+// occludedPrims draws n pairs: an opaque occluder, then a blended, late-Z
+// or opaque triangle (in turn) behind it, whose row spans the occluder
+// cuts at the start, in the middle or at the end. The triangles behind
+// are wide and flat, 2 to 39 quads at the base and narrowing row by row,
+// so the runs the occluder leaves are both shorter and longer than a
+// block's 8 quads. The pairs overlap each other, so later triangles also
+// meet the depths earlier ones wrote, or (blended) did not write.
+func occludedPrims(rng *rand.Rand, cfg Config, n int) []geom.Primitive {
+	w, h := float32(cfg.Screen.Width), float32(cfg.Screen.Height)
+	prim := func(mat int, depth float32, pos ...geom.Vec2) geom.Primitive {
+		pr := geom.Primitive{ID: rng.Uint32()}
+		for materialOf(cfg, pr.ID) != mat {
+			pr.ID = rng.Uint32()
+		}
+		copy(pr.Pos[:], pos)
+		pr.Depth = [3]float32{depth, depth, depth}
+		return pr
+	}
+	var prims []geom.Primitive
+	for i := range n {
+		width := float32(QuadSize * (2 + rng.Intn(38)))
+		height := float32(2 + rng.Intn(24))
+		x, y := rng.Float32()*w-width/2, rng.Float32()*h-height/2
+		if rng.Intn(2) == 0 { // on the pixel grid
+			x, y = float32(math.Floor(float64(x))), float32(math.Floor(float64(y)))
+		}
+		// The occluder: a band ow pixels wide over every row of the
+		// triangle, made of two triangles.
+		ow := 1 + rng.Float32()*10
+		ox := []float32{x - ow/2, x + (width-ow)/2, x + width - ow/2}[rng.Intn(3)]
+		top, bottom := y-3, y+height+3
+		near := rng.Float32() * 0.3
+		prims = append(prims,
+			prim(matOpaque, near, geom.Vec2{X: ox, Y: top}, geom.Vec2{X: ox + ow, Y: top}, geom.Vec2{X: ox, Y: bottom}),
+			prim(matOpaque, near, geom.Vec2{X: ox + ow, Y: top}, geom.Vec2{X: ox + ow, Y: bottom}, geom.Vec2{X: ox, Y: bottom}))
+		back := prim(i%3, 0.3+rng.Float32()*0.7, // matOpaque, matBlended, matLateZ in turn
+			geom.Vec2{X: x, Y: y}, geom.Vec2{X: x + width, Y: y}, geom.Vec2{X: x + rng.Float32()*width, Y: y + height})
+		if rng.Intn(2) == 0 {
+			back.Pos[1], back.Pos[2] = back.Pos[2], back.Pos[1]
+		}
+		prims = append(prims, back)
+	}
+	return prims
 }
 
 // recorder is a mem.Sink that keeps every request in order.

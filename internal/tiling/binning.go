@@ -78,6 +78,12 @@ func Bin(screen geom.Screen, trav *Traversal, prims []geom.Primitive) (*Binning,
 }
 
 // BinWithOverlap is Bin with an explicit overlap test.
+//
+// It bins in two passes, with no allocation per primitive or per list:
+// the first finds each primitive's traversal positions, end to end in one
+// array that PrimTiles is carved from, and counts each tile's list; the
+// second carves the lists from one array of exactly that many entries and
+// fills them in program order.
 func BinWithOverlap(screen geom.Screen, trav *Traversal, prims []geom.Primitive, ot OverlapTest) (*Binning, error) {
 	if trav.NumTiles() != screen.NumTiles() {
 		return nil, fmt.Errorf("tiling: traversal covers %d tiles, screen has %d",
@@ -96,6 +102,9 @@ func BinWithOverlap(screen geom.Screen, trav *Traversal, prims []geom.Primitive,
 	}
 
 	var tilesBuf []geom.TileID
+	pos := make([]uint16, 0, 2*n) // every primitive's positions, end to end
+	ends := make([]int, n)        // primitive i's are pos[ends[i-1]:ends[i]]
+	count := make([]int, len(b.Lists))
 	var attrCursor uint32
 	for i := range prims {
 		p := &prims[i]
@@ -114,6 +123,7 @@ func BinWithOverlap(screen geom.Screen, trav *Traversal, prims []geom.Primitive,
 		} else {
 			tilesBuf = screen.OverlappedTiles(p, tilesBuf[:0])
 		}
+		ends[i] = len(pos) + len(tilesBuf)
 		if len(tilesBuf) == 0 {
 			// Culled: overlaps nothing; never read.
 			b.FirstUse[i] = pbuffer.MaxOPTNumber
@@ -122,32 +132,53 @@ func BinWithOverlap(screen geom.Screen, trav *Traversal, prims []geom.Primitive,
 		}
 		// Map to traversal positions and sort ascending (insertion sort;
 		// overlap counts are small).
-		pos := make([]uint16, 0, len(tilesBuf))
+		start := len(pos)
 		for _, t := range tilesBuf {
 			pos = append(pos, trav.Pos[t])
 		}
-		sortU16(pos)
-		b.PrimTiles[i] = pos
-		b.FirstUse[i] = pos[0]
-		b.LastUse[i] = pos[len(pos)-1]
-
-		// Append one PMD per overlapped tile, carrying the position of the
-		// *next* tile to use this primitive.
-		for k, tp := range pos {
-			next := uint16(pbuffer.MaxOPTNumber)
-			if k+1 < len(pos) {
-				next = pos[k+1]
-			}
-			tile := trav.Seq[tp]
-			if len(b.Lists[tile]) >= pbuffer.MaxPrimsPerTile {
+		own := pos[start:]
+		sortU16(own)
+		b.FirstUse[i] = own[0]
+		b.LastUse[i] = own[len(own)-1]
+		// A list keeps its first pbuffer.MaxPrimsPerTile primitives.
+		for _, tp := range own {
+			if tile := trav.Seq[tp]; count[tile] < pbuffer.MaxPrimsPerTile {
+				count[tile]++
+				b.TotalOverlaps++
+			} else {
 				b.Overflowed++
-				continue
 			}
-			b.Lists[tile] = append(b.Lists[tile], BinEntry{Prim: uint32(i), OPTNum: next})
-			b.TotalOverlaps++
 		}
 	}
 	b.TotalAttrs = attrCursor
+
+	entries := make([]BinEntry, b.TotalOverlaps)
+	for tile, c := range count {
+		if c > 0 {
+			b.Lists[tile], entries = entries[:0:c], entries[c:]
+		}
+	}
+	start := 0
+	for i, end := range ends {
+		own := pos[start:end:end]
+		start = end
+		if len(own) == 0 {
+			continue
+		}
+		b.PrimTiles[i] = own
+		// Append one PMD per overlapped tile, carrying the position of the
+		// *next* tile to use this primitive.
+		for k, tp := range own {
+			next := uint16(pbuffer.MaxOPTNumber)
+			if k+1 < len(own) {
+				next = own[k+1]
+			}
+			tile := trav.Seq[tp]
+			if l := b.Lists[tile]; len(l) < cap(l) { // not overflowed
+				b.Lists[tile] = append(l, BinEntry{Prim: uint32(i), OPTNum: next})
+			}
+		}
+	}
 	return b, nil
 }
 

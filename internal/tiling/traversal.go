@@ -7,7 +7,7 @@ package tiling
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tcor/internal/geom"
 )
@@ -56,59 +56,49 @@ func NewTraversal(screen geom.Screen, order Order) (*Traversal, error) {
 	if err := screen.Validate(); err != nil {
 		return nil, err
 	}
+	tx, ty := screen.TilesX(), screen.TilesY()
+	// key places tile (x, y) along the order's curve; tiles with equal
+	// keys (all of them, in scanline order) follow tile ID.
+	var key func(x, y int) uint64
+	switch order {
+	case OrderScanline:
+		key = func(x, y int) uint64 { return 0 }
+	case OrderZ:
+		// The Morton code of the tile coordinates. For non-power-of-two
+		// grids this is the standard "sorted Morton" construction: the
+		// relative Z ordering is preserved and every tile appears exactly
+		// once.
+		key = func(x, y int) uint64 { return morton(uint32(x), uint32(y)) }
+	case OrderHilbert:
+		// Hilbert order on the smallest power-of-two square covering the
+		// grid; ordering by it preserves the relative curve order for the
+		// real (possibly non-square) grid.
+		side := 1
+		for side < tx || side < ty {
+			side <<= 1
+		}
+		key = func(x, y int) uint64 { return uint64(hilbertD(side, x, y)) }
+	default:
+		return nil, fmt.Errorf("tiling: unknown traversal order %d", order)
+	}
+	// Each tile's key, computed once, sits above its ID in one integer,
+	// so sorting the integers orders the tiles by key, then by ID, with no
+	// comparator. A screen has under 1<<12 tiles (geom.Screen.Validate),
+	// and both curves' keys stay under 1<<24.
+	const idBits = 12
 	n := screen.NumTiles()
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = key(i%tx, i/tx)<<idBits | uint64(i)
+	}
+	slices.Sort(keys)
 	t := &Traversal{
 		Seq: make([]geom.TileID, n),
 		Pos: make([]uint16, n),
 	}
-	switch order {
-	case OrderScanline:
-		for i := 0; i < n; i++ {
-			t.Seq[i] = geom.TileID(i)
-		}
-	case OrderHilbert:
-		for i := 0; i < n; i++ {
-			t.Seq[i] = geom.TileID(i)
-		}
-		tx := screen.TilesX()
-		// Hilbert order on the smallest power-of-two square covering the
-		// grid; sorting preserves the relative curve order for the real
-		// (possibly non-square) grid.
-		side := 1
-		for side < tx || side < screen.TilesY() {
-			side <<= 1
-		}
-		sort.Slice(t.Seq, func(a, b int) bool {
-			ia, ib := int(t.Seq[a]), int(t.Seq[b])
-			ha := hilbertD(side, ia%tx, ia/tx)
-			hb := hilbertD(side, ib%tx, ib/tx)
-			if ha != hb {
-				return ha < hb
-			}
-			return ia < ib
-		})
-	case OrderZ:
-		// Sort tiles by Morton code of their (x, y) tile coordinates. For
-		// non-power-of-two grids this is the standard "sorted Morton"
-		// construction: the relative Z ordering is preserved and every
-		// tile appears exactly once.
-		for i := 0; i < n; i++ {
-			t.Seq[i] = geom.TileID(i)
-		}
-		tx := screen.TilesX()
-		sort.Slice(t.Seq, func(a, b int) bool {
-			ia, ib := int(t.Seq[a]), int(t.Seq[b])
-			ma := morton(uint32(ia%tx), uint32(ia/tx))
-			mb := morton(uint32(ib%tx), uint32(ib/tx))
-			if ma != mb {
-				return ma < mb
-			}
-			return ia < ib
-		})
-	default:
-		return nil, fmt.Errorf("tiling: unknown traversal order %d", order)
-	}
-	for p, id := range t.Seq {
+	for p, k := range keys {
+		id := geom.TileID(k & (1<<idBits - 1))
+		t.Seq[p] = id
 		t.Pos[id] = uint16(p)
 	}
 	return t, nil
