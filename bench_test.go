@@ -443,11 +443,7 @@ func benchPlanTile(b *testing.B, alias string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := raster.DefaultConfig(screen, int64(spec.TextureMiB*1024*1024), spec.ShaderInstrPerPixel)
-	if spec.ThreeD {
-		cfg.TranslucentFraction = 0.05
-	}
-	p, err := raster.New(cfg, mem.NewCounter(), mem.NewCounter())
+	p, err := raster.New(gpu.RasterConfig(spec, screen), mem.NewCounter(), mem.NewCounter())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -590,6 +586,23 @@ func BenchmarkStackDistances(b *testing.B) {
 		state ^= state >> 7
 		state ^= state << 17
 		tr[i].Key = trace.Key(state % 2048)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := cache.LRUStackDistances(tr)
+		if p.Total != int64(len(tr)) {
+			b.Fatal("bad profile")
+		}
+	}
+}
+
+// BenchmarkLRUProfile profiles the suite's longest attribute trace (DDS,
+// 45,548 accesses): the one pass behind Runner.LRUProfile, which Figs. 1,
+// 11 and 12 and every arena cell's 3C reference read.
+func BenchmarkLRUProfile(b *testing.B) {
+	tr, err := benchRunner().AttributeTrace("DDS")
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

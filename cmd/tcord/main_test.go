@@ -14,44 +14,48 @@ import (
 )
 
 func TestParseOptionsValidation(t *testing.T) {
+	// removed is the error of a flag that no longer exists: results never
+	// expire, so the cache-freshness flags are gone.
+	const removed = "flag provided but not defined"
 	cases := []struct {
 		name string
 		args []string
 		bad  bool
+		want string // substring of the expected error, when it matters
 	}{
-		{"defaults", nil, false},
+		{"defaults", nil, false, ""},
 		{"full", []string{"-addr", ":0", "-debug", ":0", "-workers", "2",
-			"-queue", "4", "-cache", "8", "-timeout", "5s", "-drain", "1s"}, false},
-		{"version", []string{"-version"}, false},
-		{"zero queue ok", []string{"-queue", "0"}, false},
-		{"chaos plan", []string{"-chaos", "rate=0.2,lat=5ms,codes=500|503,seed=7"}, false},
-		{"chaos bad rate", []string{"-chaos", "rate=1.5"}, true},
-		{"chaos bad key", []string{"-chaos", "turbo=1"}, true},
-		{"chaos bad code", []string{"-chaos", "codes=99"}, true},
-		{"breaker off", []string{"-breaker=false"}, false},
-		{"cache ttl", []string{"-cache-ttl", "1m", "-max-stale", "1h"}, false},
-		{"negative cache ttl", []string{"-cache-ttl", "-1s"}, true},
-		{"negative max stale", []string{"-max-stale", "-1s"}, true},
-		{"negative workers", []string{"-workers", "-1"}, true},
-		{"negative queue", []string{"-queue", "-1"}, true},
-		{"negative cache", []string{"-cache", "-1"}, true},
-		{"zero timeout", []string{"-timeout", "0"}, true},
-		{"zero drain", []string{"-drain", "0"}, true},
-		{"positional args", []string{"extra"}, true},
-		{"unknown flag", []string{"-nope"}, true},
-		{"gateway", []string{"-shards", "localhost:8344,localhost:8345"}, false},
-		{"gateway with hedge", []string{"-shards", "localhost:8344", "-hedge", "100ms", "-vnodes", "32"}, false},
-		{"gateway empty shard", []string{"-shards", "localhost:8344,,localhost:8345"}, true},
-		{"hedge without shards", []string{"-hedge", "100ms"}, true},
-		{"vnodes without shards", []string{"-vnodes", "32"}, true},
-		{"negative vnodes", []string{"-shards", "localhost:8344", "-vnodes", "-1"}, true},
-		{"jobs dir", []string{"-jobs-dir", "jobs"}, false},
-		{"jobs dir with workers", []string{"-jobs-dir", "jobs", "-job-workers", "2"}, false},
-		{"job workers without jobs dir", []string{"-job-workers", "2"}, true},
-		{"negative job workers", []string{"-jobs-dir", "jobs", "-job-workers", "-1"}, true},
-		{"tenants missing file", []string{"-tenants", "/nonexistent/tenants.json"}, true},
-		{"tenants in gateway mode", []string{"-shards", "localhost:8344", "-tenants", "t.json"}, true},
-		{"jobs dir in gateway mode", []string{"-shards", "localhost:8344", "-jobs-dir", "jobs"}, true},
+			"-queue", "4", "-cache", "8", "-timeout", "5s", "-drain", "1s"}, false, ""},
+		{"version", []string{"-version"}, false, ""},
+		{"zero queue ok", []string{"-queue", "0"}, false, ""},
+		{"chaos plan", []string{"-chaos", "rate=0.2,lat=5ms,codes=500|503,seed=7"}, false, ""},
+		{"chaos bad rate", []string{"-chaos", "rate=1.5"}, true, ""},
+		{"chaos bad key", []string{"-chaos", "turbo=1"}, true, ""},
+		{"chaos bad code", []string{"-chaos", "codes=99"}, true, ""},
+		{"breaker off", []string{"-breaker=false"}, false, ""},
+		{"cache ttl", []string{"-cache-ttl", "1m", "-max-stale", "1h"}, true, removed},
+		{"negative cache ttl", []string{"-cache-ttl", "-1s"}, true, removed},
+		{"negative max stale", []string{"-max-stale", "-1s"}, true, removed},
+		{"negative workers", []string{"-workers", "-1"}, true, ""},
+		{"negative queue", []string{"-queue", "-1"}, true, ""},
+		{"negative cache", []string{"-cache", "-1"}, true, ""},
+		{"zero timeout", []string{"-timeout", "0"}, true, ""},
+		{"zero drain", []string{"-drain", "0"}, true, ""},
+		{"positional args", []string{"extra"}, true, ""},
+		{"unknown flag", []string{"-nope"}, true, ""},
+		{"gateway", []string{"-shards", "localhost:8344,localhost:8345"}, false, ""},
+		{"gateway with hedge", []string{"-shards", "localhost:8344", "-hedge", "100ms", "-vnodes", "32"}, false, ""},
+		{"gateway empty shard", []string{"-shards", "localhost:8344,,localhost:8345"}, true, ""},
+		{"hedge without shards", []string{"-hedge", "100ms"}, true, ""},
+		{"vnodes without shards", []string{"-vnodes", "32"}, true, ""},
+		{"negative vnodes", []string{"-shards", "localhost:8344", "-vnodes", "-1"}, true, ""},
+		{"jobs dir", []string{"-jobs-dir", "jobs"}, false, ""},
+		{"jobs dir with workers", []string{"-jobs-dir", "jobs", "-job-workers", "2"}, false, ""},
+		{"job workers without jobs dir", []string{"-job-workers", "2"}, true, ""},
+		{"negative job workers", []string{"-jobs-dir", "jobs", "-job-workers", "-1"}, true, ""},
+		{"tenants missing file", []string{"-tenants", "/nonexistent/tenants.json"}, true, ""},
+		{"tenants in gateway mode", []string{"-shards", "localhost:8344", "-tenants", "t.json"}, true, ""},
+		{"jobs dir in gateway mode", []string{"-shards", "localhost:8344", "-jobs-dir", "jobs"}, true, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,6 +65,9 @@ func TestParseOptionsValidation(t *testing.T) {
 			}
 			if !tc.bad && err != nil {
 				t.Fatalf("parseOptions(%v) = %v, want success", tc.args, err)
+			}
+			if err != nil && !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("parseOptions(%v) = %v, want an error containing %q", tc.args, err, tc.want)
 			}
 		})
 	}
@@ -85,8 +92,7 @@ func TestServeOptionsMapping(t *testing.T) {
 		t.Fatal("Breaker off by default; -breaker defaults to true")
 	}
 
-	o, err = parseOptions([]string{"-chaos", "rate=0.1,seed=3", "-breaker=false",
-		"-cache-ttl", "90s", "-max-stale", "2h"}, io.Discard)
+	o, err = parseOptions([]string{"-chaos", "rate=0.1,seed=3", "-breaker=false"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +105,6 @@ func TestServeOptionsMapping(t *testing.T) {
 	}
 	if so.Breaker != nil {
 		t.Fatal("-breaker=false still configured a breaker")
-	}
-	if so.CacheTTL != 90*time.Second || so.MaxStale != 2*time.Hour {
-		t.Fatalf("cache freshness mapped as (%v, %v), want (90s, 2h)", so.CacheTTL, so.MaxStale)
 	}
 }
 

@@ -211,7 +211,7 @@ func tenantsDemo(ctx context.Context, baseURL string) error {
 	if err := json.Unmarshal(asyncBytes, &stored); err != nil {
 		return err
 	}
-	syncRuns, _, err := acme.SweepRaw(ctx, sweep)
+	syncRuns, err := acme.SweepRaw(ctx, sweep)
 	if err != nil {
 		return err
 	}

@@ -25,39 +25,52 @@ type StackProfile struct {
 }
 
 // LRUStackDistances computes the LRU stack-distance profile of a trace in
-// one pass. The implementation keeps the recency stack as a slice with
-// move-to-front — O(n·d̄) where d̄ is the mean stack depth, which for cache
-// studies (d̄ bounded by the working set) is fast enough and simple enough
-// to trust as an oracle.
+// one pass, in O(n log n) (Bennett and Kruskal's formulation, as Olken
+// implemented it). An access's stack distance is the number of distinct
+// keys touched since its key's previous access. A Fenwick tree over access
+// times marks each live key's latest access, so that count is the number of
+// live keys minus the marks up to the previous access.
 func LRUStackDistances(tr trace.Trace) StackProfile {
 	p := StackProfile{Total: int64(len(tr))}
-	stack := make([]trace.Key, 0, 1024)
-	pos := make(map[trace.Key]int, 1024) // key -> index in stack (0 = MRU)
-
-	for _, acc := range tr {
-		if idx, ok := pos[acc.Key]; ok {
-			// Distance is the current depth.
-			for len(p.Distances) <= idx {
+	marks := make(fenwick, len(tr)+1)
+	last := make(map[trace.Key]int, 1024) // key -> time of its latest access
+	live := 0
+	for t, acc := range tr {
+		if prev, ok := last[acc.Key]; ok {
+			d := live - marks.prefix(prev)
+			for len(p.Distances) <= d {
 				p.Distances = append(p.Distances, 0)
 			}
-			p.Distances[idx]++
-			// Move to front.
-			copy(stack[1:idx+1], stack[:idx])
-			stack[0] = acc.Key
-			for i := 0; i <= idx; i++ {
-				pos[stack[i]] = i
-			}
+			p.Distances[d]++
+			marks.add(prev, -1)
 		} else {
 			p.Cold++
-			stack = append(stack, 0)
-			copy(stack[1:], stack)
-			stack[0] = acc.Key
-			for i := range stack {
-				pos[stack[i]] = i
-			}
+			live++
 		}
+		marks.add(t, 1)
+		last[acc.Key] = t
 	}
 	return p
+}
+
+// fenwick is a binary indexed tree over access times 0..len-2 (slot 0 is
+// unused, so time t lives at index t+1).
+type fenwick []int32
+
+// add adds v to the count at time t.
+func (f fenwick) add(t int, v int32) {
+	for i := t + 1; i < len(f); i += i & -i {
+		f[i] += v
+	}
+}
+
+// prefix returns the sum of the counts at times 0..t.
+func (f fenwick) prefix(t int) int {
+	var s int32
+	for i := t + 1; i > 0; i -= i & -i {
+		s += f[i]
+	}
+	return int(s)
 }
 
 // MissesAt returns the number of misses a fully associative LRU cache with

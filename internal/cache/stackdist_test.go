@@ -2,6 +2,8 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"tcor/internal/trace"
@@ -94,4 +96,61 @@ func TestStackProfileHelpers(t *testing.T) {
 	if zero.MissRatioAt(4) != 0 {
 		t.Error("empty profile ratio")
 	}
+}
+
+// moveToFrontStackDistances is the reference LRUStackDistances is checked
+// against: the recency stack kept as a slice with move-to-front, each
+// access's distance read off as its key's depth in the stack. O(n·d̄), and
+// simple enough to trust.
+func moveToFrontStackDistances(tr trace.Trace) StackProfile {
+	p := StackProfile{Total: int64(len(tr))}
+	var stack []trace.Key // stack[0] is the most recently used key
+	for _, acc := range tr {
+		d := slices.Index(stack, acc.Key)
+		if d < 0 {
+			p.Cold++
+			stack = append(stack, 0)
+			d = len(stack) - 1
+		} else {
+			for len(p.Distances) <= d {
+				p.Distances = append(p.Distances, 0)
+			}
+			p.Distances[d]++
+		}
+		copy(stack[1:d+1], stack[:d])
+		stack[0] = acc.Key
+	}
+	return p
+}
+
+// FuzzLRUStackDistancesMatchesMoveToFront is the differential test of the
+// Fenwick-tree profile against the move-to-front stack on fuzzed traces:
+// the first byte sets the key count (1 to 4081), then each pair of bytes
+// is one access. The random seeds span few keys (deep re-use) to many
+// (mostly cold), at lengths around the tree's power-of-two boundaries.
+func FuzzLRUStackDistancesMatchesMoveToFront(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 0})
+	f.Add([]byte{3, 1, 0, 2, 0, 1, 0, 3, 0, 2, 0, 1, 0})
+	rng := rand.New(rand.NewSource(11))
+	for _, keyByte := range []byte{1, 4, 64, 255} {
+		for _, n := range []int{255, 256, 257, 4096} {
+			seed := make([]byte, 1+2*n)
+			rng.Read(seed)
+			seed[0] = keyByte
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		keys := 1 + int(data[0])*16
+		var tr trace.Trace
+		for b := data[1:]; len(b) >= 2; b = b[2:] {
+			tr = append(tr, trace.Access{Key: trace.Key((int(b[0]) | int(b[1])<<8) % keys)})
+		}
+		if got, want := LRUStackDistances(tr), moveToFrontStackDistances(tr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d keys, %d accesses: profile %+v, move-to-front %+v", keys, len(tr), got, want)
+		}
+	})
 }

@@ -43,8 +43,8 @@
 //     errors, the next candidate gets one. Before a non-owner shard is
 //     allowed to simulate, the owner's cache is probed with a cache-only
 //     request (serve.CacheOnlyHeader): a shard whose compute path is
-//     broken can still answer from cache — bounded-stale included — and a
-//     dead one fails the probe fast.
+//     broken (its breaker open) still answers hits from cache, and a dead
+//     one fails the probe fast.
 //
 //   - /v1/arena and the job routes (async submit, get, cancel, result)
 //     walk the ring owner-first, one attempt at a time. A 404 walks on

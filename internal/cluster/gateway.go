@@ -654,7 +654,7 @@ func (g *Gateway) fetchSim(ctx context.Context, req serve.SimulateRequest, key s
 
 // attemptSim is one simulate attempt. On a failover attempt to a
 // non-owner, the owner's cache is probed first: a shard whose compute path
-// is broken (breaker open, serving bounded-stale) still answers probes, and
+// is broken (breaker open, serving hits only) still answers probes, and
 // a dead one fails them fast — either way a failover shard never
 // recomputes a result the cluster already holds.
 func (g *Gateway) attemptSim(ctx context.Context, t try, owner *shard, req serve.SimulateRequest, done func(error)) (simResult, error) {
@@ -765,12 +765,12 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := g.shell.RequestContext(r, timeoutMs)
 	defer cancel()
 
-	runs, anyStale, err := g.fanOutSweep(ctx, req.Items, keys)
+	runs, err := g.fanOutSweep(ctx, req.Items, keys)
 	if err != nil {
 		g.shell.WriteError(w, err)
 		return
 	}
-	g.shell.WriteSweep(w, runs, anyStale)
+	g.shell.WriteSweep(w, runs)
 }
 
 // sweepChunk is one sub-sweep: a run of same-owner items, at most
@@ -786,7 +786,7 @@ type sweepChunk struct {
 // full failover, so a sweep only fails when an item is unservable by
 // every shard (or genuinely invalid). When items fail, the error is the
 // one of the lowest failing item, whatever order the chunks ran in.
-func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest, keys []string) ([][]byte, bool, error) {
+func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest, keys []string) ([][]byte, error) {
 	// Group by owner in shard-index order, preserving item order within
 	// each owner.
 	byOwner := make([][]int, len(g.shards))
@@ -804,7 +804,6 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 	}
 
 	runs := make([][]byte, len(items))
-	var anyStale atomic.Bool
 	errs := make([]error, len(chunks))
 	failed := make([]int, len(chunks)) // global index of the chunk's failing item
 	fanOut(len(chunks), func(c int) {
@@ -813,7 +812,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 		for i, gi := range ch.global {
 			sub[i] = items[gi]
 		}
-		got, hdr, err := g.subSweep(ctx, g.shards[ch.ownerIdx], sub)
+		got, err := g.subSweep(ctx, g.shards[ch.ownerIdx], sub)
 		if err == nil && len(got) != len(sub) {
 			err = fmt.Errorf("cluster: shard %s returned %d runs for %d items",
 				g.shards[ch.ownerIdx].name, len(got), len(sub))
@@ -821,9 +820,6 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 		if err == nil {
 			for i, gi := range ch.global {
 				runs[gi] = got[i]
-			}
-			if hdr.Get("Warning") != "" {
-				anyStale.Store(true)
 			}
 			return
 		}
@@ -838,9 +834,6 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 				return
 			}
 			runs[gi] = res.body
-			if res.outcome == "stale" {
-				anyStale.Store(true)
-			}
 		}
 	})
 	// A chunk falls back item by item in order and stops at its first
@@ -858,24 +851,24 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 		var ge *serve.APIError
 		var ae *client.APIError
 		if errors.As(err, &ge) || errors.As(err, &ae) {
-			return nil, false, err
+			return nil, err
 		}
-		return nil, false, fmt.Errorf("cluster: sweep failed: %w", err)
+		return nil, fmt.Errorf("cluster: sweep failed: %w", err)
 	}
-	return runs, anyStale.Load(), nil
+	return runs, nil
 }
 
 // subSweep sends one sub-sweep to its owner under the shard's breaker, as
 // a gw.subsweep attempt carrying the chunk size — the span whose
 // traceparent the shard's own sweep spans stitch under.
-func (g *Gateway) subSweep(ctx context.Context, sh *shard, items []serve.SimulateRequest) (runs []json.RawMessage, hdr http.Header, err error) {
+func (g *Gateway) subSweep(ctx context.Context, sh *shard, items []serve.SimulateRequest) (runs []json.RawMessage, err error) {
 	done, err := sh.brk.Allow()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	err = g.attempt(ctx, try{span: "gw.subsweep", sh: sh, items: len(items)}, done, func(ctx context.Context) (err error) {
-		runs, hdr, err = sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
+		runs, err = sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
 		return err
 	})
-	return runs, hdr, err
+	return runs, err
 }

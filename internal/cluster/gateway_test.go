@@ -198,9 +198,9 @@ func TestGatewayHedgesSlowOwner(t *testing.T) {
 }
 
 // TestGatewayFailoverProbesOwnerCache: when the owner's compute path
-// fails but its cache still answers probes (the breaker-open,
-// serving-bounded-stale regime), a failover serves the owner's cached
-// bytes instead of recomputing on another shard.
+// fails but its cache still answers probes (the breaker-open regime, where
+// a shard serves hits only), a failover serves the owner's cached bytes
+// instead of recomputing on another shard.
 func TestGatewayFailoverProbesOwnerCache(t *testing.T) {
 	fc := newFakeCluster(t, 2)
 	g, srv := newTestGateway(t, fc, singleAttempt())
@@ -208,9 +208,7 @@ func TestGatewayFailoverProbesOwnerCache(t *testing.T) {
 	order := ownerOf(t, g, testSim)
 	fc.setRole(order[0], func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(serve.CacheOnlyHeader) != "" {
-			w.Header().Set("X-Tcord-Cache", "stale")
-			w.Header().Set("Warning", `110 tcord "response is stale"`)
-			io.WriteString(w, "{\"from\":\"owner-cache\"}\n")
+			serve.WriteResult(w, []byte("{\"from\":\"owner-cache\"}\n"), "hit")
 			return
 		}
 		fail(http.StatusServiceUnavailable, "breaker_open")(w, r)
@@ -222,8 +220,11 @@ func TestGatewayFailoverProbesOwnerCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "owner-cache") {
 		t.Fatalf("failover got %d %q, want the owner's cached value", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("X-Tcord-Cache"); got != "stale" {
-		t.Fatalf("X-Tcord-Cache = %q, want stale", got)
+	if got := resp.Header.Get("X-Tcord-Cache"); got != "hit" {
+		t.Fatalf("X-Tcord-Cache = %q, want hit", got)
+	}
+	if w := resp.Header.Get("Warning"); w != "" {
+		t.Fatalf("probe hit carries Warning %q, want none", w)
 	}
 	if got := resp.Header.Get(serve.ShardHeader); got != order[0] {
 		t.Fatalf("served by %s, want the owner %s (via cache probe)", got, order[0])

@@ -498,21 +498,27 @@ func newBackEnd(scene *workload.Scene, cfg Config) (*backEnd, error) {
 		b.l2c.SetEvictionTrace(b.l2trace)
 	}
 
-	spec := scene.Spec
-	rcfg := raster.DefaultConfig(cfg.Screen, int64(spec.TextureMiB*1024*1024), spec.ShaderInstrPerPixel)
+	b.rasterPipe, err = raster.New(RasterConfig(scene.Spec, cfg.Screen), b.l2in, b.dramDev)
+	if err != nil {
+		return nil, err
+	}
+
+	b.res.Benchmark = scene.Spec.Alias
+	b.res.Kind = cfg.Kind
+	return b, nil
+}
+
+// RasterConfig is the Raster Pipeline configuration Simulate renders a
+// scene of this spec with on this screen: the Table I pipeline with the
+// spec's texture footprint and shader cost.
+func RasterConfig(spec workload.Spec, screen geom.Screen) raster.Config {
+	rcfg := raster.DefaultConfig(screen, int64(spec.TextureMiB*1024*1024), spec.ShaderInstrPerPixel)
 	// 3D titles carry some alpha-blended effects (particles, glass, UI
 	// overlays); a modest deterministic share exercises the Blending unit.
 	if spec.ThreeD {
 		rcfg.TranslucentFraction = 0.05
 	}
-	b.rasterPipe, err = raster.New(rcfg, b.l2in, b.dramDev)
-	if err != nil {
-		return nil, err
-	}
-
-	b.res.Benchmark = spec.Alias
-	b.res.Kind = cfg.Kind
-	return b, nil
+	return rcfg
 }
 
 // penaltyProbe is where a back end's L2 and DRAM read counters stood

@@ -119,7 +119,7 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.shell.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	val, how, err := s.arenaCache.get(ctx, key, nil, func() (cached, error) {
+	val, how, err := s.arenaCache.get(ctx, key, func() (cached, error) {
 		// One admission slot for the whole race: it parallelizes
 		// internally across the worker count.
 		return s.admitted(ctx, func() (cached, error) { return s.raceArena(ctx, s.arenaRunner(), opts) })

@@ -4,10 +4,8 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"time"
 
 	"tcor/internal/gpu"
-	"tcor/internal/resilience"
 	"tcor/internal/stats"
 )
 
@@ -30,6 +28,8 @@ type cached struct {
 // forever: a daemon's keyspace is open-ended where the Runner's grid is
 // finite.
 //
+// Entries never expire: a result is a pure function of its content
+// address, so recomputing an old entry could only reproduce its bytes.
 // Error results are never cached: a failure (queue-full, deadline, a
 // panicking simulation) is not a deterministic function of the key, so the
 // entry is dropped and the next request retries.
@@ -39,12 +39,6 @@ type resultCache struct {
 	ll  *list.List // completed entries, front = most recently used
 	m   map[string]*cacheEntry
 
-	// ttl bounds an entry's freshness (0 = fresh forever); maxStale bounds
-	// how far past the TTL an entry may still be served when the caller asks
-	// for graceful degradation (0 = never). clock makes expiry testable.
-	ttl, maxStale time.Duration
-	clock         resilience.Clock
-
 	// byTenant charges every resident entry to the tenant whose miss
 	// computed it. Eviction prefers entries of tenants over their
 	// configured CacheShare, so one tenant's burst evicts its own tail
@@ -53,7 +47,6 @@ type resultCache struct {
 	defName  string // the anonymous tenant's name, the fallback charge
 
 	hits, misses, coalesced, evictions *stats.Counter
-	expired, staleServes, retained     *stats.Counter
 	size                               *stats.Gauge
 }
 
@@ -69,54 +62,36 @@ type tenantCharge struct {
 }
 
 // cacheEntry is one key's cell. done is closed exactly once, after which
-// val/err/completedAt are immutable; elem is non-nil only while the
-// completed entry sits in the LRU list (both guarded by resultCache.mu).
-//
-// prev, on an in-flight recompute of a TTL-expired key, is the expired
-// entry being replaced: it is held aside until the recompute resolves, so
-// a failed recompute (a chaos fault, a breaker probe, a simulator error)
-// restores the last-good value instead of losing it — exactly the entry
-// maxStale degraded serving exists to offer.
+// val/err are immutable; elem is non-nil only while the completed entry
+// sits in the LRU list (guarded by resultCache.mu).
 type cacheEntry struct {
-	key         string
-	tenant      string // tenant name charged for the entry (the miss leader's)
-	elem        *list.Element
-	done        chan struct{}
-	val         cached
-	err         error
-	completedAt time.Time
-	prev        *cacheEntry
+	key    string
+	tenant string // tenant name charged for the entry (the miss leader's)
+	elem   *list.Element
+	done   chan struct{}
+	val    cached
+	err    error
 }
 
 // newResultCache builds a cache bounded to capacity entries (capacity <= 0
-// means unbounded) whose entries stay fresh for ttl (0 = forever) and may be
-// served up to maxStale past that on request, metering into reg under the
-// given prefix ("serve.cache" for the simulate cache, "serve.arena.cache"
-// for the arena's — two instances on one registry must not alias counters).
-func newResultCache(capacity int, ttl, maxStale time.Duration, clock resilience.Clock, ts *TenantSet, reg *stats.Registry, prefix string) *resultCache {
-	if clock == nil {
-		clock = resilience.Wall()
-	}
+// means unbounded), metering into reg under the given prefix ("serve.cache"
+// for the simulate cache, "serve.arena.cache" for the arena's — two
+// instances on one registry must not alias counters).
+func newResultCache(capacity int, ts *TenantSet, reg *stats.Registry, prefix string) *resultCache {
 	if ts == nil {
 		ts = DefaultTenants()
 	}
 	c := &resultCache{
-		cap:         capacity,
-		ttl:         ttl,
-		maxStale:    maxStale,
-		clock:       clock,
-		ll:          list.New(),
-		m:           make(map[string]*cacheEntry),
-		byTenant:    make(map[string]*tenantCharge),
-		defName:     ts.Default().Name,
-		hits:        reg.Counter(prefix + ".hits"),
-		misses:      reg.Counter(prefix + ".misses"),
-		coalesced:   reg.Counter(prefix + ".coalesced"),
-		evictions:   reg.Counter(prefix + ".evictions"),
-		expired:     reg.Counter(prefix + ".expired"),
-		staleServes: reg.Counter(prefix + ".staleServes"),
-		retained:    reg.Counter(prefix + ".retained"),
-		size:        reg.Gauge(prefix + ".size"),
+		cap:       capacity,
+		ll:        list.New(),
+		m:         make(map[string]*cacheEntry),
+		byTenant:  make(map[string]*tenantCharge),
+		defName:   ts.Default().Name,
+		hits:      reg.Counter(prefix + ".hits"),
+		misses:    reg.Counter(prefix + ".misses"),
+		coalesced: reg.Counter(prefix + ".coalesced"),
+		evictions: reg.Counter(prefix + ".evictions"),
+		size:      reg.Gauge(prefix + ".size"),
 	}
 	for _, t := range ts.Tenants() {
 		tc := &tenantCharge{
@@ -177,65 +152,22 @@ const (
 	outcomeHit       outcome = "hit"
 	outcomeMiss      outcome = "miss"
 	outcomeCoalesced outcome = "coalesced"
-	// outcomeStale marks an expired entry served anyway because the caller
-	// allowed degradation (the simulate path's circuit breaker is open) and
-	// the entry is within the maxStale bound. Responses carry a Warning
-	// header alongside it.
-	outcomeStale outcome = "stale"
 )
 
 // get returns the cached value for key, computing it at most once across
 // concurrent callers. The first caller of an absent key becomes the leader
 // and runs compute; everyone else waits for the leader's outcome (or their
 // own context, whichever ends first). compute runs outside the cache lock.
-//
-// With a TTL set, a completed entry older than it is normally dropped and
-// recomputed — unless allowStale (nil = never) says the caller prefers
-// degradation and the entry is within maxStale past the TTL, in which case
-// the expired bytes are served as outcomeStale.
-func (c *resultCache) get(ctx context.Context, key string, allowStale func() bool, compute func() (cached, error)) (cached, outcome, error) {
-	var prev *cacheEntry
+func (c *resultCache) get(ctx context.Context, key string, compute func() (cached, error)) (cached, outcome, error) {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		select {
-		case <-e.done: // completed
-			age := c.clock.Now().Sub(e.completedAt)
-			switch {
-			case c.ttl <= 0 || age <= c.ttl: // fresh: a pure cache hit
-				c.ll.MoveToFront(e.elem)
-				c.mu.Unlock()
-				c.hits.Inc()
-				return e.val, outcomeHit, e.err
-			case allowStale != nil && allowStale() && age <= c.ttl+c.maxStale:
-				// Expired, but a degraded answer beats none. Keep the LRU
-				// position: stale serving must not pin a dying entry hot.
-				c.mu.Unlock()
-				c.staleServes.Inc()
-				return e.val, outcomeStale, e.err
-			default:
-				// Expired: recompute as the leader below, holding the old
-				// entry aside until the replacement lands. A failed
-				// recompute restores it — the last-good value is exactly
-				// what maxStale degraded serving should still offer.
-				c.ll.Remove(e.elem)
-				e.elem = nil
-				delete(c.m, e.key)
-				c.unchargeLocked(e)
-				c.size.Set(int64(c.ll.Len()))
-				c.expired.Inc()
-				prev = e
-			}
-		default: // in flight
-			if p := e.prev; p != nil && allowStale != nil && allowStale() &&
-				c.clock.Now().Sub(p.completedAt) <= c.ttl+c.maxStale {
-				// A recompute is running but the caller prefers degradation:
-				// serve the retained last-good value instead of blocking on
-				// a leader that is likely failing behind an open breaker.
-				c.mu.Unlock()
-				c.staleServes.Inc()
-				return p.val, outcomeStale, p.err
-			}
-			// Collapse onto the leader.
+		case <-e.done: // completed: a pure cache hit
+			c.ll.MoveToFront(e.elem)
+			c.mu.Unlock()
+			c.hits.Inc()
+			return e.val, outcomeHit, e.err
+		default: // in flight: collapse onto the leader
 			c.mu.Unlock()
 			c.coalesced.Inc()
 			select {
@@ -246,7 +178,7 @@ func (c *resultCache) get(ctx context.Context, key string, allowStale func() boo
 			}
 		}
 	}
-	e := &cacheEntry{key: key, tenant: c.tenantNameFrom(ctx), done: make(chan struct{}), prev: prev}
+	e := &cacheEntry{key: key, tenant: c.tenantNameFrom(ctx), done: make(chan struct{})}
 	c.m[key] = e
 	c.mu.Unlock()
 	c.misses.Inc()
@@ -277,28 +209,14 @@ var errComputePanicked = &APIError{Status: 500, Code: "internal_panic",
 // the least recently used completed entries beyond capacity), failures are
 // forgotten so later requests retry. Waiters already holding the entry still
 // observe val/err through the closed channel either way.
-//
-// A failed recompute of an expired key restores the retained predecessor at
-// the cold end of the LRU (retention must not make a dying entry hot), so a
-// later degraded-mode get can still serve the last-good value; a successful
-// recompute drops it.
 func (c *resultCache) complete(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.completedAt = c.clock.Now()
 	close(e.done)
 	if e.err != nil {
 		delete(c.m, e.key)
-		if p := e.prev; p != nil {
-			c.m[p.key] = p
-			p.elem = c.ll.PushBack(p)
-			c.chargeLocked(p)
-			c.retained.Inc()
-			c.evictLocked()
-		}
 		return
 	}
-	e.prev = nil
 	e.elem = c.ll.PushFront(e)
 	c.chargeLocked(e)
 	c.evictLocked()
@@ -335,36 +253,24 @@ func (c *resultCache) victimLocked() *list.Element {
 	return c.ll.Back()
 }
 
-// peek reports whether key has a completed entry servable right now without
-// computing: fresh entries are hits, expired-but-within-maxStale entries are
-// stale serves (the peer-probe caller is by definition in a degraded path).
-// In-flight recomputes and absent keys are misses — a probe never waits.
-func (c *resultCache) peek(key string) (cached, outcome, bool) {
+// peek returns key's completed entry if it is servable right now without
+// computing, counting it as a hit. In-flight computations and absent keys
+// are misses — a probe never waits.
+func (c *resultCache) peek(key string) (cached, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
 	if !ok {
-		return cached{}, outcomeMiss, false
+		return cached{}, false
 	}
 	select {
-	case <-e.done:
+	case <-e.done: // completed entries in the map are successes
 	default:
-		return cached{}, outcomeMiss, false
+		return cached{}, false
 	}
-	if e.err != nil {
-		return cached{}, outcomeMiss, false
-	}
-	age := c.clock.Now().Sub(e.completedAt)
-	switch {
-	case c.ttl <= 0 || age <= c.ttl:
-		c.ll.MoveToFront(e.elem)
-		c.hits.Inc()
-		return e.val, outcomeHit, true
-	case c.maxStale > 0 && age <= c.ttl+c.maxStale:
-		c.staleServes.Inc()
-		return e.val, outcomeStale, true
-	}
-	return cached{}, outcomeMiss, false
+	c.ll.MoveToFront(e.elem)
+	c.hits.Inc()
+	return e.val, true
 }
 
 // len returns the number of completed entries (tests).

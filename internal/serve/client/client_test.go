@@ -190,7 +190,7 @@ func TestSweepRawRoundTrips(t *testing.T) {
 		{Benchmark: "GTr", Config: "tcor", TileCacheKB: 32, Frames: 1},
 		{Benchmark: "GTr", Config: "baseline", TileCacheKB: 32, Frames: 1},
 	}}
-	raws, _, err := c.SweepRaw(context.Background(), req)
+	raws, err := c.SweepRaw(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

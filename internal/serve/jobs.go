@@ -369,7 +369,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 		// Cells ride the shared result cache (charged to the job's tenant)
 		// but reach computeCell directly — no admission gate; the job pool
 		// is the concurrency bound.
-		val, _, err := m.s.cache.get(ctx, j.key, nil, func() (cached, error) {
+		val, _, err := m.s.cache.get(ctx, j.key, func() (cached, error) {
 			m.cellsSim.Inc() // before the outcome, like serve.admitted
 			return m.s.computeCell(ctx, j)
 		})
@@ -421,7 +421,7 @@ func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) 
 	// The race rides the arena cache like a sweep cell rides the result
 	// cache: a report the daemon already holds is not raced again, and a
 	// race this job runs is one the cache metered as a miss.
-	val, _, err := m.s.arenaCache.get(ctx, key, nil, func() (cached, error) {
+	val, _, err := m.s.arenaCache.get(ctx, key, func() (cached, error) {
 		return m.s.raceArena(ctx, runner, opts)
 	})
 	if err != nil {

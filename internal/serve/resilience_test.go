@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,19 +203,18 @@ func TestInjectedPanicInSingleflightLeader(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndServesStale walks the degradation path end to end on a
-// fake clock: compute failures trip the breaker, /readyz degrades, the
-// breaker short-circuits new compute, an expired cache entry is served
-// stale with the Warning header, and a successful probe after the cooldown
-// closes the breaker again.
-func TestBreakerOpensAndServesStale(t *testing.T) {
+// TestBreakerOpenServesHitsOnly walks the degradation path end to end on a
+// fake clock: compute failures trip the breaker and /readyz degrades; a
+// warm key still answers 200 from the cache with the bytes it was first
+// served, on the simulate path and on a cache-only probe; a new key is
+// short-circuited to 503 breaker_open; and a successful probe after the
+// cooldown closes the breaker again.
+func TestBreakerOpenServesHitsOnly(t *testing.T) {
 	fc := resilience.NewFakeClock(time.Unix(1000, 0))
 	var failing sync.Map // alias -> bool
 	s := NewServer(Options{
-		Workers:  1,
-		CacheTTL: time.Minute,
-		MaxStale: time.Hour,
-		Clock:    fc,
+		Workers: 1,
+		Clock:   fc,
 		// The healthy warm-up run below counts as a window success, so two
 		// failures make 2/3 >= 0.6 at the 3-sample minimum: trip.
 		Breaker: &resilience.BreakerConfig{
@@ -228,14 +229,15 @@ func TestBreakerOpensAndServesStale(t *testing.T) {
 		return &gpu.Result{Benchmark: scene.Spec.Alias, Frames: 1}, nil
 	}
 	h := s.Handler()
+	const warm = `{"benchmark":"GTr","frames":1}`
 
-	// A healthy run fills the cache.
-	good := postJSON(h, "/v1/simulate", `{"benchmark":"GTr","frames":1}`)
+	// A healthy run warms the cache.
+	good := postJSON(h, "/v1/simulate", warm)
 	if good.Code != http.StatusOK {
 		t.Fatalf("healthy request = %d (body %s)", good.Code, good.Body)
 	}
 
-	// Two compute failures reach the 2-sample window's 0.5 ratio: trip.
+	// Two compute failures after one success: 2/3 >= 0.6, trip.
 	failing.Store("CCS", true)
 	for i := 0; i < 2; i++ {
 		if rec := postJSON(h, "/v1/simulate", `{"benchmark":"CCS","frames":1}`); rec.Code != http.StatusInternalServerError {
@@ -249,10 +251,26 @@ func TestBreakerOpensAndServesStale(t *testing.T) {
 		t.Fatalf("readyz = %d with the breaker open, want 503 degraded", rec.Code)
 	}
 
-	// Open breaker: new compute short-circuits with a cooldown hint.
-	rec := postJSON(h, "/v1/simulate", `{"benchmark":"CCS","frames":1}`)
+	// Open breaker: the warm key is a plain hit, byte for byte.
+	rec := postJSON(h, "/v1/simulate", warm)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("warm request = %d (body %s), want 200", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get("X-Tcord-Cache"); got != "hit" {
+		t.Fatalf("X-Tcord-Cache = %q, want hit", got)
+	}
+	if w := rec.Header().Get("Warning"); w != "" {
+		t.Fatalf("hit carries Warning %q, want none", w)
+	}
+	if rec.Body.String() != good.Body.String() {
+		t.Fatal("hit bytes differ from the first response")
+	}
+
+	// A new key needs compute, which the open breaker short-circuits with
+	// a cooldown hint.
+	rec = postJSON(h, "/v1/simulate", `{"benchmark":"SoD","frames":1}`)
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("short-circuited request = %d, want 503", rec.Code)
+		t.Fatalf("new key = %d, want 503", rec.Code)
 	}
 	var eb ErrorBody
 	if json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Error.Code != "breaker_open" {
@@ -265,23 +283,16 @@ func TestBreakerOpensAndServesStale(t *testing.T) {
 		t.Fatalf("serve.breaker.shortCircuits = %d, want 1", got)
 	}
 
-	// The cached entry expires; with the breaker open it is served stale.
-	fc.Advance(2 * time.Minute)
-	rec = postJSON(h, "/v1/simulate", `{"benchmark":"GTr","frames":1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stale-eligible request = %d (body %s), want 200", rec.Code, rec.Body)
-	}
-	if got := rec.Header().Get("X-Tcord-Cache"); got != "stale" {
-		t.Fatalf("X-Tcord-Cache = %q, want stale", got)
-	}
-	if w := rec.Header().Get("Warning"); w == "" {
-		t.Fatal("stale response is missing the Warning header")
+	// A gateway's cache-only probe of the warm key is a hit too.
+	probe := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(warm))
+	probe.Header.Set(CacheOnlyHeader, "1")
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, probe)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Tcord-Cache") != "hit" {
+		t.Fatalf("cache-only probe = %d %q, want 200 hit", rec.Code, rec.Header().Get("X-Tcord-Cache"))
 	}
 	if rec.Body.String() != good.Body.String() {
-		t.Fatal("stale response bytes differ from the original cached response")
-	}
-	if got := s.reg.Snapshot().Get("serve.cache.staleServes"); got != 1 {
-		t.Fatalf("serve.cache.staleServes = %d, want 1", got)
+		t.Fatal("probe bytes differ from the first response")
 	}
 
 	// Cooldown elapses, the dependency recovers: one successful probe

@@ -55,20 +55,15 @@ type Options struct {
 	// before passing it in; nil disables injection with zero cost.
 	Chaos *resilience.Injector
 	// Breaker, when non-nil, guards the simulation path with a circuit
-	// breaker: repeated compute failures open it, open-state requests are
-	// answered 503 (code "breaker_open") or served bounded-stale from the
-	// cache, and /readyz reports degraded. Nil disables the breaker.
+	// breaker: repeated compute failures open it, open-state cache misses
+	// are answered 503 (code "breaker_open") while cache hits are served as
+	// ever, and /readyz reports degraded. Nil disables the breaker.
 	Breaker *resilience.BreakerConfig
-	// CacheTTL bounds a cached result's freshness; an expired entry is
-	// recomputed on next use (0 = entries stay fresh forever, the historical
-	// behavior).
-	CacheTTL time.Duration
-	// MaxStale bounds how far past CacheTTL an expired entry may still be
-	// served while the breaker is open (0 = never serve stale). Stale
-	// responses carry X-Tcord-Cache: stale and a Warning header.
+	// Deprecated: ignored; results never expire.
 	MaxStale time.Duration
-	// Clock is the time source for cache expiry and breaker cooldowns
-	// (nil = wall clock). Tests pass a resilience.FakeClock.
+	// Clock is the time source for admission-wait metering, injected
+	// latency, job timestamps and breaker cooldowns (nil = wall clock).
+	// Tests pass a resilience.FakeClock.
 	Clock resilience.Clock
 	// Tenants is the multi-tenant roster (see ParseTenants). Nil means a
 	// single anonymous tenant owning the whole machine — the untenanted
@@ -210,10 +205,10 @@ func NewServer(opts Options) *Server {
 		opts:  opts,
 		reg:   reg,
 		gate:  newGate(opts.Workers, opts.QueueDepth, opts.Tenants, opts.Clock, reg),
-		cache: newResultCache(opts.CacheEntries, opts.CacheTTL, opts.MaxStale, opts.Clock, opts.Tenants, reg, "serve.cache"),
-		// Arena reports are a few KiB each and deterministic, so entries
-		// stay fresh forever under the same LRU bound as the simulate cache.
-		arenaCache: newResultCache(opts.CacheEntries, 0, 0, opts.Clock, opts.Tenants, reg, "serve.arena.cache"),
+		cache: newResultCache(opts.CacheEntries, opts.Tenants, reg, "serve.cache"),
+		// Arena reports are a few KiB each and deterministic, so they live
+		// under the same LRU bound as the simulate cache.
+		arenaCache: newResultCache(opts.CacheEntries, opts.Tenants, reg, "serve.arena.cache"),
 		logger:     opts.Logger,
 		tracer:     stats.NewTracer(opts.TraceCapacity),
 		chaos:      opts.Chaos,
@@ -436,14 +431,6 @@ func (s *Server) registerInvariants() {
 		}
 		return nil
 	})
-	s.reg.RegisterInvariant("serve.staleServesNeedHits", func(snap stats.Snapshot) error {
-		// Every stale serve re-reads an entry some miss once completed; a
-		// cache that was never filled cannot serve stale.
-		if stale, miss := snap.Get("serve.cache.staleServes"), snap.Get("serve.cache.misses"); stale > 0 && miss == 0 {
-			return fmt.Errorf("stale serves %d with zero misses", stale)
-		}
-		return nil
-	})
 	s.reg.RegisterInvariant("serve.queueWaitMatchesAdmissions", func(snap stats.Snapshot) error {
 		// The admission-wait histogram observes successful admissions only
 		// (canceled waiters meter serve.queue.canceledWait instead), and the
@@ -451,14 +438,6 @@ func (s *Server) registerInvariants() {
 		// can read fewer observations than admissions, never more.
 		if obs, adm := snap.Get("serve.queue.wait.count"), snap.Get("serve.admitted"); obs > adm {
 			return fmt.Errorf("queue-wait observations %d exceed admissions %d", obs, adm)
-		}
-		return nil
-	})
-	s.reg.RegisterInvariant("serve.cacheRetainedBounded", func(snap stats.Snapshot) error {
-		// Every retention restores an entry that a TTL expiry dropped for
-		// recompute moments earlier.
-		if ret, exp := snap.Get("serve.cache.retained"), snap.Get("serve.cache.expired"); ret > exp {
-			return fmt.Errorf("cache retentions %d exceed expiries %d", ret, exp)
 		}
 		return nil
 	})
@@ -632,7 +611,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// Peer probe: answer from the completed cache or not at all. No
 		// admission, no simulation — a probing gateway must never turn a
 		// cheap lookup into a second copy of the owner's work.
-		val, how, ok := s.cache.peek(j.key)
+		val, ok := s.cache.peek(j.key)
 		if !ok {
 			s.shell.WriteError(w, ErrCacheMiss)
 			return
@@ -641,8 +620,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			s.shell.WriteError(w, err)
 			return
 		}
-		metaFrom(r.Context()).noteOutcome(how)
-		WriteResult(w, val.body, string(how))
+		metaFrom(r.Context()).noteOutcome(outcomeHit)
+		WriteResult(w, val.body, string(outcomeHit))
 		return
 	}
 	ctx, cancel := s.shell.RequestContext(r, req.TimeoutMs)
@@ -698,15 +677,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// harness uses; each one still passes the admission gate and the
 	// result cache, so a sweep is exactly N simulate calls with shared
 	// scheduling and deterministic (item-order) results.
-	var anyStale atomic.Bool
 	runs, err := experiments.SweepSlice(ctx, s.opts.Workers, jobs,
 		func(ctx context.Context, j job) ([]byte, error) {
-			val, how, err := s.runJob(ctx, j)
+			val, _, err := s.runJob(ctx, j)
 			if err != nil {
 				return nil, err
-			}
-			if how == outcomeStale {
-				anyStale.Store(true)
 			}
 			if err := j.checked(val); err != nil {
 				return nil, err
@@ -717,7 +692,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.shell.WriteError(w, err)
 		return
 	}
-	s.shell.WriteSweep(w, runs, anyStale.Load())
+	s.shell.WriteSweep(w, runs)
 }
 
 // AsyncRequested reports whether the request asked for the durable-job
@@ -735,12 +710,11 @@ func AsyncRequested(r *http.Request) bool {
 // table and the admission gate, in that order: a cached result costs no
 // worker slot, a coalesced waiter rides the leader's slot, and only a true
 // miss enters the queue. The compute path is guarded by the circuit
-// breaker (when configured): an open breaker short-circuits to 503 before
-// a worker slot is consumed, and the cache may then serve bounded-stale
-// entries instead. The cache disposition is noted on the request's meta
-// for the access log.
+// breaker (when configured): an open breaker short-circuits a miss to 503
+// before a worker slot is consumed, while hits are served as ever. The
+// cache disposition is noted on the request's meta for the access log.
 func (s *Server) runJob(ctx context.Context, j job) (cached, outcome, error) {
-	val, how, err := s.cache.get(ctx, j.key, s.breakerOpen, func() (cached, error) {
+	val, how, err := s.cache.get(ctx, j.key, func() (cached, error) {
 		done, allowErr := s.brk.Allow()
 		if allowErr != nil {
 			s.brkShort.Inc()
@@ -772,10 +746,6 @@ func (s *Server) runJob(ctx context.Context, j job) (cached, outcome, error) {
 	}
 	return val, how, err
 }
-
-// breakerOpen reports whether the simulate path's breaker is open — the
-// cache's license to serve bounded-stale entries.
-func (s *Server) breakerOpen() bool { return s.brk.State() == resilience.Open }
 
 // breakerOutcome classifies a compute error for the circuit breaker. Only
 // failures of the simulation path itself count against it: cancellations

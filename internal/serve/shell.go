@@ -378,26 +378,20 @@ func (sh *Shell) WriteError(w http.ResponseWriter, err error) {
 }
 
 // WriteResult writes a served /v1/simulate or /v1/arena body with its cache
-// disposition, the same on every tier; a stale body carries a Warning.
+// disposition, the same on every tier.
 func WriteResult(w http.ResponseWriter, body []byte, disposition string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Tcord-Cache", disposition)
-	if disposition == string(outcomeStale) {
-		w.Header().Set("Warning", `110 tcord "response is stale"`)
-	}
 	w.Write(body) //nolint:errcheck // client gone is its own problem
 }
 
 // WriteSweep writes a sweep's item bodies as the EncodeSweep body, the same
-// on every tier; a sweep with a stale item carries a Warning.
-func (sh *Shell) WriteSweep(w http.ResponseWriter, runs [][]byte, anyStale bool) {
+// on every tier.
+func (sh *Shell) WriteSweep(w http.ResponseWriter, runs [][]byte) {
 	body, err := EncodeSweep(runs)
 	if err != nil {
 		sh.WriteError(w, err)
 		return
-	}
-	if anyStale {
-		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body) //nolint:errcheck // client gone is its own problem

@@ -7,9 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"tcor/internal/resilience"
 	"tcor/internal/stats"
 )
 
@@ -220,7 +218,7 @@ func TestTenantCredentialSources(t *testing.T) {
 func TestPerTenantCacheEviction(t *testing.T) {
 	ts := testTenants(t)
 	reg := stats.NewRegistry()
-	c := newResultCache(4, 0, 0, resilience.NewFakeClock(time.Unix(1000, 0)), ts, reg, "serve.cache")
+	c := newResultCache(4, ts, reg, "serve.cache")
 
 	alpha, _ := ts.Resolve("key-alpha")
 	beta, _ := ts.Resolve("key-beta")
@@ -229,7 +227,7 @@ func TestPerTenantCacheEviction(t *testing.T) {
 
 	fill := func(ctx context.Context, key string) {
 		t.Helper()
-		_, _, err := c.get(ctx, key, nil, func() (cached, error) {
+		_, _, err := c.get(ctx, key, func() (cached, error) {
 			return cached{body: []byte("{}\n")}, nil
 		})
 		if err != nil {
@@ -245,10 +243,10 @@ func TestPerTenantCacheEviction(t *testing.T) {
 	fill(ctxA, "a2")
 	fill(ctxA, "a3") // alpha now over its 2-entry share; b1 is globally coldest
 
-	if _, _, ok := c.peek("b1"); !ok {
+	if _, ok := c.peek("b1"); !ok {
 		t.Fatal("beta's cold entry was evicted by alpha's overflow")
 	}
-	if _, _, ok := c.peek("a1"); ok {
+	if _, ok := c.peek("a1"); ok {
 		t.Fatal("alpha's own coldest entry survived its overflow")
 	}
 	snap := reg.Snapshot()
@@ -268,10 +266,10 @@ func TestPerTenantCacheEviction(t *testing.T) {
 	// Beta overflowing its own share evicts beta's coldest entry. (The
 	// peeks above promoted b1 to the hot end, so the victim is b2.)
 	fill(ctxB, "b3")
-	if _, _, ok := c.peek("b2"); ok {
+	if _, ok := c.peek("b2"); ok {
 		t.Fatal("beta's overflow did not evict beta's own coldest entry")
 	}
-	if _, _, ok := c.peek("b1"); !ok {
+	if _, ok := c.peek("b1"); !ok {
 		t.Fatal("beta's hot entry went missing")
 	}
 }
