@@ -23,10 +23,35 @@ func mustGet(t *testing.T, c *resultCache, key string, compute func() (cached, e
 	return val, how
 }
 
-// TestFailedComputeIsNotCached pins "errors are never cached": a waiter
-// coalesced onto a failing leader observes the leader's error, the failed
-// key leaves no entry behind, and the next get recomputes it as a miss.
+// TestFailedComputeIsNotCached pins "errors are never cached": a failed
+// compute returns its error and leaves no entry behind, and the next get
+// recomputes the key as a miss.
 func TestFailedComputeIsNotCached(t *testing.T) {
+	c, _ := cacheFixture(8)
+
+	boom := errors.New("injected")
+	if _, _, err := c.get(context.Background(), "k", func() (cached, error) {
+		return cached{}, boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("failed compute returned %v, want the compute error", err)
+	}
+	if got := c.len(); got != 0 {
+		t.Fatalf("cache holds %d completed entries after a failure, want 0", got)
+	}
+
+	v := cached{body: []byte("v\n")}
+	if val, how := mustGet(t, c, "k", func() (cached, error) { return v, nil }); how != outcomeMiss || string(val.body) != "v\n" {
+		t.Fatalf("retry after the failure = (%q, %q), want a fresh miss", val.body, how)
+	}
+	if val, how := mustGet(t, c, "k", nil); how != outcomeHit || string(val.body) != "v\n" {
+		t.Fatalf("get after the retry = (%q, %q), want a hit", val.body, how)
+	}
+}
+
+// TestWaiterCoalescesOntoFailingLeader pins singleflight on failure: a
+// caller that arrives while a compute is in flight attaches to it instead
+// of leading its own, observes the leader's error, and no entry is left.
+func TestWaiterCoalescesOntoFailingLeader(t *testing.T) {
 	c, reg := cacheFixture(8)
 
 	entered := make(chan struct{})
@@ -67,14 +92,6 @@ func TestFailedComputeIsNotCached(t *testing.T) {
 	}
 	if got := c.len(); got != 0 {
 		t.Fatalf("cache holds %d completed entries after a failure, want 0", got)
-	}
-
-	v := cached{body: []byte("v\n")}
-	if val, how := mustGet(t, c, "k", func() (cached, error) { return v, nil }); how != outcomeMiss || string(val.body) != "v\n" {
-		t.Fatalf("retry after the failure = (%q, %q), want a fresh miss", val.body, how)
-	}
-	if val, how := mustGet(t, c, "k", nil); how != outcomeHit || string(val.body) != "v\n" {
-		t.Fatalf("get after the retry = (%q, %q), want a hit", val.body, how)
 	}
 }
 
