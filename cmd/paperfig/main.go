@@ -381,7 +381,7 @@ func runArena(w io.Writer, r *experiments.Runner, o execOpts) error {
 		Ways:       o.ways,
 		Curves:     o.curves,
 		Parallel:   r.Parallel,
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}

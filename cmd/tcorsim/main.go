@@ -204,7 +204,7 @@ func runPolicy(ctx context.Context, w io.Writer, o options) error {
 		Policies:   []string{o.policy, "LRU", "OPT"},
 		Benchmarks: []string{o.benchmark},
 		SizeKB:     float64(o.sizeKB),
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}

@@ -17,9 +17,9 @@
 // the cache tests prove exact. The same profile supplies every row's
 // fully-associative reference for the 3C decomposition and the report's
 // per-benchmark reuse-distance summaries (via stats.SummarizeReuseDist).
-// When the runner carries a journal (Runner.Checkpoint, which the daemon
-// attaches to an async arena job), completed cells journal as they finish
-// and restore on resume, so a job killed mid-race re-races only the rest.
+// When Race is given a journal (the daemon passes an async arena job's),
+// completed cells journal as they finish and restore on resume, so a job
+// killed mid-race re-races only the rest.
 package arena
 
 import (
@@ -196,13 +196,12 @@ func cellSHA(cfg cache.Config) string {
 // associative LRU reads the stack profile; everything else runs the event
 // simulator against a fresh registry instance. Either way the 3C
 // decomposition's fully-associative reference comes from the profile, and
-// completed cells round-trip through the runner's journal when one is
-// attached.
-func raceCell(r *experiments.Runner, alias, policy string, cp, ways int) (cellPayload, error) {
+// completed cells round-trip through journal (nil = none).
+func raceCell(r *experiments.Runner, journal *experiments.Checkpoint, alias, policy string, cp, ways int) (cellPayload, error) {
 	cfg := experiments.CacheCfgFor(cp, ways)
 	journalKey := "arena/" + alias + "/" + policy
 	sha := cellSHA(cfg)
-	if raw, ok := r.Checkpoint.Lookup(journalKey, sha); ok {
+	if raw, ok := journal.Lookup(journalKey, sha); ok {
 		var cell cellPayload
 		if err := json.Unmarshal(raw, &cell); err == nil {
 			return cell, nil
@@ -248,7 +247,7 @@ func raceCell(r *experiments.Runner, alias, policy string, cp, ways int) (cellPa
 			Conflict:   c3.Conflict,
 		}
 	}
-	if err := r.Checkpoint.Journal(journalKey, sha, cell); err != nil {
+	if err := journal.Journal(journalKey, sha, cell); err != nil {
 		return cellPayload{}, fmt.Errorf("arena: journaling %s: %w", journalKey, err)
 	}
 	return cell, nil
@@ -257,8 +256,10 @@ func raceCell(r *experiments.Runner, alias, policy string, cp, ways int) (cellPa
 // Race runs the arena: every roster policy over every selected benchmark at
 // the headline capacity (plus the curve grid when requested), fanned out
 // through the experiments sweep pool, then ranked. The report's bytes are
-// independent of opts.Parallel and of prior memoization state.
-func Race(ctx context.Context, r *experiments.Runner, opts Options) (*Report, error) {
+// independent of opts.Parallel and of prior memoization state. journal,
+// when non-nil (open one with experiments.OpenJournal), journals every
+// completed cell and restores journaled ones instead of racing them again.
+func Race(ctx context.Context, r *experiments.Runner, opts Options, journal *experiments.Checkpoint) (*Report, error) {
 	opts, err := Normalize(opts)
 	if err != nil {
 		return nil, err
@@ -293,7 +294,7 @@ func Race(ctx context.Context, r *experiments.Runner, opts Options) (*Report, er
 
 	cells, err := experiments.SweepSlice(ctx, opts.Parallel, jobs,
 		func(_ context.Context, j cellJob) (cellPayload, error) {
-			return raceCell(r, j.alias, j.policy, j.cp, opts.Ways)
+			return raceCell(r, journal, j.alias, j.policy, j.cp, opts.Ways)
 		})
 	if err != nil {
 		return nil, err

@@ -91,7 +91,7 @@ func TestRaceByteIdenticalAcrossParallelism(t *testing.T) {
 		r := testRunner("CCS", "Mze") // fresh runner: no memo reuse across levels
 		o := opts
 		o.Parallel = par
-		rep, err := Race(context.Background(), r, o)
+		rep, err := Race(context.Background(), r, o, nil)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
@@ -119,7 +119,7 @@ func TestLRUFastPathMatchesSimulator(t *testing.T) {
 		Policies:   []string{"LRU", "OPT"},
 		Benchmarks: []string{"CCS"},
 		SizeKB:     32,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRaceRankingInvariants(t *testing.T) {
 		Benchmarks: []string{"CCS", "SoD"},
 		SizeKB:     24,
 		Ways:       4,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestLearnedBetweenLRUAndOPTOnSuite(t *testing.T) {
 	r := testRunner()
 	rep, err := Race(context.Background(), r, Options{
 		Policies: []string{"LRU", "OPT", "Learned"},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +264,7 @@ func TestRaceResumesFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Checkpoint = cp1
-	rep1, err := Race(context.Background(), r1, opts)
+	rep1, err := Race(context.Background(), r1, opts, cp1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +278,10 @@ func TestRaceResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cp2.Close()
-	r2.Checkpoint = cp2
 	if restored != 3 { // one journaled cell per (benchmark, policy)
 		t.Fatalf("restored %d cells, want 3", restored)
 	}
-	rep2, err := Race(context.Background(), r2, opts)
+	rep2, err := Race(context.Background(), r2, opts, cp2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +304,7 @@ func TestGoldenReport(t *testing.T) {
 		Policies:   []string{"LRU", "OPT", "ARC", "Learned"},
 		Benchmarks: []string{"CCS", "Mze"},
 		SizeKB:     32,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

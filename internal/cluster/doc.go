@@ -30,28 +30,29 @@
 // with the shard's circuit breaker. An open breaker takes its shard out of
 // the candidate order entirely, so a dead shard costs one failed round
 // before traffic routes around it; the typed client under each shard adds
-// bounded retries for transient blips. Attempts reach the shards three
-// ways:
+// bounded retries for transient blips. Attempts reach the shards two ways:
 //
-//   - /v1/simulate races attempts on the key's ring candidates, owner
-//     first. Hedging: when the owner has not answered within the hedge
-//     delay (adaptive: the observed p99 of proxied simulate latency,
-//     floored at 50ms), a second copy goes to the next shard on the ring
-//     and whichever answers first is served. Simulations are
-//     deterministic and content-addressed, so duplicated work is wasted
-//     cycles at worst, never divergent answers. Failover: when an attempt
-//     errors, the next candidate gets one. Before a non-owner shard is
-//     allowed to simulate, the owner's cache is probed with a cache-only
-//     request (serve.CacheOnlyHeader): a shard whose compute path is
-//     broken (its breaker open) still answers hits from cache, and a dead
-//     one fails the probe fast.
-//
-//   - /v1/arena and the job routes (async submit, get, cancel, result)
-//     walk the ring owner-first, one attempt at a time. A 404 walks on
-//     without counting a failover: a job submitted while its owner was
-//     down lives on a successor. Any other 4xx except 429 is the request's
-//     own fault and passes through; 5xx, transport errors and injected
-//     faults fail over.
+//   - /v1/simulate, the sweep's item fallback, /v1/arena and the job routes
+//     (async submit, get, cancel, result) share one routing loop
+//     (Gateway.route): the key's ring candidates are tried owner-first and
+//     the first success is the answer. Simulations are deterministic, so
+//     every shard answers a request alike, and one rule files every
+//     upstream outcome. A 404 tries the next candidate without counting a
+//     failover: a job submitted while its owner was down lives on a
+//     successor. Any other 4xx except 429 is the request's own fault and
+//     is the answer. A 429, a 5xx, a transport error or an injected fault
+//     fails over. With every candidate spent, a 404 is the answer if a
+//     shard gave one, else the first failed attempt's error, else the
+//     breaker refusal. /v1/simulate adds two choices of its own. Hedging:
+//     when no attempt has answered within the hedge delay (adaptive: the
+//     observed p99 of proxied simulate latency, floored at 50ms), a second
+//     copy goes to the next shard on the ring and whichever answers first
+//     is served; duplicated work is wasted cycles at worst, never
+//     divergent answers. Owner probe: before a non-owner shard is allowed
+//     to simulate on failover, the owner's cache is probed with a
+//     cache-only request (serve.CacheOnlyHeader): a shard whose compute
+//     path is broken (its breaker open) still answers hits from cache, and
+//     a dead one fails the probe fast.
 //
 //   - /v1/sweep fans out as per-owner sub-sweeps, one attempt each,
 //     chunked to the shards' sweep limit (serve.MaxSweepItems), and

@@ -364,25 +364,25 @@ func (g *Gateway) ringInfo(*http.Request) (any, error) {
 // --- upstream attempts ---
 
 // try names one upstream attempt: the span that records it, the shard it
-// goes to and the marks the span carries.
+// goes to, the breaker slot it holds and the marks the span carries.
 type try struct {
 	span     string // gw.attempt, gw.subsweep, gw.job.proxy or gw.job.submit
 	sh       *shard
-	n        int  // the attempt's index among the request's attempts
-	failover bool // a predecessor attempt did not serve the request
-	hedged   bool // a latency hedge
-	items    int  // a sub-sweep's size, recorded in place of n
+	done     func(error) // the callback sh's breaker returned from Allow
+	n        int         // the attempt's index among the request's attempts
+	failover bool        // a predecessor attempt did not serve the request
+	hedged   bool        // a latency hedge
+	items    int         // a sub-sweep's size, recorded in place of n
 }
 
 // attempt runs one upstream try as a child span of the request's root —
 // the span whose identity call carries to the shard in its traceparent
 // header, so the shard's own spans stitch under it. SiteProxy chaos runs
-// first: an injected fault aborts the try before it reaches the wire. done
-// is the callback the shard's breaker returned from Allow; an injected
-// fault is released with Ignore, and call's error is filed through
-// shardOutcome. The span's outcome is judged against ctx, so a try the
-// caller abandoned reads "cancelled".
-func (g *Gateway) attempt(ctx context.Context, t try, done func(error), call func(context.Context) error) error {
+// first: an injected fault aborts the try before it reaches the wire and
+// releases the breaker slot with Ignore; otherwise call's error is filed
+// through shardOutcome. The span's outcome is judged against ctx, so a try
+// the caller abandoned reads "cancelled".
+func (g *Gateway) attempt(ctx context.Context, t try, call func(context.Context) error) error {
 	sp, sctx := stats.StartSpan(ctx, t.span, "cluster")
 	sp.SetAttr("shard", "shard-"+strconv.Itoa(t.sh.idx))
 	if t.items > 0 {
@@ -398,10 +398,10 @@ func (g *Gateway) attempt(ctx context.Context, t try, done func(error), call fun
 	}
 	err := g.chaos.Inject(sctx, resilience.SiteProxy)
 	if err != nil {
-		done(resilience.Ignore) // injected at the gateway, not the shard's fault
+		t.done(resilience.Ignore) // injected at the gateway, not the shard's fault
 	} else {
 		err = call(sctx)
-		done(shardOutcome(err))
+		t.done(shardOutcome(err))
 	}
 	sp.SetAttr("outcome", attemptOutcome(ctx, err))
 	sp.End()
@@ -409,7 +409,7 @@ func (g *Gateway) attempt(ctx context.Context, t try, done func(error), call fun
 }
 
 // attemptOutcome labels an attempt span's result. A hedge loser — its
-// sibling won and fetchSim canceled the race context — is "cancelled", the
+// sibling won and route canceled the race context — is "cancelled", the
 // shape the stitched export shows for work the gateway deliberately
 // abandoned; everything else is "ok", "deadline" or "error".
 func attemptOutcome(ctx context.Context, err error) string {
@@ -443,58 +443,121 @@ func shardOutcome(err error) error {
 	return err
 }
 
-// walk runs call against key's ring candidates owner-first, one attempt
-// per candidate whose breaker admits it, and returns the shard that
-// answered. A 404 walks on without counting a failover: the shard is
-// healthy, just not the holder of a job that landed on a successor while
-// its owner was down. Any other 4xx except 429 is the shard rejecting the
-// request itself — every shard would — so it passes through. 5xx,
-// transport errors and injected faults fail over. With every candidate
-// spent, a 404 is the answer when a shard gave one, else the first error.
-func (g *Gateway) walk(ctx context.Context, key, span string, call func(context.Context, *shard) error) (*shard, error) {
-	var firstErr, notFound error
-	n, failed := 0, false
-	for _, idx := range g.ring.Successors(key) {
-		sh := g.shards[idx]
-		done, err := sh.brk.Allow()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+// reply is one upstream answer, relayed verbatim: the shard's exact bytes
+// plus the header state that reproduces them.
+type reply struct {
+	body    []byte
+	outcome client.CacheOutcome // X-Tcord-Cache, on simulate and arena
+	status  int                 // the HTTP status, on the job routes
+	shard   *shard              // the shard whose bytes these are
+}
+
+// route serves one request from key's ring candidates, owner first. Each
+// attempt must be admitted by its shard's breaker and runs call through
+// attempt; the first success is the answer. Simulations are deterministic,
+// so every shard answers a request alike, and one rule files every
+// upstream outcome:
+//
+//   - a 404 tries the next candidate without counting a failover: the
+//     shard is healthy, it just does not hold a job that landed on a
+//     successor while its owner was down;
+//   - any other 4xx except 429 is the answer — every shard would give it —
+//     and attempts still in flight are cancelled;
+//   - a 429, a 5xx, a transport error or an injected fault fails over to
+//     the next candidate and counts in gw.failovers.
+//
+// With every candidate spent the answer is a 404 if a shard gave one, else
+// the first failed attempt's error, else the breaker refusal. A positive
+// hedge sends a second copy to the next candidate when no attempt has
+// answered within it.
+func (g *Gateway) route(ctx context.Context, key, span string, hedge time.Duration, call func(context.Context, try) (reply, error)) (reply, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	order := g.ring.Successors(key)
+	type result struct {
+		rep    reply
+		err    error
+		hedged bool
+	}
+	results := make(chan result, len(order))
+	next, pending, n := 0, 0, 0
+	var refused, firstErr, notFound error
+	// launch starts the next candidate whose breaker admits it.
+	launch := func(hedged bool) bool {
+		for next < len(order) {
+			sh := g.shards[order[next]]
+			next++
+			done, err := sh.brk.Allow()
+			if err != nil {
+				if refused == nil {
+					refused = err
+				}
+				continue
 			}
-			continue
+			t := try{span: span, sh: sh, done: done, n: n, failover: n > 0 && !hedged, hedged: hedged}
+			n++
+			pending++
+			go func() {
+				var rep reply
+				err := g.attempt(ctx, t, func(ctx context.Context) (err error) {
+					rep, err = call(ctx, t)
+					return err
+				})
+				results <- result{rep, err, hedged}
+			}()
+			return true
 		}
-		if failed {
-			g.failovers.Inc()
-		}
-		err = g.attempt(ctx, try{span: span, sh: sh, n: n, failover: n > 0}, done, func(actx context.Context) error {
-			return call(actx, sh)
-		})
-		n++
-		var ae *client.APIError
-		switch {
-		case err == nil:
-			return sh, nil
-		case errors.As(err, &ae) && ae.Status == http.StatusNotFound:
-			if notFound == nil {
-				notFound = err
+		return false
+	}
+	if !launch(false) {
+		return reply{}, refused
+	}
+	var hedgeTimer <-chan time.Time
+	if hedge > 0 && len(order) > 1 {
+		hedgeTimer = time.After(hedge)
+	}
+	for {
+		select {
+		case o := <-results:
+			pending--
+			var ae *client.APIError
+			switch {
+			case o.err == nil:
+				if o.hedged {
+					g.hedgeWins.Inc()
+				}
+				return o.rep, nil
+			case errors.As(o.err, &ae) && ae.Status == http.StatusNotFound:
+				if notFound == nil {
+					notFound = o.err
+				}
+				launch(false)
+			case errors.As(o.err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests:
+				return reply{}, o.err
+			default:
+				if firstErr == nil {
+					firstErr = o.err
+				}
+				if ctx.Err() == nil && launch(false) {
+					g.failovers.Inc()
+				}
 			}
-			failed = false
-			continue
-		case errors.As(err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests:
-			return nil, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		failed = true
-		if ctx.Err() != nil {
-			break
+			if pending == 0 {
+				if notFound != nil {
+					return reply{}, notFound
+				}
+				return reply{}, firstErr
+			}
+		case <-hedgeTimer:
+			hedgeTimer = nil
+			if launch(true) {
+				g.hedges.Inc()
+			}
+		case <-ctx.Done():
+			return reply{}, ctx.Err()
 		}
 	}
-	if notFound != nil {
-		return nil, notFound
-	}
-	return nil, firstErr
 }
 
 // fanOut runs fn(i) for every i < n, each on its own goroutine, and
@@ -512,14 +575,6 @@ func fanOut(n int, fn func(i int)) {
 }
 
 // --- simulate routing ---
-
-// simResult is one successfully proxied simulation: the shard's exact
-// served bytes plus enough header state to reproduce them.
-type simResult struct {
-	body    []byte
-	outcome client.CacheOutcome
-	shard   *shard
-}
 
 func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req serve.SimulateRequest
@@ -550,13 +605,13 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := g.fetchSim(ctx, req, key)
+	rep, err := g.route(ctx, key, "gw.attempt", g.hedgeDelay(), g.simCall(req, key))
 	if err != nil {
 		g.shell.WriteError(w, err)
 		return
 	}
-	w.Header().Set(serve.ShardHeader, res.shard.name)
-	serve.WriteResult(w, res.body, string(res.outcome))
+	w.Header().Set(serve.ShardHeader, rep.shard.name)
+	serve.WriteResult(w, rep.body, string(rep.outcome))
 }
 
 // probeCache asks owner's cache for req with a cache-only request, recorded
@@ -570,96 +625,14 @@ func probeCache(ctx context.Context, owner *shard, req serve.SimulateRequest) ([
 	return body, outcome, ok, err
 }
 
-// fetchSim serves one simulation through the ring: the owner first,
-// hedged onto the next shard when the owner is slower than the hedge
-// delay, failed over along the ring (with a peer cache probe back to the
-// owner) when an attempt errors. The first success wins; an attempt is
-// only counted against a shard's breaker when it actually reached it.
-func (g *Gateway) fetchSim(ctx context.Context, req serve.SimulateRequest, key string) (simResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	order := g.ring.Successors(key)
-	owner := g.shards[order[0]]
-
-	type attemptOut struct {
-		res    simResult
-		err    error
-		hedged bool
-	}
-	results := make(chan attemptOut, len(order))
-	next, pending, attempt := 0, 0, 0
-	var lastOpen error
-	// launch starts the next candidate whose breaker admits it; failover
-	// marks attempts triggered by a predecessor's failure (they may be
-	// answered from the owner's cache), hedged marks latency hedges.
-	launch := func(failover, hedged bool) bool {
-		for next < len(order) {
-			sh := g.shards[order[next]]
-			next++
-			done, err := sh.brk.Allow()
-			if err != nil {
-				lastOpen = err
-				continue
-			}
-			t := try{span: "gw.attempt", sh: sh, n: attempt, failover: failover, hedged: hedged}
-			attempt++
-			pending++
-			go func() {
-				res, err := g.attemptSim(ctx, t, owner, req, done)
-				results <- attemptOut{res: res, err: err, hedged: hedged}
-			}()
-			return true
-		}
-		return false
-	}
-	if !launch(false, false) {
-		return simResult{}, lastOpen
-	}
-	var hedgeTimer <-chan time.Time
-	if d := g.hedgeDelay(); d > 0 && len(order) > 1 {
-		hedgeTimer = time.After(d)
-	}
-	var firstErr error
-	for {
-		select {
-		case o := <-results:
-			pending--
-			if o.err == nil {
-				if o.hedged {
-					g.hedgeWins.Inc()
-				}
-				return o.res, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if launch(true, false) {
-				g.failovers.Inc()
-				continue
-			}
-			if pending == 0 {
-				return simResult{}, firstErr
-			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if launch(false, true) {
-				g.hedges.Inc()
-			}
-		case <-ctx.Done():
-			return simResult{}, ctx.Err()
-		}
-	}
-}
-
-// attemptSim is one simulate attempt. On a failover attempt to a
+// simCall is one simulate attempt for route. On a failover attempt to a
 // non-owner, the owner's cache is probed first: a shard whose compute path
-// is broken (breaker open, serving hits only) still answers probes, and
-// a dead one fails them fast — either way a failover shard never
-// recomputes a result the cluster already holds.
-func (g *Gateway) attemptSim(ctx context.Context, t try, owner *shard, req serve.SimulateRequest, done func(error)) (simResult, error) {
-	var res simResult
-	err := g.attempt(ctx, t, done, func(ctx context.Context) error {
+// is broken (breaker open, serving hits only) still answers probes, and a
+// dead one fails them fast — either way a failover shard never recomputes
+// a result the cluster already holds.
+func (g *Gateway) simCall(req serve.SimulateRequest, key string) func(context.Context, try) (reply, error) {
+	owner := g.shards[g.ring.Owner(key)]
+	return func(ctx context.Context, t try) (reply, error) {
 		if t.failover && t.sh != owner {
 			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			body, outcome, ok, err := probeCache(pctx, owner, req)
@@ -670,21 +643,18 @@ func (g *Gateway) attemptSim(ctx context.Context, t try, owner *shard, req serve
 				// t.sh itself was never called, so its breaker slot is
 				// released unjudged; attempt's own done call is then a
 				// no-op.
-				done(resilience.Ignore)
-				res = simResult{body: body, outcome: outcome, shard: owner}
-				return nil
+				t.done(resilience.Ignore)
+				return reply{body: body, outcome: outcome, shard: owner}, nil
 			}
 		}
 		t0 := time.Now()
 		body, outcome, err := t.sh.client.SimulateRaw(ctx, req)
 		if err != nil {
-			return err
+			return reply{}, err
 		}
 		g.proxyDur.Observe(int64(time.Since(t0)))
-		res = simResult{body: body, outcome: outcome, shard: t.sh}
-		return nil
-	})
-	return res, err
+		return reply{body: body, outcome: outcome, shard: t.sh}, nil
+	}
 }
 
 // hedgeDelay resolves the current hedge delay: fixed when configured,
@@ -707,12 +677,12 @@ func (g *Gateway) hedgeDelay() time.Duration {
 // --- arena routing ---
 
 // handleArena proxies a replacement-policy race to the shard owning its
-// content address, walking the ring when a shard errors. Reports are
-// byte-identical on every shard (the race is deterministic and every
-// daemon pins the same single-frame geometry), so failover never changes a
-// number — only which shard's arena cache warms up. No hedging: a race is
-// orders of magnitude heavier than a simulate call, and doubling one
-// deliberately is the wrong trade.
+// content address, failing over along the ring when a shard errors.
+// Reports are byte-identical on every shard (the race is deterministic and
+// every daemon pins the same single-frame geometry), so failover never
+// changes a number — only which shard's arena cache warms up. No hedging:
+// a race is orders of magnitude heavier than a simulate call, and doubling
+// one deliberately is the wrong trade.
 func (g *Gateway) handleArena(w http.ResponseWriter, r *http.Request) {
 	var req serve.ArenaRequest
 	body, ok := g.shell.BeginSim(w, r, &req)
@@ -731,18 +701,16 @@ func (g *Gateway) handleArena(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := g.shell.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	var report []byte
-	var outcome client.CacheOutcome
-	sh, err := g.walk(ctx, key, "gw.attempt", func(ctx context.Context, sh *shard) (err error) {
-		report, outcome, err = sh.client.ArenaRaw(ctx, req)
-		return err
+	rep, err := g.route(ctx, key, "gw.attempt", 0, func(ctx context.Context, t try) (reply, error) {
+		report, outcome, err := t.sh.client.ArenaRaw(ctx, req)
+		return reply{body: report, outcome: outcome, shard: t.sh}, err
 	})
 	if err != nil {
 		g.shell.WriteError(w, err)
 		return
 	}
-	w.Header().Set(serve.ShardHeader, sh.name)
-	serve.WriteResult(w, report, string(outcome))
+	w.Header().Set(serve.ShardHeader, rep.shard.name)
+	serve.WriteResult(w, rep.body, string(rep.outcome))
 }
 
 // --- sweep fan-out ---
@@ -828,12 +796,12 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 		// hedge/failover path.
 		for i, gi := range ch.global {
 			g.fallback.Inc()
-			res, err := g.fetchSim(ctx, sub[i], keys[gi])
+			rep, err := g.route(ctx, keys[gi], "gw.attempt", g.hedgeDelay(), g.simCall(sub[i], keys[gi]))
 			if err != nil {
 				errs[c], failed[c] = fmt.Errorf("item %d: %w", gi, err), gi
 				return
 			}
-			runs[gi] = res.body
+			runs[gi] = rep.body
 		}
 	})
 	// A chunk falls back item by item in order and stops at its first
@@ -866,7 +834,7 @@ func (g *Gateway) subSweep(ctx context.Context, sh *shard, items []serve.Simulat
 	if err != nil {
 		return nil, err
 	}
-	err = g.attempt(ctx, try{span: "gw.subsweep", sh: sh, items: len(items)}, done, func(ctx context.Context) (err error) {
+	err = g.attempt(ctx, try{span: "gw.subsweep", sh: sh, done: done, items: len(items)}, func(ctx context.Context) (err error) {
 		runs, err = sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
 		return err
 	})

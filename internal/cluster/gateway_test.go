@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -610,5 +612,99 @@ func TestGatewayArenaFailsOver(t *testing.T) {
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// counted wraps a fake shard role so the test can count the upstream
+// calls it receives.
+func counted(calls *atomic.Int64, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		h(w, r)
+	}
+}
+
+// TestGatewaySimulatePassesRejectionThrough: a shard's 4xx other than 404
+// and 429 is the request's own fault — simulations are deterministic, so
+// every shard would answer the same — and /v1/simulate relays the owner's
+// answer after one upstream call instead of failing over to successors
+// that would compute a 200.
+func TestGatewaySimulatePassesRejectionThrough(t *testing.T) {
+	fc := newFakeCluster(t, 3)
+	g, srv := newTestGateway(t, fc, singleAttempt())
+
+	var calls atomic.Int64
+	order := ownerOf(t, g, testSim)
+	fc.setRole(order[0], counted(&calls, fail(http.StatusBadRequest, "invalid_request")))
+	for _, u := range order[1:] {
+		fc.setRole(u, counted(&calls, answer("{\"from\":\"successor\"}\n", "miss")))
+	}
+
+	resp := postSim(t, srv.URL, testSim)
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "invalid_request") {
+		t.Fatalf("owner 400 answered %d %q at the gateway, want the owner's 400", resp.StatusCode, body)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("%d upstream calls, want 1: a rejection does not fail over", got)
+	}
+	if got := g.Registry().Snapshot().Get("gw.failovers"); got != 0 {
+		t.Fatalf("gw.failovers = %d, want 0", got)
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatewayReachedShardErrorBeatsBreakerRefusal: with the owner's
+// breaker open and the successor answering 500, the successor's error is
+// the answer on every route — the breaker refusal is only the answer when
+// no shard was reached at all.
+func TestGatewayReachedShardErrorBeatsBreakerRefusal(t *testing.T) {
+	routes := []struct {
+		name  string
+		order func(t *testing.T, g *Gateway) []string
+		do    func(t *testing.T, url string) *http.Response
+	}{
+		{"simulate",
+			func(t *testing.T, g *Gateway) []string { return ownerOf(t, g, testSim) },
+			func(t *testing.T, url string) *http.Response { return postSim(t, url, testSim) }},
+		{"arena",
+			func(t *testing.T, g *Gateway) []string { return arenaOrderOf(t, g, testArena) },
+			func(t *testing.T, url string) *http.Response { return postArena(t, url, testArena) }},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			fc := newFakeCluster(t, 2)
+			opts := singleAttempt()
+			opts.Breaker = &resilience.BreakerConfig{Window: 8, MinSamples: 1, FailureRatio: 0.5, Cooldown: time.Hour}
+			g, srv := newTestGateway(t, fc, opts)
+
+			var ownerCalls, successorCalls atomic.Int64
+			order := rt.order(t, g)
+			fc.setRole(order[0], counted(&ownerCalls, answer("{\"from\":\"owner\"}\n", "miss")))
+			fc.setRole(order[1], counted(&successorCalls, fail(http.StatusInternalServerError, "internal")))
+			for _, sh := range g.shards {
+				if sh.name == order[0] {
+					done, err := sh.brk.Allow()
+					if err != nil {
+						t.Fatal(err)
+					}
+					done(errors.New("owner down"))
+					if sh.brk.State() != resilience.Open {
+						t.Fatalf("owner breaker is %s, want open", sh.brk.State())
+					}
+				}
+			}
+
+			resp := rt.do(t, srv.URL)
+			body := readBody(t, resp)
+			if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body, `"internal"`) {
+				t.Fatalf("got %d %q, want the successor's 500 internal", resp.StatusCode, body)
+			}
+			if o, s := ownerCalls.Load(), successorCalls.Load(); o != 0 || s != 1 {
+				t.Fatalf("owner/successor calls = %d/%d, want 0/1", o, s)
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 // ID. The gateway recomputes that ID — kind, tenant credential, compacted
 // body, the same recipe serve.JobID uses — and routes the submission there,
 // forwarding the body verbatim so the shard derives the identical ID. Reads
-// and cancels route by the ID in the URL. Both walk the ring on failure: a
+// and cancels route by the ID in the URL. Both go through Gateway.route: a
 // submission lands on the owner's successor when the owner is down, and a
 // later poll finds it there because a shard's 404 sends the lookup to the
 // next ring candidate instead of the caller.
@@ -88,7 +88,7 @@ func (g *Gateway) fanOutJobList(ctx context.Context) ([]serve.JobRecord, error) 
 
 // handleJob proxies GET /v1/jobs/{id}, GET /v1/jobs/{id}/result and
 // DELETE /v1/jobs/{id} to the shard holding the job — the ring owner first,
-// walking successors when a shard errors or does not know the ID.
+// then its successors when a shard errors or does not know the ID.
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
 	if id == "" {
@@ -120,23 +120,21 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	g.proxyJob(w, r, id, "gw.job.proxy", call)
 }
 
-// proxyJob walks the ring for key with one job operation under the
-// request's deadline and relays the holding shard's answer verbatim.
+// proxyJob routes one job operation for key under the request's deadline
+// and relays the holding shard's answer verbatim.
 func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, key, span string, call func(context.Context, *shard) ([]byte, int, error)) {
 	ctx, cancel := g.shell.RequestContext(r, 0)
 	defer cancel()
-	var data []byte
-	var status int
-	sh, err := g.walk(ctx, key, span, func(ctx context.Context, sh *shard) (err error) {
-		data, status, err = call(ctx, sh)
-		return err
+	rep, err := g.route(ctx, key, span, 0, func(ctx context.Context, t try) (reply, error) {
+		data, status, err := call(ctx, t.sh)
+		return reply{body: data, status: status, shard: t.sh}, err
 	})
 	if err != nil {
 		g.shell.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(serve.ShardHeader, sh.name)
-	w.WriteHeader(status)
-	w.Write(data) //nolint:errcheck // client gone is its own problem
+	w.Header().Set(serve.ShardHeader, rep.shard.name)
+	w.WriteHeader(rep.status)
+	w.Write(rep.body) //nolint:errcheck // client gone is its own problem
 }

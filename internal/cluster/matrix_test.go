@@ -40,8 +40,8 @@ type matrixColumn struct {
 }
 
 // TestDeterminismMatrix is the system's determinism oracle. Every row (a
-// simulate, sweep or arena request at frames 1, or one the resolver
-// rejects) gets the same status and byte-identical body in every column:
+// simulate, sweep or arena request at frames 1, or one the resolver or a
+// shard rejects) gets the same status and byte-identical body in every column:
 // the library encoding, a single daemon on a miss and on a hit, a gateway
 // over three shards, a gateway with one shard dead, and an async job on the
 // daemon and through the gateway. The CLIs' rows are TestJSONMatchesDaemon
@@ -70,6 +70,10 @@ func TestDeterminismMatrix(t *testing.T) {
 	badSim := serve.SimulateRequest{Benchmark: "GTr", Config: "bogus", Frames: 1}
 	badSweep := serve.SweepRequest{Items: append(sweep.Items[:2:2], serve.SimulateRequest{Benchmark: "nope", Frames: 1})}
 	badRace := serve.ArenaRequest{Policies: []string{"nope"}, Benchmarks: []string{"GTr"}}
+	// The gateway's resolver admits this spec; only a shard's generator
+	// rejects it (the reuse exceeds the screen's tiles).
+	farReuse := serve.SimulateRequest{Config: "tcor", Frames: 1,
+		Spec: json.RawMessage(`{"alias":"Far","pbFootprintMiB":0.1,"avgPrimReuse":5000}`)}
 
 	// The dead shard is the simulate row's owner, so that row fails over.
 	key, err := serve.CanonicalKey(sim)
@@ -96,7 +100,7 @@ func TestDeterminismMatrix(t *testing.T) {
 			r.Frames = 1
 			rep, err := arena.Race(context.Background(), r, arena.Options{
 				Policies: race.Policies, Benchmarks: race.Benchmarks, SizeKB: race.SizeKB,
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,6 +125,17 @@ func TestDeterminismMatrix(t *testing.T) {
 		{"arena unknown policy", "/v1/arena", badRace, func(t *testing.T) (int, []byte) {
 			_, _, err := serve.ArenaKey(badRace)
 			return libraryError(t, err)
+		}, nil},
+		{"simulate unreachable reuse", "/v1/simulate", farReuse, func(t *testing.T) (int, []byte) {
+			spec, _, _, err := serve.Resolve(farReuse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = workload.Generate(spec, geom.DefaultScreen())
+			if err == nil {
+				t.Fatal("the generator accepted an average reuse beyond the screen's tiles")
+			}
+			return libraryError(t, serve.BadRequest("generating workload: %v", err))
 		}, nil},
 	}
 
@@ -197,6 +212,11 @@ func TestDeterminismMatrix(t *testing.T) {
 
 	if got := dead.gateway.Registry().Snapshot().Get("gw.failovers"); got == 0 {
 		t.Error("no request failed over from the dead shard")
+	}
+	// Every live shard is up and a shard's rejection is the answer, so
+	// nothing fails over there.
+	if got := live.gateway.Registry().Snapshot().Get("gw.failovers"); got != 0 {
+		t.Errorf("live gateway: gw.failovers = %d, want 0", got)
 	}
 	for name, check := range map[string]func() error{
 		"daemon":             daemon.CheckInvariants,

@@ -434,7 +434,7 @@ func TestStitchedHedgeLoserCancelled(t *testing.T) {
 		t.Fatal("response carries no traceparent")
 	}
 
-	// The loser's span only lands once fetchSim cancels the race context.
+	// The loser's span only lands once route cancels the race context.
 	ready := func(doc clusterTraceDoc) bool {
 		for _, ev := range doc.TraceEvents {
 			if ev.Name == "gw.attempt" && ev.Args["outcome"] == "cancelled" {

@@ -57,10 +57,10 @@ func recordSHA(key, cfgSHA string, result []byte) string {
 // Checkpoint is an append-only journal of completed cells: one JSON line
 // per cell, each self-verifying via a content hash. The serving layer's
 // async jobs journal through it — a sweep job's /v1/simulate bodies, an
-// arena job's per-policy cells (attached as Runner.Checkpoint) — so a job
-// killed at any point, SIGKILL included, resumes by re-executing only the
-// missing cells, with byte-identical final output (payloads are restored
-// as the exact bytes that were journaled).
+// arena job's per-policy cells (passed to arena.Race) — so a job killed
+// at any point, SIGKILL included, resumes by re-executing only the missing
+// cells, with byte-identical final output (payloads are restored as the
+// exact bytes that were journaled).
 //
 // Crash safety comes from the format, not fsync discipline: a torn final
 // line (the process died mid-write) fails its hash or parse, and open

@@ -39,18 +39,6 @@ type Runner struct {
 	// cancellation); nil means context.Background(). Configure it once
 	// before use, like the other fields.
 	Ctx context.Context
-	// MemoCap, when positive, bounds each memo table (scenes, runs, traces,
-	// profiles) to that many completed entries with LRU eviction,
-	// metered as "memo.<table>.evictions". Zero keeps the figure-harness
-	// default: cache forever (the paper grid is finite). Long-running hosts
-	// set it, so an open-ended request stream cannot grow the tables
-	// without bound.
-	MemoCap int
-	// Checkpoint, when non-nil (open one with OpenJournal), journals every
-	// completed arena cell and restores journaled ones instead of racing
-	// them again. Only arena.raceCell reads it; the serving layer attaches
-	// an async arena job's journal here so the job resumes across restarts.
-	Checkpoint *Checkpoint
 
 	scenes   memo[*workload.Scene]
 	runs     memo[*gpu.Result]
@@ -74,8 +62,8 @@ func NewRunner() *Runner {
 }
 
 // Metrics returns the runner's observability registry: memo-table
-// hit/miss/eviction counters ("memo.<table>.hits"/".misses"/".evictions")
-// and completed-simulation counts. Race-clean; sweeps running through the
+// hit/miss counters ("memo.<table>.hits"/".misses") and
+// completed-simulation counts. Race-clean; sweeps running through the
 // Runner publish into it live.
 func (r *Runner) Metrics() *stats.Registry {
 	r.metricsOnce.Do(func() { r.metrics = stats.NewRegistry() })
@@ -83,12 +71,12 @@ func (r *Runner) Metrics() *stats.Registry {
 }
 
 // memoTable holds the counter names of one memo table,
-// "memo.<table>.hits", ".misses" and ".evictions", built once so that a
-// memo hit builds no string.
-type memoTable struct{ hits, misses, evictions string }
+// "memo.<table>.hits" and ".misses", built once so that a memo hit builds
+// no string.
+type memoTable struct{ hits, misses string }
 
 func newMemoTable(table string) memoTable {
-	return memoTable{"memo." + table + ".hits", "memo." + table + ".misses", "memo." + table + ".evictions"}
+	return memoTable{"memo." + table + ".hits", "memo." + table + ".misses"}
 }
 
 // The Runner's memo tables.
@@ -100,9 +88,9 @@ var (
 )
 
 // meter returns the counters for one memo table.
-func (r *Runner) meter(t memoTable) (hits, misses, evictions *stats.Counter) {
+func (r *Runner) meter(t memoTable) (hits, misses *stats.Counter) {
 	m := r.Metrics()
-	return m.Counter(t.hits), m.Counter(t.misses), m.Counter(t.evictions)
+	return m.Counter(t.hits), m.Counter(t.misses)
 }
 
 // baseCtx returns the runner's sweep context.
@@ -132,8 +120,8 @@ func (r *Runner) Suite() []workload.Spec {
 
 // Scene returns the calibrated scene for a benchmark.
 func (r *Runner) Scene(alias string) (*workload.Scene, error) {
-	hits, misses, evictions := r.meter(scenesTable)
-	return r.scenes.get(alias, r.MemoCap, hits, misses, evictions, func() (*workload.Scene, error) {
+	hits, misses := r.meter(scenesTable)
+	return r.scenes.get(alias, hits, misses, func() (*workload.Scene, error) {
 		if hook := r.testSceneHook; hook != nil {
 			hook(alias)
 		}
@@ -171,10 +159,10 @@ type runCell struct {
 // for this call instead of simulating again. The claimed cells simulate
 // together in one gpu.SimulateGroup and are resolved.
 func (r *Runner) runScene(cells []runCell, out []*memoCell[*gpu.Result]) {
-	hits, misses, evictions := r.meter(runsTable)
+	hits, misses := r.meter(runsTable)
 	var todo []int
 	for i, c := range cells {
-		cell, leader := r.runs.claim(c.alias+"/"+c.name, r.MemoCap, hits, misses, evictions)
+		cell, leader := r.runs.claim(c.alias+"/"+c.name, hits, misses)
 		out[i] = cell
 		if leader {
 			todo = append(todo, i)
@@ -267,8 +255,8 @@ func (r *Runner) Binning(alias string) (*tiling.Binning, error) {
 // tile by tile in traversal order — the stream behind Figs. 1 and 11–13.
 // The trace is annotated with Belady next-use indices.
 func (r *Runner) AttributeTrace(alias string) (trace.Trace, error) {
-	hits, misses, evictions := r.meter(tracesTable)
-	return r.traces.get(alias, r.MemoCap, hits, misses, evictions, func() (trace.Trace, error) {
+	hits, misses := r.meter(tracesTable)
+	return r.traces.get(alias, hits, misses, func() (trace.Trace, error) {
 		b, err := r.Binning(alias)
 		if err != nil {
 			return nil, err
@@ -291,8 +279,8 @@ func (r *Runner) AttributeTrace(alias string) (trace.Trace, error) {
 // benchmark's attribute trace: fully-associative LRU miss ratios at every
 // capacity from one pass (reference [27]'s own technique).
 func (r *Runner) LRUProfile(alias string) (cache.StackProfile, error) {
-	hits, misses, evictions := r.meter(profilesTable)
-	return r.profiles.get(alias, r.MemoCap, hits, misses, evictions, func() (cache.StackProfile, error) {
+	hits, misses := r.meter(profilesTable)
+	return r.profiles.get(alias, hits, misses, func() (cache.StackProfile, error) {
 		tr, err := r.AttributeTrace(alias)
 		if err != nil {
 			return cache.StackProfile{}, err

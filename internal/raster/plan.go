@@ -18,8 +18,6 @@ import (
 // CommitFiltered replays the filtered plan into the shared hierarchy; so
 // planning, filtering and committing can be timed and tested apart.
 type TilePlan struct {
-	Code geom.TileCode // tile identity (tile ID + traversal position)
-
 	Prims        int64 // primitive-tile pairs rasterized
 	Quads        int64 // quads covered before Early-Z
 	QuadsShaded  int64 // quads surviving Early-Z
@@ -47,7 +45,6 @@ type TilePlan struct {
 
 // Reset clears the plan for reuse, keeping the tap capacity.
 func (p *TilePlan) Reset() {
-	p.Code = 0
 	p.Prims, p.Quads, p.QuadsShaded, p.LateZQuads, p.BlendedQuads = 0, 0, 0, 0, 0
 	p.TapAddrs = p.TapAddrs[:0]
 	p.TapCache = p.TapCache[:0]
@@ -85,7 +82,6 @@ func (p *Pipeline) NewScratch() *PlanScratch {
 // may be committed into every pipeline built from the same Config.
 func (p *Pipeline) PlanTile(tile geom.TileID, frame int, work []TileWork, sc *PlanScratch, plan *TilePlan) {
 	plan.Reset()
-	plan.Code = geom.PackTileCode(tile, 0, 0)
 	rect := p.cfg.Screen.TileRect(tile)
 	for i := range sc.depth {
 		sc.depth[i] = math.MaxFloat32

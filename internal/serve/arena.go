@@ -83,15 +83,16 @@ func ArenaKey(req ArenaRequest) (arena.Options, string, error) {
 	return opts, "arena:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// arenaRunner returns the server's lazily built arena runner: single-frame
-// traces (see ArenaRequest), memo tables bounded so an open-ended request
-// stream cannot grow the daemon without bound, and the sweep parallelism the
-// race itself manages (the runner's own Parallel is unused by the arena).
+// arenaRunner returns the server's lazily built arena runner, shared by
+// sync races and async arena jobs: single-frame traces (see ArenaRequest)
+// and the sweep parallelism the race itself manages (the runner's own
+// Parallel is unused by the arena). Its memo tables stay small without a
+// bound: the arena touches only the scene, trace and profile tables, keyed
+// by the ten suite aliases arena.Normalize admits.
 func (s *Server) arenaRunner() *experiments.Runner {
 	s.arenaOnce.Do(func() {
 		r := experiments.NewRunner()
 		r.Frames = 1
-		r.MemoCap = 32
 		s.arenaR = r
 	})
 	return s.arenaR
@@ -122,7 +123,7 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	val, how, err := s.arenaCache.get(ctx, key, func() (cached, error) {
 		// One admission slot for the whole race: it parallelizes
 		// internally across the worker count.
-		return s.admitted(ctx, func() (cached, error) { return s.raceArena(ctx, s.arenaRunner(), opts) })
+		return s.admitted(ctx, func() (cached, error) { return s.raceArena(ctx, opts, nil) })
 	})
 	if err != nil {
 		s.shell.WriteError(w, err)
@@ -131,11 +132,10 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	WriteResult(w, val.body, string(how))
 }
 
-// raceArena runs one arena race on the given runner and encodes the
-// canonical report. Sync requests pass the shared memoized runner;
-// background arena jobs pass a private runner carrying the job's journal
-// (see runArena).
-func (s *Server) raceArena(ctx context.Context, runner *experiments.Runner, opts arena.Options) (cached, error) {
+// raceArena runs one arena race on the daemon's arena runner and encodes
+// the canonical report. Background arena jobs pass their journal (see
+// runArena); sync requests pass nil.
+func (s *Server) raceArena(ctx context.Context, opts arena.Options, journal *experiments.Checkpoint) (cached, error) {
 	cells := int64(len(opts.Benchmarks) * (1 + len(opts.CurveSizesKB)))
 	for _, p := range opts.Policies {
 		s.reg.Counter("serve.arena.policy." + strings.ToLower(p) + ".races").Inc()
@@ -144,7 +144,7 @@ func (s *Server) raceArena(ctx context.Context, runner *experiments.Runner, opts
 
 	opts.Parallel = s.opts.Workers
 	t0 := time.Now()
-	rep, err := arena.Race(ctx, runner, opts)
+	rep, err := arena.Race(ctx, s.arenaRunner(), opts, journal)
 	s.arenaDur.ObserveSince(t0)
 	if err != nil {
 		s.arenaFailed.Inc()

@@ -389,8 +389,8 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 	return EncodeSweep(runs)
 }
 
-// runArena executes an arena job on a private runner wired to the job's own
-// journal, fingerprinted by the job ID like a sweep job's: the race's
+// runArena races an arena job on the daemon's arena runner with the job's
+// own journal, fingerprinted by the job ID like a sweep job's: the race's
 // per-policy cells journal as they finish and restore on resume.
 func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) {
 	var req ArenaRequest
@@ -401,15 +401,11 @@ func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	runner := experiments.NewRunner()
-	runner.Frames = 1
-	runner.MemoCap = 32
-	cp, restored, err := experiments.OpenJournal(e.journalPath(), e.rec.ID, runner.Metrics())
+	cp, restored, err := experiments.OpenJournal(e.journalPath(), e.rec.ID, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer cp.Close()
-	runner.Checkpoint = cp
 	if restored > 0 {
 		m.mu.Lock()
 		e.rec.RestoredCells = restored
@@ -422,7 +418,7 @@ func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) 
 	// cache: a report the daemon already holds is not raced again, and a
 	// race this job runs is one the cache metered as a miss.
 	val, _, err := m.s.arenaCache.get(ctx, key, func() (cached, error) {
-		return m.s.raceArena(ctx, runner, opts)
+		return m.s.raceArena(ctx, opts, cp)
 	})
 	if err != nil {
 		return nil, err
